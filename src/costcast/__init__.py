@@ -10,7 +10,7 @@ from .motion import (
     resample,
     slide_windows,
 )
-from .robot import ArmModel, ArmState, RigidPose, RobotPlan
+from .robot import ArmModel, ArmState, RigidPose
 
 __all__ = [
     "ArmModel",
@@ -19,7 +19,6 @@ __all__ = [
     "Episode",
     "Pose",
     "RigidPose",
-    "RobotPlan",
     "Trajectory",
     "pose_distance",
     "resample",

@@ -287,9 +287,10 @@ def cmd_report(cfg: RunConfig, log_paths) -> int:
             writer.writerow(["frame", "wrist_error_mm", "branch_active", "min_sep_m"])
             for rec in log.records:
                 werr = ""
-                if rec.get("forecast_final_wrist") is not None and "gt_wrist" in rec:
+                if rec.get("forecast_final_wrist") is not None and "gt_final_wrist" in rec:
                     werr = 1000.0 * float(np.linalg.norm(
-                        np.asarray(rec["forecast_final_wrist"]) - np.asarray(rec["gt_wrist"])))
+                        np.asarray(rec["forecast_final_wrist"])
+                        - np.asarray(rec["gt_final_wrist"])))
                 writer.writerow([rec["step"], werr, rec.get("branch_active", ""),
                                  rec["min_sep"]])
         print(f"wrote {out}")

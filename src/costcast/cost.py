@@ -1,23 +1,22 @@
 """Planner cost function: base arm-quality terms plus per-task terms.
 
-All terms have batched implementations operating on (N, H, 7) joint arrays so
-the planner can score many sampled plans at once; the public single-plan
-operations wrap the batched versions with N=1.
+Every term scores a batch of N plans, (N, H, 7) joint arrays, so the planner
+scores all its samples at once; a single plan is a batch of one.
+``total_cost_batch`` runs forward kinematics and the collision sum once and
+hands both to every term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .forecast import Forecast, POINT, SAFETY_VOLUME
 from .motion import MotionError, WRIST_INDICES
 from .robot import (
     ArmModel,
     RigidPose,
-    RobotPlan,
     collision_sphere_centers,
     fk_batch,
     manipulability_batch,
@@ -91,24 +90,26 @@ def hinge(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-# --- batched terms --------------------------------------------------------
+# --- terms ---------------------------------------------------------------
+#
+# ``frames`` is the (R, p) pair that ``fk_batch`` returns for Q: rotations
+# (N, H, 8, 3, 3) and origins (N, H, 8, 3), end effector at index 7.
 
-def base_terms_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray,
+def base_terms_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray, frames,
                      weights: CostWeights) -> np.ndarray:
     """alpha_s*C_stop + alpha_j*C_joint + alpha_m*C_manip per plan, shape (N,)."""
     stop = np.sum(Qd[:, -STOP_WINDOW:] ** 2, axis=(1, 2))
     mid = model.mid()
     half = 0.5 * (model.hi - model.lo)
     joint = np.sum(hinge(np.abs(Q - mid) - JOINT_MARGIN * half) ** 2, axis=(1, 2))
-    manip = np.sum(hinge(weights.manip_floor - manipulability_batch(model, Q)), axis=1)
+    manip = np.sum(hinge(weights.manip_floor - manipulability_batch(frames)), axis=1)
     return weights.alpha_s * stop + weights.alpha_j * joint + weights.alpha_m * manip
 
 
-def separation_against_forecast(model: ArmModel, Q: np.ndarray,
-                                forecast: Forecast) -> np.ndarray:
+def separation_against_forecast(model: ArmModel, frames, forecast: Forecast) -> np.ndarray:
     """Per-step minimum clearance (N, H) against a forecast of either kind."""
-    H = Q.shape[1]
-    centers = collision_sphere_centers(model, Q)
+    centers = collision_sphere_centers(model, frames)
+    H = centers.shape[1]
     if forecast.kind == SAFETY_VOLUME:
         if forecast.centers.shape[0] < H:
             raise MotionError("forecast horizon shorter than plan horizon")
@@ -117,11 +118,10 @@ def separation_against_forecast(model: ArmModel, Q: np.ndarray,
     return separation_batch(model, centers, _forecast_frames(forecast, H))
 
 
-def collision_terms_batch(model: ArmModel, Q: np.ndarray, forecast: Forecast,
-                          weights: CostWeights, alpha: float | None = None) -> np.ndarray:
-    sep = separation_against_forecast(model, Q, forecast)
-    a = weights.alpha_c if alpha is None else alpha
-    return a * np.sum(hinge(D_SAFE - sep) ** 2, axis=1)
+def collision_terms_batch(model: ArmModel, frames, forecast: Forecast) -> np.ndarray:
+    """Unweighted collision sum, sum_t hinge(D_SAFE - sep)^2 per plan (N,)."""
+    sep = separation_against_forecast(model, frames, forecast)
+    return np.sum(hinge(D_SAFE - sep) ** 2, axis=1)
 
 
 def _wrist_pot_distance(forecast: Forecast, pot: np.ndarray, H: int) -> np.ndarray:
@@ -134,7 +134,10 @@ def _wrist_pot_distance(forecast: Forecast, pot: np.ndarray, H: int) -> np.ndarr
     return np.linalg.norm(wrists - pot, axis=-1).min(axis=-1)
 
 
-def stir_terms_batch(model: ArmModel, Q: np.ndarray, forecast: Forecast,
+# Every task term takes (Q, frames, coll, forecast, spec, weights), where
+# ``coll`` is the collision sum of ``collision_terms_batch``, and returns (N,).
+
+def stir_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
                      spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Retract to rest while the forecast wrist is near the pot, else track the stir cycle."""
     spec.require("pot_position", "rest_config", "stir_reference")
@@ -148,81 +151,83 @@ def stir_terms_batch(model: ArmModel, Q: np.ndarray, forecast: Forecast,
     return np.sum(np.where(near[None], d_rest, d_stir), axis=1)
 
 
-def pose_error_batch(ee_pos: np.ndarray, ee_R: np.ndarray, target: RigidPose) -> np.ndarray:
+def pose_error_batch(ee_pos: np.ndarray, ee_R: np.ndarray, target_pos: np.ndarray,
+                     target_R: np.ndarray) -> np.ndarray:
     """Position + weighted geodesic-orientation error per element.
 
-    ee_pos: (..., 3), ee_R: (..., 3, 3).
+    ee_pos: (..., 3), ee_R: (..., 3, 3); the target position (3,) and
+    rotation (3, 3) broadcast against them.
     """
-    dp = np.linalg.norm(ee_pos - target.position, axis=-1)
-    Rt = target.rotation().as_matrix()
-    rel = np.swapaxes(ee_R, -1, -2) @ Rt
+    dp = np.linalg.norm(ee_pos - target_pos, axis=-1)
+    rel = np.swapaxes(ee_R, -1, -2) @ target_R
     tr = np.clip((np.trace(rel, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
     ang = np.arccos(tr)
     return dp + ORIENTATION_WEIGHT * ang
 
 
-def grasp_pose(ee_now: RigidPose, wrist_final: np.ndarray) -> RigidPose:
-    """Handover grasp target at the forecast final wrist.
+def _skew(k: np.ndarray) -> np.ndarray:
+    """Cross-product matrices [k]x of vectors (..., 3), shape (..., 3, 3)."""
+    K = np.zeros(k.shape + (3,))
+    K[..., 0, 1], K[..., 0, 2] = -k[..., 2], k[..., 1]
+    K[..., 1, 0], K[..., 1, 2] = k[..., 2], -k[..., 0]
+    K[..., 2, 0], K[..., 2, 1] = -k[..., 1], k[..., 0]
+    return K
 
-    The approach axis (end-effector local +z) is carried by the minimal
-    rotation onto the line from the current end effector to the wrist; roll
-    about the approach axis is unchanged.
+
+def grasp_pose(ee_pos: np.ndarray, ee_R: np.ndarray, wrist_final: np.ndarray) -> np.ndarray:
+    """Handover grasp orientations (N, 3, 3) at the forecast final wrist.
+
+    ee_pos (N, 3) and ee_R (N, 3, 3) are the current end-effector poses; the
+    grasp position is the wrist itself.  The approach axis (end-effector
+    local +z) is carried by the minimal rotation onto the line from the end
+    effector to the wrist (Rodrigues' formula); roll about the approach axis
+    is unchanged.
     """
-    wrist_final = np.asarray(wrist_final, dtype=float)
-    line = wrist_final - ee_now.position
-    norm = np.linalg.norm(line)
-    if norm <= 1e-6:
+    line = np.asarray(wrist_final, dtype=float) - ee_pos
+    norm = np.linalg.norm(line, axis=-1)
+    if (norm <= 1e-6).any():
         raise MotionError("grasp target coincides with the current end effector")
-    target_axis = line / norm
-    R_now = ee_now.rotation()
-    approach = R_now.as_matrix()[:, 2]
-    c = float(np.dot(approach, target_axis))
+    target_axis = line / norm[:, None]
+    approach = ee_R[:, :, 2]
+    c = np.einsum("nk,nk->n", approach, target_axis)
     axis = np.cross(approach, target_axis)
-    s = np.linalg.norm(axis)
-    if s < 1e-12:
-        if c > 0:
-            align = Rotation.identity()
-        else:
-            # antiparallel: rotate pi about any axis orthogonal to the approach
-            ortho = np.cross(approach, [1.0, 0.0, 0.0])
-            if np.linalg.norm(ortho) < 1e-6:
-                ortho = np.cross(approach, [0.0, 1.0, 0.0])
-            align = Rotation.from_rotvec(np.pi * ortho / np.linalg.norm(ortho))
-    else:
-        angle = np.arctan2(s, c)
-        align = Rotation.from_rotvec(angle * axis / s)
-    quat = (align * R_now).as_quat()
-    quat = quat / np.linalg.norm(quat)
-    return RigidPose(position=wrist_final, orientation=quat)
+    s = np.linalg.norm(axis, axis=-1)
+    parallel = s < 1e-12
+    # antiparallel: rotate pi about any axis orthogonal to the approach
+    ortho = np.cross(approach, [1.0, 0.0, 0.0])
+    near_x = np.linalg.norm(ortho, axis=-1) < 1e-6
+    ortho[near_x] = np.cross(approach[near_x], [0.0, 1.0, 0.0])
+    ortho /= np.linalg.norm(ortho, axis=-1, keepdims=True)
+    k = np.where(parallel[:, None], ortho, axis / np.where(parallel, 1.0, s)[:, None])
+    sin_a = np.where(parallel, 0.0, s)
+    one_minus_cos = np.where(parallel, np.where(c > 0, 0.0, 2.0), 1.0 - c)
+    K = _skew(k)
+    align = np.eye(3) + sin_a[:, None, None] * K + one_minus_cos[:, None, None] * (K @ K)
+    return align @ ee_R
 
 
-def handover_terms_batch(model: ArmModel, Q: np.ndarray, forecast: Forecast,
+def handover_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
                          spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Track the grasp pose at the forecast final wrist while the object is in hand."""
     if forecast.kind == SAFETY_VOLUME:
         raise MotionError("handover cost needs a point forecast (no wrist in a safety volume)")
-    N, H, _ = Q.shape
     if not spec.object_in_hand:
-        return np.zeros(N)
-    frames = _forecast_frames(forecast, forecast.trajectory.frames.shape[0])
-    wrists = frames[-1, list(WRIST_INDICES)]
-    R, p = fk_batch(model, Q)
-    out = np.empty(N)
-    for n in range(N):
-        ee0 = RigidPose(p[n, 0, 7], Rotation.from_matrix(R[n, 0, 7]).as_quat())
-        # the moving (right) wrist is the handover hand
-        target = grasp_pose(ee0, wrists[1])
-        out[n] = np.sum(pose_error_batch(p[n, :, 7], R[n, :, 7], target))
-    return out
+        return np.zeros(Q.shape[0])
+    # the moving (right) wrist is the handover hand
+    wrist = forecast.trajectory.frames[-1, WRIST_INDICES[1]]
+    R, p = frames
+    target_R = grasp_pose(p[:, 0, 7], R[:, 0, 7], wrist)
+    return np.sum(pose_error_batch(p[:, :, 7], R[:, :, 7], wrist, target_R[:, None]), axis=1)
 
 
-def tableset_terms_batch(model: ArmModel, Q: np.ndarray, forecast: Forecast,
+def tableset_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
                          spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Goal reaching plus beta-weighted collision avoidance."""
     spec.require("table_goal")
-    R, p = fk_batch(model, Q)
-    goal = np.sum(pose_error_batch(p[..., 7, :], R[..., 7, :, :], spec.table_goal), axis=1)
-    coll = collision_terms_batch(model, Q, forecast, weights, alpha=1.0)
+    R, p = frames
+    target = spec.table_goal
+    goal = np.sum(pose_error_batch(p[..., 7, :], R[..., 7, :, :], target.position,
+                                   target.rotation().as_matrix()), axis=1)
     return goal + weights.beta * coll
 
 
@@ -236,55 +241,15 @@ TASK_TERMS = {
 def total_cost_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray,
                      forecast: Forecast, spec: TaskSpec,
                      weights: CostWeights) -> np.ndarray:
-    """base + collision + alpha_t * task term, per plan (N,)."""
-    total = base_terms_batch(model, Q, Qd, weights)
-    total = total + collision_terms_batch(model, Q, forecast, weights)
-    total = total + weights.alpha_t * TASK_TERMS[spec.task](model, Q, forecast, spec, weights)
+    """base + alpha_c * collision + alpha_t * task term, per plan (N,).
+
+    Forward kinematics and the collision sum are computed once and shared by
+    every term.
+    """
+    frames = fk_batch(model, Q)
+    coll = collision_terms_batch(model, frames, forecast)
+    total = base_terms_batch(model, Q, Qd, frames, weights)
+    total = total + weights.alpha_c * coll
+    total = total + weights.alpha_t * TASK_TERMS[spec.task](Q, frames, coll, forecast,
+                                                            spec, weights)
     return total
-
-
-# --- single-plan wrappers -------------------------------------------------
-
-def _plan_arrays(plan: RobotPlan):
-    return plan.q_array()[None], plan.qd_array()[None]
-
-
-def base_cost(plan: RobotPlan, model: ArmModel, weights: CostWeights) -> float:
-    Q, Qd = _plan_arrays(plan)
-    return float(base_terms_batch(model, Q, Qd, weights)[0])
-
-
-def collision_cost(plan: RobotPlan, model: ArmModel, human_forecast: Forecast,
-                   weights: CostWeights) -> float:
-    Q, _ = _plan_arrays(plan)
-    return float(collision_terms_batch(model, Q, human_forecast, weights)[0])
-
-
-def stir_cost(plan: RobotPlan, model: ArmModel, forecast: Forecast,
-              spec: TaskSpec, weights: CostWeights) -> float:
-    if spec.task != "stir":
-        raise MotionError("stir_cost requires a stir task spec")
-    Q, _ = _plan_arrays(plan)
-    return float(stir_terms_batch(model, Q, forecast, spec, weights)[0])
-
-
-def handover_cost(plan: RobotPlan, model: ArmModel, forecast: Forecast,
-                  spec: TaskSpec, weights: CostWeights) -> float:
-    if spec.task != "handover":
-        raise MotionError("handover_cost requires a handover task spec")
-    Q, _ = _plan_arrays(plan)
-    return float(handover_terms_batch(model, Q, forecast, spec, weights)[0])
-
-
-def tableset_cost(plan: RobotPlan, model: ArmModel, forecast: Forecast,
-                  spec: TaskSpec, weights: CostWeights) -> float:
-    if spec.task != "tableset":
-        raise MotionError("tableset_cost requires a tableset task spec")
-    Q, _ = _plan_arrays(plan)
-    return float(tableset_terms_batch(model, Q, forecast, spec, weights)[0])
-
-
-def total_cost(plan: RobotPlan, model: ArmModel, forecast: Forecast,
-               spec: TaskSpec, weights: CostWeights) -> float:
-    Q, Qd = _plan_arrays(plan)
-    return float(total_cost_batch(model, Q, Qd, forecast, spec, weights)[0])

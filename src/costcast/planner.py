@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .cost import CostWeights, TaskSpec, total_cost_batch, _wrist_pot_distance
-from .forecast import Forecast, make_forecaster
+from .forecast import Forecast
 from .motion import (
     Context,
     Episode,
@@ -29,9 +28,8 @@ from .robot import (
     ArmModel,
     ArmState,
     N_DOF,
-    RobotPlan,
     fk,
-    fk_batch,
+    fk_batch,  # not called here; bench/spans.py traces this binding
     jacobian,
     min_separation,
     rollout_arrays,
@@ -58,6 +56,12 @@ class MppiConfig:
     def __post_init__(self):
         if self.n_samples < 2:
             raise MotionError("need at least 2 samples")
+        if self.n_iterations < 1:
+            raise MotionError("need at least 1 MPPI iteration")
+        if not 1 <= self.horizon <= HORIZON_LEN:
+            raise MotionError(f"horizon must be between 1 and {HORIZON_LEN} steps")
+        if self.dt <= 0:
+            raise MotionError("dt must be positive")
         if self.temperature <= 0 or self.noise_sigma <= 0:
             raise MotionError("temperature and noise_sigma must be positive")
 
@@ -75,15 +79,14 @@ class PlannerState:
                    rng=np.random.default_rng(cfg.seed))
 
 
-def rollout(model: ArmModel, state: ArmState, controls: np.ndarray, dt: float) -> RobotPlan:
-    """Integrate a control sequence through the clamped kinematics."""
-    controls = np.asarray(controls, dtype=float)
-    states = []
-    cur = state
-    for t in range(controls.shape[0]):
-        cur = step(model, cur, controls[t], dt)
-        states.append(cur)
-    return RobotPlan(states=tuple(states), dt=dt)
+def rollout(model: ArmModel, state: ArmState, controls: np.ndarray, dt: float):
+    """(q, qd) arrays, each (H, 7), of one control sequence.
+
+    Nothing in the package calls this; the name stays bound for the
+    benchmark tracer (bench/spans.py).
+    """
+    Q, Qd = rollout_arrays(model, state.q, np.asarray(controls)[None], dt)
+    return Q[0], Qd[0]
 
 
 def mppi_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
@@ -100,8 +103,7 @@ def mppi_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
     return w / w.sum()
 
 
-def mppi_update(costs: np.ndarray, samples: np.ndarray, mean: np.ndarray,
-                temperature: float) -> np.ndarray:
+def mppi_update(costs: np.ndarray, samples: np.ndarray, temperature: float) -> np.ndarray:
     """Exponentiated-cost softmax update of the sampling mean."""
     w = mppi_weights(costs, temperature)
     return np.einsum("n,nhj->hj", w, samples)
@@ -172,13 +174,14 @@ def build_task_spec(episode: Episode, model: ArmModel, dt: float = 0.04) -> Task
 def plan_step(planner_state: PlannerState, arm_state: ArmState, forecast: Forecast,
               spec: TaskSpec, weights: CostWeights, cfg: MppiConfig,
               model: ArmModel | None = None, cost_fn=None):
-    """One replanning cycle; returns (qd_cmd, best_plan, best_cost).
+    """One replanning cycle; returns (qd_cmd, best_cost).
 
     Samples ``n_samples`` control sequences around the warm-started mean for
     ``n_iterations`` rounds, scores rollouts with the total cost (or a custom
     ``cost_fn(Q, Qd)``), and keeps the best sample seen across rounds.  The
     stored mean is softmax-updated each round then time-shifted for the next
-    replan.
+    replan.  ``qd_cmd`` is the first control of the best sample and
+    ``best_cost`` that sample's cost.
     """
     model = model or ArmModel()
     mean = planner_state.mean_controls
@@ -193,14 +196,13 @@ def plan_step(planner_state: PlannerState, arm_state: ArmState, forecast: Foreca
             costs = np.asarray(cost_fn(Q, Qd), dtype=float)
         else:
             costs = total_cost_batch(model, Q, Qd, forecast, spec, weights)
-        mean = mppi_update(costs, samples, mean, cfg.temperature)
+        mean = mppi_update(costs, samples, cfg.temperature)
         i = int(np.argmin(costs))
         if costs[i] < best_cost:
             best_cost = float(costs[i])
             best_controls = samples[i]
     planner_state.mean_controls = np.vstack([mean[1:], mean[-1:]])
-    best_plan = rollout(model, arm_state, best_controls, cfg.dt)
-    return best_controls[0], best_plan, best_cost
+    return best_controls[0], best_cost
 
 
 @dataclass
@@ -262,8 +264,7 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
             from dataclasses import replace as _replace
 
             step_spec = _replace(spec, object_in_hand=bool(obj_flags[t]))
-        cmd, best_plan, best_cost = plan_step(pstate, arm, fc, step_spec, weights,
-                                              cfg, model=model)
+        cmd, best_cost = plan_step(pstate, arm, fc, step_spec, weights, cfg, model=model)
         arm = step(model, arm, cmd, cfg.dt)
         ee, _ = fk(model, arm.q)
         human_now = Pose(episode.frames[t])
@@ -291,6 +292,7 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
                 rec["forecast_final_wrist"] = fc.trajectory.frames[-1, 1].tolist()
             else:
                 rec["forecast_final_wrist"] = None
+            rec["gt_final_wrist"] = episode.frames[t + HORIZON_LEN, 1].tolist()
             rec["object_in_hand"] = bool(obj_flags[t]) if obj_flags is not None else False
         log.records.append(rec)
     return log

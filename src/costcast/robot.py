@@ -8,7 +8,7 @@ Geometry lives in the config; algorithms do not depend on the exact plant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -134,26 +134,6 @@ class ArmState:
         object.__setattr__(self, "qd", qd)
 
 
-@dataclass(frozen=True)
-class RobotPlan:
-    """A horizon-length joint-space plan."""
-
-    states: tuple
-    dt: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def q_array(self) -> np.ndarray:
-        return np.stack([s.q for s in self.states])
-
-    def qd_array(self) -> np.ndarray:
-        return np.stack([s.qd for s in self.states])
-
-
 def fk_batch(model: ArmModel, Q: np.ndarray):
     """Forward kinematics for a batch of configurations.
 
@@ -214,42 +194,36 @@ def jacobian(model: ArmModel, q: np.ndarray) -> np.ndarray:
     return J
 
 
-def jacobian_lin_batch(model: ArmModel, Q: np.ndarray) -> np.ndarray:
-    """Linear-velocity Jacobian block for a batch of configurations (..., 3, 7)."""
-    R, p = fk_batch(model, Q)
-    ee = p[..., 7, :]
-    z = R[..., :7, :, 2]  # (..., 7, 3)
-    arm = ee[..., None, :] - p[..., :7, :]
-    Jl = np.cross(z, arm)  # (..., 7, 3)
-    return np.swapaxes(Jl, -1, -2)
-
-
 def manipulability(model: ArmModel, q: np.ndarray) -> float:
     """Yoshikawa measure sqrt(det(J_lin J_lin^T)); zero at singularities."""
     Jl = jacobian(model, q)[:3]
     return float(np.sqrt(max(np.linalg.det(Jl @ Jl.T), 0.0)))
 
 
-def manipulability_batch(model: ArmModel, Q: np.ndarray) -> np.ndarray:
-    Jl = jacobian_lin_batch(model, Q)
+def manipulability_batch(frames) -> np.ndarray:
+    """Yoshikawa measure per configuration from ``fk_batch`` frames (R, p)."""
+    R, p = frames
+    z = R[..., :7, :, 2]  # (..., 7, 3) joint axes
+    arm = p[..., 7, :][..., None, :] - p[..., :7, :]
+    Jl = np.swapaxes(np.cross(z, arm), -1, -2)  # (..., 3, 7) linear Jacobian
     dets = np.linalg.det(Jl @ np.swapaxes(Jl, -1, -2))
     return np.sqrt(np.clip(dets, 0.0, None))
 
 
-def collision_sphere_centers(model: ArmModel, Q: np.ndarray) -> np.ndarray:
+def collision_sphere_centers(model: ArmModel, frames) -> np.ndarray:
     """World centers of the robot collision spheres, shape (..., 16, 3).
 
-    Two spheres per chain segment, at 1/3 and 2/3 of the straight segment
-    between consecutive frame origins (base included).
+    ``frames`` is the (R, p) pair of ``fk_batch``.  Two spheres per chain
+    segment, at 1/3 and 2/3 of the straight segment between consecutive frame
+    origins (base included).
     """
-    _, p = fk_batch(model, Q)
+    _, p = frames
     base = np.broadcast_to(np.asarray(model.base_position, dtype=float), p.shape[:-2] + (1, 3))
     pts = np.concatenate([base, p], axis=-2)  # (..., 9, 3)
     a, b = pts[..., :-1, :], pts[..., 1:, :]
     s1 = a + (b - a) / 3.0
     s2 = a + 2.0 * (b - a) / 3.0
-    out = np.concatenate([s1, s2], axis=-2)
-    return out
+    return np.concatenate([s1, s2], axis=-2)
 
 
 def human_capsules(pose: Pose):
@@ -276,7 +250,7 @@ def min_separation(model: ArmModel, q: np.ndarray, human: Pose,
     as a list of (center, radius), those spheres replace the human capsules
     (conservative safety-volume forecasts).
     """
-    centers = collision_sphere_centers(model, np.asarray(q, dtype=float))
+    centers = collision_sphere_centers(model, fk_batch(model, np.asarray(q, dtype=float)))
     best = np.inf
     if margin_spheres is not None:
         for c, r in margin_spheres:

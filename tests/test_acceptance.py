@@ -24,7 +24,7 @@ from costcast.cost import (
     STOP_WINDOW,
     TaskSpec,
     grasp_pose,
-    total_cost,
+    total_cost_batch,
 )
 from costcast.datagen import GENERATORS, GenConfig, split_dataset
 from costcast.forecast import (
@@ -57,7 +57,6 @@ from costcast.robot import (
     ArmModel,
     ArmState,
     N_DOF,
-    RobotPlan,
     fk,
     fk_batch,
     jacobian,
@@ -268,8 +267,7 @@ def test_planner_reaches_goal_within_100_replans():
     ps = PlannerState.init(cfg)
     arm = ArmState(q=rest_configuration(MODEL), qd=np.zeros(N_DOF))
     for i in range(100):
-        cmd, _, _ = plan_step(ps, arm, None, None, None, cfg, model=MODEL,
-                              cost_fn=cost_fn)
+        cmd, _ = plan_step(ps, arm, None, None, None, cfg, model=MODEL, cost_fn=cost_fn)
         arm = step(MODEL, arm, cmd, cfg.dt)
         ee, _ = fk(MODEL, arm.q)
         if np.linalg.norm(ee.position - goal) < 0.05:
@@ -312,7 +310,7 @@ def test_min_separation_matches_brute_force_1000_scenes():
     for _ in range(1000):
         q = rng.uniform(MODEL.lo, MODEL.hi)
         human = random_pose(rng, scale=0.05)
-        centers = collision_sphere_centers(MODEL, q)
+        centers = collision_sphere_centers(MODEL, fk_batch(MODEL, q))
         best = np.inf
         for c in centers:
             for a, b, r in human_capsules(human):
@@ -325,9 +323,8 @@ def test_min_separation_matches_brute_force_1000_scenes():
         assert min_separation(MODEL, q, human) == pytest.approx(best, abs=1e-9)
 
 
-def _scripted_total_cost(plan, forecast, spec, w):
+def _scripted_total_cost(Q, Qd, forecast, spec, w):
     """Independent step-by-step recomputation of the full planner cost."""
-    Q, Qd = plan.q_array(), plan.qd_array()
     H = len(Q)
     frames = forecast.trajectory.frames
     mid, half = MODEL.mid(), 0.5 * (MODEL.hi - MODEL.lo)
@@ -350,13 +347,14 @@ def _scripted_total_cost(plan, forecast, spec, w):
             task = 0.0
         else:
             ee0, _ = fk(MODEL, Q[0])
-            target = grasp_pose(ee0, frames[-1, 1])
+            target_R = grasp_pose(ee0.position[None], ee0.rotation().as_matrix()[None],
+                                  frames[-1, 1])[0]
             task = 0.0
             for t in range(H):
                 ee, _ = fk(MODEL, Q[t])
-                rel = ee.rotation().as_matrix().T @ target.rotation().as_matrix()
+                rel = ee.rotation().as_matrix().T @ target_R
                 ang = np.arccos(np.clip((np.trace(rel) - 1.0) / 2.0, -1.0, 1.0))
-                task += float(np.linalg.norm(ee.position - target.position)
+                task += float(np.linalg.norm(ee.position - frames[-1, 1])
                               + ORIENTATION_WEIGHT * ang)
     else:
         task = 0.0
@@ -392,13 +390,11 @@ def test_total_cost_matches_scripted_recomputation_100_scenes():
         Q = np.clip(MODEL.mid()[None] + rng.normal(0, 0.25, size=(HORIZON_LEN, N_DOF)),
                     MODEL.lo, MODEL.hi)
         Qd = rng.normal(0, 1.0, size=(HORIZON_LEN, N_DOF))
-        plan = RobotPlan(states=tuple(ArmState(q=Q[t], qd=Qd[t])
-                                      for t in range(HORIZON_LEN)), dt=0.04)
         frames = BASE_POSE[None] + rng.normal(0, 0.03, size=(HORIZON_LEN, N_JOINTS, 3))
         frames += np.array([rng.uniform(0.0, 0.6), 0.0, 0.2])
         fc = point_forecast(frames)
-        got = total_cost(plan, MODEL, fc, spec, w)
-        want = _scripted_total_cost(plan, fc, spec, w)
+        got = total_cost_batch(MODEL, Q[None], Qd[None], fc, spec, w)[0]
+        want = _scripted_total_cost(Q, Qd, fc, spec, w)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: config handling, exit codes, and a
 small end-to-end pipeline."""
 
+import csv
 import json
 
 import pytest
@@ -156,6 +157,33 @@ def test_simulate_and_report_csv(pipeline, tmp_path):
     assert len(csv_lines) == 1 + len(log.records)
     merged = MetricReport.from_json(run_dir / "report.json")
     assert "cur/stir" in merged.forecasting
+
+
+def test_exit_2_on_simulate_with_zero_mppi_iterations(pipeline, tmp_path, capsys):
+    _, run_dir, _ = pipeline
+    path = write_config(tmp_path, dict(MINI, mppi={"n_iterations": 0}))
+    code = main(["simulate", "--config", path, "--out", str(tmp_path / "runs"),
+                 "--episode", str(run_dir / "data" / "stir_000.json"),
+                 "--model", "cur", "--log-out", str(tmp_path / "sim.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "sim.jsonl").exists()
+
+
+def test_wrist_error_of_the_oracle_forecast_is_zero(pipeline, tmp_path):
+    # wrist_error_mm compares the forecast final wrist with the true wrist
+    # at the same frame, so the true-future forecaster scores zero
+    _, run_dir, args = pipeline
+    log_path = tmp_path / "handover.jsonl"
+    assert main(["simulate", *args, "--episode",
+                 str(run_dir / "data" / "handover_000.json"),
+                 "--model", "fut", "--log-out", str(log_path)]) == 0
+    assert main(["report", *args, str(log_path)]) == 0
+    with open(tmp_path / "handover.csv", newline="") as f:
+        errors = [row["wrist_error_mm"] for row in csv.DictReader(f)]
+    assert errors and all(e != "" for e in errors)
+    assert max(float(e) for e in errors) <= 1e-6
 
 
 def test_lemma_check_command(capsys):

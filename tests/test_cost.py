@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import BASE_POSE
@@ -11,29 +12,26 @@ from costcast.cost import (
     ORIENTATION_WEIGHT,
     STOP_WINDOW,
     TaskSpec,
-    base_cost,
     base_terms_batch,
-    collision_cost,
     collision_terms_batch,
     grasp_pose,
-    handover_cost,
+    handover_terms_batch,
     hinge,
     pose_error_batch,
     separation_against_forecast,
-    stir_cost,
-    tableset_cost,
-    total_cost,
+    stir_terms_batch,
+    tableset_terms_batch,
+    total_cost_batch,
     _wrist_pot_distance,
 )
 from costcast.forecast import Forecast, forecast_worst, point_forecast
 from costcast.motion import Context, HISTORY_LEN, HORIZON_LEN, MotionError, Pose
 from costcast.robot import (
     ArmModel,
-    ArmState,
     N_DOF,
     RigidPose,
-    RobotPlan,
     collision_sphere_centers,
+    fk_batch,
     min_separation,
 )
 
@@ -42,14 +40,33 @@ H = HORIZON_LEN
 
 
 def const_plan(q, qd=None, n=H):
+    """A plan holding q (and qd) for n steps, as a batch of one: (Q, Qd)."""
     qd = np.zeros(N_DOF) if qd is None else qd
-    return RobotPlan(states=tuple(ArmState(q=q, qd=qd) for _ in range(n)), dt=0.04)
+    return np.tile(q, (1, n, 1)), np.tile(qd, (1, n, 1))
 
 
 def plan_from_arrays(Q, Qd=None):
+    """(H, 7) joint arrays as a batch of one: (Q, Qd)."""
     Qd = np.zeros_like(Q) if Qd is None else Qd
-    return RobotPlan(states=tuple(ArmState(q=Q[t], qd=Qd[t]) for t in range(len(Q))),
-                     dt=0.04)
+    return Q[None], Qd[None]
+
+
+def base_term(plan, model, w):
+    Q, Qd = plan
+    return base_terms_batch(model, Q, Qd, fk_batch(model, Q), w)[0]
+
+
+def collision_term(plan, fc, w):
+    Q, _ = plan
+    return w.alpha_c * collision_terms_batch(MODEL, fk_batch(MODEL, Q), fc)[0]
+
+
+def task_term(term, plan, fc, spec, w):
+    """One task term of a batch of one, given the kinematics and collision
+    sum that ``total_cost_batch`` shares with it."""
+    Q, _ = plan
+    frames = fk_batch(MODEL, Q)
+    return term(Q, frames, collision_terms_batch(MODEL, frames, fc), fc, spec, w)[0]
 
 
 def far_forecast():
@@ -68,35 +85,35 @@ def near_context(offset=(0.0, 0.0, 0.0)):
 def test_stop_cost_at_velocity_limit():
     w = CostWeights(alpha_j=0.0, alpha_m=0.0)
     plan = const_plan(MODEL.mid(), qd=np.full(N_DOF, 2.0))
-    assert base_cost(plan, MODEL, w) == pytest.approx(STOP_WINDOW * N_DOF * 4.0, rel=1e-12)
+    assert base_term(plan, MODEL, w) == pytest.approx(STOP_WINDOW * N_DOF * 4.0, rel=1e-12)
     # velocities outside the final window are free
     Qd = np.zeros((H, N_DOF))
     Qd[:-STOP_WINDOW] = 2.0
     plan = plan_from_arrays(np.repeat(MODEL.mid()[None], H, axis=0), Qd)
-    assert base_cost(plan, MODEL, w) == 0.0
+    assert base_term(plan, MODEL, w) == 0.0
 
 
 def test_joint_limit_hinge_squared():
     w = CostWeights(alpha_s=0.0, alpha_m=0.0, alpha_j=10.0)
-    assert base_cost(const_plan(MODEL.mid()), MODEL, w) == 0.0
+    assert base_term(const_plan(MODEL.mid()), MODEL, w) == 0.0
     half = 0.5 * (MODEL.hi - MODEL.lo)
     plan = const_plan(MODEL.hi)  # each joint exactly at its limit
     expected = 10.0 * H * np.sum((0.1 * half) ** 2)
-    assert base_cost(plan, MODEL, w) == pytest.approx(expected, rel=1e-9)
+    assert base_term(plan, MODEL, w) == pytest.approx(expected, rel=1e-9)
 
 
 def test_manipulability_floor_penalty():
     coaxial = ArmModel(dh=tuple((0.0, 0.1, 0.0) for _ in range(N_DOF)))
     w = CostWeights(alpha_s=0.0, alpha_j=0.0, alpha_m=0.5, manip_floor=0.05)
     plan = const_plan(coaxial.mid())  # singular everywhere: manip == 0
-    assert base_cost(plan, coaxial, w) == pytest.approx(0.5 * H * 0.05, rel=1e-12)
+    assert base_term(plan, coaxial, w) == pytest.approx(0.5 * H * 0.05, rel=1e-12)
 
 
 # --- collision term -------------------------------------------------------
 
 def test_collision_cost_closed_form_penetration():
     q = MODEL.mid()
-    centers = collision_sphere_centers(MODEL, q)
+    centers = collision_sphere_centers(MODEL, fk_batch(MODEL, q))
     probe = np.array([0.4, 0.0, 1.6])
     d_min = np.linalg.norm(centers - probe, axis=-1).min()
     r = d_min - MODEL.sphere_radius + 0.01   # clearance becomes exactly -0.01
@@ -105,7 +122,7 @@ def test_collision_cost_closed_form_penetration():
                   radii=np.full((H, 1), r))
     w = CostWeights(alpha_c=100.0)
     expected = 100.0 * H * (D_SAFE + 0.01) ** 2
-    assert collision_cost(const_plan(q), MODEL, fc, w) == pytest.approx(expected, rel=1e-9)
+    assert collision_term(const_plan(q), fc, w) == pytest.approx(expected, rel=1e-9)
 
 
 def test_collision_cost_matches_per_step_oracle(rng):
@@ -117,7 +134,7 @@ def test_collision_cost_matches_per_step_oracle(rng):
     w = CostWeights()
     oracle = sum(max(D_SAFE - min_separation(MODEL, Q[t], Pose(frames[t])), 0.0) ** 2
                  for t in range(H))
-    got = collision_cost(plan_from_arrays(Q), MODEL, fc, w)
+    got = collision_term(plan_from_arrays(Q), fc, w)
     assert got == pytest.approx(w.alpha_c * oracle, rel=1e-9)
     assert got > 0.0
 
@@ -130,12 +147,12 @@ def test_safety_volume_is_more_conservative_than_truth(rng):
     truth = point_forecast(np.repeat(ctx.frames[-1][None], H, axis=0))
     Q = np.clip(MODEL.mid()[None] + rng.normal(0, 0.3, size=(3, H, N_DOF)),
                 MODEL.lo, MODEL.hi)
-    sep_vol = separation_against_forecast(MODEL, Q, vol)
-    sep_pt = separation_against_forecast(MODEL, Q, truth)
+    frames = fk_batch(MODEL, Q)
+    sep_vol = separation_against_forecast(MODEL, frames, vol)
+    sep_pt = separation_against_forecast(MODEL, frames, truth)
     assert (sep_vol <= sep_pt + 1e-9).all()
-    w = CostWeights()
-    assert (collision_terms_batch(MODEL, Q, vol, w)
-            >= collision_terms_batch(MODEL, Q, truth, w) - 1e-9).all()
+    assert (collision_terms_batch(MODEL, frames, vol)
+            >= collision_terms_batch(MODEL, frames, truth) - 1e-9).all()
 
 
 # --- stirring -------------------------------------------------------------
@@ -150,7 +167,7 @@ def test_stir_tracking_branch_zero_on_reference():
     spec = stir_spec()
     Q = spec.stir_reference[np.arange(H) % 40]
     # human far from the pot: the tracking branch is active everywhere
-    assert stir_cost(plan_from_arrays(Q), MODEL, far_forecast(), spec,
+    assert task_term(stir_terms_batch, plan_from_arrays(Q), far_forecast(), spec,
                      CostWeights()) == 0.0
 
 
@@ -160,7 +177,7 @@ def test_stir_retract_branch_zero_at_rest():
     frames[:, 1] = spec.pot_position  # right wrist forecast on the pot, all steps
     fc = point_forecast(frames)
     Q = np.repeat(spec.rest_config[None], H, axis=0)
-    assert stir_cost(plan_from_arrays(Q), MODEL, fc, spec, CostWeights()) == 0.0
+    assert task_term(stir_terms_batch, plan_from_arrays(Q), fc, spec, CostWeights()) == 0.0
 
 
 def test_stir_cost_matches_per_step_oracle(rng):
@@ -177,7 +194,7 @@ def test_stir_cost_matches_per_step_oracle(rng):
     for t in range(H):
         target = spec.rest_config if D[t] <= w.eps_pot else spec.stir_reference[t % 40]
         oracle += np.linalg.norm(Q[t] - target)
-    assert stir_cost(plan_from_arrays(Q), MODEL, fc, spec, w) == pytest.approx(
+    assert task_term(stir_terms_batch, plan_from_arrays(Q), fc, spec, w) == pytest.approx(
         oracle, rel=1e-12)
     assert near_steps[np.nonzero(D <= w.eps_pot)].all()
 
@@ -185,51 +202,71 @@ def test_stir_cost_matches_per_step_oracle(rng):
 def test_stir_spec_requirements_enforced():
     spec = TaskSpec(task="stir", pot_position=(0.5, 0.0, 1.0))
     with pytest.raises(MotionError, match="rest_config"):
-        stir_cost(const_plan(MODEL.mid()), MODEL, far_forecast(), spec, CostWeights())
+        task_term(stir_terms_batch, const_plan(MODEL.mid()), far_forecast(), spec,
+                  CostWeights())
     with pytest.raises(MotionError):
-        stir_cost(const_plan(MODEL.mid()), MODEL, far_forecast(),
+        task_term(stir_terms_batch, const_plan(MODEL.mid()), far_forecast(),
                   TaskSpec(task="handover"), CostWeights())
 
 
 # --- grasp pose and handover ----------------------------------------------
 
+def rot(axis, degrees):
+    return Rotation.from_euler(axis, degrees, degrees=True).as_matrix()
+
+
+def approach_axes(G):
+    return G[:, :, 2]
+
+
+def unit_lines(ee_pos, wrist):
+    line = wrist - ee_pos
+    return line / np.linalg.norm(line, axis=-1, keepdims=True)
+
+
 def test_grasp_pose_identity_when_already_aligned():
-    ee = RigidPose(position=np.zeros(3), orientation=np.array([0.0, 0.0, 0.0, 1.0]))
-    g = grasp_pose(ee, np.array([0.0, 0.0, 0.7]))  # target straight along local +z
-    np.testing.assert_allclose(g.position, [0.0, 0.0, 0.7], atol=0)
-    np.testing.assert_allclose(g.rotation().as_matrix(), np.eye(3), atol=1e-12)
+    # each start pose already points its local +z straight at the wrist
+    wrist = np.array([0.0, 0.0, 0.7])
+    ee_pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.7], [-0.3, 0.0, 0.7]])
+    ee_R = np.stack([np.eye(3), rot("x", 90), rot("y", 90)])
+    G = grasp_pose(ee_pos, ee_R, wrist)
+    np.testing.assert_allclose(G, ee_R, atol=1e-12)
 
 
 def test_grasp_pose_quarter_turn():
-    ee = RigidPose(position=np.zeros(3), orientation=np.array([0.0, 0.0, 0.0, 1.0]))
-    g = grasp_pose(ee, np.array([0.5, 0.0, 0.0]))
-    # the new approach axis points along +x; the rotation is exactly 90 degrees
-    np.testing.assert_allclose(g.rotation().as_matrix()[:, 2], [1.0, 0.0, 0.0],
-                               atol=1e-12)
-    assert g.rotation().magnitude() == pytest.approx(np.pi / 2, abs=1e-12)
+    # the new approach axis points along the line, exactly 90 degrees away
+    wrist = np.array([0.5, 0.0, 0.0])
+    ee_pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.4, 0.0], [0.9, -0.2, 0.0]])
+    G = grasp_pose(ee_pos, np.repeat(np.eye(3)[None], 3, axis=0), wrist)
+    np.testing.assert_allclose(approach_axes(G)[0], [1.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(approach_axes(G), unit_lines(ee_pos, wrist), atol=1e-12)
+    np.testing.assert_allclose(Rotation.from_matrix(G).magnitude(), np.pi / 2, atol=1e-12)
 
 
 def test_grasp_pose_always_aligns_approach_axis(rng):
-    for _ in range(50):
-        quat = rng.normal(size=4)
-        quat /= np.linalg.norm(quat)
-        ee = RigidPose(position=rng.normal(size=3), orientation=quat)
-        wrist = ee.position + rng.normal(size=3)
-        if np.linalg.norm(wrist - ee.position) < 1e-3:
-            continue
-        g = grasp_pose(ee, wrist)
-        axis = g.rotation().as_matrix()[:, 2]
-        line = (wrist - ee.position) / np.linalg.norm(wrist - ee.position)
-        np.testing.assert_allclose(axis, line, atol=1e-9)
+    ee_R = Rotation.random(50, random_state=rng).as_matrix()
+    ee_pos = rng.normal(size=(50, 3))
+    wrist = rng.normal(size=3)
+    keep = np.linalg.norm(wrist - ee_pos, axis=-1) >= 1e-3
+    G = grasp_pose(ee_pos[keep], ee_R[keep], wrist)
+    np.testing.assert_allclose(approach_axes(G), unit_lines(ee_pos[keep], wrist), atol=1e-9)
+    np.testing.assert_allclose(G @ np.swapaxes(G, -1, -2),
+                               np.broadcast_to(np.eye(3), G.shape), atol=1e-12)
 
 
 def test_grasp_pose_antiparallel_and_degenerate():
-    ee = RigidPose(position=np.zeros(3), orientation=np.array([0.0, 0.0, 0.0, 1.0]))
-    g = grasp_pose(ee, np.array([0.0, 0.0, -1.0]))
-    np.testing.assert_allclose(g.rotation().as_matrix()[:, 2], [0.0, 0.0, -1.0],
-                               atol=1e-12)
+    # approach axes +z and +x both pointing away from the wrist, next to an
+    # aligned row: each row takes its own branch
+    wrist = np.array([0.0, 0.0, -1.0])
+    ee_pos = np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, -1.0], [0.0, 0.0, -1.5]])
+    approach_x = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])  # exact
+    ee_R = np.stack([np.eye(3), approach_x, np.eye(3)])
+    G = grasp_pose(ee_pos, ee_R, wrist)
+    np.testing.assert_allclose(approach_axes(G)[0], [0.0, 0.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(approach_axes(G), unit_lines(ee_pos, wrist), atol=1e-12)
+    np.testing.assert_allclose(G[2], np.eye(3), atol=1e-12)
     with pytest.raises(MotionError):
-        grasp_pose(ee, np.zeros(3))
+        grasp_pose(ee_pos, ee_R, ee_pos[1])
 
 
 def test_handover_cost_gated_by_object_in_hand(rng):
@@ -237,12 +274,12 @@ def test_handover_cost_gated_by_object_in_hand(rng):
     idle = TaskSpec(task="handover", object_in_hand=False)
     plan = const_plan(np.clip(MODEL.mid() + rng.normal(0, 0.3, N_DOF),
                               MODEL.lo, MODEL.hi))
-    assert handover_cost(plan, MODEL, fc, idle, CostWeights()) == 0.0
+    assert task_term(handover_terms_batch, plan, fc, idle, CostWeights()) == 0.0
     active = TaskSpec(task="handover", object_in_hand=True)
-    assert handover_cost(plan, MODEL, fc, active, CostWeights()) > 0.0
+    assert task_term(handover_terms_batch, plan, fc, active, CostWeights()) > 0.0
     ctx = near_context()
     with pytest.raises(MotionError):
-        handover_cost(plan, MODEL, forecast_worst(ctx), active, CostWeights())
+        task_term(handover_terms_batch, plan, forecast_worst(ctx), active, CostWeights())
 
 
 def test_handover_grasp_target_at_start_pose_rejected():
@@ -254,8 +291,8 @@ def test_handover_grasp_target_at_start_pose_rejected():
     frames[:, 1] = ee.position  # forecast final wrist exactly at the end effector
     # target would coincide with the start pose -> the grasp pose is undefined
     with pytest.raises(MotionError):
-        handover_cost(const_plan(q), MODEL, point_forecast(frames),
-                      TaskSpec(task="handover", object_in_hand=True), CostWeights())
+        task_term(handover_terms_batch, const_plan(q), point_forecast(frames),
+                  TaskSpec(task="handover", object_in_hand=True), CostWeights())
 
 
 # --- tableset -------------------------------------------------------------
@@ -265,7 +302,7 @@ def test_pose_error_closed_form():
                        orientation=np.array([0.0, 0.0, 0.0, 1.0]))
     pos = np.array([[0.1, 0.2, 0.8]])
     Rz90 = Rotation.from_euler("z", 90, degrees=True).as_matrix()
-    err = pose_error_batch(pos, Rz90[None], target)
+    err = pose_error_batch(pos, Rz90[None], target.position, target.rotation().as_matrix())
     assert err[0] == pytest.approx(0.5 + ORIENTATION_WEIGHT * np.pi / 2, abs=1e-12)
 
 
@@ -280,9 +317,9 @@ def test_tableset_cost_is_affine_in_beta(rng):
     plan = plan_from_arrays(Q)
     frames = np.repeat((BASE_POSE + np.array([0.35, 0.0, 0.0]))[None], H, axis=0)
     fc = point_forecast(frames)
-    c1 = tableset_cost(plan, MODEL, fc, spec_b(1.0), CostWeights(beta=1.0))
-    c5 = tableset_cost(plan, MODEL, fc, spec_b(5.0), CostWeights(beta=5.0))
-    c9 = tableset_cost(plan, MODEL, fc, spec_b(9.0), CostWeights(beta=9.0))
+    c1 = task_term(tableset_terms_batch, plan, fc, spec_b(1.0), CostWeights(beta=1.0))
+    c5 = task_term(tableset_terms_batch, plan, fc, spec_b(5.0), CostWeights(beta=5.0))
+    c9 = task_term(tableset_terms_batch, plan, fc, spec_b(9.0), CostWeights(beta=9.0))
     # cost = goal + beta * collision: second differences in beta vanish
     assert c9 - c5 == pytest.approx(c5 - c1, rel=1e-9)
 
@@ -293,8 +330,8 @@ def test_tableset_zero_at_goal_with_far_human():
     q = MODEL.mid()
     ee, _ = fk(MODEL, q)
     spec = TaskSpec(task="tableset", table_goal=ee)
-    assert tableset_cost(const_plan(q), MODEL, far_forecast(), spec,
-                         CostWeights()) == pytest.approx(0.0, abs=1e-9)
+    assert task_term(tableset_terms_batch, const_plan(q), far_forecast(), spec,
+                     CostWeights()) == pytest.approx(0.0, abs=1e-9)
 
 
 # --- totals and plumbing --------------------------------------------------
@@ -308,10 +345,35 @@ def test_total_cost_is_sum_of_terms(rng):
     Qd = rng.normal(0, 1.0, size=(H, N_DOF))
     plan = plan_from_arrays(Q, Qd)
     w = CostWeights()
-    expected = (base_cost(plan, MODEL, w)
-                + collision_cost(plan, MODEL, fc, w)
-                + w.alpha_t * stir_cost(plan, MODEL, fc, spec, w))
-    assert total_cost(plan, MODEL, fc, spec, w) == pytest.approx(expected, rel=1e-12)
+    expected = (base_term(plan, MODEL, w)
+                + collision_term(plan, fc, w)
+                + w.alpha_t * task_term(stir_terms_batch, plan, fc, spec, w))
+    assert total_cost_batch(MODEL, *plan, fc, spec, w)[0] == pytest.approx(expected, rel=1e-12)
+
+
+PROPERTY_SPECS = {
+    "stir": stir_spec(),
+    "handover": TaskSpec(task="handover", object_in_hand=True),
+    "tableset": TaskSpec(task="tableset", table_goal=RigidPose(
+        position=np.array([0.62, 0.25, 0.98]), orientation=np.array([0.0, 1.0, 0.0, 0.0]))),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(task=st.sampled_from(sorted(PROPERTY_SPECS)), n=st.integers(2, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_total_cost_rows_match_single_plan_evaluation(task, n, seed):
+    # each row of a batch costs what that plan costs alone, as a batch of one
+    rng = np.random.default_rng(seed)
+    Q = rng.uniform(MODEL.lo, MODEL.hi, size=(n, H, N_DOF))
+    Qd = rng.uniform(-MODEL.vel, MODEL.vel, size=(n, H, N_DOF))
+    frames = BASE_POSE[None] + rng.normal(0, 0.03, size=(H, 7, 3))
+    fc = point_forecast(frames + np.array([rng.uniform(0.0, 0.6), 0.0, 0.2]))
+    spec, w = PROPERTY_SPECS[task], CostWeights()
+    batch = total_cost_batch(MODEL, Q, Qd, fc, spec, w)
+    single = [total_cost_batch(MODEL, Q[i:i + 1], Qd[i:i + 1], fc, spec, w)[0]
+              for i in range(n)]
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
 
 
 def test_wrist_pot_distance_picks_nearest_wrist():

@@ -202,9 +202,9 @@ def test_cost_percentile_keeps_top_decile():
 def test_cost_percentile_overlaps_annotations_on_stirring():
     # selecting windows by max inducible task cost should largely agree with
     # the annotated transition windows (Jaccard overlap >= 0.5)
-    from costcast.cost import CostWeights, stir_cost
+    from costcast.cost import CostWeights, collision_terms_batch, stir_terms_batch
     from costcast.planner import build_task_spec
-    from costcast.robot import ArmModel, ArmState, RobotPlan
+    from costcast.robot import ArmModel, fk_batch
 
     m = ArmModel()
     ep = gen_stirring(GenConfig(seed=11, episode_len_s=25.0, n_interactions=1))
@@ -212,11 +212,13 @@ def test_cost_percentile_overlaps_annotations_on_stirring():
     spec = build_task_spec(ep, m)
     weights = CostWeights(eps_pot=0.30)
     ref = spec.stir_reference
-    probe = RobotPlan(states=tuple(ArmState(q=ref[t % len(ref)], qd=np.zeros(7))
-                                   for t in range(HORIZON_LEN)), dt=0.04)
+    probe = ref[np.arange(HORIZON_LEN) % len(ref)][None]  # a batch of one plan
+    frames = fk_batch(m, probe)
 
     def cmax(ctx, fut):
-        return stir_cost(probe, m, Forecast(kind="point", trajectory=fut), spec, weights)
+        fc = Forecast(kind="point", trajectory=fut)
+        coll = collision_terms_batch(m, frames, fc)
+        return stir_terms_batch(probe, frames, coll, fc, spec, weights)[0]
 
     ann = set(build_transition_set(ws, mode=ANNOTATED).tolist())
     cp = set(build_transition_set(ws, mode=COST_PERCENTILE, delta_percentile=0.10,

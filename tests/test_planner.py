@@ -19,10 +19,9 @@ from costcast.planner import (
     mppi_weights,
     plan_step,
     rest_configuration,
-    rollout,
     stir_reference,
 )
-from costcast.robot import ArmModel, ArmState, N_DOF, fk, fk_batch, rollout_arrays, step
+from costcast.robot import ArmModel, ArmState, N_DOF, fk, fk_batch, step
 
 MODEL = ArmModel()
 
@@ -65,7 +64,7 @@ def test_weights_handle_infinite_costs():
 
 def test_update_with_equal_costs_returns_sample_mean(rng):
     samples = rng.normal(size=(6, 4, N_DOF))
-    out = mppi_update(np.zeros(6), samples, samples.mean(axis=0), temperature=0.7)
+    out = mppi_update(np.zeros(6), samples, temperature=0.7)
     np.testing.assert_allclose(out, samples.mean(axis=0), atol=1e-12)
 
 
@@ -76,21 +75,14 @@ def test_config_validation():
         MppiConfig(temperature=0.0)
     with pytest.raises(MotionError):
         MppiConfig(noise_sigma=-1.0)
+    for bad in (dict(n_iterations=0), dict(horizon=0), dict(horizon=26), dict(dt=0.0),
+                dict(dt=-0.04)):
+        with pytest.raises(MotionError):
+            MppiConfig(**bad)
+    assert MppiConfig(n_iterations=1, horizon=1).horizon == 1
 
 
-# --- rollout and IK helpers -----------------------------------------------
-
-def test_rollout_matches_stepwise_integration(rng):
-    controls = rng.normal(0, 1.0, size=(10, N_DOF))
-    s0 = ArmState(q=MODEL.mid(), qd=np.zeros(N_DOF))
-    plan = rollout(MODEL, s0, controls, 0.04)
-    cur = s0
-    for t in range(10):
-        cur = step(MODEL, cur, controls[t], 0.04)
-        np.testing.assert_allclose(plan.states[t].q, cur.q, atol=0)
-    Q, _ = rollout_arrays(MODEL, s0.q, controls[None], 0.04)
-    np.testing.assert_allclose(plan.q_array(), Q[0], atol=0)
-
+# --- IK helpers -----------------------------------------------------------
 
 def test_ik_reaches_reachable_target():
     target = np.array([0.7, 0.1, 0.9])
@@ -146,8 +138,7 @@ def run_to_goal(seed, goal, max_replans=100):
     cost_fn = goal_cost_fn(goal)
     trace = []
     for i in range(max_replans):
-        cmd, _, _ = plan_step(ps, arm, None, None, None, cfg, model=MODEL,
-                              cost_fn=cost_fn)
+        cmd, _ = plan_step(ps, arm, None, None, None, cfg, model=MODEL, cost_fn=cost_fn)
         arm = step(MODEL, arm, cmd, cfg.dt)
         ee, _ = fk(MODEL, arm.q)
         d = float(np.linalg.norm(ee.position - goal))

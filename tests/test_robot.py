@@ -131,7 +131,7 @@ def test_manipulability_invariant_to_base_rotation(rng):
 
 def brute_force_separation(model, q, human):
     """Exhaustive scalar scan over spheres x capsules."""
-    centers = collision_sphere_centers(model, q)
+    centers = collision_sphere_centers(model, fk_batch(model, q))
     best = np.inf
     for c in centers:
         for a, b, r in human_capsules(human):
@@ -159,7 +159,7 @@ def test_far_human_clears_by_over_a_meter(rng):
 
 def test_wrist_on_robot_sphere_center_penetrates_fully(rng):
     q = random_q(rng)
-    centers = collision_sphere_centers(MODEL, q)
+    centers = collision_sphere_centers(MODEL, fk_batch(MODEL, q))
     # put the right elbow-wrist capsule degenerately on the nearest sphere
     human = random_pose(rng).joints.copy()
     base = min_separation(MODEL, q, Pose(human + np.array([0.0, -3.0, 0.0])))
@@ -174,7 +174,7 @@ def test_wrist_on_robot_sphere_center_penetrates_fully(rng):
 
 def test_margin_spheres_replace_human_capsules(rng):
     q = random_q(rng)
-    centers = collision_sphere_centers(MODEL, q)
+    centers = collision_sphere_centers(MODEL, fk_batch(MODEL, q))
     c = np.array([0.5, 0.0, 1.0])
     r = 0.2
     expected = np.linalg.norm(centers - c, axis=-1).min() - MODEL.sphere_radius - r
