@@ -8,7 +8,6 @@ from .motion import (
     Trajectory,
     pose_distance,
     resample,
-    slide_windows,
 )
 from .robot import ArmModel, ArmState, RigidPose
 
@@ -22,7 +21,6 @@ __all__ = [
     "Trajectory",
     "pose_distance",
     "resample",
-    "slide_windows",
 ]
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datagen, forecast, metrics, planner
+from . import datagen, forecast, metrics
 from .cost import CostWeights
 from .forecast import TrainConfig, WindowSet, make_forecaster
 from .motion import MotionError, load_episode, save_episode
@@ -185,13 +185,13 @@ def cmd_eval_forecast(cfg: RunConfig) -> int:
     run_dir = cfg.run_dir()
     episodes = _load_manifest(run_dir)
     _, _, test = _splits(episodes, cfg.seed)
+    windows = {task: WindowSet(eps) for task, eps in sorted(test.items())}
     report = metrics.MetricReport()
     for name in cfg.models:
         if name == "worst":
             continue  # no point trajectory to score
         fc = _forecaster_for(name, run_dir)
-        for task, eps in sorted(test.items()):
-            ws = WindowSet(eps)
+        for task, ws in windows.items():
             report.forecasting[f"{name}/{task}"] = metrics.evaluate_forecaster(ws, fc)
     out = run_dir / "forecast_report.json"
     report.to_json(out)

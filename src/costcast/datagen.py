@@ -50,6 +50,10 @@ class GenConfig:
     def __post_init__(self):
         if self.reach_duration_s <= 0 or self.hold_duration_s <= 0:
             raise MotionError("durations must be positive")
+        if self.n_interactions < 1:
+            raise MotionError("n_interactions must be >= 1")
+        if self.fps <= 0:
+            raise MotionError("fps must be positive")
         if self.n_interactions * self.interaction_len_s >= self.episode_len_s:
             raise ScheduleError("interactions do not fit in the episode")
 

@@ -9,7 +9,7 @@ upweight wrist joints in the loss.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ from .motion import (
     WRIST_INDICES,
     Context,
     Trajectory,
-    slide_windows,
 )
 
 POINT = "point"
@@ -32,7 +31,6 @@ SAFETY_VOLUME = "safety_volume"
 # Training-configuration presets: (transition_mix, wrist_weight).
 PRESETS = {
     "scratch": (0.0, 1.0),
-    "finetuned": (0.0, 1.0),
     "manicast": (0.5, 1.0),
     "manicast-t": (1.0, 1.0),
     "manicast-w": (0.5, 5.0),
@@ -71,19 +69,21 @@ def point_forecast(frames: np.ndarray, dt: float = DEFAULT_DT) -> Forecast:
 
 def forecast_cur(ctx: Context) -> Forecast:
     """Constant-pose baseline: the last observed pose held over the horizon."""
-    frames = np.repeat(ctx.frames[-1][None], HORIZON_LEN, axis=0)
+    frames = np.repeat(ctx.frames[..., -1:, :, :], HORIZON_LEN, axis=-3)
     return point_forecast(frames, ctx.dt)
 
 
 def forecast_cvm(ctx: Context) -> Forecast:
     """Constant-velocity baseline fit over the whole history window."""
-    v = (ctx.frames[-1] - ctx.frames[0]) / ((HISTORY_LEN - 1) * ctx.dt)
+    last = ctx.frames[..., -1:, :, :]
+    v = (last - ctx.frames[..., :1, :, :]) / ((HISTORY_LEN - 1) * ctx.dt)
     t = np.arange(1, HORIZON_LEN + 1)[:, None, None] * ctx.dt
-    return point_forecast(ctx.frames[-1] + t * v, ctx.dt)
+    return point_forecast(last + t * v, ctx.dt)
 
 
 def forecast_worst(ctx: Context) -> Forecast:
-    """Conservative safety volume: arm-length spheres at the last shoulder positions."""
+    """Conservative safety volume: arm-length spheres at the last shoulder
+    positions of a single (unbatched) context; the planner's input only."""
     last = ctx.frames[-1]
     # radius = longest arm (shoulder->elbow + elbow->wrist) in the last frame
     left = np.linalg.norm(last[4] - last[2]) + np.linalg.norm(last[2] - last[0])
@@ -173,69 +173,53 @@ def _batch_loss_and_grad(model: ForecastModel, ctx_b: np.ndarray, fut_b: np.ndar
     return loss, dS, dM
 
 
-def loss_gradient(model: ForecastModel, batch, w: np.ndarray):
-    """Exact gradient of the mean batch loss w.r.t. (S, M).
-
-    ``batch`` is a list of (Context, Trajectory) pairs.
-    """
-    if len(batch) == 0:
-        raise MotionError("batch must be non-empty")
-    ctx_b = np.stack([c.frames for c, _ in batch])
-    fut_b = np.stack([t.frames for _, t in batch])
-    _, dS, dM = _batch_loss_and_grad(model, ctx_b, fut_b, np.asarray(w, dtype=float))
-    return dS, dM
-
-
 class WindowSet:
-    """Sliding windows over a list of episodes, gathered lazily for batching."""
+    """Every stride-1 (history, future) window of a list of episodes.
 
-    def __init__(self, episodes, k: int = HISTORY_LEN, T: int = HORIZON_LEN,
-                 stride: int = 1):
-        self.k, self.T = k, T
-        self.episode_frames = []
-        index = []
-        flags = []
-        for ei, ep in enumerate(episodes):
-            self.episode_frames.append(ep.frames)
+    The episodes' frames are concatenated once; window i covers the
+    ``HISTORY_LEN + HORIZON_LEN`` frames from ``start[i]``.  ``flags[i]`` is
+    set when any future frame lies inside an annotated transition interval.
+    """
+
+    def __init__(self, episodes):
+        episodes = list(episodes)
+        if len({ep.fps for ep in episodes}) > 1:
+            raise MotionError("episodes have mixed frame rates; resample them to one rate")
+        span = HISTORY_LEN + HORIZON_LEN
+        starts, flags = [np.empty(0, dtype=int)], [np.empty(0, dtype=bool)]
+        offset = 0
+        for ep in episodes:
             n = len(ep)
-            if n < k + T:
-                raise MotionError("episode too short for windowing")
-            for start in range(0, n - k - T + 1, stride):
-                fut_lo, fut_hi = start + k, start + k + T - 1
-                index.append((ei, start))
-                flags.append(any(s <= fut_hi and e >= fut_lo for s, e in ep.transitions))
-        self.index = np.array(index, dtype=int)
-        self.flags = np.array(flags, dtype=bool)
+            if n < span:
+                raise MotionError(f"episode has {n} frames, needs at least {span} for windowing")
+            start = np.arange(n - span + 1)
+            trans = np.array(ep.transitions, dtype=int).reshape(-1, 2)
+            overlap = ((start[:, None] + HISTORY_LEN <= trans[:, 1])
+                       & (start[:, None] + span - 1 >= trans[:, 0]))
+            starts.append(offset + start)
+            flags.append(overlap.any(axis=1))
+            offset += n
+        self.frames = np.concatenate([np.empty((0, N_JOINTS, 3))]
+                                     + [ep.frames for ep in episodes])
+        self.start = np.concatenate(starts)
+        self.flags = np.concatenate(flags)
         self.dt = episodes[0].dt if episodes else DEFAULT_DT
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.start)
 
     def gather(self, idx):
         """Context/future arrays for the given window indices: (B,k,J,3), (B,T,J,3)."""
-        idx = np.asarray(idx, dtype=int)
-        ctx = np.empty((len(idx), self.k, N_JOINTS, 3))
-        fut = np.empty((len(idx), self.T, N_JOINTS, 3))
-        for out_i, wi in enumerate(idx):
-            ei, start = self.index[wi]
-            frames = self.episode_frames[ei]
-            ctx[out_i] = frames[start:start + self.k]
-            fut[out_i] = frames[start + self.k:start + self.k + self.T]
-        return ctx, fut
-
-    def window(self, wi: int):
-        ei, start = self.index[wi]
-        frames = self.episode_frames[ei]
-        ctx = Context(frames[start:start + self.k], dt=self.dt)
-        fut = Trajectory(frames[start + self.k:start + self.k + self.T], dt=self.dt)
-        return ctx, fut, bool(self.flags[wi])
+        rows = self.start[np.asarray(idx, dtype=int), None] + np.arange(HISTORY_LEN + HORIZON_LEN)
+        windows = self.frames[rows]
+        return windows[:, :HISTORY_LEN], windows[:, HISTORY_LEN:]
 
 
 ANNOTATED = "annotated"
 COST_PERCENTILE = "cost_percentile"
 
 
-def build_transition_set(windows, mode: str = ANNOTATED,
+def build_transition_set(windows: WindowSet, mode: str = ANNOTATED,
                          delta_percentile: float = 0.10, cost_fn=None) -> np.ndarray:
     """Indices of windows forming the transition distribution.
 
@@ -244,27 +228,18 @@ def build_transition_set(windows, mode: str = ANNOTATED,
     scan a fixed probe set of robot plans) and keeps the windows at or above
     the (1 - delta_percentile) quantile.
     """
-    if isinstance(windows, WindowSet):
-        ws = windows
-        n = len(ws)
-    else:
-        ws = None
-        windows = list(windows)
-        n = len(windows)
+    n = len(windows)
     if n == 0:
         raise MotionError("no windows given")
     if mode == ANNOTATED:
-        if ws is not None:
-            idx = np.nonzero(ws.flags)[0]
-        else:
-            idx = np.array([i for i, (_, _, f) in enumerate(windows) if f], dtype=int)
+        idx = np.nonzero(windows.flags)[0]
     elif mode == COST_PERCENTILE:
         if cost_fn is None:
             raise MotionError("cost_percentile mode requires a cost_fn")
         cmax = np.empty(n)
         for i in range(n):
-            ctx, fut, _ = ws.window(i) if ws is not None else windows[i]
-            cmax[i] = cost_fn(ctx, fut)
+            ctx, fut = windows.gather([i])
+            cmax[i] = cost_fn(Context(ctx[0], windows.dt), Trajectory(fut[0], windows.dt))
         delta = np.quantile(cmax, 1.0 - delta_percentile)
         idx = np.nonzero(cmax >= delta)[0]
     else:
@@ -301,6 +276,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise MotionError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise MotionError("batch_size must be >= 1")
         if self.learning_rate < 0:
             raise MotionError("learning rate must be nonnegative")
         if not 0.0 <= self.transition_mix <= 1.0:
@@ -373,27 +352,6 @@ def train(model: ForecastModel, train_windows: WindowSet, val_windows: WindowSet
             best_val = val
             best = ForecastModel(S=S.copy(), M=M.copy(), trained=True, w=w)
     return best, history
-
-
-def cost_gap(model: ForecastModel, windows, probe_plans, task_cost) -> float:
-    """Mean |cost under truth - cost under forecast| over windows and probe plans.
-
-    ``task_cost(plan, forecast)`` evaluates a robot plan against a forecast;
-    the model expectation is taken at the mean forecast.
-    """
-    if len(probe_plans) == 0:
-        raise MotionError("need at least one probe plan")
-    if isinstance(windows, WindowSet):
-        items = [windows.window(i) for i in range(len(windows))]
-    else:
-        items = list(windows)
-    gaps = []
-    for ctx, fut, _flag in items:
-        pred = model_forward(model, ctx)
-        truth = Forecast(kind=POINT, trajectory=fut)
-        for plan in probe_plans:
-            gaps.append(abs(task_cost(plan, truth) - task_cost(plan, pred)))
-    return float(np.mean(gaps))
 
 
 def save_checkpoint(model: ForecastModel, path, preset: str = "", seed: int = 0) -> None:

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .forecast import POINT, Forecast, WindowSet
-from .motion import HORIZON_LEN, MotionError, Trajectory, WRIST_INDICES
+from .forecast import POINT, WindowSet
+from .motion import HORIZON_LEN, Context, MotionError, Trajectory, WRIST_INDICES
 
 MM = 1000.0
 GOAL_DETECT_RADIUS = 0.10
@@ -21,15 +21,6 @@ GOAL_ARRIVE_RADIUS = 0.05
 
 METRIC_KEYS = ("ade", "fde", "wrist_ade", "wrist_fde",
                "t_ade", "t_fde", "t_wrist_ade", "t_wrist_fde")
-
-
-def ade_fde(forecast: Trajectory, truth: Trajectory, joint_subset=None):
-    """Average / final displacement error in millimeters."""
-    if forecast.frames.shape != truth.frames.shape:
-        raise MotionError("forecast and truth must have equal shapes")
-    joints = list(joint_subset) if joint_subset is not None else slice(None)
-    d = np.linalg.norm(forecast.frames[:, joints] - truth.frames[:, joints], axis=-1)
-    return float(d.mean() * MM), float(d[-1].mean() * MM)
 
 
 def _displacements(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -44,7 +35,11 @@ def _mean_se(values: np.ndarray):
 
 
 def evaluate_forecaster(windows: WindowSet, forecaster, chunk: int = 256) -> dict:
-    """All eight forecasting metrics (in mm) for one forecaster over a window set."""
+    """All eight forecasting metrics (in mm) for one forecaster over a window set.
+
+    The forecaster is called once per chunk of windows, on the stacked
+    contexts and true futures.
+    """
     n = len(windows)
     if n == 0:
         raise MotionError("no windows to evaluate")
@@ -56,14 +51,10 @@ def evaluate_forecaster(windows: WindowSet, forecaster, chunk: int = 256) -> dic
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n))
         ctx_b, fut_b = windows.gather(idx)
-        pred = np.empty_like(fut_b)
-        for bi, wi in enumerate(idx):
-            ctx, fut, _ = windows.window(wi)
-            fc = forecaster(ctx, fut)
-            if fc.kind != POINT:
-                raise MotionError("displacement metrics need point forecasts")
-            pred[bi] = fc.trajectory.frames
-        d = _displacements(pred, fut_b)  # (B, T, J)
+        fc = forecaster(Context(ctx_b, windows.dt), Trajectory(fut_b, windows.dt))
+        if fc.kind != POINT:
+            raise MotionError("displacement metrics need point forecasts")
+        d = _displacements(fc.trajectory.frames, fut_b)  # (B, T, J)
         ade_w[idx] = d.mean(axis=(1, 2)) * MM
         fde_w[idx] = d[:, -1].mean(axis=1) * MM
         wade_w[idx] = d[:, :, wr].mean(axis=(1, 2)) * MM
@@ -79,12 +70,6 @@ def evaluate_forecaster(windows: WindowSet, forecaster, chunk: int = 256) -> dic
     out["n_windows"] = int(n)
     out["n_transition_windows"] = int(flags.sum())
     return out
-
-
-def transition_metrics(windows: WindowSet, forecaster) -> tuple:
-    """(t_ade, t_fde, t_wrist_ade, t_wrist_fde) restricted to transition windows."""
-    m = evaluate_forecaster(windows, forecaster)
-    return m["t_ade"], m["t_fde"], m["t_wrist_ade"], m["t_wrist_fde"]
 
 
 # --- planning metrics -----------------------------------------------------

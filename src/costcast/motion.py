@@ -77,34 +77,34 @@ class Pose:
 
 @dataclass(frozen=True)
 class Context:
-    """The forecaster input: the last `HISTORY_LEN` poses, oldest first."""
+    """The forecaster input: the last `HISTORY_LEN` poses, oldest first.
 
-    frames: np.ndarray  # (k, J, 3)
+    Leading batch dimensions stack several contexts; the planner passes one.
+    """
+
+    frames: np.ndarray  # (..., k, J, 3)
     dt: float = DEFAULT_DT
 
     def __post_init__(self):
         frames = _readonly(self.frames)
-        if frames.ndim != 3 or frames.shape[0] != HISTORY_LEN or frames.shape[1:] != (N_JOINTS, 3):
-            raise MotionError(f"context must have shape ({HISTORY_LEN}, {N_JOINTS}, 3), got {frames.shape}")
+        if frames.shape[-3:] != (HISTORY_LEN, N_JOINTS, 3):
+            raise MotionError(f"context must have shape (..., {HISTORY_LEN}, {N_JOINTS}, 3), got {frames.shape}")
         if self.dt <= 0:
             raise MotionError("context dt must be positive")
         object.__setattr__(self, "frames", frames)
-
-    def last_pose(self) -> Pose:
-        return Pose(self.frames[-1])
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """A `HORIZON_LEN`-frame future of poses."""
 
-    frames: np.ndarray  # (T, J, 3)
+    frames: np.ndarray  # (..., T, J, 3)
     dt: float = DEFAULT_DT
 
     def __post_init__(self):
         frames = _readonly(self.frames)
-        if frames.ndim != 3 or frames.shape[0] != HORIZON_LEN or frames.shape[1:] != (N_JOINTS, 3):
-            raise MotionError(f"trajectory must have shape ({HORIZON_LEN}, {N_JOINTS}, 3), got {frames.shape}")
+        if frames.shape[-3:] != (HORIZON_LEN, N_JOINTS, 3):
+            raise MotionError(f"trajectory must have shape (..., {HORIZON_LEN}, {N_JOINTS}, 3), got {frames.shape}")
         object.__setattr__(self, "frames", frames)
 
 
@@ -154,35 +154,6 @@ class Episode:
 
     def pose(self, i: int) -> Pose:
         return Pose(self.frames[i])
-
-
-def in_transition(episode: Episode, frame_index: int) -> bool:
-    """Whether a frame index lies inside any annotated transition interval."""
-    return any(s <= frame_index <= e for s, e in episode.transitions)
-
-
-def slide_windows(episode: Episode, k: int = HISTORY_LEN, T: int = HORIZON_LEN,
-                  stride: int = 1):
-    """Cut an episode into (context, future, is_transition) windows.
-
-    Window i uses frames [i*stride, i*stride + k) as context and the next T
-    frames as the ground-truth future.  The transition flag is set when any
-    future frame falls inside an annotated transition interval.
-    """
-    if stride < 1:
-        raise MotionError("stride must be >= 1")
-    n = len(episode)
-    if n < k + T:
-        raise MotionError(f"episode has {n} frames, needs at least {k + T} for k={k}, T={T}")
-    dt = episode.dt
-    out = []
-    for start in range(0, n - k - T + 1, stride):
-        ctx = Context(episode.frames[start:start + k], dt=dt)
-        fut = Trajectory(episode.frames[start + k:start + k + T], dt=dt)
-        fut_lo, fut_hi = start + k, start + k + T - 1
-        flag = any(s <= fut_hi and e >= fut_lo for s, e in episode.transitions)
-        out.append((ctx, fut, flag))
-    return out
 
 
 def pose_distance(a: Pose, b: Pose) -> float:

@@ -31,11 +31,11 @@ from costcast.forecast import (
     ForecastModel,
     TrainConfig,
     WindowSet,
+    _batch_loss_and_grad,
     build_transition_set,
     default_weights,
     forecast_cur,
     forecast_cvm,
-    loss_gradient,
     make_forecaster,
     model_forward,
     point_forecast,
@@ -158,7 +158,7 @@ def preset_sweep():
 
     results = {}
     for seed in range(5):
-        for preset in ("finetuned", "manicast", "manicast-w"):
+        for preset in ("scratch", "manicast", "manicast-w"):
             cfg = preset_config(preset, TrainConfig(seed=seed, epochs=15))
             model, _ = train(ForecastModel.init(), tw, vw, cfg, transition_set=tset)
             fc = make_forecaster(model)
@@ -172,14 +172,14 @@ def preset_sweep():
 
 def test_transition_upsampling_cuts_wrist_error_in_transitions(preset_sweep):
     manicast = np.median([r[0] for r in preset_sweep["manicast"]])
-    finetuned = np.median([r[0] for r in preset_sweep["finetuned"]])
-    assert manicast < finetuned
+    scratch = np.median([r[0] for r in preset_sweep["scratch"]])
+    assert manicast < scratch
 
 
 def test_transition_upsampling_keeps_overall_error_competitive(preset_sweep):
-    finetuned = np.median([r[1] for r in preset_sweep["finetuned"]])
+    scratch = np.median([r[1] for r in preset_sweep["scratch"]])
     manicast = np.median([r[1] for r in preset_sweep["manicast"]])
-    assert finetuned <= 1.10 * manicast
+    assert scratch <= 1.10 * manicast
 
 
 def test_wrist_weighting_cuts_wrist_error(preset_sweep):
@@ -204,7 +204,8 @@ def test_loss_gradient_matches_finite_differences_100_pairs():
         model = ForecastModel(
             S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
             M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
-        dS, dM = loss_gradient(model, batch, w)
+        _, dS, dM = _batch_loss_and_grad(model, np.stack([c.frames for c, _ in batch]),
+                                         np.stack([t.frames for _, t in batch]), w)
 
         def mean_loss(m):
             return np.mean([weighted_loss(m, c, t, w) for c, t in batch])

@@ -47,7 +47,7 @@ def test_config_overrides_and_seed_propagation(tmp_path):
     assert cfg.counts["tableset"] == 0
 
 
-def test_config_rejects_bad_values(tmp_path):
+def test_config_rejects_bad_values(tmp_path, capsys):
     with pytest.raises(ConfigError):
         RunConfig.load(write_config(tmp_path, dict(MINI, counts={"mop": 3})))
     with pytest.raises(ConfigError):
@@ -59,6 +59,16 @@ def test_config_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig.load(write_config(tmp_path, dict(MINI, train={"epochs": 2,
                                                                 "bogus_field": 1})))
+    for section, bad in (("train", {"batch_size": 0}), ("train", {"batch_size": -3}),
+                         ("train", {"epochs": -1}), ("gen", {"n_interactions": 0}),
+                         ("gen", {"fps": -1})):
+        with pytest.raises(ConfigError):
+            RunConfig.load(write_config(tmp_path, dict(MINI, **{section: bad})))
+    path = write_config(tmp_path, dict(MINI, gen={"n_interactions": 0}))
+    assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_dir_is_a_stable_config_hash(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import BASE_POSE, linear_episode, random_context, random_trajectory
 from costcast.datagen import GenConfig, gen_stirring
@@ -13,6 +14,7 @@ from costcast.forecast import (
     PRESETS,
     TrainConfig,
     WindowSet,
+    _batch_loss_and_grad,
     build_transition_set,
     default_weights,
     forecast_cur,
@@ -20,7 +22,6 @@ from costcast.forecast import (
     forecast_oracle,
     forecast_worst,
     load_checkpoint,
-    loss_gradient,
     make_forecaster,
     model_forward,
     preset_config,
@@ -31,13 +32,13 @@ from costcast.forecast import (
 )
 from costcast.motion import (
     Context,
+    Episode,
     HISTORY_LEN,
     HORIZON_LEN,
     MotionError,
     N_JOINTS,
     Trajectory,
     WRIST_INDICES,
-    slide_windows,
 )
 
 
@@ -134,7 +135,8 @@ def test_loss_gradient_matches_finite_differences(rng):
     w = default_weights(2.0)
     model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
                           M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
-    dS, dM = loss_gradient(model, batch, w)
+    _, dS, dM = _batch_loss_and_grad(model, np.stack([c.frames for c, _ in batch]),
+                                     np.stack([t.frames for _, t in batch]), w)
 
     def mean_loss(m):
         return np.mean([weighted_loss(m, c, t, w) for c, t in batch])
@@ -163,20 +165,53 @@ def episodes_small(n=3):
             for s in range(n)]
 
 
-def test_windowset_agrees_with_slide_windows():
-    eps = episodes_small(2)
+@st.composite
+def episodes_with_transitions(draw):
+    """1-3 episodes of random length (>= 35 frames) with random sorted,
+    non-overlapping transition intervals and distinct frames."""
+    eps = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(HISTORY_LEN + HORIZON_LEN, 90))
+        cuts = sorted(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=6)))
+        transitions = tuple(zip(cuts[0::2], cuts[1::2]))
+        frames = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+            size=(n, N_JOINTS, 3))
+        eps.append(Episode(fps=25.0, frames=frames, transitions=transitions))
+    return eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=episodes_with_transitions(), data=st.data())
+def test_gather_and_flags_match_episode_slicing(eps, data):
     ws = WindowSet(eps)
-    ref = [w for ep in eps for w in slide_windows(ep)]
+    ref = [(ep, s) for ep in eps for s in range(len(ep) - HISTORY_LEN - HORIZON_LEN + 1)]
     assert len(ws) == len(ref)
-    for i in (0, 17, len(ws) - 1):
-        ctx, fut, flag = ws.window(i)
-        rc, rf, rflag = ref[i]
-        np.testing.assert_array_equal(ctx.frames, rc.frames)
-        np.testing.assert_array_equal(fut.frames, rf.frames)
-        assert flag == rflag
-    ctx_b, fut_b = ws.gather([0, 5])
-    np.testing.assert_array_equal(ctx_b[1], ref[5][0].frames)
-    np.testing.assert_array_equal(fut_b[1], ref[5][1].frames)
+    for (ep, s), flag in zip(ref, ws.flags):
+        future = range(s + HISTORY_LEN, s + HISTORY_LEN + HORIZON_LEN)
+        assert flag == any(a <= f <= b for f in future for a, b in ep.transitions)
+    idx = data.draw(st.lists(st.integers(0, len(ws) - 1), min_size=1, max_size=20))
+    ctx_b, fut_b = ws.gather(idx)
+    for row, wi in enumerate(idx):
+        ep, s = ref[wi]
+        np.testing.assert_array_equal(ctx_b[row], ep.frames[s:s + HISTORY_LEN])
+        np.testing.assert_array_equal(
+            fut_b[row], ep.frames[s + HISTORY_LEN:s + HISTORY_LEN + HORIZON_LEN])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       dt=st.floats(0.01, 0.1))
+def test_batched_forecasters_equal_per_context_calls(n, seed, dt):
+    rng = np.random.default_rng(seed)
+    frames = BASE_POSE + rng.normal(0, 0.05, size=(n, HISTORY_LEN, N_JOINTS, 3))
+    model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
+                          M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
+    for forecaster in (forecast_cur, forecast_cvm, lambda c: model_forward(model, c)):
+        batch = forecaster(Context(frames, dt)).trajectory.frames
+        assert batch.shape == (n, HORIZON_LEN, N_JOINTS, 3)
+        for i in range(n):
+            np.testing.assert_array_equal(
+                batch[i], forecaster(Context(frames[i], dt)).trajectory.frames)
 
 
 def test_annotated_transition_set_matches_flags():
@@ -187,16 +222,15 @@ def test_annotated_transition_set_matches_flags():
 
 
 def test_cost_percentile_keeps_top_decile():
-    # 100 windows whose scripted cost is 1..100: exactly the top 10 survive
-    base = linear_episode(45, (0.0, 0.0, 0.0))
-    ctx, fut = window_from_episode(base)
-    windows = [(ctx, Trajectory(fut.frames + i * 1e-5), False) for i in range(1, 101)]
-    costs = {id(w[1]): float(i) for i, w in enumerate(windows, start=1)}
-    idx = build_transition_set(windows, mode=COST_PERCENTILE, delta_percentile=0.10,
-                               cost_fn=lambda c, f: costs[id(f)])
+    # 100 windows of a linear episode whose scripted cost grows with the
+    # window index: exactly the top 10 survive
+    ws = WindowSet([linear_episode(134, (0.1, 0.0, 0.0))])
+    assert len(ws) == 100
+    idx = build_transition_set(ws, mode=COST_PERCENTILE, delta_percentile=0.10,
+                               cost_fn=lambda c, f: float(f.frames[0, 0, 0]))
     np.testing.assert_array_equal(idx, np.arange(90, 100))
     with pytest.raises(MotionError):
-        build_transition_set(windows, mode=COST_PERCENTILE)  # needs a cost_fn
+        build_transition_set(ws, mode=COST_PERCENTILE)  # needs a cost_fn
 
 
 def test_cost_percentile_overlaps_annotations_on_stirring():
@@ -294,7 +328,8 @@ def test_divergence_error_names_the_epoch():
 
 
 def test_preset_table_and_config():
-    assert set(PRESETS) == {"scratch", "finetuned", "manicast", "manicast-t", "manicast-w"}
+    assert set(PRESETS) == {"scratch", "manicast", "manicast-t", "manicast-w"}
+    assert preset_config("scratch").transition_mix == 0.0
     cfg = preset_config("manicast-w")
     assert cfg.transition_mix == 0.5 and cfg.wrist_weight == 5.0
     assert preset_config("manicast-t").transition_mix == 1.0
@@ -302,6 +337,9 @@ def test_preset_table_and_config():
         preset_config("bogus")
     with pytest.raises(MotionError):
         TrainConfig(wrist_weight=0.5)
+    for bad in ({"batch_size": 0}, {"batch_size": -3}, {"epochs": -1}):
+        with pytest.raises(MotionError):
+            TrainConfig(**bad)
 
 
 def test_checkpoint_round_trip(tmp_path, rng):

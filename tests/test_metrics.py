@@ -4,21 +4,19 @@ finite-problem loss-bound verifier."""
 import numpy as np
 import pytest
 
-from conftest import BASE_POSE, linear_episode, random_trajectory
-from costcast.forecast import WindowSet, forecast_cur, forecast_worst
+from conftest import BASE_POSE, linear_episode
+from costcast.forecast import WindowSet, forecast_cur, forecast_worst, point_forecast
 from costcast.metrics import (
     MetricReport,
     ToyCMDP,
-    ade_fde,
     evaluate_forecaster,
     handover_metrics,
     lemma1_check,
     random_toycmdp,
     stop_restart_times,
-    transition_metrics,
     worked_toycmdp,
 )
-from costcast.motion import Episode, MotionError, Trajectory, WRIST_INDICES
+from costcast.motion import Episode, MotionError, N_JOINTS, WRIST_INDICES
 from costcast.planner import SimLog
 
 DT = 0.04
@@ -26,24 +24,39 @@ DT = 0.04
 
 # --- displacement metrics -------------------------------------------------
 
+def shifted_oracle(offset):
+    """The true future moved by a fixed offset."""
+    return lambda ctx, fut: point_forecast(fut.frames + offset, fut.dt)
+
+
+def random_episode(rng, n=60):
+    frames = BASE_POSE + rng.normal(0, 0.05, size=(n, N_JOINTS, 3))
+    return Episode(fps=25.0, frames=frames, transitions=((20, 30),))
+
+
 def test_ade_fde_hand_oracle(rng):
-    truth = random_trajectory(rng)
-    pred = Trajectory(truth.frames + np.array([0.003, 0.004, 0.0]))
-    ade, fde = ade_fde(pred, truth)
-    assert ade == pytest.approx(5.0, abs=1e-9)   # 5 mm uniform offset
-    assert fde == pytest.approx(5.0, abs=1e-9)
-    wade, wfde = ade_fde(pred, truth, joint_subset=WRIST_INDICES)
-    assert wade == pytest.approx(5.0, abs=1e-9)
-    assert wfde == pytest.approx(5.0, abs=1e-9)
+    ws = WindowSet([random_episode(rng)])
+    m = evaluate_forecaster(ws, shifted_oracle(np.array([0.003, 0.004, 0.0])))
+    for key in ("ade", "fde", "wrist_ade", "wrist_fde",
+                "t_ade", "t_fde", "t_wrist_ade", "t_wrist_fde"):
+        assert m[key] == pytest.approx(5.0, abs=1e-9)   # 5 mm uniform offset
 
 
 def test_ade_fde_matches_hand_sum(rng):
-    truth = random_trajectory(rng)
-    pred = random_trajectory(rng)
-    d = np.linalg.norm(pred.frames - truth.frames, axis=-1)
-    ade, fde = ade_fde(pred, truth)
-    assert ade == pytest.approx(float(d.mean()) * 1000, rel=1e-12)
-    assert fde == pytest.approx(float(d[-1].mean()) * 1000, rel=1e-12)
+    # the true future scaled by 1.01, scored over chunks of 7 windows
+    ws = WindowSet([random_episode(rng)])
+    m = evaluate_forecaster(ws, lambda ctx, fut: point_forecast(1.01 * fut.frames, fut.dt),
+                            chunk=7)
+    _, fut = ws.gather(np.arange(len(ws)))
+    d = np.linalg.norm(1.01 * fut - fut, axis=-1)   # (windows, T, J)
+    flags = ws.flags
+    wrists = d[:, :, list(WRIST_INDICES)]
+    for key, per_window in (("ade", d.mean(axis=(1, 2))), ("fde", d[:, -1].mean(axis=1)),
+                            ("wrist_ade", wrists.mean(axis=(1, 2))),
+                            ("wrist_fde", wrists[:, -1].mean(axis=1))):
+        assert m[key] == pytest.approx(float(per_window.mean()) * 1000, rel=1e-12)
+        assert m["t_" + key] == pytest.approx(float(per_window[flags].mean()) * 1000,
+                                              rel=1e-12)
 
 
 def test_evaluate_forecaster_closed_form_for_constant_pose_baseline():
@@ -60,8 +73,6 @@ def test_evaluate_forecaster_closed_form_for_constant_pose_baseline():
     assert m["fde_se"] == pytest.approx(0.0, abs=1e-9)
     assert m["n_windows"] == len(ws)
     assert 0 < m["n_transition_windows"] < len(ws)
-    t = transition_metrics(ws, lambda ctx, fut=None: forecast_cur(ctx))
-    assert t == (m["t_ade"], m["t_fde"], m["t_wrist_ade"], m["t_wrist_fde"])
 
 
 def test_evaluate_forecaster_rejects_volume_forecasts():

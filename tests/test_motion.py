@@ -1,9 +1,10 @@
-"""Tests for the core skeletal-motion types and windowing operations."""
+"""Tests for the core skeletal-motion types, resampling and the episode file format."""
 
 import numpy as np
 import pytest
 
 from conftest import BASE_POSE, linear_episode, random_pose
+from costcast.forecast import WindowSet
 from costcast.motion import (
     Context,
     Episode,
@@ -15,12 +16,10 @@ from costcast.motion import (
     Trajectory,
     episode_from_dict,
     episode_to_dict,
-    in_transition,
     load_episode,
     pose_distance,
     resample,
     save_episode,
-    slide_windows,
 )
 
 
@@ -59,6 +58,13 @@ def test_context_and_trajectory_length_enforced():
         Trajectory(np.repeat(BASE_POSE[None], HORIZON_LEN + 1, axis=0))
     with pytest.raises(MotionError):
         Context(np.repeat(BASE_POSE[None], HISTORY_LEN, axis=0), dt=0.0)
+    # leading batch dimensions stack contexts; the trailing three are checked
+    assert Context(np.zeros((4, HISTORY_LEN, N_JOINTS, 3))).frames.shape[0] == 4
+    assert Trajectory(np.zeros((2, 3, HORIZON_LEN, N_JOINTS, 3))).frames.ndim == 5
+    with pytest.raises(MotionError):
+        Context(np.zeros((4, HISTORY_LEN - 1, N_JOINTS, 3)))
+    with pytest.raises(MotionError):
+        Trajectory(np.zeros((N_JOINTS, 3)))
 
 
 def test_episode_rejects_bad_transitions():
@@ -68,55 +74,46 @@ def test_episode_rejects_bad_transitions():
     with pytest.raises(MotionError):
         Episode(fps=25.0, frames=frames, transitions=((10, 20), (15, 30)))
     ep = Episode(fps=25.0, frames=frames, transitions=((10, 20), (30, 40)))
-    assert in_transition(ep, 15) and not in_transition(ep, 25)
+    assert ep.transitions == ((10, 20), (30, 40))
 
 
-# --- slide_windows --------------------------------------------------------
+# --- windows (forecast.WindowSet) ---------------------------------------
 
 def test_window_count_45_frames():
     ep = linear_episode(45, (0.0, 0.0, 0.0))
-    assert len(slide_windows(ep, k=10, T=25, stride=1)) == 11
+    assert len(WindowSet([ep])) == 11
 
 
 def test_window_count_formula(rng):
     for _ in range(20):
-        n = int(rng.integers(35, 200))
-        stride = int(rng.integers(1, 5))
-        ep = linear_episode(n, (0.0, 0.0, 0.0))
-        expected = max(0, (n - HISTORY_LEN - HORIZON_LEN) // stride + 1)
-        assert len(slide_windows(ep, stride=stride)) == expected
+        lengths = rng.integers(35, 200, size=int(rng.integers(1, 4)))
+        eps = [linear_episode(int(n), (0.0, 0.0, 0.0)) for n in lengths]
+        expected = sum(int(n) - HISTORY_LEN - HORIZON_LEN + 1 for n in lengths)
+        assert len(WindowSet(eps)) == expected
 
 
 def test_transition_flag_from_future_overlap():
     ep = linear_episode(45, (0.0, 0.0, 0.0), transitions=((20, 30),))
-    windows = slide_windows(ep)
     # window 0's future covers frames 10..34, overlapping (20, 30)
-    assert windows[0][2] is True
+    assert WindowSet([ep]).flags[0]
     ep2 = linear_episode(45, (0.0, 0.0, 0.0), transitions=((0, 5),))
     # futures start at frame 10; an early-context-only interval never flags
-    assert all(flag is False for _, _, flag in slide_windows(ep2))
-
-
-def test_transition_flags_match_interval_overlap_oracle(rng):
-    for _ in range(50):
-        n = int(rng.integers(40, 120))
-        cuts = np.sort(rng.choice(n, size=4, replace=False))
-        transitions = ((int(cuts[0]), int(cuts[1])),) if cuts[1] < cuts[2] else ()
-        if cuts[1] < cuts[2]:
-            transitions = ((int(cuts[0]), int(cuts[1])), (int(cuts[2]), int(cuts[3])))
-        ep = linear_episode(n, (0.01, 0.0, 0.0), transitions=transitions)
-        for i, (_, _, flag) in enumerate(slide_windows(ep)):
-            fut = range(i + HISTORY_LEN, i + HISTORY_LEN + HORIZON_LEN)
-            oracle = any(s <= f <= e for f in fut for s, e in transitions)
-            assert flag == oracle
+    assert not WindowSet([ep2]).flags.any()
 
 
 def test_short_episode_rejected():
-    ep = linear_episode(30, (0.0, 0.0, 0.0))
     with pytest.raises(MotionError):
-        slide_windows(ep)
+        WindowSet([linear_episode(30, (0.0, 0.0, 0.0))])
     with pytest.raises(MotionError):
-        slide_windows(linear_episode(45, (0.0, 0.0, 0.0)), stride=0)
+        WindowSet([linear_episode(45, (0.0, 0.0, 0.0)), linear_episode(34, (0.0, 0.0, 0.0))])
+
+
+def test_mixed_frame_rates_rejected():
+    eps = [linear_episode(60, (0.1, 0.0, 0.0), fps=25.0),
+           linear_episode(120, (0.1, 0.0, 0.0), fps=50.0)]
+    with pytest.raises(MotionError, match="rate"):
+        WindowSet(eps)
+    assert WindowSet(eps[1:]).dt == pytest.approx(1 / 50.0)
 
 
 # --- pose_distance --------------------------------------------------------
