@@ -7,6 +7,7 @@ import pytest
 from conftest import BASE_POSE, linear_episode
 from costcast.forecast import WindowSet, forecast_cur, forecast_worst, point_forecast
 from costcast.metrics import (
+    METRIC_KEYS,
     MetricReport,
     ToyCMDP,
     evaluate_forecaster,
@@ -24,11 +25,6 @@ DT = 0.04
 
 # --- displacement metrics -------------------------------------------------
 
-def shifted_oracle(offset):
-    """The true future moved by a fixed offset."""
-    return lambda ctx, fut: point_forecast(fut.frames + offset, fut.dt)
-
-
 def random_episode(rng, n=60):
     frames = BASE_POSE + rng.normal(0, 0.05, size=(n, N_JOINTS, 3))
     return Episode(fps=25.0, frames=frames, transitions=((20, 30),))
@@ -36,9 +32,9 @@ def random_episode(rng, n=60):
 
 def test_ade_fde_hand_oracle(rng):
     ws = WindowSet([random_episode(rng)])
-    m = evaluate_forecaster(ws, shifted_oracle(np.array([0.003, 0.004, 0.0])))
-    for key in ("ade", "fde", "wrist_ade", "wrist_fde",
-                "t_ade", "t_fde", "t_wrist_ade", "t_wrist_fde"):
+    offset = np.array([0.003, 0.004, 0.0])
+    m = evaluate_forecaster(ws, lambda ctx, fut: point_forecast(fut.frames + offset, fut.dt))
+    for key in METRIC_KEYS:
         assert m[key] == pytest.approx(5.0, abs=1e-9)   # 5 mm uniform offset
 
 
