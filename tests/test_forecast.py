@@ -198,6 +198,22 @@ def test_gather_and_flags_match_episode_slicing(eps, data):
             fut_b[row], ep.frames[s + HISTORY_LEN:s + HISTORY_LEN + HORIZON_LEN])
 
 
+def test_windowset_agrees_with_slide_windows():
+    # stride-1 windows cut by slicing each episode in turn, as the former
+    # per-episode window cutter did
+    eps = episodes_small(2)
+    ws = WindowSet(eps)
+    span = HISTORY_LEN + HORIZON_LEN
+    ref = [(ep.frames[s:s + HISTORY_LEN], ep.frames[s + HISTORY_LEN:s + span])
+           for ep in eps for s in range(len(ep) - span + 1)]
+    assert len(ws) == len(ref)
+    idx = [0, 17, len(ws) - 1]
+    ctx_b, fut_b = ws.gather(idx)
+    for row, i in enumerate(idx):
+        np.testing.assert_array_equal(ctx_b[row], ref[i][0])
+        np.testing.assert_array_equal(fut_b[row], ref[i][1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        dt=st.floats(0.01, 0.1))

@@ -101,6 +101,18 @@ def test_transition_flag_from_future_overlap():
     assert not WindowSet([ep2]).flags.any()
 
 
+def test_transition_flags_match_interval_overlap_oracle(rng):
+    for _ in range(50):
+        n = int(rng.integers(40, 120))
+        cuts = np.sort(rng.choice(n, size=4, replace=False))
+        transitions = ((int(cuts[0]), int(cuts[1])), (int(cuts[2]), int(cuts[3])))
+        ep = linear_episode(n, (0.01, 0.0, 0.0), transitions=transitions)
+        for i, flag in enumerate(WindowSet([ep]).flags):
+            fut = range(i + HISTORY_LEN, i + HISTORY_LEN + HORIZON_LEN)
+            oracle = any(s <= f <= e for f in fut for s, e in transitions)
+            assert flag == oracle
+
+
 def test_short_episode_rejected():
     with pytest.raises(MotionError):
         WindowSet([linear_episode(30, (0.0, 0.0, 0.0))])
