@@ -40,6 +40,12 @@ def _sub(doc: dict, key: str) -> dict:
     return val
 
 
+def _non_negative_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 @dataclasses.dataclass
 class RunConfig:
     seed: int = 0
@@ -56,7 +62,7 @@ class RunConfig:
     def load(cls, path=None, overrides=None) -> "RunConfig":
         doc = json.loads(Path(path).read_text()) if path else {}
         overrides = overrides or {}
-        seed = int(overrides.get("seed", doc.get("seed", 0)))
+        seed = _non_negative_int(overrides.get("seed", doc.get("seed", 0)), "seed")
         gen_kwargs = _sub(doc, "gen")
         gen_kwargs.setdefault("seed", seed)
         train_kwargs = _sub(doc, "train")
@@ -80,6 +86,13 @@ class RunConfig:
         bad = set(cfg.counts) - set(datagen.GENERATORS)
         if bad:
             raise ConfigError(f"unknown task name(s) in counts: {sorted(bad)}")
+        for task, count in cfg.counts.items():
+            _non_negative_int(count, f"counts.{task}")
+        for section in ("gen", "train", "mppi"):
+            _non_negative_int(getattr(cfg, section).seed, f"{section}.seed")
+        if abs(cfg.mppi.dt - 1.0 / cfg.gen.fps) > 1e-9:
+            raise ConfigError(f"mppi.dt {cfg.mppi.dt} must equal 1/gen.fps "
+                              f"({1.0 / cfg.gen.fps}), the episode frame period")
         for name in cfg.models:
             if name not in BASELINES and name not in forecast.PRESETS:
                 raise ConfigError(f"unknown model {name!r}")

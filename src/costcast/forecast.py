@@ -125,13 +125,37 @@ class ForecastModel:
         return cls(S=np.eye(N_JOINTS), M=np.zeros((HISTORY_LEN, HORIZON_LEN)))
 
 
+# Width of one frame flattened to (joint, xyz) rows.
+_ROW = 3 * N_JOINTS
+# Windows per forward pass when scoring a validation set.
+VAL_CHUNK = 512
+
+
+def _joint_mixer(S: np.ndarray) -> np.ndarray:
+    """kron(S.T, I3): ``rows @ _joint_mixer(S)`` mixes the joints of (joint,
+    xyz)-flattened rows by S, so the mixing is one matrix product over all rows."""
+    return (S.T[:, None, :, None] * np.eye(3)[:, None]).reshape(_ROW, _ROW)
+
+
+def _forward_rows(model: ForecastModel, ctx_frames: np.ndarray):
+    """The forward pass on frames flattened to (joint, xyz) rows.
+
+    ctx_frames (..., k, J, 3) -> forecast rows (..., T, 3J), plus the history
+    displacements dX and their joint-mixed form SX, both (..., k, 3J), which
+    the gradient reuses.  The joint mixing is one GEMM over every history row
+    and the temporal map one GEMM per window.
+    """
+    lead = ctx_frames.shape[:-3]
+    last = ctx_frames[..., -1:, :, :].reshape(*lead, 1, _ROW)
+    dX = ctx_frames.reshape(*lead, HISTORY_LEN, _ROW) - last
+    SX = (dX.reshape(-1, _ROW) @ _joint_mixer(model.S)).reshape(dX.shape)
+    return last + model.M.T @ SX, dX, SX
+
+
 def _forward_arrays(model: ForecastModel, ctx_frames: np.ndarray) -> np.ndarray:
     """Batched forward pass; ctx_frames (..., k, J, 3) -> (..., T, J, 3)."""
-    last = ctx_frames[..., -1:, :, :]
-    dX = ctx_frames - last
-    A = np.einsum("ut,...ujc->...tjc", model.M, dX)
-    out = np.einsum("jk,...tkc->...tjc", model.S, A)
-    return last + out
+    pred = _forward_rows(model, ctx_frames)[0]
+    return pred.reshape(*pred.shape[:-1], N_JOINTS, 3)
 
 
 def model_forward(model: ForecastModel, ctx: Context) -> Forecast:
@@ -145,32 +169,40 @@ def default_weights(wrist_weight: float = 1.0) -> np.ndarray:
     return w
 
 
+def _weighted_sse(resid: np.ndarray, w: np.ndarray):
+    """Joint-weighted squared error sum(w_j * r**2) over a residual whose
+    trailing axes are (J, 3) or flattened (3J,), and the weighted residual
+    w_j * r as rows of width 3J."""
+    rows = resid.reshape(-1, _ROW)
+    weighted = rows * np.repeat(w, 3)
+    return float(np.vdot(weighted, rows)), weighted
+
+
 def weighted_loss(model: ForecastModel, ctx: Context, truth: Trajectory,
                   w: np.ndarray) -> float:
     """Joint-weighted squared error of the forecast against the true future."""
     w = np.asarray(w, dtype=float)
     if (w <= 0).any():
         raise MotionError("loss weights must be positive")
-    pred = _forward_arrays(model, ctx.frames)
-    resid = pred - truth.frames
-    return float(np.einsum("j,tjc->", w, resid**2))
+    return _weighted_sse(_forward_arrays(model, ctx.frames) - truth.frames, w)[0]
 
 
 def _batch_loss_and_grad(model: ForecastModel, ctx_b: np.ndarray, fut_b: np.ndarray,
                          w: np.ndarray):
-    """Mean loss over a batch and its exact gradients w.r.t. S and M."""
+    """Mean loss over a batch and its exact gradients w.r.t. S and M.
+
+    Per window pred = last + M^T SX with SX = dX kron(S.T, I3), so with
+    G = dL/dpred: dM = sum_b SX_b G_b^T, and dS sums the xyz diagonal of each
+    (joint, joint) block of the mixer's gradient sum_b dX_b^T M G_b.
+    """
     B = ctx_b.shape[0]
-    last = ctx_b[:, -1:, :, :]
-    dX = ctx_b - last                                # (B, k, J, 3)
-    A = np.einsum("ut,bujc->btjc", model.M, dX)      # (B, T, J, 3)
-    pred = last + np.einsum("jk,btkc->btjc", model.S, A)
-    resid = pred - fut_b                             # (B, T, J, 3)
-    loss = float(np.einsum("j,btjc->", w, resid**2)) / B
-    G = 2.0 * w[None, None, :, None] * resid         # dL/dpred, pre-mean
-    dS = np.einsum("btjc,btkc->jk", G, A) / B
-    Bmat = np.einsum("jk,bukc->bujc", model.S, dX)   # (B, k, J, 3)
-    dM = np.einsum("btjc,bujc->ut", G, Bmat) / B
-    return loss, dS, dM
+    pred, dX, SX = _forward_rows(model, ctx_b)
+    sse, weighted = _weighted_sse(pred - fut_b.reshape(pred.shape), w)
+    G = (2.0 / B) * weighted.reshape(pred.shape)
+    dMix = dX.reshape(-1, _ROW).T @ (model.M @ G).reshape(-1, _ROW)
+    dS = np.trace(dMix.reshape(N_JOINTS, 3, N_JOINTS, 3), axis1=1, axis2=3).T
+    dM = np.tensordot(SX, G, axes=([0, 2], [0, 2]))
+    return sse / B, dS, dM
 
 
 class WindowSet:
@@ -280,8 +312,10 @@ class TrainConfig:
             raise MotionError("epochs must be >= 0")
         if self.batch_size < 1:
             raise MotionError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise MotionError("learning rate must be nonnegative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise MotionError("learning rate must be finite and nonnegative")
+        if not 0.0 <= self.momentum < 1.0:
+            raise MotionError("momentum must be in [0, 1)")
         if not 0.0 <= self.transition_mix <= 1.0:
             raise MotionError("transition_mix must be in [0, 1]")
         if self.wrist_weight < 1.0:
@@ -296,16 +330,12 @@ def preset_config(name: str, base: TrainConfig | None = None) -> TrainConfig:
     return replace(base, transition_mix=mix, wrist_weight=ww)
 
 
-def _val_loss(model: ForecastModel, ws: WindowSet, w: np.ndarray,
-              chunk: int = 512) -> float:
+def _val_loss(model: ForecastModel, ws: WindowSet, w: np.ndarray) -> float:
     total = 0.0
     n = len(ws)
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
-        ctx_b, fut_b = ws.gather(idx)
-        pred = _forward_arrays(model, ctx_b)
-        resid = pred - fut_b
-        total += float(np.einsum("j,btjc->", w, resid**2))
+    for start in range(0, n, VAL_CHUNK):
+        ctx_b, fut_b = ws.gather(np.arange(start, min(start + VAL_CHUNK, n)))
+        total += _weighted_sse(_forward_arrays(model, ctx_b) - fut_b, w)[0]
     return total / n
 
 

@@ -61,14 +61,29 @@ def test_config_rejects_bad_values(tmp_path, capsys):
                                                                 "bogus_field": 1})))
     for section, bad in (("train", {"batch_size": 0}), ("train", {"batch_size": -3}),
                          ("train", {"epochs": -1}), ("gen", {"n_interactions": 0}),
-                         ("gen", {"fps": -1})):
+                         ("gen", {"fps": -1}), ("train", {"momentum": 2.0}),
+                         ("train", {"momentum": -1}), ("train", {"momentum": 1.0}),
+                         ("train", {"learning_rate": float("nan")}),
+                         ("train", {"learning_rate": float("inf")}),
+                         ("seed", -1), ("seed", 1.5), ("seed", "x"),
+                         ("counts", {"stir": "x"}), ("counts", {"stir": 1.5}),
+                         ("counts", {"stir": -1}), ("counts", {"stir": True}),
+                         ("train", {"seed": -1}), ("mppi", {"dt": 0.05}),
+                         ("gen", {"fps": 30.0})):
         with pytest.raises(ConfigError):
             RunConfig.load(write_config(tmp_path, dict(MINI, **{section: bad})))
-    path = write_config(tmp_path, dict(MINI, gen={"n_interactions": 0}))
-    assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
-    assert not (tmp_path / "runs").exists()
+    assert RunConfig.load(write_config(tmp_path, dict(MINI, gen={"fps": 20.0},
+                                                      mppi={"dt": 0.05}))).mppi.dt == 0.05
+    for bad in ({"gen": {"n_interactions": 0}}, {"seed": -1}, {"counts": {"stir": "x"}},
+                {"mppi": {"dt": 0.05}}, {"train": {"momentum": 2.0}}):
+        path = write_config(tmp_path, dict(MINI, **bad))
+        assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+    path = write_config(tmp_path)
+    assert main(["gen", "--config", path, "--seed", "-1", "--out", str(tmp_path / "runs")]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_run_dir_is_a_stable_config_hash(tmp_path, monkeypatch):

@@ -158,6 +158,26 @@ def test_loss_gradient_matches_finite_differences(rng):
         assert fd == pytest.approx(dM[idx], rel=1e-5, abs=1e-9)
 
 
+@settings(max_examples=30, deadline=None)
+@given(B=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), wrist=st.floats(1.0, 5.0))
+def test_batch_gradient_is_the_mean_of_single_window_gradients(B, seed, wrist):
+    # training batch sizes: the loss and gradient of a batch are the means of
+    # the per-window losses and gradients
+    rng = np.random.default_rng(seed)
+    ctx = BASE_POSE + rng.normal(0, 0.05, (B, HISTORY_LEN, N_JOINTS, 3))
+    fut = BASE_POSE + rng.normal(0, 0.05, (B, HORIZON_LEN, N_JOINTS, 3))
+    w = default_weights(wrist)
+    model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
+                          M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
+    loss, dS, dM = _batch_loss_and_grad(model, ctx, fut, w)
+    losses = [weighted_loss(model, Context(ctx[i]), Trajectory(fut[i]), w) for i in range(B)]
+    assert loss == pytest.approx(np.mean(losses), rel=1e-12)
+    singles = [_batch_loss_and_grad(model, ctx[i:i + 1], fut[i:i + 1], w) for i in range(B)]
+    for got, want in ((dS, np.mean([g[1] for g in singles], axis=0)),
+                      (dM, np.mean([g[2] for g in singles], axis=0))):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 # --- window sets and the transition distribution --------------------------
 
 def episodes_small(n=3):
@@ -353,7 +373,9 @@ def test_preset_table_and_config():
         preset_config("bogus")
     with pytest.raises(MotionError):
         TrainConfig(wrist_weight=0.5)
-    for bad in ({"batch_size": 0}, {"batch_size": -3}, {"epochs": -1}):
+    for bad in ({"batch_size": 0}, {"batch_size": -3}, {"epochs": -1}, {"momentum": 1.0},
+                {"momentum": -0.1}, {"learning_rate": float("nan")},
+                {"learning_rate": float("inf")}):
         with pytest.raises(MotionError):
             TrainConfig(**bad)
 
