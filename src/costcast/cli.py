@@ -120,9 +120,9 @@ class RunConfig:
         return d
 
 
-def _episode_seed(global_seed: int, task: str, index: int) -> int:
+def _episode_seed(gen_seed: int, task: str, index: int) -> int:
     offsets = {"stir": 0, "handover": 100000, "tableset": 200000}
-    return global_seed * 1000000 + offsets[task] + index
+    return gen_seed * 1000000 + offsets[task] + index
 
 
 def cmd_gen(cfg: RunConfig) -> int:
@@ -133,7 +133,7 @@ def cmd_gen(cfg: RunConfig) -> int:
     manifest = []
     for task, count in sorted(cfg.counts.items()):
         for i in range(count):
-            seed = _episode_seed(cfg.seed, task, i)
+            seed = _episode_seed(cfg.gen.seed, task, i)
             ep = datagen.GENERATORS[task](dataclasses.replace(cfg.gen, seed=seed))
             name = f"{task}_{i:03d}.json"
             save_episode(ep, data_dir / name)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from .cost import CostWeights, TaskSpec, total_cost_batch, _wrist_pot_distance
 from .forecast import Forecast
@@ -28,9 +29,9 @@ from .robot import (
     ArmModel,
     ArmState,
     N_DOF,
-    fk,
-    fk_batch,  # not called here; bench/spans.py traces this binding
-    jacobian,
+    RigidPose,
+    fk_batch,
+    linear_jacobian,
     min_separation,
     rollout_arrays,
     step,
@@ -115,11 +116,11 @@ def ik_position(model: ArmModel, q0: np.ndarray, target: np.ndarray,
     q = np.asarray(q0, dtype=float).copy()
     target = np.asarray(target, dtype=float)
     for _ in range(iters):
-        ee, _ = fk(model, q)
-        err = target - ee.position
+        frames = fk_batch(model, q)
+        err = target - frames[1][7]  # end-effector origin
         if np.linalg.norm(err) < 1e-5:
             break
-        Jl = jacobian(model, q)[:3]
+        Jl = linear_jacobian(frames)
         JJt = Jl @ Jl.T + damping**2 * np.eye(3)
         dq = Jl.T @ np.linalg.solve(JJt, err)
         q = q + np.clip(dq, -step_clip, step_clip)
@@ -149,13 +150,11 @@ def rest_configuration(model: ArmModel, point=DEFAULT_RETRACT_POINT) -> np.ndarr
     return ik_position(model, model.mid(), np.asarray(point, dtype=float))
 
 
-def default_table_goal(model: ArmModel) -> "RigidPose":
-    from .robot import RigidPose
-
+def default_table_goal(model: ArmModel) -> RigidPose:
     q = ik_position(model, model.mid(), np.asarray(DEFAULT_TABLE_GOAL, dtype=float))
-    ee, _ = fk(model, q)
+    R, _ = fk_batch(model, q)
     return RigidPose(position=np.asarray(DEFAULT_TABLE_GOAL, dtype=float),
-                     orientation=ee.orientation)
+                     orientation=Rotation.from_matrix(R[7]).as_quat())
 
 
 def build_task_spec(episode: Episode, model: ArmModel, dt: float = 0.04) -> TaskSpec:
@@ -230,8 +229,10 @@ class SimLog:
                    records=records)
 
 
-def _branch_active(forecast: Forecast, spec: TaskSpec, weights: CostWeights) -> bool:
-    D = _wrist_pot_distance(forecast, spec.pot_position, HORIZON_LEN)
+def _branch_active(forecast: Forecast, spec: TaskSpec, weights: CostWeights,
+                   horizon: int) -> bool:
+    """Whether the stir cost's retract branch fires within the plan horizon."""
+    D = _wrist_pot_distance(forecast, spec.pot_position, horizon)
     return bool((D <= weights.eps_pot).any())
 
 
@@ -266,7 +267,7 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
             step_spec = _replace(spec, object_in_hand=bool(obj_flags[t]))
         cmd, best_cost = plan_step(pstate, arm, fc, step_spec, weights, cfg, model=model)
         arm = step(model, arm, cmd, cfg.dt)
-        ee, _ = fk(model, arm.q)
+        R, p = fk_batch(model, arm.q)
         human_now = Pose(episode.frames[t])
         sep = min_separation(model, arm.q, human_now)
 
@@ -276,14 +277,14 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
             "q": arm.q.tolist(),
             "qd": arm.qd.tolist(),
             "cmd": np.asarray(cmd, dtype=float).tolist(),
-            "ee_pos": ee.position.tolist(),
-            "ee_quat": ee.orientation.tolist(),
+            "ee_pos": p[7].tolist(),
+            "ee_quat": Rotation.from_matrix(R[7]).as_quat().tolist(),
             "cost": best_cost,
             "min_sep": float(sep),
             "gt_wrist": episode.frames[t, 1].tolist(),
         }
         if episode.task == "stir":
-            rec["branch_active"] = _branch_active(fc, step_spec, weights)
+            rec["branch_active"] = _branch_active(fc, step_spec, weights, cfg.horizon)
             rec["gt_near_pot"] = bool(
                 np.linalg.norm(episode.frames[t, [0, 1]] - pot, axis=-1).min()
                 <= weights.eps_pot)

@@ -140,33 +140,35 @@ def fk_batch(model: ArmModel, Q: np.ndarray):
     Q has shape (..., 7).  Returns (R, p): rotation matrices (..., 8, 3, 3)
     and origins (..., 8, 3) for the 7 joint frames plus the flanged
     end-effector frame, all in the world frame.
+
+    Each frame is carried as its three world-frame axes ``x, y, z``, arrays of
+    shape (..., 3), so a DH row is two plane rotations of axis pairs and two
+    translations along an axis, all elementwise.
     """
     Q = np.asarray(Q, dtype=float)
     batch = Q.shape[:-1]
     R = np.empty(batch + (8, 3, 3))
     p = np.empty(batch + (8, 3))
-    Rcur = np.broadcast_to(np.eye(3), batch + (3, 3)).copy()
-    pcur = np.broadcast_to(np.asarray(model.base_position, dtype=float), batch + (3,)).copy()
+    cos_q, sin_q = np.cos(Q)[..., None], np.sin(Q)[..., None]  # (..., 7, 1)
+    x, y, z = (np.broadcast_to(axis, batch + (3,)) for axis in np.eye(3))
+    pos = np.broadcast_to(np.asarray(model.base_position, dtype=float), batch + (3,))
     for i, (a, d, alpha) in enumerate(model.dh):
-        ca, sa = np.cos(alpha), np.sin(alpha)
-        Rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]])
         # T = RotX(alpha) TransX(a) RotZ(theta) TransZ(d)
-        th = Q[..., i]
-        ct, st = np.cos(th), np.sin(th)
-        Rz = np.zeros(batch + (3, 3))
-        Rz[..., 0, 0] = ct
-        Rz[..., 0, 1] = -st
-        Rz[..., 1, 0] = st
-        Rz[..., 1, 1] = ct
-        Rz[..., 2, 2] = 1.0
-        Rlink = Rcur @ Rx
-        pcur = pcur + Rlink @ np.array([a, 0.0, 0.0])
-        Rcur = Rlink @ Rz
-        pcur = pcur + d * Rcur[..., :, 2]
-        R[..., i, :, :] = Rcur
-        p[..., i, :] = pcur
-    R[..., 7, :, :] = Rcur
-    p[..., 7, :] = pcur + model.flange_offset * Rcur[..., :, 2]
+        if alpha:
+            ca, sa = np.cos(alpha), np.sin(alpha)
+            y, z = ca * y + sa * z, ca * z - sa * y
+        if a:
+            pos = pos + a * x
+        ct, st = cos_q[..., i, :], sin_q[..., i, :]
+        x, y = ct * x + st * y, ct * y - st * x
+        if d:
+            pos = pos + d * z
+        R[..., i, :, 0] = x
+        R[..., i, :, 1] = y
+        R[..., i, :, 2] = z
+        p[..., i, :] = pos
+    R[..., 7, :, :] = R[..., 6, :, :]
+    p[..., 7, :] = pos + model.flange_offset * z
     return R, p
 
 
@@ -182,16 +184,25 @@ def fk(model: ArmModel, q: np.ndarray):
     return frames[7], frames
 
 
+def linear_jacobian(frames) -> np.ndarray:
+    """Linear Jacobian columns cross(z_i, p_ee - p_i) from ``fk_batch`` frames.
+
+    ``frames`` is the (R, p) pair.  The result is component-major, shape
+    (3, 7, ...): row k holds the k-th coordinate of every joint's column, so
+    for one configuration it is the 3x7 matrix.
+    """
+    R, p = frames
+    z = np.ascontiguousarray(np.moveaxis(R[..., :7, :, 2], (-1, -2), (0, 1)))
+    e = np.ascontiguousarray(np.moveaxis(p[..., 7:8, :] - p[..., :7, :], (-1, -2), (0, 1)))
+    return np.stack([z[1] * e[2] - z[2] * e[1],
+                     z[2] * e[0] - z[0] * e[2],
+                     z[0] * e[1] - z[1] * e[0]])
+
+
 def jacobian(model: ArmModel, q: np.ndarray) -> np.ndarray:
     """Geometric Jacobian (6x7: linear on top, angular below) at the end effector."""
-    R, p = fk_batch(model, np.asarray(q, dtype=float))
-    ee = p[7]
-    J = np.zeros((6, N_DOF))
-    for i in range(N_DOF):
-        z = R[i][:, 2]
-        J[:3, i] = np.cross(z, ee - p[i])
-        J[3:, i] = z
-    return J
+    frames = fk_batch(model, np.asarray(q, dtype=float))
+    return np.vstack([linear_jacobian(frames), frames[0][:7, :, 2].T])
 
 
 def manipulability(model: ArmModel, q: np.ndarray) -> float:
@@ -201,13 +212,17 @@ def manipulability(model: ArmModel, q: np.ndarray) -> float:
 
 
 def manipulability_batch(frames) -> np.ndarray:
-    """Yoshikawa measure per configuration from ``fk_batch`` frames (R, p)."""
-    R, p = frames
-    z = R[..., :7, :, 2]  # (..., 7, 3) joint axes
-    arm = p[..., 7, :][..., None, :] - p[..., :7, :]
-    Jl = np.swapaxes(np.cross(z, arm), -1, -2)  # (..., 3, 7) linear Jacobian
-    dets = np.linalg.det(Jl @ np.swapaxes(Jl, -1, -2))
-    return np.sqrt(np.clip(dets, 0.0, None))
+    """Yoshikawa measure per configuration from ``fk_batch`` frames (R, p).
+
+    The 3x3 Gram matrix J_lin J_lin^T is summed from the Jacobian components
+    and its determinant expanded in closed form.
+    """
+    jx, jy, jz = linear_jacobian(frames)
+    gxx, gyy, gzz = (jx * jx).sum(0), (jy * jy).sum(0), (jz * jz).sum(0)
+    gxy, gxz, gyz = (jx * jy).sum(0), (jx * jz).sum(0), (jy * jz).sum(0)
+    det = (gxx * (gyy * gzz - gyz * gyz) - gxy * (gxy * gzz - gyz * gxz)
+           + gxz * (gxy * gyz - gyy * gxz))
+    return np.sqrt(np.clip(det, 0.0, None))
 
 
 def collision_sphere_centers(model: ArmModel, frames) -> np.ndarray:
@@ -269,19 +284,28 @@ def separation_batch(model: ArmModel, centers: np.ndarray, human_frames: np.ndar
     centers: (N, H, 16, 3) robot sphere centers.
     human_frames: (H, J, 3) human poses per step.
     Returns (N, H).
+
+    The centers are laid out step-major as three (H, N*16) coordinate
+    planes, so each bone is elementwise work against per-step scalars.  The
+    minimum is taken over squared distances, with one square root at the end.
     """
-    sep = np.full(centers.shape[:2], np.inf)
+    N, H = centers.shape[:2]
+    cx, cy, cz = np.moveaxis(centers, (3, 1), (0, 1)).reshape(3, H, -1)
+    best = np.full(cx.shape, np.inf)
     for i, j in ARM_BONES:
         a = human_frames[:, i]            # (H, 3)
         ab = human_frames[:, j] - a       # (H, 3)
-        denom = np.einsum("hk,hk->h", ab, ab)  # (H,)
-        rel = centers - a[None, :, None, :]    # (N, H, 16, 3)
-        t = np.einsum("nhsk,hk->nhs", rel, ab) / np.maximum(denom, 1e-18)[None, :, None]
-        t = np.clip(t, 0.0, 1.0)
-        proj = a[None, :, None, :] + t[..., None] * ab[None, :, None, :]
-        d = np.linalg.norm(centers - proj, axis=-1)
-        sep = np.minimum(sep, d.min(axis=-1) - model.sphere_radius - HUMAN_CAPSULE_RADIUS)
-    return sep
+        denom = np.maximum(np.einsum("hk,hk->h", ab, ab), 1e-18)[:, None]
+        (ax, ay, az), (bx, by, bz) = a.T[..., None], ab.T[..., None]  # (H, 1) each
+        rx, ry, rz = cx - ax, cy - ay, cz - az
+        t = (rx * bx + ry * by + rz * bz) / denom
+        np.clip(t, 0.0, 1.0, out=t)
+        rx -= t * bx
+        ry -= t * by
+        rz -= t * bz
+        np.minimum(best, rx * rx + ry * ry + rz * rz, out=best)
+    dist = np.sqrt(best.reshape(H, N, -1).min(axis=-1).T)
+    return dist - model.sphere_radius - HUMAN_CAPSULE_RADIUS
 
 
 def separation_batch_spheres(model: ArmModel, centers: np.ndarray,

@@ -96,6 +96,22 @@ def test_run_dir_is_a_stable_config_hash(tmp_path, monkeypatch):
     assert c != a
 
 
+def test_gen_seed_sets_the_episode_data(tmp_path, capsys):
+    one_stir = dict(MINI, counts={"stir": 1, "handover": 0, "tableset": 0})
+
+    def stir_bytes(name, gen):
+        path = write_config(tmp_path, dict(one_stir, gen={**MINI["gen"], **gen}), name)
+        out = tmp_path / name.replace(".json", "")
+        assert main(["gen", "--config", path, "--out", str(out)]) == 0
+        cfg = RunConfig.load(path, overrides={"out": str(out)})
+        return (cfg.run_dir() / "data" / "stir_000.json").read_bytes()
+
+    default = stir_bytes("default.json", {})
+    assert stir_bytes("seven.json", {"seed": 7}) != default
+    # gen.seed defaults to the run seed, so spelling that out changes nothing
+    assert stir_bytes("same.json", {"seed": MINI["seed"]}) == default
+
+
 # --- exit codes -----------------------------------------------------------
 
 def test_exit_2_on_malformed_json(tmp_path, capsys):

@@ -4,8 +4,11 @@ specs, and the receding-horizon loop."""
 import numpy as np
 import pytest
 
+from conftest import BASE_POSE
+from costcast.cost import CostWeights, TaskSpec
 from costcast.datagen import GenConfig, gen_stirring
-from costcast.motion import MotionError
+from costcast.forecast import point_forecast
+from costcast.motion import Episode, HISTORY_LEN, HORIZON_LEN, MotionError
 from costcast.planner import (
     DEFAULT_RETRACT_POINT,
     MppiConfig,
@@ -19,6 +22,7 @@ from costcast.planner import (
     mppi_weights,
     plan_step,
     rest_configuration,
+    run_episode,
     stir_reference,
 )
 from costcast.robot import ArmModel, ArmState, N_DOF, fk, fk_batch, step
@@ -161,3 +165,20 @@ def test_planner_is_seeded_deterministic():
         assert da == db
     _, c = run_to_goal(seed=4, goal=np.array([0.6, 0.2, 0.9]), max_replans=10)
     assert any((x[0] != y[0]).any() for x, y in zip(a, c))
+
+
+def test_logged_branch_looks_only_as_far_as_the_plan_horizon():
+    # the forecast wrist reaches the pot only at step 20: a 5-step plan's
+    # stir cost never retracts, so the log must not report the branch either
+    pot = np.array([0.55, 0.0, 0.95])
+    frames = np.repeat(BASE_POSE[None], HISTORY_LEN + HORIZON_LEN + 1, axis=0)
+    episode = Episode(fps=25.0, frames=frames, task="stir", extras={"pot_position": pot})
+    spec = TaskSpec(task="stir", pot_position=pot, rest_config=MODEL.mid(),
+                    stir_reference=MODEL.mid()[None])
+    future = np.repeat(BASE_POSE[None], HORIZON_LEN, axis=0)
+    future[20, 1] = pot
+    fc = point_forecast(future)
+    for horizon, fired in ((5, False), (HORIZON_LEN, True)):
+        cfg = MppiConfig(horizon=horizon, n_samples=4, n_iterations=1)
+        log = run_episode(episode, lambda ctx, truth: fc, spec, CostWeights(), cfg, model=MODEL)
+        assert [rec["branch_active"] for rec in log.records] == [fired, fired]

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_pose
+from conftest import random_pose, random_pose_array
 from costcast.motion import MotionError, Pose
 from costcast.robot import (
     ArmModel,
@@ -17,12 +18,16 @@ from costcast.robot import (
     human_capsules,
     jacobian,
     manipulability,
+    manipulability_batch,
     min_separation,
     rollout_arrays,
+    separation_batch,
     step,
 )
 
 MODEL = ArmModel()
+# every joint axis on the world z line through the base: singular everywhere
+COAXIAL = ArmModel(dh=tuple((0.0, 0.1, 0.0) for _ in range(N_DOF)))
 
 
 def fk_oracle(model, q):
@@ -60,6 +65,19 @@ def test_fk_matches_matrix_composition_oracle(rng):
         np.testing.assert_allclose(ee.rotation().as_matrix(), ee_T[:3, :3], atol=1e-10)
         for i in range(N_DOF):
             np.testing.assert_allclose(frames[i].position, chain[i][:3, 3], atol=1e-10)
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+def test_fk_batch_frames_match_matrix_composition_oracle(rng, batch):
+    # every frame's rotation and origin, end effector included, at any batch shape
+    Q = rng.uniform(MODEL.lo, MODEL.hi, size=batch + (N_DOF,))
+    R, p = fk_batch(MODEL, Q)
+    assert R.shape == batch + (8, 3, 3) and p.shape == batch + (8, 3)
+    for idx in np.ndindex(*batch):
+        ee_T, chain = fk_oracle(MODEL, Q[idx])
+        for i, T in enumerate(chain + [ee_T]):
+            np.testing.assert_allclose(R[idx][i], T[:3, :3], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p[idx][i], T[:3, 3], rtol=0, atol=1e-12)
 
 
 def test_base_joint_rotation_preserves_ee_height(rng):
@@ -105,8 +123,7 @@ def test_jacobian_matches_finite_differences(rng):
 def test_jacobian_column_vanishes_when_axis_hits_ee():
     # all joint axes coincide with the world z line through the base, and the
     # end effector stays on that line: every linear column must vanish
-    coaxial = ArmModel(dh=tuple((0.0, 0.1, 0.0) for _ in range(N_DOF)))
-    J = jacobian(coaxial, np.linspace(-1.0, 1.0, N_DOF))
+    J = jacobian(COAXIAL, np.linspace(-1.0, 1.0, N_DOF))
     np.testing.assert_allclose(J[:3], 0.0, atol=1e-12)
 
 
@@ -116,8 +133,7 @@ def test_manipulability_positive_at_generic_config(rng):
 
 
 def test_manipulability_zero_at_singular_config():
-    coaxial = ArmModel(dh=tuple((0.0, 0.1, 0.0) for _ in range(N_DOF)))
-    assert manipulability(coaxial, np.ones(N_DOF) * 0.3) < 1e-6
+    assert manipulability(COAXIAL, np.ones(N_DOF) * 0.3) < 1e-6
 
 
 def test_manipulability_invariant_to_base_rotation(rng):
@@ -125,6 +141,15 @@ def test_manipulability_invariant_to_base_rotation(rng):
     q2 = q.copy()
     q2[0] += 0.6
     assert manipulability(MODEL, q2) == pytest.approx(manipulability(MODEL, q), rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), coaxial=st.booleans())
+def test_manipulability_batch_matches_scalar(n, seed, coaxial):
+    model = COAXIAL if coaxial else MODEL
+    Q = np.random.default_rng(seed).uniform(model.lo, model.hi, size=(n, N_DOF))
+    got = manipulability_batch(fk_batch(model, Q))
+    np.testing.assert_allclose(got, [manipulability(model, q) for q in Q], rtol=0, atol=1e-12)
 
 
 # --- collision geometry ---------------------------------------------------
@@ -149,6 +174,29 @@ def test_min_separation_matches_brute_force(rng):
         human = random_pose(rng, scale=0.05)
         assert min_separation(MODEL, q, human) == pytest.approx(
             brute_force_separation(MODEL, q, human), abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from(["near", "elbow_on_wrist", "far"]))
+def test_separation_batch_matches_min_separation_per_step(n, seed, case):
+    rng = np.random.default_rng(seed)
+    H = 6
+    Q = rng.uniform(MODEL.lo, MODEL.hi, size=(n, H, N_DOF))
+    # the right wrist is brought into the arm's workspace, often into contact
+    humans = np.stack([random_pose_array(rng, 0.05) for _ in range(H)])
+    humans += np.array([0.7, 0.05, 0.35]) + rng.normal(0.0, 0.15, size=(H, 1, 3))
+    if case == "elbow_on_wrist":  # zero-length right forearm
+        humans[:, 3] = humans[:, 1]
+    if case == "far":
+        humans += np.array([5.0, 0.0, 0.0])
+    sep = separation_batch(MODEL, collision_sphere_centers(MODEL, fk_batch(MODEL, Q)), humans)
+    assert sep.shape == (n, H)
+    expected = [[min_separation(MODEL, Q[i, h], Pose(humans[h])) for h in range(H)]
+                for i in range(n)]
+    np.testing.assert_allclose(sep, expected, rtol=0, atol=1e-12)
+    if case == "far":
+        assert (sep > 3.0).all()
 
 
 def test_far_human_clears_by_over_a_meter(rng):
