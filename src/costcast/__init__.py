@@ -9,7 +9,7 @@ from .motion import (
     pose_distance,
     resample,
 )
-from .robot import ArmModel, ArmState, RigidPose
+from .robot import ArmModel, ArmState
 
 __all__ = [
     "ArmModel",
@@ -17,7 +17,6 @@ __all__ = [
     "Context",
     "Episode",
     "Pose",
-    "RigidPose",
     "Trajectory",
     "pose_distance",
     "resample",

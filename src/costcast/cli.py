@@ -61,6 +61,8 @@ class RunConfig:
     @classmethod
     def load(cls, path=None, overrides=None) -> "RunConfig":
         doc = json.loads(Path(path).read_text()) if path else {}
+        if not isinstance(doc, dict):
+            raise ConfigError("the run config must be a JSON object")
         overrides = overrides or {}
         seed = _non_negative_int(overrides.get("seed", doc.get("seed", 0)), "seed")
         gen_kwargs = _sub(doc, "gen")
@@ -69,6 +71,9 @@ class RunConfig:
         train_kwargs.setdefault("seed", seed)
         mppi_kwargs = _sub(doc, "mppi")
         mppi_kwargs.setdefault("seed", seed)
+        models = doc.get("models", ["cur", "cvm"])
+        if not isinstance(models, list) or not all(isinstance(m, str) for m in models):
+            raise ConfigError(f"models must be a list of model names, got {models!r}")
         try:
             cfg = cls(
                 seed=seed,
@@ -79,7 +84,7 @@ class RunConfig:
                 mppi=MppiConfig(**mppi_kwargs),
                 weights=CostWeights(**_sub(doc, "weights")),
                 preset=str(overrides.get("preset", doc.get("preset", "manicast"))),
-                models=tuple(doc.get("models", ["cur", "cvm"])),
+                models=tuple(models),
             )
         except (TypeError, MotionError) as exc:
             raise ConfigError(str(exc)) from exc

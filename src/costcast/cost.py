@@ -16,7 +16,6 @@ from .forecast import Forecast, POINT, SAFETY_VOLUME
 from .motion import MotionError, WRIST_INDICES
 from .robot import (
     ArmModel,
-    RigidPose,
     collision_sphere_centers,
     fk_batch,
     manipulability_batch,
@@ -59,7 +58,7 @@ class TaskSpec:
     rest_config: np.ndarray | None = None       # joint-space retract target
     stir_reference: np.ndarray | None = None    # (n, 7) joint-space stirring cycle
     object_in_hand: bool = False
-    table_goal: RigidPose | None = None
+    table_goal: np.ndarray | None = None       # 4x4 homogeneous end-effector goal
 
     def __post_init__(self):
         if self.task not in ("stir", "handover", "tableset"):
@@ -70,6 +69,13 @@ class TaskSpec:
             object.__setattr__(self, "rest_config", np.asarray(self.rest_config, dtype=float))
         if self.stir_reference is not None:
             object.__setattr__(self, "stir_reference", np.asarray(self.stir_reference, dtype=float))
+        if self.table_goal is not None:
+            T = np.asarray(self.table_goal, dtype=float)
+            if (T.shape != (4, 4) or not np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0])
+                    or not np.allclose(T[:3, :3].T @ T[:3, :3], np.eye(3), rtol=0, atol=1e-9)
+                    or np.linalg.det(T[:3, :3]) <= 0):
+                raise MotionError("table_goal must be a 4x4 rigid transform")
+            object.__setattr__(self, "table_goal", T)
 
     def require(self, *names):
         for name in names:
@@ -225,9 +231,9 @@ def tableset_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Fore
     """Goal reaching plus beta-weighted collision avoidance."""
     spec.require("table_goal")
     R, p = frames
-    target = spec.table_goal
-    goal = np.sum(pose_error_batch(p[..., 7, :], R[..., 7, :, :], target.position,
-                                   target.rotation().as_matrix()), axis=1)
+    T = spec.table_goal
+    goal = np.sum(pose_error_batch(p[..., 7, :], R[..., 7, :, :], T[:3, 3], T[:3, :3]),
+                  axis=1)
     return goal + weights.beta * coll
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .cost import CostWeights, TaskSpec, total_cost_batch, _wrist_pot_distance
 from .forecast import Forecast
@@ -22,18 +21,18 @@ from .motion import (
     HISTORY_LEN,
     HORIZON_LEN,
     MotionError,
-    Pose,
     Trajectory,
 )
 from .robot import (
     ArmModel,
     ArmState,
     N_DOF,
-    RigidPose,
+    collision_sphere_centers,
     fk_batch,
     linear_jacobian,
-    min_separation,
+    quat_from_matrix,
     rollout_arrays,
+    separation_batch,
     step,
 )
 
@@ -55,6 +54,10 @@ class MppiConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "horizon", "n_iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise MotionError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 2:
             raise MotionError("need at least 2 samples")
         if self.n_iterations < 1:
@@ -150,11 +153,13 @@ def rest_configuration(model: ArmModel, point=DEFAULT_RETRACT_POINT) -> np.ndarr
     return ik_position(model, model.mid(), np.asarray(point, dtype=float))
 
 
-def default_table_goal(model: ArmModel) -> RigidPose:
+def default_table_goal(model: ArmModel) -> np.ndarray:
+    """4x4 goal at the table point, oriented as the arm reaches it by IK."""
     q = ik_position(model, model.mid(), np.asarray(DEFAULT_TABLE_GOAL, dtype=float))
-    R, _ = fk_batch(model, q)
-    return RigidPose(position=np.asarray(DEFAULT_TABLE_GOAL, dtype=float),
-                     orientation=Rotation.from_matrix(R[7]).as_quat())
+    T = np.eye(4)
+    T[:3, :3] = fk_batch(model, q)[0][7]
+    T[:3, 3] = DEFAULT_TABLE_GOAL
+    return T
 
 
 def build_task_spec(episode: Episode, model: ArmModel, dt: float = 0.04) -> TaskSpec:
@@ -268,8 +273,8 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
         cmd, best_cost = plan_step(pstate, arm, fc, step_spec, weights, cfg, model=model)
         arm = step(model, arm, cmd, cfg.dt)
         R, p = fk_batch(model, arm.q)
-        human_now = Pose(episode.frames[t])
-        sep = min_separation(model, arm.q, human_now)
+        sep = separation_batch(model, collision_sphere_centers(model, (R, p))[None, None],
+                               episode.frames[t][None])[0, 0]
 
         rec = {
             "step": t,
@@ -278,7 +283,7 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
             "qd": arm.qd.tolist(),
             "cmd": np.asarray(cmd, dtype=float).tolist(),
             "ee_pos": p[7].tolist(),
-            "ee_quat": Rotation.from_matrix(R[7]).as_quat().tolist(),
+            "ee_quat": quat_from_matrix(R[7]).tolist(),
             "cost": best_cost,
             "min_sep": float(sep),
             "gt_wrist": episode.frames[t, 1].tolist(),

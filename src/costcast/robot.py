@@ -1,8 +1,11 @@
-"""Simulated 7-DoF serial arm: kinematics, Jacobian, manipulability and
-collision geometry against the human.
+"""Simulated 7-DoF serial arm: batch kinematics, manipulability, collision
+geometry against the human, and clamped velocity integration.
 
-The default model approximates a Franka-class arm via modified-DH parameters.
-Geometry lives in the config; algorithms do not depend on the exact plant.
+``fk_batch`` maps joint configurations of any batch shape, one configuration
+included, to world-frame (R, p) frames; the linear Jacobian, manipulability
+and collision spheres are all computed from those frames.  The default model
+approximates a Franka-class arm via modified-DH parameters.  Geometry lives
+in the config; algorithms do not depend on the exact plant.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from .motion import ARM_BONES, MotionError, Pose
+from .motion import ARM_BONES, MotionError
 
 N_DOF = 7
 
@@ -41,31 +43,6 @@ DEFAULT_BASE_POS = (1.0, 0.0, 0.5)
 
 ROBOT_SPHERE_RADIUS = 0.06
 HUMAN_CAPSULE_RADIUS = 0.05
-
-
-@dataclass(frozen=True)
-class RigidPose:
-    """Position (m) + unit quaternion orientation (x, y, z, w)."""
-
-    position: np.ndarray
-    orientation: np.ndarray
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        quat = np.asarray(self.orientation, dtype=float)
-        if pos.shape != (3,) or quat.shape != (4,):
-            raise MotionError("RigidPose needs a 3-vector position and 4-vector quaternion")
-        if abs(np.linalg.norm(quat) - 1.0) > 1e-9:
-            raise MotionError("quaternion must be unit norm")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "orientation", quat)
-
-    @classmethod
-    def from_matrix(cls, T: np.ndarray) -> "RigidPose":
-        return cls(T[:3, 3], Rotation.from_matrix(T[:3, :3]).as_quat())
-
-    def rotation(self) -> Rotation:
-        return Rotation.from_quat(self.orientation)
 
 
 @dataclass(frozen=True)
@@ -172,16 +149,25 @@ def fk_batch(model: ArmModel, Q: np.ndarray):
     return R, p
 
 
-def fk(model: ArmModel, q: np.ndarray):
-    """End-effector pose plus the 8 chain frames for one configuration."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (N_DOF,):
-        raise MotionError("q must have 7 entries")
-    R, p = fk_batch(model, q)
-    frames = tuple(
-        RigidPose(p[i], Rotation.from_matrix(R[i]).as_quat()) for i in range(8)
-    )
-    return frames[7], frames
+def quat_from_matrix(R: np.ndarray) -> np.ndarray:
+    """Unit quaternion (x, y, z, w) of a 3x3 rotation matrix (Shepperd's method).
+
+    The component of largest magnitude is computed from the diagonal and
+    kept positive; the other three follow from off-diagonal sums and
+    differences.
+    """
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    i = int(np.argmax([R[0, 0], R[1, 1], R[2, 2], tr]))
+    if i == 3:
+        q = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1], 1.0 + tr])
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q = np.empty(4)
+        q[i] = 1.0 - tr + 2.0 * R[i, i]
+        q[j] = R[j, i] + R[i, j]
+        q[k] = R[k, i] + R[i, k]
+        q[3] = R[k, j] - R[j, k]
+    return q / np.linalg.norm(q)
 
 
 def linear_jacobian(frames) -> np.ndarray:
@@ -197,18 +183,6 @@ def linear_jacobian(frames) -> np.ndarray:
     return np.stack([z[1] * e[2] - z[2] * e[1],
                      z[2] * e[0] - z[0] * e[2],
                      z[0] * e[1] - z[1] * e[0]])
-
-
-def jacobian(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Geometric Jacobian (6x7: linear on top, angular below) at the end effector."""
-    frames = fk_batch(model, np.asarray(q, dtype=float))
-    return np.vstack([linear_jacobian(frames), frames[0][:7, :, 2].T])
-
-
-def manipulability(model: ArmModel, q: np.ndarray) -> float:
-    """Yoshikawa measure sqrt(det(J_lin J_lin^T)); zero at singularities."""
-    Jl = jacobian(model, q)[:3]
-    return float(np.sqrt(max(np.linalg.det(Jl @ Jl.T), 0.0)))
 
 
 def manipulability_batch(frames) -> np.ndarray:
@@ -239,43 +213,6 @@ def collision_sphere_centers(model: ArmModel, frames) -> np.ndarray:
     s1 = a + (b - a) / 3.0
     s2 = a + 2.0 * (b - a) / 3.0
     return np.concatenate([s1, s2], axis=-2)
-
-
-def human_capsules(pose: Pose):
-    """Arm capsules (p0, p1, radius) for the human collision body."""
-    return [(pose.joints[i], pose.joints[j], HUMAN_CAPSULE_RADIUS) for i, j in ARM_BONES]
-
-
-def _point_segment_dist(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from each point (..., 3) to segment a-b."""
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom < 1e-18:
-        return np.linalg.norm(points - a, axis=-1)
-    t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
-    proj = a + t[..., None] * ab
-    return np.linalg.norm(points - proj, axis=-1)
-
-
-def min_separation(model: ArmModel, q: np.ndarray, human: Pose,
-                   margin_spheres=None) -> float:
-    """Minimum signed clearance between robot spheres and the human body.
-
-    Negative values are penetration depth.  When ``margin_spheres`` is given
-    as a list of (center, radius), those spheres replace the human capsules
-    (conservative safety-volume forecasts).
-    """
-    centers = collision_sphere_centers(model, fk_batch(model, np.asarray(q, dtype=float)))
-    best = np.inf
-    if margin_spheres is not None:
-        for c, r in margin_spheres:
-            d = np.linalg.norm(centers - np.asarray(c, dtype=float), axis=-1)
-            best = min(best, float(d.min()) - model.sphere_radius - float(r))
-    else:
-        for a, b, r in human_capsules(human):
-            d = _point_segment_dist(centers, a, b)
-            best = min(best, float(d.min()) - model.sphere_radius - r)
-    return best
 
 
 def separation_batch(model: ArmModel, centers: np.ndarray, human_frames: np.ndarray) -> np.ndarray:

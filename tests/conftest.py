@@ -1,10 +1,12 @@
-"""Shared helpers for the test suite: random valid poses, contexts and
-small hand-built episodes."""
+"""Shared helpers for the test suite: random valid poses, contexts, small
+hand-built episodes, and kinematics oracles written apart from the package's
+batch code."""
 
 import numpy as np
 import pytest
 
 from costcast.motion import (
+    ARM_BONES,
     Context,
     Episode,
     HISTORY_LEN,
@@ -13,6 +15,7 @@ from costcast.motion import (
     Pose,
     Trajectory,
 )
+from costcast.robot import HUMAN_CAPSULE_RADIUS
 
 BASE_POSE = np.array([
     [0.05, -0.40, 0.60],   # left wrist
@@ -50,6 +53,66 @@ def linear_episode(n_frames, velocity, fps=25.0, transitions=()):
     t = np.arange(n_frames)[:, None, None] / fps
     frames = BASE_POSE[None] + t * v[None, None, :]
     return Episode(fps=fps, frames=frames, transitions=transitions)
+
+
+def fk_oracle(model, q):
+    """Independent forward kinematics via explicit homogeneous matrices.
+
+    Returns the 4x4 end-effector transform and the 7 joint-frame transforms.
+    """
+    T = np.eye(4)
+    T[:3, 3] = model.base_position
+    frames = []
+    for (a, d, alpha), theta in zip(model.dh, q):
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        ct, st = np.cos(theta), np.sin(theta)
+        A = np.array([
+            [ct, -st, 0.0, a],
+            [st * ca, ct * ca, -sa, -sa * d],
+            [st * sa, ct * sa, ca, ca * d],
+            [0.0, 0.0, 0.0, 1.0],
+        ])
+        T = T @ A
+        frames.append(T.copy())
+    ee = T.copy()
+    ee[:3, 3] += model.flange_offset * T[:3, 2]
+    return ee, frames
+
+
+def oracle_manipulability(model, q):
+    """sqrt(det(J J^T)) with the linear Jacobian J built from ``fk_oracle``."""
+    ee, frames = fk_oracle(model, q)
+    J = np.stack([np.cross(T[:3, 2], ee[:3, 3] - T[:3, 3]) for T in frames], axis=1)
+    return float(np.sqrt(max(np.linalg.det(J @ J.T), 0.0)))
+
+
+def brute_force_separation(model, q, human):
+    """Exhaustive scalar scan of signed clearance over robot spheres x human
+    arm capsules.
+
+    The spheres sit at 1/3 and 2/3 of each segment between consecutive
+    ``fk_oracle`` origins, base included; ``human`` is a (J, 3) joint array.
+    """
+    ee, frames = fk_oracle(model, q)
+    origins = [np.asarray(model.base_position, dtype=float)]
+    origins += [T[:3, 3] for T in frames] + [ee[:3, 3]]
+    best = np.inf
+    for a0, b0 in zip(origins[:-1], origins[1:]):
+        for c in (a0 + (b0 - a0) / 3.0, a0 + 2.0 * (b0 - a0) / 3.0):
+            for i, j in ARM_BONES:
+                a, ab = human[i], human[j] - human[i]
+                denom = float(ab @ ab)
+                t = 0.0 if denom < 1e-18 else float(np.clip((c - a) @ ab / denom, 0.0, 1.0))
+                d = np.linalg.norm(c - (a + t * ab))
+                best = min(best, d - model.sphere_radius - HUMAN_CAPSULE_RADIUS)
+    return best
+
+
+def homogeneous(R, p):
+    """4x4 transform from a rotation matrix and a translation."""
+    T = np.eye(4)
+    T[:3, :3], T[:3, 3] = R, p
+    return T
 
 
 @pytest.fixture

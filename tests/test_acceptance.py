@@ -13,7 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_context, random_trajectory
+from conftest import (
+    BASE_POSE,
+    brute_force_separation,
+    fk_oracle,
+    oracle_manipulability,
+    random_context,
+    random_pose_array,
+    random_trajectory,
+)
 from costcast import datagen, metrics
 from costcast.cli import main as cli_main
 from costcast.cost import (
@@ -43,7 +51,7 @@ from costcast.forecast import (
     train,
     weighted_loss,
 )
-from costcast.motion import Context, HISTORY_LEN, HORIZON_LEN, N_JOINTS, Pose
+from costcast.motion import Context, HISTORY_LEN, HORIZON_LEN, N_JOINTS
 from costcast.planner import (
     MppiConfig,
     PlannerState,
@@ -57,11 +65,10 @@ from costcast.robot import (
     ArmModel,
     ArmState,
     N_DOF,
-    fk,
+    collision_sphere_centers,
     fk_batch,
-    jacobian,
-    manipulability,
-    min_separation,
+    linear_jacobian,
+    separation_batch,
     step,
 )
 
@@ -235,8 +242,6 @@ def test_loss_gradient_matches_finite_differences_100_pairs():
 
 def test_constant_velocity_forecast_exact_on_affine_motion():
     rng = np.random.default_rng(1)
-    from conftest import BASE_POSE
-
     for _ in range(20):
         v = rng.normal(0, 0.2, size=3)
         t = np.arange(HISTORY_LEN + HORIZON_LEN)[:, None, None] * 0.04
@@ -270,8 +275,7 @@ def test_planner_reaches_goal_within_100_replans():
     for i in range(100):
         cmd, _ = plan_step(ps, arm, None, None, None, cfg, model=MODEL, cost_fn=cost_fn)
         arm = step(MODEL, arm, cmd, cfg.dt)
-        ee, _ = fk(MODEL, arm.q)
-        if np.linalg.norm(ee.position - goal) < 0.05:
+        if np.linalg.norm(fk_batch(MODEL, arm.q)[1][7] - goal) < 0.05:
             return
     pytest.fail("planner did not reach the goal within 100 replans")
 
@@ -294,34 +298,23 @@ def test_fk_and_jacobian_match_finite_differences_100_configs():
     h = 1e-6
     for _ in range(100):
         q = rng.uniform(MODEL.lo, MODEL.hi)
-        J = jacobian(MODEL, q)
+        J = linear_jacobian(fk_batch(MODEL, q))
         for i in range(N_DOF):
             dq = np.zeros(N_DOF)
             dq[i] = h
-            dp = (fk(MODEL, q + dq)[0].position - fk(MODEL, q - dq)[0].position) / (2 * h)
-            denom = max(np.linalg.norm(J[:3, i]), 1e-8)
-            assert np.linalg.norm(dp - J[:3, i]) / denom < 1e-4
+            dp = (fk_oracle(MODEL, q + dq)[0][:3, 3] - fk_oracle(MODEL, q - dq)[0][:3, 3]) / (2 * h)
+            denom = max(np.linalg.norm(J[:, i]), 1e-8)
+            assert np.linalg.norm(dp - J[:, i]) / denom < 1e-4
 
 
 def test_min_separation_matches_brute_force_1000_scenes():
-    from conftest import random_pose
-    from costcast.robot import collision_sphere_centers, human_capsules
-
     rng = np.random.default_rng(5)
     for _ in range(1000):
         q = rng.uniform(MODEL.lo, MODEL.hi)
-        human = random_pose(rng, scale=0.05)
+        human = random_pose_array(rng, scale=0.05)
         centers = collision_sphere_centers(MODEL, fk_batch(MODEL, q))
-        best = np.inf
-        for c in centers:
-            for a, b, r in human_capsules(human):
-                ab = b - a
-                denom = float(ab @ ab)
-                t = 0.0 if denom < 1e-18 else float(np.clip((c - a) @ ab / denom,
-                                                            0.0, 1.0))
-                best = min(best, np.linalg.norm(c - (a + t * ab))
-                           - MODEL.sphere_radius - r)
-        assert min_separation(MODEL, q, human) == pytest.approx(best, abs=1e-9)
+        sep = separation_batch(MODEL, centers[None, None], human[None])[0, 0]
+        assert sep == pytest.approx(brute_force_separation(MODEL, q, human), abs=1e-9)
 
 
 def _scripted_total_cost(Q, Qd, forecast, spec, w):
@@ -331,8 +324,8 @@ def _scripted_total_cost(Q, Qd, forecast, spec, w):
     mid, half = MODEL.mid(), 0.5 * (MODEL.hi - MODEL.lo)
     stop = float(np.sum(Qd[-STOP_WINDOW:] ** 2))
     joint = float(np.sum(np.maximum(np.abs(Q - mid) - JOINT_MARGIN * half, 0.0) ** 2))
-    manip = sum(max(w.manip_floor - manipulability(MODEL, Q[t]), 0.0) for t in range(H))
-    seps = [min_separation(MODEL, Q[t], Pose(frames[t])) for t in range(H)]
+    manip = sum(max(w.manip_floor - oracle_manipulability(MODEL, Q[t]), 0.0) for t in range(H))
+    seps = [brute_force_separation(MODEL, Q[t], frames[t]) for t in range(H)]
     coll = sum(max(D_SAFE - s, 0.0) ** 2 for s in seps)
 
     if spec.task == "stir":
@@ -347,23 +340,23 @@ def _scripted_total_cost(Q, Qd, forecast, spec, w):
         if not spec.object_in_hand:
             task = 0.0
         else:
-            ee0, _ = fk(MODEL, Q[0])
-            target_R = grasp_pose(ee0.position[None], ee0.rotation().as_matrix()[None],
-                                  frames[-1, 1])[0]
+            ee0, _ = fk_oracle(MODEL, Q[0])
+            target_R = grasp_pose(ee0[None, :3, 3], ee0[None, :3, :3], frames[-1, 1])[0]
             task = 0.0
             for t in range(H):
-                ee, _ = fk(MODEL, Q[t])
-                rel = ee.rotation().as_matrix().T @ target_R
+                ee, _ = fk_oracle(MODEL, Q[t])
+                rel = ee[:3, :3].T @ target_R
                 ang = np.arccos(np.clip((np.trace(rel) - 1.0) / 2.0, -1.0, 1.0))
-                task += float(np.linalg.norm(ee.position - frames[-1, 1])
+                task += float(np.linalg.norm(ee[:3, 3] - frames[-1, 1])
                               + ORIENTATION_WEIGHT * ang)
     else:
         task = 0.0
         for t in range(H):
-            ee, _ = fk(MODEL, Q[t])
-            rel = ee.rotation().as_matrix().T @ spec.table_goal.rotation().as_matrix()
+            ee, _ = fk_oracle(MODEL, Q[t])
+            goal = spec.table_goal
+            rel = ee[:3, :3].T @ goal[:3, :3]
             ang = np.arccos(np.clip((np.trace(rel) - 1.0) / 2.0, -1.0, 1.0))
-            task += float(np.linalg.norm(ee.position - spec.table_goal.position)
+            task += float(np.linalg.norm(ee[:3, 3] - goal[:3, 3])
                           + ORIENTATION_WEIGHT * ang)
         task += w.beta * coll  # tableset reuses the collision sum at unit weight
 
@@ -372,13 +365,11 @@ def _scripted_total_cost(Q, Qd, forecast, spec, w):
 
 
 def test_total_cost_matches_scripted_recomputation_100_scenes():
-    from conftest import BASE_POSE
-
     rng = np.random.default_rng(6)
     w = CostWeights()
     ref = np.stack([MODEL.mid() + 0.02 * np.sin(0.3 * i + np.arange(N_DOF))
                     for i in range(40)])
-    goal_ee, _ = fk(MODEL, MODEL.mid() + 0.2)
+    goal_ee, _ = fk_oracle(MODEL, MODEL.mid() + 0.2)
     specs = {
         "stir": TaskSpec(task="stir", pot_position=(0.55, 0.0, 0.95),
                          rest_config=MODEL.mid() - 0.3, stir_reference=ref),

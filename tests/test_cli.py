@@ -81,6 +81,20 @@ def test_config_rejects_bad_values(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
+    # documents of the wrong shape, and MPPI counts that are not integers
+    for doc, message in (([MINI], "JSON object"),
+                         (dict(MINI, models="cur"), "models must be a list"),
+                         (dict(MINI, models=["cur", 3]), "models must be a list"),
+                         (dict(MINI, mppi={"n_samples": 2.5}), "n_samples must be an integer"),
+                         (dict(MINI, mppi={"horizon": 10.0}), "horizon must be an integer"),
+                         (dict(MINI, mppi={"n_iterations": True}),
+                          "n_iterations must be an integer"),
+                         (dict(MINI, mppi={"seed": 1.5}), "seed must be an integer")):
+        path = write_config(tmp_path, doc)
+        assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
     path = write_config(tmp_path)
     assert main(["gen", "--config", path, "--seed", "-1", "--out", str(tmp_path / "runs")]) == 2
     assert "seed" in capsys.readouterr().err

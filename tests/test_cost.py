@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial.transform import Rotation
 
-from conftest import BASE_POSE
+from conftest import BASE_POSE, brute_force_separation, homogeneous
 from costcast.cost import (
     CostWeights,
     D_SAFE,
@@ -25,15 +24,8 @@ from costcast.cost import (
     _wrist_pot_distance,
 )
 from costcast.forecast import Forecast, forecast_worst, point_forecast
-from costcast.motion import Context, HISTORY_LEN, HORIZON_LEN, MotionError, Pose
-from costcast.robot import (
-    ArmModel,
-    N_DOF,
-    RigidPose,
-    collision_sphere_centers,
-    fk_batch,
-    min_separation,
-)
+from costcast.motion import Context, HISTORY_LEN, HORIZON_LEN, MotionError
+from costcast.robot import ArmModel, N_DOF, collision_sphere_centers, fk_batch
 
 MODEL = ArmModel()
 H = HORIZON_LEN
@@ -132,7 +124,7 @@ def test_collision_cost_matches_per_step_oracle(rng):
     Q = MODEL.mid()[None] + rng.normal(0, 0.2, size=(H, N_DOF))
     Q = np.clip(Q, MODEL.lo, MODEL.hi)
     w = CostWeights()
-    oracle = sum(max(D_SAFE - min_separation(MODEL, Q[t], Pose(frames[t])), 0.0) ** 2
+    oracle = sum(max(D_SAFE - brute_force_separation(MODEL, Q[t], frames[t]), 0.0) ** 2
                  for t in range(H))
     got = collision_term(plan_from_arrays(Q), fc, w)
     assert got == pytest.approx(w.alpha_c * oracle, rel=1e-9)
@@ -212,7 +204,31 @@ def test_stir_spec_requirements_enforced():
 # --- grasp pose and handover ----------------------------------------------
 
 def rot(axis, degrees):
-    return Rotation.from_euler(axis, degrees, degrees=True).as_matrix()
+    """Rotation matrix about a coordinate axis ("x", "y" or "z")."""
+    c, s = np.cos(np.radians(degrees)), np.sin(np.radians(degrees))
+    i, j = {"x": (1, 2), "y": (2, 0), "z": (0, 1)}[axis]
+    R = np.eye(3)
+    R[i, i], R[i, j], R[j, i], R[j, j] = c, -s, s, c
+    return R
+
+
+def rotation_angle(R):
+    """Rotation angle of matrices (..., 3, 3), arccos((tr - 1) / 2)."""
+    return np.arccos(np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0))
+
+
+def random_rotations(rng, n):
+    """n random rotation matrices from QR of Gaussian matrices, det +1."""
+    Qm, Rm = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    Qm = Qm * np.sign(np.diagonal(Rm, axis1=-2, axis2=-1))[:, None, :]
+    Qm[np.linalg.det(Qm) < 0, :, 0] *= -1.0
+    return Qm
+
+
+def ee_transform(q):
+    """4x4 end-effector pose of one configuration."""
+    R, p = fk_batch(MODEL, q)
+    return homogeneous(R[7], p[7])
 
 
 def approach_axes(G):
@@ -240,11 +256,11 @@ def test_grasp_pose_quarter_turn():
     G = grasp_pose(ee_pos, np.repeat(np.eye(3)[None], 3, axis=0), wrist)
     np.testing.assert_allclose(approach_axes(G)[0], [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(approach_axes(G), unit_lines(ee_pos, wrist), atol=1e-12)
-    np.testing.assert_allclose(Rotation.from_matrix(G).magnitude(), np.pi / 2, atol=1e-12)
+    np.testing.assert_allclose(rotation_angle(G), np.pi / 2, atol=1e-12)
 
 
 def test_grasp_pose_always_aligns_approach_axis(rng):
-    ee_R = Rotation.random(50, random_state=rng).as_matrix()
+    ee_R = random_rotations(rng, 50)
     ee_pos = rng.normal(size=(50, 3))
     wrist = rng.normal(size=3)
     keep = np.linalg.norm(wrist - ee_pos, axis=-1) >= 1e-3
@@ -283,12 +299,9 @@ def test_handover_cost_gated_by_object_in_hand(rng):
 
 
 def test_handover_grasp_target_at_start_pose_rejected():
-    from costcast.robot import fk
-
     q = MODEL.mid()
-    ee, _ = fk(MODEL, q)
     frames = np.repeat(BASE_POSE[None], H, axis=0).copy()
-    frames[:, 1] = ee.position  # forecast final wrist exactly at the end effector
+    frames[:, 1] = fk_batch(MODEL, q)[1][7]  # forecast final wrist exactly at the end effector
     # target would coincide with the start pose -> the grasp pose is undefined
     with pytest.raises(MotionError):
         task_term(handover_terms_batch, const_plan(q), point_forecast(frames),
@@ -298,19 +311,13 @@ def test_handover_grasp_target_at_start_pose_rejected():
 # --- tableset -------------------------------------------------------------
 
 def test_pose_error_closed_form():
-    target = RigidPose(position=np.array([0.1, 0.2, 0.3]),
-                       orientation=np.array([0.0, 0.0, 0.0, 1.0]))
     pos = np.array([[0.1, 0.2, 0.8]])
-    Rz90 = Rotation.from_euler("z", 90, degrees=True).as_matrix()
-    err = pose_error_batch(pos, Rz90[None], target.position, target.rotation().as_matrix())
+    err = pose_error_batch(pos, rot("z", 90)[None], np.array([0.1, 0.2, 0.3]), np.eye(3))
     assert err[0] == pytest.approx(0.5 + ORIENTATION_WEIGHT * np.pi / 2, abs=1e-12)
 
 
 def test_tableset_cost_is_affine_in_beta(rng):
-    goal_q = MODEL.mid()
-    from costcast.robot import fk
-
-    ee, _ = fk(MODEL, goal_q)
+    ee = ee_transform(MODEL.mid())
     spec_b = lambda beta: TaskSpec(task="tableset", table_goal=ee)
     Q = np.clip(MODEL.mid()[None] + rng.normal(0, 0.2, size=(H, N_DOF)),
                 MODEL.lo, MODEL.hi)
@@ -325,11 +332,8 @@ def test_tableset_cost_is_affine_in_beta(rng):
 
 
 def test_tableset_zero_at_goal_with_far_human():
-    from costcast.robot import fk
-
     q = MODEL.mid()
-    ee, _ = fk(MODEL, q)
-    spec = TaskSpec(task="tableset", table_goal=ee)
+    spec = TaskSpec(task="tableset", table_goal=ee_transform(q))
     assert task_term(tableset_terms_batch, const_plan(q), far_forecast(), spec,
                      CostWeights()) == pytest.approx(0.0, abs=1e-9)
 
@@ -354,8 +358,8 @@ def test_total_cost_is_sum_of_terms(rng):
 PROPERTY_SPECS = {
     "stir": stir_spec(),
     "handover": TaskSpec(task="handover", object_in_hand=True),
-    "tableset": TaskSpec(task="tableset", table_goal=RigidPose(
-        position=np.array([0.62, 0.25, 0.98]), orientation=np.array([0.0, 1.0, 0.0, 0.0]))),
+    "tableset": TaskSpec(task="tableset",
+                         table_goal=homogeneous(rot("y", 180), [0.62, 0.25, 0.98])),
 }
 
 
@@ -390,3 +394,19 @@ def test_cost_weights_validation():
     with pytest.raises(MotionError):
         TaskSpec(task="mop")
     assert hinge(np.array([-2.0, 0.0, 3.0])).tolist() == [0.0, 0.0, 3.0]
+
+
+def test_table_goal_must_be_a_rigid_transform():
+    goal = homogeneous(rot("z", 30), [0.62, 0.25, 0.98])
+    np.testing.assert_array_equal(TaskSpec(task="tableset", table_goal=goal).table_goal, goal)
+    bottom = goal.copy()
+    bottom[3, 0] = 0.1
+    sheared = goal.copy()
+    sheared[0, 1] += 1e-6
+    scaled = goal.copy()
+    scaled[:3, :3] *= 1.1
+    for bad in (goal[:3], np.eye(3), bottom, sheared, scaled,
+                homogeneous(np.diag([1.0, 1.0, -1.0]), [0.0, 0.0, 0.0]),  # a reflection
+                homogeneous(np.full((3, 3), np.nan), [0.0, 0.0, 0.0])):
+        with pytest.raises(MotionError):
+            TaskSpec(task="tableset", table_goal=bad)

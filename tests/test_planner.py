@@ -25,7 +25,7 @@ from costcast.planner import (
     run_episode,
     stir_reference,
 )
-from costcast.robot import ArmModel, ArmState, N_DOF, fk, fk_batch, step
+from costcast.robot import ArmModel, ArmState, N_DOF, fk_batch, step
 
 MODEL = ArmModel()
 
@@ -91,15 +91,13 @@ def test_config_validation():
 def test_ik_reaches_reachable_target():
     target = np.array([0.7, 0.1, 0.9])
     q = ik_position(MODEL, MODEL.mid(), target)
-    ee, _ = fk(MODEL, q)
-    assert np.linalg.norm(ee.position - target) < 1e-3
+    assert np.linalg.norm(fk_batch(MODEL, q)[1][7] - target) < 1e-3
     assert (q >= MODEL.lo).all() and (q <= MODEL.hi).all()
 
 
 def test_rest_configuration_hits_retract_point():
     q = rest_configuration(MODEL)
-    ee, _ = fk(MODEL, q)
-    assert np.linalg.norm(ee.position - np.asarray(DEFAULT_RETRACT_POINT)) < 1e-3
+    assert np.linalg.norm(fk_batch(MODEL, q)[1][7] - np.asarray(DEFAULT_RETRACT_POINT)) < 1e-3
 
 
 def test_stir_reference_tracks_the_circle():
@@ -111,8 +109,7 @@ def test_stir_reference_tracks_the_circle():
     for i in range(0, n, 10):
         ang = 2 * np.pi * i / n
         target = center + STIR_RADIUS * np.array([np.cos(ang), np.sin(ang), 0.0])
-        ee, _ = fk(MODEL, ref[i])
-        assert np.linalg.norm(ee.position - target) < 5e-3
+        assert np.linalg.norm(fk_batch(MODEL, ref[i])[1][7] - target) < 5e-3
 
 
 def test_build_task_spec_per_task():
@@ -144,8 +141,7 @@ def run_to_goal(seed, goal, max_replans=100):
     for i in range(max_replans):
         cmd, _ = plan_step(ps, arm, None, None, None, cfg, model=MODEL, cost_fn=cost_fn)
         arm = step(MODEL, arm, cmd, cfg.dt)
-        ee, _ = fk(MODEL, arm.q)
-        d = float(np.linalg.norm(ee.position - goal))
+        d = float(np.linalg.norm(fk_batch(MODEL, arm.q)[1][7] - goal))
         trace.append((np.asarray(cmd), d))
         if d < 0.05:
             return i, trace

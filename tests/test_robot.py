@@ -1,27 +1,30 @@
-"""Tests for arm kinematics, Jacobian, manipulability and collision geometry."""
+"""Tests for arm kinematics, Jacobian, manipulability, collision geometry and
+the end-effector quaternion."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_pose, random_pose_array
-from costcast.motion import MotionError, Pose
+from conftest import (
+    brute_force_separation,
+    fk_oracle,
+    oracle_manipulability,
+    random_pose_array,
+)
+from costcast.motion import MotionError
 from costcast.robot import (
     ArmModel,
     ArmState,
     HUMAN_CAPSULE_RADIUS,
     N_DOF,
-    RigidPose,
     collision_sphere_centers,
-    fk,
     fk_batch,
-    human_capsules,
-    jacobian,
-    manipulability,
+    linear_jacobian,
     manipulability_batch,
-    min_separation,
+    quat_from_matrix,
     rollout_arrays,
     separation_batch,
+    separation_batch_spheres,
     step,
 )
 
@@ -30,42 +33,21 @@ MODEL = ArmModel()
 COAXIAL = ArmModel(dh=tuple((0.0, 0.1, 0.0) for _ in range(N_DOF)))
 
 
-def fk_oracle(model, q):
-    """Independent forward kinematics via explicit homogeneous matrices."""
-    T = np.eye(4)
-    T[:3, 3] = model.base_position
-    frames = []
-    for (a, d, alpha), theta in zip(model.dh, q):
-        ca, sa = np.cos(alpha), np.sin(alpha)
-        ct, st = np.cos(theta), np.sin(theta)
-        A = np.array([
-            [ct, -st, 0.0, a],
-            [st * ca, ct * ca, -sa, -sa * d],
-            [st * sa, ct * sa, ca, ca * d],
-            [0.0, 0.0, 0.0, 1.0],
-        ])
-        T = T @ A
-        frames.append(T.copy())
-    ee = T.copy()
-    ee[:3, 3] += model.flange_offset * T[:3, 2]
-    return ee, frames
-
-
 def random_q(rng, model=MODEL):
     return rng.uniform(model.lo, model.hi)
 
 
+def ee_position(model, q):
+    return fk_batch(model, q)[1][7]
+
+
+def separation(model, q, human):
+    """Clearance of one configuration against one (J, 3) human pose."""
+    centers = collision_sphere_centers(model, fk_batch(model, q))
+    return separation_batch(model, centers[None, None], np.asarray(human)[None])[0, 0]
+
+
 # --- forward kinematics ---------------------------------------------------
-
-def test_fk_matches_matrix_composition_oracle(rng):
-    for q in [np.zeros(N_DOF)] + [random_q(rng) for _ in range(20)]:
-        ee, frames = fk(MODEL, q)
-        ee_T, chain = fk_oracle(MODEL, q)
-        np.testing.assert_allclose(ee.position, ee_T[:3, 3], atol=1e-10)
-        np.testing.assert_allclose(ee.rotation().as_matrix(), ee_T[:3, :3], atol=1e-10)
-        for i in range(N_DOF):
-            np.testing.assert_allclose(frames[i].position, chain[i][:3, 3], atol=1e-10)
-
 
 @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
 def test_fk_batch_frames_match_matrix_composition_oracle(rng, batch):
@@ -82,26 +64,17 @@ def test_fk_batch_frames_match_matrix_composition_oracle(rng, batch):
 
 def test_base_joint_rotation_preserves_ee_height(rng):
     q = random_q(rng)
-    z0 = fk(MODEL, q)[0].position[2]
+    z0 = ee_position(MODEL, q)[2]
     q2 = q.copy()
     q2[0] = q[0] + np.pi if q[0] < 0 else q[0] - np.pi
-    assert fk(MODEL, q2)[0].position[2] == pytest.approx(z0, abs=1e-12)
-
-
-def test_fk_batch_agrees_with_single(rng):
-    Q = np.stack([random_q(rng) for _ in range(5)]).reshape(5, 1, N_DOF)
-    R, p = fk_batch(MODEL, Q)
-    for n in range(5):
-        ee, frames = fk(MODEL, Q[n, 0])
-        np.testing.assert_allclose(p[n, 0, 7], ee.position, atol=1e-12)
-        np.testing.assert_allclose(R[n, 0, 7], ee.rotation().as_matrix(), atol=1e-12)
+    assert ee_position(MODEL, q2)[2] == pytest.approx(z0, abs=1e-12)
 
 
 def test_fk_is_lipschitz_in_joint_angles(rng):
     total_len = sum(abs(a) + abs(d) for a, d, _ in MODEL.dh) + MODEL.flange_offset
     for _ in range(20):
         q1, q2 = random_q(rng), random_q(rng)
-        d = np.linalg.norm(fk(MODEL, q1)[0].position - fk(MODEL, q2)[0].position)
+        d = np.linalg.norm(ee_position(MODEL, q1) - ee_position(MODEL, q2))
         assert d <= total_len * np.abs(q1 - q2).sum() + 1e-9
 
 
@@ -111,36 +84,37 @@ def test_jacobian_matches_finite_differences(rng):
     h = 1e-6
     for _ in range(100):
         q = random_q(rng)
-        J = jacobian(MODEL, q)
+        J = linear_jacobian(fk_batch(MODEL, q))
         for i in range(N_DOF):
             dq = np.zeros(N_DOF)
             dq[i] = h
-            dp = (fk(MODEL, q + dq)[0].position - fk(MODEL, q - dq)[0].position) / (2 * h)
-            denom = max(np.linalg.norm(J[:3, i]), 1e-8)
-            assert np.linalg.norm(dp - J[:3, i]) / denom < 1e-4
+            dp = (fk_oracle(MODEL, q + dq)[0][:3, 3] - fk_oracle(MODEL, q - dq)[0][:3, 3]) / (2 * h)
+            denom = max(np.linalg.norm(J[:, i]), 1e-8)
+            assert np.linalg.norm(dp - J[:, i]) / denom < 1e-4
 
 
 def test_jacobian_column_vanishes_when_axis_hits_ee():
     # all joint axes coincide with the world z line through the base, and the
     # end effector stays on that line: every linear column must vanish
-    J = jacobian(COAXIAL, np.linspace(-1.0, 1.0, N_DOF))
-    np.testing.assert_allclose(J[:3], 0.0, atol=1e-12)
+    J = linear_jacobian(fk_batch(COAXIAL, np.linspace(-1.0, 1.0, N_DOF)))
+    np.testing.assert_allclose(J, 0.0, atol=1e-12)
 
 
 def test_manipulability_positive_at_generic_config(rng):
     for _ in range(10):
-        assert manipulability(MODEL, random_q(rng)) > 0.0
+        assert manipulability_batch(fk_batch(MODEL, random_q(rng))) > 0.0
 
 
 def test_manipulability_zero_at_singular_config():
-    assert manipulability(COAXIAL, np.ones(N_DOF) * 0.3) < 1e-6
+    assert manipulability_batch(fk_batch(COAXIAL, np.ones(N_DOF) * 0.3)) < 1e-6
 
 
 def test_manipulability_invariant_to_base_rotation(rng):
     q = random_q(rng)
     q2 = q.copy()
     q2[0] += 0.6
-    assert manipulability(MODEL, q2) == pytest.approx(manipulability(MODEL, q), rel=1e-9)
+    m = manipulability_batch(fk_batch(MODEL, np.stack([q, q2])))
+    assert m[1] == pytest.approx(m[0], rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,30 +123,17 @@ def test_manipulability_batch_matches_scalar(n, seed, coaxial):
     model = COAXIAL if coaxial else MODEL
     Q = np.random.default_rng(seed).uniform(model.lo, model.hi, size=(n, N_DOF))
     got = manipulability_batch(fk_batch(model, Q))
-    np.testing.assert_allclose(got, [manipulability(model, q) for q in Q], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, [oracle_manipulability(model, q) for q in Q],
+                               rtol=0, atol=1e-12)
 
 
 # --- collision geometry ---------------------------------------------------
 
-def brute_force_separation(model, q, human):
-    """Exhaustive scalar scan over spheres x capsules."""
-    centers = collision_sphere_centers(model, fk_batch(model, q))
-    best = np.inf
-    for c in centers:
-        for a, b, r in human_capsules(human):
-            ab = b - a
-            denom = float(ab @ ab)
-            t = 0.0 if denom < 1e-18 else float(np.clip((c - a) @ ab / denom, 0.0, 1.0))
-            d = np.linalg.norm(c - (a + t * ab))
-            best = min(best, d - model.sphere_radius - r)
-    return best
-
-
 def test_min_separation_matches_brute_force(rng):
     for _ in range(200):
         q = random_q(rng)
-        human = random_pose(rng, scale=0.05)
-        assert min_separation(MODEL, q, human) == pytest.approx(
+        human = random_pose_array(rng, scale=0.05)
+        assert separation(MODEL, q, human) == pytest.approx(
             brute_force_separation(MODEL, q, human), abs=1e-9)
 
 
@@ -192,7 +153,7 @@ def test_separation_batch_matches_min_separation_per_step(n, seed, case):
         humans += np.array([5.0, 0.0, 0.0])
     sep = separation_batch(MODEL, collision_sphere_centers(MODEL, fk_batch(MODEL, Q)), humans)
     assert sep.shape == (n, H)
-    expected = [[min_separation(MODEL, Q[i, h], Pose(humans[h])) for h in range(H)]
+    expected = [[brute_force_separation(MODEL, Q[i, h], humans[h]) for h in range(H)]
                 for i in range(n)]
     np.testing.assert_allclose(sep, expected, rtol=0, atol=1e-12)
     if case == "far":
@@ -201,34 +162,45 @@ def test_separation_batch_matches_min_separation_per_step(n, seed, case):
 
 def test_far_human_clears_by_over_a_meter(rng):
     q = random_q(rng)
-    far = Pose(random_pose(rng).joints + np.array([5.0, 5.0, 0.0]))
-    assert min_separation(MODEL, q, far) > 1.0
+    far = random_pose_array(rng) + np.array([5.0, 5.0, 0.0])
+    assert separation(MODEL, q, far) > 1.0
 
 
 def test_wrist_on_robot_sphere_center_penetrates_fully(rng):
     q = random_q(rng)
     centers = collision_sphere_centers(MODEL, fk_batch(MODEL, q))
     # put the right elbow-wrist capsule degenerately on the nearest sphere
-    human = random_pose(rng).joints.copy()
-    base = min_separation(MODEL, q, Pose(human + np.array([0.0, -3.0, 0.0])))
+    human = random_pose_array(rng)
+    base = separation(MODEL, q, human + np.array([0.0, -3.0, 0.0]))
     c = centers[np.linalg.norm(centers - human[1], axis=-1).argmin()]
     human += np.array([0.0, -3.0, 0.0])  # move everything far away first
     human[1] = c
     human[3] = c
-    sep = min_separation(MODEL, q, Pose(human))
+    sep = separation(MODEL, q, human)
     assert sep == pytest.approx(-(MODEL.sphere_radius + HUMAN_CAPSULE_RADIUS), abs=1e-9)
     assert base > sep
 
 
 def test_margin_spheres_replace_human_capsules(rng):
-    q = random_q(rng)
-    centers = collision_sphere_centers(MODEL, fk_batch(MODEL, q))
-    c = np.array([0.5, 0.0, 1.0])
-    r = 0.2
-    expected = np.linalg.norm(centers - c, axis=-1).min() - MODEL.sphere_radius - r
-    human = random_pose(rng)
-    got = min_separation(MODEL, q, human, margin_spheres=[(c, r)])
-    assert got == pytest.approx(expected, abs=1e-12)
+    # safety-volume spheres in place of the human capsules: several spheres
+    # per step against several plans, checked by a scan of every pair
+    N, H, S = 3, 4, 5
+    centers = collision_sphere_centers(MODEL, fk_batch(MODEL, rng.uniform(
+        MODEL.lo, MODEL.hi, size=(N, H, N_DOF))))
+    vol_centers = np.array([0.5, 0.0, 1.0]) + rng.normal(0.0, 0.3, size=(H, S, 3))
+    vol_radii = rng.uniform(0.05, 0.3, size=(H, S))
+    got = separation_batch_spheres(MODEL, centers, vol_centers, vol_radii)
+    assert got.shape == (N, H)
+    for n in range(N):
+        for h in range(H):
+            expected = min(np.linalg.norm(c - v) - MODEL.sphere_radius - r
+                           for c in centers[n, h]
+                           for v, r in zip(vol_centers[h], vol_radii[h]))
+            assert got[n, h] == pytest.approx(expected, abs=1e-12)
+    # one sphere on a robot sphere center: penetration is both radii
+    vol_centers[1, 2] = centers[0, 1, 9]
+    got = separation_batch_spheres(MODEL, centers, vol_centers, vol_radii)
+    assert got[0, 1] == pytest.approx(-(MODEL.sphere_radius + vol_radii[1, 2]), abs=1e-12)
 
 
 # --- integration ----------------------------------------------------------
@@ -296,6 +268,44 @@ def test_arm_model_from_json(tmp_path):
     assert m.base_position == (0.0, 0.0, 0.0)
 
 
-def test_rigid_pose_requires_unit_quaternion():
-    with pytest.raises(MotionError):
-        RigidPose(position=np.zeros(3), orientation=np.array([0.0, 0.0, 0.0, 1.1]))
+# --- end-effector quaternion ----------------------------------------------
+
+def quat_to_matrix(q):
+    """Rotation matrix of a unit quaternion (x, y, z, w)."""
+    x, y, z, w = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+S = np.sqrt(0.5)
+
+
+@pytest.mark.parametrize("R, quat", [
+    (np.eye(3), [0.0, 0.0, 0.0, 1.0]),                                       # w branch
+    (np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]]), [S, 0.0, 0.0, S]),        # 90 about x
+    (np.array([[0, 0, 1], [0, 1, 0], [-1, 0, 0]]), [0.0, S, 0.0, S]),        # 90 about y
+    (np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), [0.0, 0.0, S, S]),        # 90 about z
+    (np.diag([1.0, -1.0, -1.0]), [1.0, 0.0, 0.0, 0.0]),                      # x branch
+    (np.diag([-1.0, 1.0, -1.0]), [0.0, 1.0, 0.0, 0.0]),                      # y branch
+    (np.diag([-1.0, -1.0, 1.0]), [0.0, 0.0, 1.0, 0.0]),                      # z branch
+], ids=["identity", "x90", "y90", "z90", "x180", "y180", "z180"])
+def test_quat_from_matrix_hand_rotations(R, quat):
+    got = quat_from_matrix(np.asarray(R, dtype=float))
+    np.testing.assert_allclose(got, quat, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quat=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda v: np.linalg.norm(v) > 0.1))
+def test_quat_from_matrix_round_trips(quat):
+    q = np.asarray(quat) / np.linalg.norm(quat)
+    got = quat_from_matrix(quat_to_matrix(q))
+    assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
+    # q and -q are the same rotation; a component of largest magnitude comes
+    # back positive (either one of a tie)
+    assert min(np.abs(got - q).max(), np.abs(got + q).max()) <= 1e-12
+    assert got.max() >= np.abs(got).max() - 1e-12
+    np.testing.assert_allclose(quat_to_matrix(got), quat_to_matrix(q), rtol=0, atol=1e-12)
