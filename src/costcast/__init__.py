@@ -1,14 +1,7 @@
 """Cost-aware human-motion forecasting and sampling-based MPC for
 collaborative manipulation."""
 
-from .motion import (
-    Context,
-    Episode,
-    Pose,
-    Trajectory,
-    pose_distance,
-    resample,
-)
+from .motion import Context, Episode, Trajectory
 from .robot import ArmModel, ArmState
 
 __all__ = [
@@ -16,10 +9,7 @@ __all__ = [
     "ArmState",
     "Context",
     "Episode",
-    "Pose",
     "Trajectory",
-    "pose_distance",
-    "resample",
 ]
 
 __version__ = "0.1.0"

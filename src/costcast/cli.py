@@ -112,7 +112,7 @@ class RunConfig:
             "gen": dataclasses.asdict(self.gen),
             "train": dataclasses.asdict(self.train),
             "mppi": dataclasses.asdict(self.mppi),
-            "weights": self.weights.to_dict(),
+            "weights": dataclasses.asdict(self.weights),
             "preset": self.preset,
             "models": list(self.models),
         }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forecast import Forecast, POINT, SAFETY_VOLUME
-from .motion import MotionError, WRIST_INDICES
+from .motion import TASKS, MotionError, WRIST_INDICES, check_field_types
 from .robot import (
     ArmModel,
     collision_sphere_centers,
@@ -41,14 +41,12 @@ class CostWeights:
     manip_floor: float = 0.05
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("alpha_s", "alpha_j", "alpha_m", "alpha_c", "alpha_t", "beta"):
             if getattr(self, name) < 0:
                 raise MotionError(f"{name} must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("alpha_s", "alpha_j", "alpha_m", "alpha_c", "alpha_t",
-                 "beta", "eps_pot", "manip_floor")}
+        if self.eps_pot <= 0:
+            raise MotionError("eps_pot must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,14 +59,11 @@ class TaskSpec:
     table_goal: np.ndarray | None = None       # 4x4 homogeneous end-effector goal
 
     def __post_init__(self):
-        if self.task not in ("stir", "handover", "tableset"):
+        if self.task not in TASKS:
             raise MotionError(f"unknown task {self.task!r}")
-        if self.pot_position is not None:
-            object.__setattr__(self, "pot_position", np.asarray(self.pot_position, dtype=float))
-        if self.rest_config is not None:
-            object.__setattr__(self, "rest_config", np.asarray(self.rest_config, dtype=float))
-        if self.stir_reference is not None:
-            object.__setattr__(self, "stir_reference", np.asarray(self.stir_reference, dtype=float))
+        for name in ("pot_position", "rest_config", "stir_reference"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.table_goal is not None:
             T = np.asarray(self.table_goal, dtype=float)
             if (T.shape != (4, 4) or not np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0])
@@ -140,6 +135,13 @@ def _wrist_pot_distance(forecast: Forecast, pot: np.ndarray, H: int) -> np.ndarr
     return np.linalg.norm(wrists - pot, axis=-1).min(axis=-1)
 
 
+def stir_retract_mask(forecast: Forecast, spec: TaskSpec, weights: CostWeights,
+                      H: int) -> np.ndarray:
+    """Steps (H,) at which the stir term retracts: a forecast wrist lies within
+    ``eps_pot`` of the pot."""
+    return _wrist_pot_distance(forecast, spec.pot_position, H) <= weights.eps_pot
+
+
 # Every task term takes (Q, frames, coll, forecast, spec, weights), where
 # ``coll`` is the collision sum of ``collision_terms_batch``, and returns (N,).
 
@@ -148,8 +150,7 @@ def stir_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast
     """Retract to rest while the forecast wrist is near the pot, else track the stir cycle."""
     spec.require("pot_position", "rest_config", "stir_reference")
     N, H, _ = Q.shape
-    D = _wrist_pot_distance(forecast, spec.pot_position, H)
-    near = D <= weights.eps_pot                       # (H,)
+    near = stir_retract_mask(forecast, spec, weights, H)
     ref = spec.stir_reference
     ref_h = ref[np.arange(H) % ref.shape[0]]          # (H, 7)
     d_rest = np.linalg.norm(Q - spec.rest_config, axis=-1)   # (N, H)

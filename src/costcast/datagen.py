@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .motion import DEFAULT_FPS, Episode, MotionError, N_JOINTS
+from .motion import DEFAULT_FPS, Episode, MotionError, N_JOINTS, check_field_types
 
 # Static skeleton layout (world frame, meters).  The right arm is the moving
 # one; its elbow is solved from a two-link chain with equal bone lengths so
@@ -48,6 +48,7 @@ class GenConfig:
     fps: float = DEFAULT_FPS
 
     def __post_init__(self):
+        check_field_types(self)
         if self.reach_duration_s <= 0 or self.hold_duration_s <= 0:
             raise MotionError("durations must be positive")
         if self.n_interactions < 1:

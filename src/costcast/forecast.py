@@ -23,6 +23,7 @@ from .motion import (
     WRIST_INDICES,
     Context,
     Trajectory,
+    check_field_types,
 )
 
 POINT = "point"
@@ -57,10 +58,6 @@ class Forecast:
                 raise MotionError("safety volume must cover the full horizon")
         else:
             raise MotionError(f"unknown forecast kind {self.kind!r}")
-
-    @property
-    def horizon(self) -> int:
-        return HORIZON_LEN
 
 
 def point_forecast(frames: np.ndarray, dt: float = DEFAULT_DT) -> Forecast:
@@ -216,7 +213,7 @@ class WindowSet:
     def __init__(self, episodes):
         episodes = list(episodes)
         if len({ep.fps for ep in episodes}) > 1:
-            raise MotionError("episodes have mixed frame rates; resample them to one rate")
+            raise MotionError("episodes have mixed frame rates; windows need one rate")
         span = HISTORY_LEN + HORIZON_LEN
         starts, flags = [np.empty(0, dtype=int)], [np.empty(0, dtype=bool)]
         offset = 0
@@ -308,12 +305,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 0:
             raise MotionError("epochs must be >= 0")
         if self.batch_size < 1:
             raise MotionError("batch_size must be >= 1")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise MotionError("learning rate must be finite and nonnegative")
+        if self.learning_rate < 0:
+            raise MotionError("learning_rate must be nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise MotionError("momentum must be in [0, 1)")
         if not 0.0 <= self.transition_mix <= 1.0:

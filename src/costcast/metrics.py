@@ -18,6 +18,9 @@ MM = 1000.0
 GOAL_DETECT_RADIUS = 0.10
 GOAL_DETECT_PERSIST = 5
 GOAL_ARRIVE_RADIUS = 0.05
+LEMMA_TOL = 1e-12       # slack on the loss-bound comparisons
+TOY_MAX_CONTEXTS = 6    # size limits of random toy instances
+TOY_MAX_FUTURES = 6
 
 METRIC_KEYS = ("ade", "fde", "wrist_ade", "wrist_fde",
                "t_ade", "t_fde", "t_wrist_ade", "t_wrist_fde")
@@ -74,51 +77,29 @@ def evaluate_forecaster(windows: WindowSet, forecaster, chunk: int = 256) -> dic
 
 # --- planning metrics -----------------------------------------------------
 
-def _incursions(flags) -> list:
+def _incursions(flags: np.ndarray) -> list:
     """Closed [start, end] index intervals of consecutive true flags."""
-    out = []
-    start = None
-    for i, f in enumerate(flags):
-        if f and start is None:
-            start = i
-        elif not f and start is not None:
-            out.append((start, i - 1))
-            start = None
-    if start is not None:
-        out.append((start, len(flags) - 1))
-    return out
+    edges = np.diff(np.concatenate([[0], flags.astype(int), [0]]))
+    return list(zip(np.flatnonzero(edges == 1).tolist(),
+                    (np.flatnonzero(edges == -1) - 1).tolist()))
 
 
-def _first_active(active: np.ndarray, lo: int, hi: int):
+def _first_true(flags: np.ndarray, lo: int, hi: int):
+    """First index in [lo, hi], clipped to the array, where ``flags`` is set."""
     lo = max(lo, 0)
-    hi = min(hi, len(active) - 1)
-    for i in range(lo, hi + 1):
-        if active[i]:
-            return i
-    return None
+    hits = np.flatnonzero(flags[lo:max(hi + 1, lo)])
+    return lo + int(hits[0]) if hits.size else None
 
 
-def _first_inactive_after(active: np.ndarray, lo: int, hi: int):
-    lo = max(lo, 0)
-    hi = min(hi, len(active) - 1)
-    for i in range(lo, hi + 1):
-        if not active[i]:
-            return i
-    return None
-
-
-def stop_restart_times(logs_model, logs_cur, horizon: int = HORIZON_LEN) -> dict:
+def stop_restart_times(logs_model: list, logs_cur: list) -> dict:
     """Stop/restart advantage (ms) over current-pose tracking, plus FDR.
 
     ``logs_model`` and ``logs_cur`` are paired per-episode playback logs from
     stir episodes.  Stop time for an incursion is the lead of the model's
     first retract-branch activation over the current-pose activation;
     restart time is the analogous lead at deactivation.  FDR counts branch
-    activations with no true incursion in the following ``horizon`` frames.
+    activations with no true incursion in the following ``HORIZON_LEN`` frames.
     """
-    if isinstance(logs_model, (list, tuple)) is False:
-        logs_model = [logs_model]
-        logs_cur = [logs_cur]
     stop_deltas, restart_deltas = [], []
     n_act, n_false = 0, 0
     total_incursions = 0
@@ -130,22 +111,22 @@ def stop_restart_times(logs_model, logs_cur, horizon: int = HORIZON_LEN) -> dict
         incursions = _incursions(gt)
         total_incursions += len(incursions)
         for s, e in incursions:
-            t_c = _first_active(act_c, s - horizon, e)
-            t_m = _first_active(act_m, s - horizon, e)
+            t_c = _first_true(act_c, s - HORIZON_LEN, e)
+            t_m = _first_true(act_m, s - HORIZON_LEN, e)
             if t_c is not None and t_m is not None:
                 stop_deltas.append((t_c - t_m) * dt * 1000.0)
             # deactivation after the incursion ends
-            d_c = _first_inactive_after(act_c, max(t_c if t_c is not None else s, s),
-                                        e + horizon + 1)
-            d_m = _first_inactive_after(act_m, max(t_m if t_m is not None else s, s),
-                                        e + horizon + 1)
+            d_c = _first_true(~act_c, max(t_c if t_c is not None else s, s),
+                              e + HORIZON_LEN + 1)
+            d_m = _first_true(~act_m, max(t_m if t_m is not None else s, s),
+                              e + HORIZON_LEN + 1)
             if d_c is not None and d_m is not None:
                 restart_deltas.append((d_c - d_m) * dt * 1000.0)
         # false detections: activations with no true incursion soon after
         rising = np.nonzero(act_m & ~np.concatenate([[False], act_m[:-1]]))[0]
         for t in rising:
             n_act += 1
-            if not gt[t:t + horizon + 1].any():
+            if not gt[t:t + HORIZON_LEN + 1].any():
                 n_false += 1
     if total_incursions == 0:
         raise MotionError("no ground-truth incursions in the provided logs")
@@ -157,10 +138,9 @@ def stop_restart_times(logs_model, logs_cur, horizon: int = HORIZON_LEN) -> dict
             "fdr": fdr, "n_incursions": total_incursions, "n_activations": n_act}
 
 
-def _detection_step(records, goal: np.ndarray, lo: int, hi: int,
-                    persist: int = GOAL_DETECT_PERSIST):
+def _detection_step(records, goal: np.ndarray, lo: int, hi: int):
     """First record index in [lo, hi] whose forecast final wrist stays within
-    the detection radius for ``persist`` consecutive records."""
+    the detection radius for ``GOAL_DETECT_PERSIST`` consecutive records."""
     lo = max(lo, 0)
     hi = min(hi, len(records) - 1)
     run = 0
@@ -168,18 +148,14 @@ def _detection_step(records, goal: np.ndarray, lo: int, hi: int,
         w = records[i].get("forecast_final_wrist")
         ok = w is not None and np.linalg.norm(np.asarray(w) - goal) <= GOAL_DETECT_RADIUS
         run = run + 1 if ok else 0
-        if run >= persist:
-            return i - persist + 1
+        if run >= GOAL_DETECT_PERSIST:
+            return i - GOAL_DETECT_PERSIST + 1
     return None
 
 
-def handover_metrics(logs_model, logs_cur, episodes, horizon: int = HORIZON_LEN) -> dict:
+def handover_metrics(logs_model: list, logs_cur: list, episodes: list) -> dict:
     """Goal-detection gain, correct-goal rate, end-effector path length and
-    time to goal over handover playback logs."""
-    if isinstance(logs_model, (list, tuple)) is False:
-        logs_model = [logs_model]
-        logs_cur = [logs_cur]
-        episodes = [episodes]
+    time to goal over paired per-episode handover playback logs."""
     gains, paths, times = [], [], []
     n_handover, n_correct = 0, 0
     for lm, lc, ep in zip(logs_model, logs_cur, episodes):
@@ -193,7 +169,7 @@ def handover_metrics(logs_model, logs_cur, episodes, horizon: int = HORIZON_LEN)
         for (hs, he), goal in zip(holds, goals):
             goal = np.asarray(goal, dtype=float)
             n_handover += 1
-            lo = hs - step0 - 2 * horizon
+            lo = hs - step0 - 2 * HORIZON_LEN
             hi = he - step0
             t_m = _detection_step(lm.records, goal, lo, hi)
             t_c = _detection_step(lc.records, goal, lo, hi)
@@ -205,11 +181,8 @@ def handover_metrics(logs_model, logs_cur, episodes, horizon: int = HORIZON_LEN)
             if t_m is None:
                 continue
             start = max(t_m, 0)
-            arrive = None
-            for i in range(start, len(lm.records)):
-                if np.linalg.norm(ee[i] - goal) <= GOAL_ARRIVE_RADIUS:
-                    arrive = i
-                    break
+            arrive = _first_true(np.linalg.norm(ee - goal, axis=-1) <= GOAL_ARRIVE_RADIUS,
+                                 start, len(ee) - 1)
             if arrive is not None:
                 seg = ee[start:arrive + 1]
                 paths.append(float(np.sum(np.linalg.norm(np.diff(seg, axis=0), axis=-1))) * MM)
@@ -254,7 +227,7 @@ class ToyCMDP:
         object.__setattr__(self, "costs", costs)
 
 
-def lemma1_check(toy: ToyCMDP, tol: float = 1e-12) -> dict:
+def lemma1_check(toy: ToyCMDP) -> dict:
     """Exact enumeration of the loss bounds under P and the mixed distribution.
 
     Per-context max cost is taken over the union support of the true and
@@ -286,8 +259,8 @@ def lemma1_check(toy: ToyCMDP, tol: float = 1e-12) -> dict:
         "ell_theta": ell,
         "bound_P": bound_P,
         "bound_Q": bound_Q,
-        "holds_P": ell <= bound_P + tol,
-        "holds_Q": ell <= bound_Q + tol,
+        "holds_P": ell <= bound_P + LEMMA_TOL,
+        "holds_Q": ell <= bound_Q + LEMMA_TOL,
         "cmax": cmax,
         "transition_mass": mass,
     }
@@ -304,10 +277,10 @@ def worked_toycmdp() -> ToyCMDP:
     )
 
 
-def random_toycmdp(rng: np.random.Generator, max_m: int = 6, max_n: int = 6) -> ToyCMDP:
+def random_toycmdp(rng: np.random.Generator) -> ToyCMDP:
     """A random finite instance with sparse supports and a feasible delta."""
-    m = int(rng.integers(1, max_m + 1))
-    n = int(rng.integers(2, max_n + 1))
+    m = int(rng.integers(1, TOY_MAX_CONTEXTS + 1))
+    n = int(rng.integers(2, TOY_MAX_FUTURES + 1))
     P_phi = rng.dirichlet(np.ones(m))
 
     def sparse_rows():

@@ -1,4 +1,5 @@
-"""Core skeletal-motion types: poses, contexts, trajectories and episodes.
+"""Core skeletal-motion types: contexts, trajectories and episodes, and the
+episode file format.
 
 All containers are immutable after construction (arrays are marked
 read-only) so they can be shared freely across workers.
@@ -7,7 +8,8 @@ read-only) so they can be shared freely across workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +36,29 @@ DEFAULT_FPS = 25.0
 
 # (shoulder->elbow, elbow->wrist) index pairs per arm.
 ARM_BONES = ((4, 2), (2, 0), (5, 3), (3, 1))
-BONE_MIN = 0.15
-BONE_MAX = 0.45
 
 TASKS = ("stir", "handover", "tableset")
 
 
 class MotionError(ValueError):
-    """Raised for malformed poses, episodes or window requests."""
+    """Raised for malformed contexts, episodes or window requests."""
+
+
+def check_field_types(config) -> None:
+    """Reject a config dataclass field whose value does not fit its default.
+
+    A field with an int default takes a non-bool int.  A field with a float
+    default takes a finite, non-bool number; an int is accepted there.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if type(f.default) is int:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise MotionError(f"{f.name} must be an integer, got {value!r}")
+        elif type(f.default) is float:
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise MotionError(f"{f.name} must be a finite number, got {value!r}")
 
 
 def _readonly(a) -> np.ndarray:
@@ -49,30 +66,6 @@ def _readonly(a) -> np.ndarray:
     arr = arr.copy() if arr.flags.writeable else arr
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class Pose:
-    """A single upper-body pose: (7, 3) joint positions in meters."""
-
-    joints: np.ndarray
-
-    def __post_init__(self):
-        joints = _readonly(self.joints)
-        if joints.shape != (N_JOINTS, 3):
-            raise MotionError(f"pose must have shape ({N_JOINTS}, 3), got {joints.shape}")
-        if not np.isfinite(joints).all():
-            raise MotionError("pose contains non-finite coordinates")
-        object.__setattr__(self, "joints", joints)
-
-    def bone_lengths(self) -> np.ndarray:
-        """Lengths of the four arm bones (shoulder->elbow, elbow->wrist per arm)."""
-        return np.array([np.linalg.norm(self.joints[a] - self.joints[b]) for a, b in ARM_BONES])
-
-    def check_bones(self) -> None:
-        lengths = self.bone_lengths()
-        if not ((lengths > BONE_MIN) & (lengths < BONE_MAX)).all():
-            raise MotionError(f"arm bone lengths {lengths} outside ({BONE_MIN}, {BONE_MAX}) m")
 
 
 @dataclass(frozen=True)
@@ -151,51 +144,6 @@ class Episode:
     @property
     def dt(self) -> float:
         return 1.0 / self.fps
-
-    def pose(self, i: int) -> Pose:
-        return Pose(self.frames[i])
-
-
-def pose_distance(a: Pose, b: Pose) -> float:
-    """Mean per-joint Euclidean distance between two poses, in meters."""
-    return float(np.mean(np.linalg.norm(a.joints - b.joints, axis=-1)))
-
-
-def resample(episode: Episode, target_fps: float) -> Episode:
-    """Resample an episode to a new frame rate by per-coordinate linear interpolation.
-
-    Transition intervals are remapped by time and rounded outward so no
-    transition frame is lost at a rate boundary.
-    """
-    if target_fps <= 0:
-        raise MotionError("target_fps must be positive")
-    n = len(episode)
-    if n == 0:
-        raise MotionError("cannot resample an empty episode")
-    duration = (n - 1) / episode.fps
-    n_new = int(np.floor(duration * target_fps + 1e-9)) + 1
-    t_new = np.arange(n_new) / target_fps
-    src = t_new * episode.fps  # fractional source indices
-    lo = np.clip(np.floor(src).astype(int), 0, n - 1)
-    hi = np.clip(lo + 1, 0, n - 1)
-    frac = (src - lo)[:, None, None]
-    frames = (1.0 - frac) * episode.frames[lo] + frac * episode.frames[hi]
-
-    ratio = target_fps / episode.fps
-    transitions = []
-    for s, e in episode.transitions:
-        ns = int(np.floor(s * ratio + 1e-9))
-        ne = int(np.ceil(e * ratio - 1e-9))
-        transitions.append((max(0, ns), min(n_new - 1, ne)))
-    # Outward rounding can merge adjacent intervals; coalesce to keep them valid.
-    merged = []
-    for s, e in transitions:
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return Episode(fps=target_fps, frames=frames, transitions=tuple(merged),
-                   task=episode.task, extras=episode.extras)
 
 
 def episode_to_dict(episode: Episode) -> dict:

@@ -8,13 +8,13 @@ live planner and produces per-timestep simulation logs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .cost import CostWeights, TaskSpec, total_cost_batch, _wrist_pot_distance
-from .forecast import Forecast
+from .cost import CostWeights, TaskSpec, stir_retract_mask, total_cost_batch
+from .forecast import POINT, Forecast
 from .motion import (
     Context,
     Episode,
@@ -22,6 +22,7 @@ from .motion import (
     HORIZON_LEN,
     MotionError,
     Trajectory,
+    check_field_types,
 )
 from .robot import (
     ArmModel,
@@ -41,6 +42,8 @@ STIR_PERIOD_S = 4.0
 STIR_HEIGHT = 0.05  # circle height above the pot center
 DEFAULT_RETRACT_POINT = (0.80, 0.0, 0.90)
 DEFAULT_TABLE_GOAL = (0.62, 0.25, 0.98)
+IK_DAMPING = 0.05    # damped-least-squares lambda
+IK_STEP_CLIP = 0.2   # rad, per joint per IK iteration
 
 
 @dataclass(frozen=True)
@@ -54,10 +57,7 @@ class MppiConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_samples", "horizon", "n_iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise MotionError(f"{name} must be an integer, got {value!r}")
+        check_field_types(self)
         if self.n_samples < 2:
             raise MotionError("need at least 2 samples")
         if self.n_iterations < 1:
@@ -114,7 +114,7 @@ def mppi_update(costs: np.ndarray, samples: np.ndarray, temperature: float) -> n
 
 
 def ik_position(model: ArmModel, q0: np.ndarray, target: np.ndarray,
-                iters: int = 200, damping: float = 0.05, step_clip: float = 0.2) -> np.ndarray:
+                iters: int = 200) -> np.ndarray:
     """Damped-least-squares position IK from q0 to a Cartesian target."""
     q = np.asarray(q0, dtype=float).copy()
     target = np.asarray(target, dtype=float)
@@ -124,9 +124,9 @@ def ik_position(model: ArmModel, q0: np.ndarray, target: np.ndarray,
         if np.linalg.norm(err) < 1e-5:
             break
         Jl = linear_jacobian(frames)
-        JJt = Jl @ Jl.T + damping**2 * np.eye(3)
+        JJt = Jl @ Jl.T + IK_DAMPING**2 * np.eye(3)
         dq = Jl.T @ np.linalg.solve(JJt, err)
-        q = q + np.clip(dq, -step_clip, step_clip)
+        q = q + np.clip(dq, -IK_STEP_CLIP, IK_STEP_CLIP)
         q = np.clip(q, model.lo, model.hi)
     return q
 
@@ -148,9 +148,9 @@ def stir_reference(model: ArmModel, pot_position: np.ndarray, dt: float,
     return ref
 
 
-def rest_configuration(model: ArmModel, point=DEFAULT_RETRACT_POINT) -> np.ndarray:
+def rest_configuration(model: ArmModel) -> np.ndarray:
     """A retracted joint configuration reached by IK from mid-range."""
-    return ik_position(model, model.mid(), np.asarray(point, dtype=float))
+    return ik_position(model, model.mid(), np.asarray(DEFAULT_RETRACT_POINT, dtype=float))
 
 
 def default_table_goal(model: ArmModel) -> np.ndarray:
@@ -234,13 +234,6 @@ class SimLog:
                    records=records)
 
 
-def _branch_active(forecast: Forecast, spec: TaskSpec, weights: CostWeights,
-                   horizon: int) -> bool:
-    """Whether the stir cost's retract branch fires within the plan horizon."""
-    D = _wrist_pot_distance(forecast, spec.pot_position, horizon)
-    return bool((D <= weights.eps_pot).any())
-
-
 def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeights,
                 cfg: MppiConfig, model: ArmModel | None = None,
                 model_name: str = "model") -> SimLog:
@@ -267,9 +260,7 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
         fc = forecaster(ctx, truth)
         step_spec = spec
         if episode.task == "handover" and obj_flags is not None:
-            from dataclasses import replace as _replace
-
-            step_spec = _replace(spec, object_in_hand=bool(obj_flags[t]))
+            step_spec = replace(spec, object_in_hand=bool(obj_flags[t]))
         cmd, best_cost = plan_step(pstate, arm, fc, step_spec, weights, cfg, model=model)
         arm = step(model, arm, cmd, cfg.dt)
         R, p = fk_batch(model, arm.q)
@@ -289,12 +280,13 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
             "gt_wrist": episode.frames[t, 1].tolist(),
         }
         if episode.task == "stir":
-            rec["branch_active"] = _branch_active(fc, step_spec, weights, cfg.horizon)
+            rec["branch_active"] = bool(
+                stir_retract_mask(fc, step_spec, weights, cfg.horizon).any())
             rec["gt_near_pot"] = bool(
                 np.linalg.norm(episode.frames[t, [0, 1]] - pot, axis=-1).min()
                 <= weights.eps_pot)
         if episode.task == "handover":
-            if fc.kind == "point":
+            if fc.kind == POINT:
                 rec["forecast_final_wrist"] = fc.trajectory.frames[-1, 1].tolist()
             else:
                 rec["forecast_final_wrist"] = None

@@ -10,9 +10,7 @@ in the config; algorithms do not depend on the exact plant.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -77,22 +75,6 @@ class ArmModel:
 
     def mid(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
-
-    @classmethod
-    def from_json(cls, path) -> "ArmModel":
-        doc = json.loads(Path(path).read_text())
-        kwargs = {}
-        if "dh" in doc:
-            kwargs["dh"] = tuple(tuple(row) for row in doc["dh"])
-        if "flange_offset" in doc:
-            kwargs["flange_offset"] = float(doc["flange_offset"])
-        if "joint_limits" in doc:
-            kwargs["joint_limits"] = tuple(tuple(row) for row in doc["joint_limits"])
-        if "vel_limits" in doc:
-            kwargs["vel_limits"] = tuple(doc["vel_limits"])
-        if "base_position" in doc:
-            kwargs["base_position"] = tuple(doc["base_position"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from costcast.motion import (
     HISTORY_LEN,
     HORIZON_LEN,
     N_JOINTS,
-    Pose,
     Trajectory,
 )
 from costcast.robot import HUMAN_CAPSULE_RADIUS
@@ -31,10 +30,6 @@ BASE_POSE = np.array([
 def random_pose_array(rng, scale=0.03):
     """A valid pose: small perturbation of a fixed skeleton (bones stay legal)."""
     return BASE_POSE + rng.normal(0.0, scale, size=(N_JOINTS, 3))
-
-
-def random_pose(rng, scale=0.03):
-    return Pose(random_pose_array(rng, scale))
 
 
 def random_context(rng, dt=0.04):

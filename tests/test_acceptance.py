@@ -86,7 +86,7 @@ def test_loss_bounds_hold_on_fixed_and_random_instances():
     assert fixed["bound_P"] == pytest.approx(0.4, abs=1e-12)
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        out = metrics.lemma1_check(metrics.random_toycmdp(rng), tol=1e-12)
+        out = metrics.lemma1_check(metrics.random_toycmdp(rng))
         assert out["holds_P"], out
         assert out["holds_Q"], out
     assert time.time() - t0 < 10.0

@@ -69,11 +69,21 @@ def test_config_rejects_bad_values(tmp_path, capsys):
                          ("counts", {"stir": "x"}), ("counts", {"stir": 1.5}),
                          ("counts", {"stir": -1}), ("counts", {"stir": True}),
                          ("train", {"seed": -1}), ("mppi", {"dt": 0.05}),
-                         ("gen", {"fps": 30.0})):
+                         ("gen", {"fps": 30.0}),
+                         ("gen", {"episode_len_s": float("nan")}),
+                         ("gen", {"n_interactions": 1.5}), ("gen", {"jitter_sigma": True}),
+                         ("train", {"epochs": 1.5}), ("train", {"batch_size": 2.5}),
+                         ("mppi", {"temperature": "hot"}),
+                         ("weights", {"alpha_c": float("nan")}),
+                         ("weights", {"beta": float("inf")}),
+                         ("weights", {"eps_pot": 0.0}), ("weights", {"eps_pot": -1})):
         with pytest.raises(ConfigError):
             RunConfig.load(write_config(tmp_path, dict(MINI, **{section: bad})))
     assert RunConfig.load(write_config(tmp_path, dict(MINI, gen={"fps": 20.0},
                                                       mppi={"dt": 0.05}))).mppi.dt == 0.05
+    # an int is a valid value for a float field
+    assert RunConfig.load(write_config(tmp_path, dict(MINI, weights={"alpha_c": 100}))
+                          ).weights.alpha_c == 100
     for bad in ({"gen": {"n_interactions": 0}}, {"seed": -1}, {"counts": {"stir": "x"}},
                 {"mppi": {"dt": 0.05}}, {"train": {"momentum": 2.0}}):
         path = write_config(tmp_path, dict(MINI, **bad))
@@ -81,7 +91,7 @@ def test_config_rejects_bad_values(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
-    # documents of the wrong shape, and MPPI counts that are not integers
+    # documents of the wrong shape, and field values of the wrong type
     for doc, message in (([MINI], "JSON object"),
                          (dict(MINI, models="cur"), "models must be a list"),
                          (dict(MINI, models=["cur", 3]), "models must be a list"),
@@ -89,7 +99,15 @@ def test_config_rejects_bad_values(tmp_path, capsys):
                          (dict(MINI, mppi={"horizon": 10.0}), "horizon must be an integer"),
                          (dict(MINI, mppi={"n_iterations": True}),
                           "n_iterations must be an integer"),
-                         (dict(MINI, mppi={"seed": 1.5}), "seed must be an integer")):
+                         (dict(MINI, mppi={"seed": 1.5}), "seed must be an integer"),
+                         (dict(MINI, gen={"episode_len_s": float("nan")}),
+                          "episode_len_s must be a finite number"),
+                         (dict(MINI, gen={"n_interactions": 1.5}),
+                          "n_interactions must be an integer"),
+                         (dict(MINI, train={"epochs": 1.5}), "epochs must be an integer"),
+                         (dict(MINI, weights={"alpha_c": float("nan")}),
+                          "alpha_c must be a finite number"),
+                         (dict(MINI, weights={"eps_pot": -1}), "eps_pot must be positive")):
         path = write_config(tmp_path, doc)
         assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err

@@ -16,6 +16,7 @@ from costcast.metrics import (
     random_toycmdp,
     stop_restart_times,
     worked_toycmdp,
+    _incursions,
 )
 from costcast.motion import Episode, MotionError, N_JOINTS, WRIST_INDICES
 from costcast.planner import SimLog
@@ -94,7 +95,7 @@ def test_stop_restart_hand_built_logs():
     gt = set(range(10, 21))
     lm = make_stir_log(set(range(5, 21)) | {50}, gt)   # early stop + one false alarm
     lc = make_stir_log(set(range(10, 26)), gt)          # on-time stop, late restart
-    out = stop_restart_times(lm, lc)
+    out = stop_restart_times([lm], [lc])
     # model activates 5 steps before the baseline: 5 * 40 ms lead
     assert out["stop_ms"] == pytest.approx(200.0, abs=1e-9)
     # model deactivates at 21, baseline at 26: 5 * 40 ms lead
@@ -108,16 +109,32 @@ def test_stop_restart_hand_built_logs():
 def test_stop_restart_identical_logs_are_all_zero():
     gt = set(range(30, 41))
     log = make_stir_log(set(range(28, 43)), gt)
-    out = stop_restart_times(log, log)
+    out = stop_restart_times([log], [log])
     assert out["stop_ms"] == 0.0
     assert out["restart_ms"] == 0.0
     assert out["fdr"] == 0.0
 
 
+def test_incursions_match_run_scan_oracle(rng):
+    for n in (1, 2, 7, 60):
+        for _ in range(20):
+            flags = rng.random(n) < 0.5
+            oracle, start = [], None
+            for i, f in enumerate(flags):
+                if f and start is None:
+                    start = i
+                elif not f and start is not None:
+                    oracle.append((start, i - 1))
+                    start = None
+            if start is not None:
+                oracle.append((start, n - 1))
+            assert _incursions(flags) == oracle
+
+
 def test_stop_restart_requires_incursions():
     log = make_stir_log(set(), set())
     with pytest.raises(MotionError):
-        stop_restart_times(log, log)
+        stop_restart_times([log], [log])
 
 
 # --- handover metrics from hand-built logs --------------------------------
@@ -139,7 +156,7 @@ def test_handover_metrics_hand_built_logs():
         return log
 
     lm, lc = make_log(30), make_log(40)
-    out = handover_metrics(lm, lc, ep)
+    out = handover_metrics([lm], [lc], [ep])
     assert out["correct_goal_rate"] == 1.0
     assert out["goal_detection_ms"] == pytest.approx((40 - 30) * DT * 1000, abs=1e-9)
     # arrival: ||ee - goal|| = 0.5 (1 - t/99) <= 0.05 first at t = 90
@@ -158,7 +175,7 @@ def test_handover_metrics_requires_goal_metadata():
                  records=[{"step": 0, "ee_pos": [0, 0, 0],
                            "forecast_final_wrist": None}])
     with pytest.raises(MotionError):
-        handover_metrics(log, log, ep)
+        handover_metrics([log], [log], [ep])
 
 
 # --- loss-bound verifier ---------------------------------------------------

@@ -1,9 +1,10 @@
-"""Tests for the core skeletal-motion types, resampling and the episode file format."""
+"""Tests for the core skeletal-motion types, window cutting (forecast.WindowSet)
+and the episode file format."""
 
 import numpy as np
 import pytest
 
-from conftest import BASE_POSE, linear_episode, random_pose
+from conftest import BASE_POSE, linear_episode
 from costcast.forecast import WindowSet
 from costcast.motion import (
     Context,
@@ -12,13 +13,10 @@ from costcast.motion import (
     HORIZON_LEN,
     MotionError,
     N_JOINTS,
-    Pose,
     Trajectory,
     episode_from_dict,
     episode_to_dict,
     load_episode,
-    pose_distance,
-    resample,
     save_episode,
 )
 
@@ -26,26 +24,16 @@ from costcast.motion import (
 # --- containers -----------------------------------------------------------
 
 def test_pose_shape_and_finiteness_enforced():
+    # every frame of an episode is a (7, 3) pose with finite coordinates
     with pytest.raises(MotionError):
-        Pose(np.zeros((6, 3)))
-    bad = BASE_POSE.copy()
-    bad[0, 0] = np.nan
+        Episode(fps=25.0, frames=np.zeros((40, N_JOINTS - 1, 3)))
+    bad = np.repeat(BASE_POSE[None], 40, axis=0)
+    bad[5, 0, 0] = np.nan
     with pytest.raises(MotionError):
-        Pose(bad)
-
-
-def test_pose_bone_check_flags_degenerate_arms():
-    Pose(BASE_POSE).check_bones()
-    collapsed = BASE_POSE.copy()
-    collapsed[0] = collapsed[2]  # left wrist onto left elbow
-    with pytest.raises(MotionError):
-        Pose(collapsed).check_bones()
+        Episode(fps=25.0, frames=bad)
 
 
 def test_containers_are_immutable():
-    p = Pose(BASE_POSE)
-    with pytest.raises(ValueError):
-        p.joints[0, 0] = 1.0
     ctx = Context(np.repeat(BASE_POSE[None], HISTORY_LEN, axis=0))
     with pytest.raises(ValueError):
         ctx.frames[0, 0, 0] = 1.0
@@ -126,79 +114,6 @@ def test_mixed_frame_rates_rejected():
     with pytest.raises(MotionError, match="rate"):
         WindowSet(eps)
     assert WindowSet(eps[1:]).dt == pytest.approx(1 / 50.0)
-
-
-# --- pose_distance --------------------------------------------------------
-
-def test_pose_distance_identity_and_uniform_offset():
-    p = Pose(BASE_POSE)
-    assert pose_distance(p, p) == 0.0
-    q = Pose(BASE_POSE + np.array([0.005, 0.0, 0.0]))
-    assert pose_distance(p, q) == pytest.approx(0.005, abs=1e-15)
-
-
-def test_pose_distance_matches_hand_sum(rng):
-    a, b = random_pose(rng), random_pose(rng)
-    oracle = sum(np.linalg.norm(a.joints[j] - b.joints[j]) for j in range(N_JOINTS)) / N_JOINTS
-    assert pose_distance(a, b) == pytest.approx(oracle, abs=1e-15)
-    assert pose_distance(a, b) == pose_distance(b, a)
-
-
-def test_pose_distance_triangle_inequality(rng):
-    for _ in range(50):
-        a, b, c = (random_pose(rng) for _ in range(3))
-        assert pose_distance(a, c) <= pose_distance(a, b) + pose_distance(b, c) + 1e-12
-
-
-# --- resample -------------------------------------------------------------
-
-def test_resample_integer_decimation():
-    ep = linear_episode(100, (0.1, 0.0, 0.0), fps=50.0)
-    out = resample(ep, 25.0)
-    assert len(out) == 50
-    for i in range(50):
-        np.testing.assert_allclose(out.frames[i], ep.frames[2 * i], atol=1e-12)
-
-
-def test_resample_constant_pose_any_rate():
-    frames = np.repeat(BASE_POSE[None], 40, axis=0)
-    ep = Episode(fps=25.0, frames=frames)
-    for fps in (10.0, 30.0, 120.0):
-        out = resample(ep, fps)
-        np.testing.assert_allclose(
-            out.frames, np.repeat(BASE_POSE[None], len(out), axis=0), atol=1e-12)
-
-
-def test_resample_linear_motion_matches_line():
-    v = np.array([0.2, -0.1, 0.05])
-    ep = linear_episode(60, v, fps=25.0)
-    out = resample(ep, 50.0)
-    t = np.arange(len(out)) / 50.0
-    expected = BASE_POSE[None] + t[:, None, None] * v
-    np.testing.assert_allclose(out.frames, expected, atol=1e-12)
-
-
-def test_resample_round_trip_recovers_original_frames(rng):
-    frames = BASE_POSE[None] + rng.normal(0, 0.01, size=(40, N_JOINTS, 3))
-    ep = Episode(fps=25.0, frames=frames, transitions=((5, 12),))
-    back = resample(resample(ep, 50.0), 25.0)
-    assert len(back) == len(ep)
-    np.testing.assert_allclose(back.frames, ep.frames, atol=1e-12)
-
-
-def test_resample_transitions_rounded_outward():
-    ep = linear_episode(100, (0.01, 0.0, 0.0), fps=50.0, transitions=((11, 29), (61, 75)))
-    out = resample(ep, 25.0)
-    for (s, e), (ns, ne) in zip(ep.transitions, out.transitions):
-        # remapped interval must cover the original one in time
-        assert ns / out.fps <= s / ep.fps + 1e-12
-        assert ne / out.fps >= e / ep.fps - 1e-12
-
-
-def test_resample_rejects_bad_rate():
-    ep = linear_episode(40, (0.0, 0.0, 0.0))
-    with pytest.raises(MotionError):
-        resample(ep, 0.0)
 
 
 # --- episode file format --------------------------------------------------

@@ -260,14 +260,6 @@ def test_arm_model_validation():
         ArmModel(sphere_radius=0.0)
 
 
-def test_arm_model_from_json(tmp_path):
-    path = tmp_path / "arm.json"
-    path.write_text('{"flange_offset": 0.2, "base_position": [0.0, 0.0, 0.0]}')
-    m = ArmModel.from_json(path)
-    assert m.flange_offset == 0.2
-    assert m.base_position == (0.0, 0.0, 0.0)
-
-
 # --- end-effector quaternion ----------------------------------------------
 
 def quat_to_matrix(q):
