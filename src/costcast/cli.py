@@ -93,6 +93,11 @@ class RunConfig:
             raise ConfigError(f"unknown task name(s) in counts: {sorted(bad)}")
         for task, count in cfg.counts.items():
             _non_negative_int(count, f"counts.{task}")
+        if cfg.counts.get("tableset", 0) > 0:
+            try:
+                datagen.tableset_tour(cfg.gen)
+            except MotionError as exc:
+                raise ConfigError(f"gen: {exc}") from exc
         for section in ("gen", "train", "mppi"):
             _non_negative_int(getattr(cfg, section).seed, f"{section}.seed")
         if abs(cfg.mppi.dt - 1.0 / cfg.gen.fps) > 1e-9:

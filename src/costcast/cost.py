@@ -94,7 +94,8 @@ def hinge(x: np.ndarray) -> np.ndarray:
 # --- terms ---------------------------------------------------------------
 #
 # ``frames`` is the (R, p) pair that ``fk_batch`` returns for Q: rotations
-# (N, H, 8, 3, 3) and origins (N, H, 8, 3), end effector at index 7.
+# (8, 3, 3, N, H) and origins (8, 3, N, H), end effector at index 7, with the
+# batch axes last.  Terms that need component-last poses take them as views.
 
 def base_terms_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray, frames,
                      weights: CostWeights) -> np.ndarray:
@@ -110,7 +111,7 @@ def base_terms_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray, frames,
 def separation_against_forecast(model: ArmModel, frames, forecast: Forecast) -> np.ndarray:
     """Per-step minimum clearance (N, H) against a forecast of either kind."""
     centers = collision_sphere_centers(model, frames)
-    H = centers.shape[1]
+    H = centers.shape[-1]
     if forecast.kind == SAFETY_VOLUME:
         if forecast.centers.shape[0] < H:
             raise MotionError("forecast horizon shorter than plan horizon")
@@ -213,6 +214,13 @@ def grasp_pose(ee_pos: np.ndarray, ee_R: np.ndarray, wrist_final: np.ndarray) ->
     return align @ ee_R
 
 
+def _end_effector_poses(frames):
+    """End-effector positions (N, H, 3) and rotations (N, H, 3, 3), as views
+    of the batch-last ``fk_batch`` frames."""
+    R, p = frames
+    return np.moveaxis(p[7], 0, -1), np.moveaxis(R[7], (0, 1), (-2, -1))
+
+
 def handover_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
                          spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Track the grasp pose at the forecast final wrist while the object is in hand."""
@@ -222,19 +230,17 @@ def handover_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Fore
         return np.zeros(Q.shape[0])
     # the moving (right) wrist is the handover hand
     wrist = forecast.trajectory.frames[-1, WRIST_INDICES[1]]
-    R, p = frames
-    target_R = grasp_pose(p[:, 0, 7], R[:, 0, 7], wrist)
-    return np.sum(pose_error_batch(p[:, :, 7], R[:, :, 7], wrist, target_R[:, None]), axis=1)
+    ee_pos, ee_R = _end_effector_poses(frames)
+    target_R = grasp_pose(ee_pos[:, 0], ee_R[:, 0], wrist)
+    return np.sum(pose_error_batch(ee_pos, ee_R, wrist, target_R[:, None]), axis=1)
 
 
 def tableset_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
                          spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Goal reaching plus beta-weighted collision avoidance."""
     spec.require("table_goal")
-    R, p = frames
     T = spec.table_goal
-    goal = np.sum(pose_error_batch(p[..., 7, :], R[..., 7, :, :], T[:3, 3], T[:3, :3]),
-                  axis=1)
+    goal = np.sum(pose_error_batch(*_end_effector_poses(frames), T[:3, 3], T[:3, :3]), axis=1)
     return goal + weights.beta * coll
 
 

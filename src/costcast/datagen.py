@@ -12,7 +12,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .motion import DEFAULT_FPS, Episode, MotionError, N_JOINTS, check_field_types
+from .motion import (
+    DEFAULT_FPS,
+    Episode,
+    MotionError,
+    N_JOINTS,
+    check_field_types,
+    is_finite_number,
+)
 
 # Static skeleton layout (world frame, meters).  The right arm is the moving
 # one; its elbow is solved from a two-link chain with equal bone lengths so
@@ -29,6 +36,7 @@ TABLE_BOX = np.array([[0.3, 0.8], [-0.35, 0.35]])
 TABLE_Z = 0.9
 TABLE_DWELL_S = 0.5
 N_TABLE_WAYPOINTS = 6
+MAX_EPISODE_LEN_S = 3600.0
 
 
 class ScheduleError(MotionError):
@@ -49,6 +57,10 @@ class GenConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        for name in ("pot_position", "rest_wrist"):
+            object.__setattr__(self, name, _point(getattr(self, name), name))
+        if self.episode_len_s > MAX_EPISODE_LEN_S:
+            raise MotionError(f"episode_len_s must be at most {MAX_EPISODE_LEN_S:g} s")
         if self.reach_duration_s <= 0 or self.hold_duration_s <= 0:
             raise MotionError("durations must be positive")
         if self.n_interactions < 1:
@@ -61,6 +73,14 @@ class GenConfig:
     @property
     def interaction_len_s(self) -> float:
         return 2 * self.reach_duration_s + self.hold_duration_s
+
+
+def _point(value, name: str) -> tuple:
+    """A 3-vector of finite, non-bool numbers, as a tuple of floats."""
+    if (not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 3
+            or not all(is_finite_number(v) for v in value)):
+        raise MotionError(f"{name} must be 3 finite numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def min_jerk(p0, p1, n_steps: int) -> np.ndarray:
@@ -191,13 +211,11 @@ def gen_handover(config: GenConfig) -> Episode:
                    task="handover", extras=extras)
 
 
-def gen_tableset(config: GenConfig) -> Episode:
-    """Table-setting episode: the wrist tours seeded waypoints on the table plane.
+def tableset_tour(config: GenConfig) -> tuple:
+    """Frame counts (episode, reach, dwell) of a tableset episode.
 
-    The whole episode is one transition interval: it consists entirely of
-    close-proximity arm movement over the shared table.
+    Raises ScheduleError when the episode is too short for the waypoint tour.
     """
-    rng = np.random.default_rng(config.seed)
     fps = config.fps
     n_frames = int(round(config.episode_len_s * fps))
     reach_n = int(round(config.reach_duration_s * fps))
@@ -205,6 +223,17 @@ def gen_tableset(config: GenConfig) -> Episode:
     need = N_TABLE_WAYPOINTS * (reach_n + dwell_n) + 1
     if need > n_frames:
         raise ScheduleError(f"episode of {n_frames} frames too short for waypoint tour ({need})")
+    return n_frames, reach_n, dwell_n
+
+
+def gen_tableset(config: GenConfig) -> Episode:
+    """Table-setting episode: the wrist tours seeded waypoints on the table plane.
+
+    The whole episode is one transition interval: it consists entirely of
+    close-proximity arm movement over the shared table.
+    """
+    rng = np.random.default_rng(config.seed)
+    n_frames, reach_n, dwell_n = tableset_tour(config)
 
     waypoints = []
     for _ in range(N_TABLE_WAYPOINTS):
@@ -224,7 +253,7 @@ def gen_tableset(config: GenConfig) -> Episode:
         pos = wp
     wrist[i:] = pos
     frames = _apply_jitter(_frames_from_wrist_path(wrist), config.jitter_sigma, rng)
-    return Episode(fps=fps, frames=frames, transitions=((0, n_frames - 1),),
+    return Episode(fps=config.fps, frames=frames, transitions=((0, n_frames - 1),),
                    task="tableset",
                    extras={"waypoints": [[float(x) for x in w] for w in waypoints]})
 

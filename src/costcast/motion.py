@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -44,11 +45,23 @@ class MotionError(ValueError):
     """Raised for malformed contexts, episodes or window requests."""
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def check_field_types(config) -> None:
     """Reject a config dataclass field whose value does not fit its default.
 
     A field with an int default takes a non-bool int.  A field with a float
-    default takes a finite, non-bool number; an int is accepted there.
+    default takes a finite, non-bool number; an int is accepted there and
+    stored as a float, so ``100`` and ``100.0`` give equal, equally
+    serialised configs.
     """
     for f in fields(config):
         value = getattr(config, f.name)
@@ -56,9 +69,9 @@ def check_field_types(config) -> None:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise MotionError(f"{f.name} must be an integer, got {value!r}")
         elif type(f.default) is float:
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
+            if not is_finite_number(value):
                 raise MotionError(f"{f.name} must be a finite number, got {value!r}")
+            object.__setattr__(config, f.name, float(value))
 
 
 def _readonly(a) -> np.ndarray:

@@ -264,7 +264,7 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
         cmd, best_cost = plan_step(pstate, arm, fc, step_spec, weights, cfg, model=model)
         arm = step(model, arm, cmd, cfg.dt)
         R, p = fk_batch(model, arm.q)
-        sep = separation_batch(model, collision_sphere_centers(model, (R, p))[None, None],
+        sep = separation_batch(model, collision_sphere_centers(model, (R, p))[..., None, None],
                                episode.frames[t][None])[0, 0]
 
         rec = {

@@ -3,9 +3,13 @@ geometry against the human, and clamped velocity integration.
 
 ``fk_batch`` maps joint configurations of any batch shape, one configuration
 included, to world-frame (R, p) frames; the linear Jacobian, manipulability
-and collision spheres are all computed from those frames.  The default model
-approximates a Franka-class arm via modified-DH parameters.  Geometry lives
-in the config; algorithms do not depend on the exact plant.
+and collision spheres are all computed from those frames.  Every kinematics
+array puts the batch axes last: frames are (8, 3, 3, *batch) and (8, 3,
+*batch), sphere centers (16, 3, *batch), so each coordinate is a contiguous
+(*batch) plane and one configuration gives the plain (8, 3, 3), (8, 3) and
+(16, 3) arrays.  The default model approximates a Franka-class arm via
+modified-DH parameters.  Geometry lives in the config; algorithms do not
+depend on the exact plant.
 """
 
 from __future__ import annotations
@@ -96,21 +100,25 @@ class ArmState:
 def fk_batch(model: ArmModel, Q: np.ndarray):
     """Forward kinematics for a batch of configurations.
 
-    Q has shape (..., 7).  Returns (R, p): rotation matrices (..., 8, 3, 3)
-    and origins (..., 8, 3) for the 7 joint frames plus the flanged
-    end-effector frame, all in the world frame.
+    Q has shape (*batch, 7).  Returns (R, p): rotation matrices (8, 3, 3,
+    *batch) and origins (8, 3, *batch) for the 7 joint frames plus the
+    flanged end-effector frame, all in the world frame.  One configuration
+    (batch ``()``) gives the plain (8, 3, 3) and (8, 3) arrays.
 
     Each frame is carried as its three world-frame axes ``x, y, z``, arrays of
-    shape (..., 3), so a DH row is two plane rotations of axis pairs and two
-    translations along an axis, all elementwise.
+    shape (3, *batch), so a DH row is two plane rotations of axis pairs and
+    two translations along an axis, all elementwise against per-joint
+    (*batch) planes.
     """
     Q = np.asarray(Q, dtype=float)
     batch = Q.shape[:-1]
-    R = np.empty(batch + (8, 3, 3))
-    p = np.empty(batch + (8, 3))
-    cos_q, sin_q = np.cos(Q)[..., None], np.sin(Q)[..., None]  # (..., 7, 1)
-    x, y, z = (np.broadcast_to(axis, batch + (3,)) for axis in np.eye(3))
-    pos = np.broadcast_to(np.asarray(model.base_position, dtype=float), batch + (3,))
+    R = np.empty((8, 3, 3) + batch)
+    p = np.empty((8, 3) + batch)
+    cos_q, sin_q = np.moveaxis(np.cos(Q), -1, 0), np.moveaxis(np.sin(Q), -1, 0)  # (7, *batch)
+    column = (3,) + (1,) * len(batch)
+    x, y, z = (np.broadcast_to(axis.reshape(column), (3,) + batch) for axis in np.eye(3))
+    pos = np.broadcast_to(np.asarray(model.base_position, dtype=float).reshape(column),
+                          (3,) + batch)
     for i, (a, d, alpha) in enumerate(model.dh):
         # T = RotX(alpha) TransX(a) RotZ(theta) TransZ(d)
         if alpha:
@@ -118,16 +126,13 @@ def fk_batch(model: ArmModel, Q: np.ndarray):
             y, z = ca * y + sa * z, ca * z - sa * y
         if a:
             pos = pos + a * x
-        ct, st = cos_q[..., i, :], sin_q[..., i, :]
+        ct, st = cos_q[i], sin_q[i]
         x, y = ct * x + st * y, ct * y - st * x
         if d:
             pos = pos + d * z
-        R[..., i, :, 0] = x
-        R[..., i, :, 1] = y
-        R[..., i, :, 2] = z
-        p[..., i, :] = pos
-    R[..., 7, :, :] = R[..., 6, :, :]
-    p[..., 7, :] = pos + model.flange_offset * z
+        R[i, :, 0], R[i, :, 1], R[i, :, 2], p[i] = x, y, z, pos
+    R[7] = R[6]
+    p[7] = pos + model.flange_offset * z
     return R, p
 
 
@@ -156,15 +161,17 @@ def linear_jacobian(frames) -> np.ndarray:
     """Linear Jacobian columns cross(z_i, p_ee - p_i) from ``fk_batch`` frames.
 
     ``frames`` is the (R, p) pair.  The result is component-major, shape
-    (3, 7, ...): row k holds the k-th coordinate of every joint's column, so
-    for one configuration it is the 3x7 matrix.
+    (3, 7, *batch): row k holds the k-th coordinate of every joint's column,
+    so for one configuration it is the 3x7 matrix.
     """
     R, p = frames
-    z = np.ascontiguousarray(np.moveaxis(R[..., :7, :, 2], (-1, -2), (0, 1)))
-    e = np.ascontiguousarray(np.moveaxis(p[..., 7:8, :] - p[..., :7, :], (-1, -2), (0, 1)))
-    return np.stack([z[1] * e[2] - z[2] * e[1],
-                     z[2] * e[0] - z[0] * e[2],
-                     z[0] * e[1] - z[1] * e[0]])
+    z = R[:7, :, 2]        # (7, 3, *batch)
+    e = p[7] - p[:7]       # (7, 3, *batch)
+    J = np.empty((3,) + z.shape[:1] + z.shape[2:])
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.subtract(z[:, i] * e[:, j], z[:, j] * e[:, i], out=J[k])
+    return J
 
 
 def manipulability_batch(frames) -> np.ndarray:
@@ -182,48 +189,71 @@ def manipulability_batch(frames) -> np.ndarray:
 
 
 def collision_sphere_centers(model: ArmModel, frames) -> np.ndarray:
-    """World centers of the robot collision spheres, shape (..., 16, 3).
+    """World centers of the robot collision spheres, shape (16, 3, *batch).
 
     ``frames`` is the (R, p) pair of ``fk_batch``.  Two spheres per chain
     segment, at 1/3 and 2/3 of the straight segment between consecutive frame
-    origins (base included).
+    origins (base included): rows 0-7 hold the 1/3 points and rows 8-15 the
+    2/3 points of segments 0-7.
     """
     _, p = frames
-    base = np.broadcast_to(np.asarray(model.base_position, dtype=float), p.shape[:-2] + (1, 3))
-    pts = np.concatenate([base, p], axis=-2)  # (..., 9, 3)
-    a, b = pts[..., :-1, :], pts[..., 1:, :]
-    s1 = a + (b - a) / 3.0
-    s2 = a + 2.0 * (b - a) / 3.0
-    return np.concatenate([s1, s2], axis=-2)
+    batch = p.shape[2:]
+    base = np.asarray(model.base_position, dtype=float).reshape((3,) + (1,) * len(batch))
+    centers = np.empty((16, 3) + batch)
+    near, far = centers[:8], centers[8:]
+    np.subtract(p[0], base, out=near[0])
+    np.subtract(p[1:], p[:-1], out=near[1:])      # segment vectors b - a
+    np.multiply(near, 2.0, out=far)
+    far /= 3.0
+    near /= 3.0
+    for s in (near, far):
+        s[0] += base
+        s[1:] += p[:-1]
+    return centers
 
 
 def separation_batch(model: ArmModel, centers: np.ndarray, human_frames: np.ndarray) -> np.ndarray:
     """Minimum clearance per (plan, step) against per-step human poses.
 
-    centers: (N, H, 16, 3) robot sphere centers.
+    centers: (16, 3, N, H) robot sphere centers from ``collision_sphere_centers``.
     human_frames: (H, J, 3) human poses per step.
     Returns (N, H).
 
-    The centers are laid out step-major as three (H, N*16) coordinate
-    planes, so each bone is elementwise work against per-step scalars.  The
-    minimum is taken over squared distances, with one square root at the end.
+    Each coordinate of the centers is a (16, N, H) plane, so each bone is
+    elementwise work against its per-step scalars, spread once into (N, H)
+    planes, with every temporary in a scratch buffer allocated once per call.
+    The minimum is taken over squared distances, with one square root at the
+    end.
     """
-    N, H = centers.shape[:2]
-    cx, cy, cz = np.moveaxis(centers, (3, 1), (0, 1)).reshape(3, H, -1)
+    cx, cy, cz = centers.swapaxes(0, 1)   # (16, N, H) each
     best = np.full(cx.shape, np.inf)
+    rx, ry, rz, t, tmp = (np.empty(cx.shape) for _ in range(5))
+    planes = np.empty((7,) + cx.shape[1:])
     for i, j in ARM_BONES:
         a = human_frames[:, i]            # (H, 3)
         ab = human_frames[:, j] - a       # (H, 3)
-        denom = np.maximum(np.einsum("hk,hk->h", ab, ab), 1e-18)[:, None]
-        (ax, ay, az), (bx, by, bz) = a.T[..., None], ab.T[..., None]  # (H, 1) each
-        rx, ry, rz = cx - ax, cy - ay, cz - az
-        t = (rx * bx + ry * by + rz * bz) / denom
+        planes[:3] = a.T[:, None]
+        planes[3:6] = ab.T[:, None]
+        planes[6] = np.maximum(np.einsum("hk,hk->h", ab, ab), 1e-18)
+        ax, ay, az, bx, by, bz, denom = planes   # (N, H) each
+        np.subtract(cx, ax, out=rx)
+        np.subtract(cy, ay, out=ry)
+        np.subtract(cz, az, out=rz)
+        # t = (r . ab) / |ab|^2, clipped onto the bone
+        np.multiply(rx, bx, out=t)
+        t += np.multiply(ry, by, out=tmp)
+        t += np.multiply(rz, bz, out=tmp)
+        t /= denom
         np.clip(t, 0.0, 1.0, out=t)
-        rx -= t * bx
-        ry -= t * by
-        rz -= t * bz
-        np.minimum(best, rx * rx + ry * ry + rz * rz, out=best)
-    dist = np.sqrt(best.reshape(H, N, -1).min(axis=-1).T)
+        rx -= np.multiply(t, bx, out=tmp)
+        ry -= np.multiply(t, by, out=tmp)
+        rz -= np.multiply(t, bz, out=tmp)
+        np.multiply(rx, rx, out=t)
+        t += np.multiply(ry, ry, out=tmp)
+        t += np.multiply(rz, rz, out=tmp)
+        np.minimum(best, t, out=best)
+    # step-major memory, so the caller's sum over steps adds in step order
+    dist = np.sqrt(best.min(axis=0).T.copy()).T
     return dist - model.sphere_radius - HUMAN_CAPSULE_RADIUS
 
 
@@ -231,11 +261,26 @@ def separation_batch_spheres(model: ArmModel, centers: np.ndarray,
                              vol_centers: np.ndarray, vol_radii: np.ndarray) -> np.ndarray:
     """Clearance against per-step safety-volume spheres.
 
-    vol_centers: (H, S, 3), vol_radii: (H, S).  Returns (N, H).
+    centers: (16, 3, N, H) robot sphere centers; vol_centers: (H, S, 3),
+    vol_radii: (H, S).  Returns (N, H).
+
+    Each volume sphere is elementwise work on the (16, N, H) coordinate
+    planes against per-step scalars, into scratch buffers allocated once.
     """
-    d = np.linalg.norm(centers[:, :, :, None, :] - vol_centers[None, :, None, :, :], axis=-1)
-    d = d - vol_radii[None, :, None, :] - model.sphere_radius
-    return d.min(axis=(-1, -2))
+    cx, cy, cz = centers.swapaxes(0, 1)   # (16, N, H) each
+    best = np.full(cx.shape, np.inf)
+    d, tmp = np.empty(cx.shape), np.empty(cx.shape)
+    for (vx, vy, vz), r in zip(vol_centers.transpose(1, 2, 0), vol_radii.T):  # (H,) each
+        np.subtract(cx, vx, out=d)
+        np.multiply(d, d, out=d)
+        np.subtract(cy, vy, out=tmp)
+        d += np.multiply(tmp, tmp, out=tmp)
+        np.subtract(cz, vz, out=tmp)
+        d += np.multiply(tmp, tmp, out=tmp)
+        np.sqrt(d, out=d)
+        d -= r
+        np.minimum(best, d, out=best)
+    return best.min(axis=0) - model.sphere_radius
 
 
 def step(model: ArmModel, state: ArmState, qd_cmd: np.ndarray, dt: float) -> ArmState:
@@ -257,20 +302,19 @@ def rollout_arrays(model: ArmModel, q0: np.ndarray, controls: np.ndarray, dt: fl
     """Vectorized rollout of (N, H, 7) velocity controls from one start config.
 
     Returns (Q, Qd): positions and applied velocities, each (N, H, 7).
-    Mirrors `step` exactly (clamping included).
+    Mirrors `step` exactly (clamping included): velocities are clipped up
+    front, each step's position is integrated (U) and then clamped (Q), and
+    a joint's velocity is zeroed wherever its integrated position left the
+    limits.
     """
     controls = np.asarray(controls, dtype=float)
-    N, H, _ = controls.shape
     lo, hi, vel = model.lo, model.hi, model.vel
-    Q = np.empty((N, H, N_DOF))
-    Qd = np.empty((N, H, N_DOF))
-    q = np.broadcast_to(np.asarray(q0, dtype=float), (N, N_DOF)).copy()
-    for t in range(H):
-        qd = np.clip(controls[:, t], -vel, vel)
-        q = q + qd * dt
-        clamped = (q < lo) | (q > hi)
-        q = np.clip(q, lo, hi)
-        qd = np.where(clamped, 0.0, qd)
-        Q[:, t] = q
-        Qd[:, t] = qd
+    Qd = np.clip(controls, -vel, vel)
+    delta = Qd * dt
+    U = np.empty_like(Qd)
+    Q = np.empty_like(Qd)
+    q = np.asarray(q0, dtype=float)
+    for t in range(Qd.shape[1]):
+        q = np.clip(np.add(q, delta[:, t], out=U[:, t]), lo, hi, out=Q[:, t])
+    Qd[(U < lo) | (U > hi)] = 0.0
     return Q, Qd

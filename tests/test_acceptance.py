@@ -267,7 +267,7 @@ def test_planner_reaches_goal_within_100_replans():
 
     def cost_fn(Q, Qd):
         _, p = fk_batch(MODEL, Q)
-        return np.sum(np.linalg.norm(p[:, :, 7] - goal, axis=-1) ** 2, axis=1)
+        return np.sum(np.linalg.norm(p[7] - goal[:, None, None], axis=0) ** 2, axis=1)
 
     cfg = MppiConfig(seed=3)
     ps = PlannerState.init(cfg)
@@ -313,7 +313,7 @@ def test_min_separation_matches_brute_force_1000_scenes():
         q = rng.uniform(MODEL.lo, MODEL.hi)
         human = random_pose_array(rng, scale=0.05)
         centers = collision_sphere_centers(MODEL, fk_batch(MODEL, q))
-        sep = separation_batch(MODEL, centers[None, None], human[None])[0, 0]
+        sep = separation_batch(MODEL, centers[..., None, None], human[None])[0, 0]
         assert sep == pytest.approx(brute_force_separation(MODEL, q, human), abs=1e-9)
 
 

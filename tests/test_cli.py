@@ -75,7 +75,7 @@ def test_config_rejects_bad_values(tmp_path, capsys):
                          ("train", {"epochs": 1.5}), ("train", {"batch_size": 2.5}),
                          ("mppi", {"temperature": "hot"}),
                          ("weights", {"alpha_c": float("nan")}),
-                         ("weights", {"beta": float("inf")}),
+                         ("weights", {"beta": float("inf")}), ("weights", {"beta": 10**400}),
                          ("weights", {"eps_pot": 0.0}), ("weights", {"eps_pot": -1})):
         with pytest.raises(ConfigError):
             RunConfig.load(write_config(tmp_path, dict(MINI, **{section: bad})))
@@ -116,6 +116,62 @@ def test_config_rejects_bad_values(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["gen", "--config", path, "--seed", "-1", "--out", str(tmp_path / "runs")]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_gen_points_length_and_tableset_tour_exit_2(tmp_path, capsys):
+    # the 3-vector gen fields, the episode length bound and the tableset
+    # waypoint tour are checked when the config loads, before any data is written
+    one_tableset = {"stir": 0, "handover": 0, "tableset": 1}
+    for doc, message in (
+            (dict(MINI, gen={"pot_position": "abc"}), "pot_position must be 3 finite numbers"),
+            (dict(MINI, gen={"pot_position": [0.5, 0.0]}), "pot_position must be 3 finite numbers"),
+            (dict(MINI, gen={"pot_position": [0.5, float("nan"), 1.0]}),
+             "pot_position must be 3 finite numbers"),
+            (dict(MINI, gen={"rest_wrist": [0.0, "x", 1.0]}), "rest_wrist must be 3 finite numbers"),
+            (dict(MINI, gen={"rest_wrist": [0.0, True, 1.0]}), "rest_wrist must be 3 finite numbers"),
+            (dict(MINI, gen={"episode_len_s": 1e308}), "episode_len_s must be at most"),
+            (dict(MINI, counts=one_tableset, gen={"episode_len_s": 9.0, "n_interactions": 1}),
+             "too short for waypoint tour")):
+        path = write_config(tmp_path, doc)
+        assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+    # the points are stored as float tuples; the tour is checked only when
+    # tableset episodes are requested
+    cfg = RunConfig.load(write_config(tmp_path, dict(MINI, gen={"pot_position": [1, 0, 1]})))
+    assert cfg.gen.pot_position == (1.0, 0.0, 1.0)
+    assert all(type(v) is float for v in cfg.gen.pot_position)
+    RunConfig.load(write_config(tmp_path, dict(MINI, gen={"episode_len_s": 9.0,
+                                                          "n_interactions": 1})))
+
+
+def test_run_dir_does_not_depend_on_number_spelling(tmp_path):
+    as_int = RunConfig.load(write_config(tmp_path, dict(MINI, weights={"alpha_c": 100}), "a.json"),
+                            {"out": str(tmp_path / "runs")})
+    as_float = RunConfig.load(write_config(tmp_path, dict(MINI, weights={"alpha_c": 100.0}),
+                                           "b.json"), {"out": str(tmp_path / "runs")})
+    assert type(as_int.weights.alpha_c) is float
+    assert as_int.canonical() == as_float.canonical()
+    assert as_int.run_dir() == as_float.run_dir()
+
+
+README_EXAMPLE = {
+    "seed": 0,
+    "counts": {"stir": 19, "handover": 27, "tableset": 15},
+    "gen": {"episode_len_s": 24.0, "n_interactions": 3},
+    "train": {"epochs": 15},
+    "preset": "manicast",
+    "models": ["cur", "cvm", "manicast"],
+}
+
+
+def test_default_and_readme_configs_keep_their_run_dirs(tmp_path):
+    # a change to these digests moves every existing run directory
+    out = {"out": str(tmp_path / "runs")}
+    assert RunConfig.load(None, out).run_dir().name == "7fdff6ddbc99"
+    assert RunConfig.load(write_config(tmp_path, README_EXAMPLE), out).run_dir().name \
+        == "035957e7586a"
 
 
 def test_run_dir_is_a_stable_config_hash(tmp_path, monkeypatch):

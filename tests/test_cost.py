@@ -25,7 +25,15 @@ from costcast.cost import (
 )
 from costcast.forecast import Forecast, forecast_worst, point_forecast
 from costcast.motion import Context, HISTORY_LEN, HORIZON_LEN, MotionError
-from costcast.robot import ArmModel, N_DOF, collision_sphere_centers, fk_batch
+from costcast.robot import (
+    ArmModel,
+    N_DOF,
+    collision_sphere_centers,
+    fk_batch,
+    manipulability_batch,
+    separation_batch,
+    separation_batch_spheres,
+)
 
 MODEL = ArmModel()
 H = HORIZON_LEN
@@ -378,6 +386,44 @@ def test_total_cost_rows_match_single_plan_evaluation(task, n, seed):
     single = [total_cost_batch(MODEL, Q[i:i + 1], Qd[i:i + 1], fc, spec, w)[0]
               for i in range(n)]
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(task=st.sampled_from(sorted(PROPERTY_SPECS)), n=st.integers(1, 8),
+       h=st.integers(1, H), seed=st.integers(0, 2**32 - 1))
+def test_batch_last_kinematics_match_single_configurations(task, n, h, seed):
+    # every (plan, step) element of a batched kinematics call is bit for bit
+    # the N = H = 1 call on that configuration alone
+    rng = np.random.default_rng(seed)
+    Q = rng.uniform(MODEL.lo, MODEL.hi, size=(n, h, N_DOF))
+    Qd = rng.uniform(-MODEL.vel, MODEL.vel, size=(n, h, N_DOF))
+    humans = BASE_POSE[None] + rng.normal(0, 0.03, size=(H, 7, 3))
+    humans = humans + np.array([rng.uniform(0.0, 0.6), 0.0, 0.2])
+    vol_centers = np.array([0.6, 0.0, 1.0]) + rng.normal(0.0, 0.3, size=(H, 3, 3))
+    vol_radii = rng.uniform(0.05, 0.3, size=(H, 3))
+
+    def kinematics(Q, steps):
+        frames = fk_batch(MODEL, Q)
+        centers = collision_sphere_centers(MODEL, frames)
+        return (*frames, manipulability_batch(frames), centers,
+                separation_batch(MODEL, centers, humans[steps]),
+                separation_batch_spheres(MODEL, centers, vol_centers[steps],
+                                         vol_radii[steps]))
+
+    batch = kinematics(Q, slice(0, h))
+    assert [a.shape for a in batch] == [(8, 3, 3, n, h), (8, 3, n, h), (n, h),
+                                        (16, 3, n, h), (n, h), (n, h)]
+    for i in range(n):
+        for t in range(h):
+            single = kinematics(Q[i:i + 1, t:t + 1], slice(t, t + 1))
+            for got, one in zip(batch, single):
+                assert np.array_equal(got[..., i, t], one[..., 0, 0])
+    # the total cost of each plan matches that plan scored alone
+    fc = point_forecast(humans)
+    spec, w = PROPERTY_SPECS[task], CostWeights()
+    costs = total_cost_batch(MODEL, Q, Qd, fc, spec, w)
+    alone = [total_cost_batch(MODEL, Q[i:i + 1], Qd[i:i + 1], fc, spec, w)[0] for i in range(n)]
+    np.testing.assert_allclose(costs, alone, rtol=1e-12, atol=0)
 
 
 def test_wrist_pot_distance_picks_nearest_wrist():

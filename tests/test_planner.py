@@ -127,7 +127,7 @@ def test_build_task_spec_per_task():
 def goal_cost_fn(goal):
     def cost_fn(Q, Qd):
         _, p = fk_batch(MODEL, Q)
-        return np.sum(np.linalg.norm(p[:, :, 7] - goal, axis=-1) ** 2, axis=1)
+        return np.sum(np.linalg.norm(p[7] - goal[:, None, None], axis=0) ** 2, axis=1)
 
     return cost_fn
 

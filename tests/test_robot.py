@@ -44,22 +44,23 @@ def ee_position(model, q):
 def separation(model, q, human):
     """Clearance of one configuration against one (J, 3) human pose."""
     centers = collision_sphere_centers(model, fk_batch(model, q))
-    return separation_batch(model, centers[None, None], np.asarray(human)[None])[0, 0]
+    return separation_batch(model, centers[..., None, None], np.asarray(human)[None])[0, 0]
 
 
 # --- forward kinematics ---------------------------------------------------
 
 @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
 def test_fk_batch_frames_match_matrix_composition_oracle(rng, batch):
-    # every frame's rotation and origin, end effector included, at any batch shape
+    # every frame's rotation and origin, end effector included, at any batch
+    # shape; the batch axes come last
     Q = rng.uniform(MODEL.lo, MODEL.hi, size=batch + (N_DOF,))
     R, p = fk_batch(MODEL, Q)
-    assert R.shape == batch + (8, 3, 3) and p.shape == batch + (8, 3)
+    assert R.shape == (8, 3, 3) + batch and p.shape == (8, 3) + batch
     for idx in np.ndindex(*batch):
         ee_T, chain = fk_oracle(MODEL, Q[idx])
         for i, T in enumerate(chain + [ee_T]):
-            np.testing.assert_allclose(R[idx][i], T[:3, :3], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(p[idx][i], T[:3, 3], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(R[(i, ...) + idx], T[:3, :3], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p[(i, ...) + idx], T[:3, 3], rtol=0, atol=1e-12)
 
 
 def test_base_joint_rotation_preserves_ee_height(rng):
@@ -194,11 +195,11 @@ def test_margin_spheres_replace_human_capsules(rng):
     for n in range(N):
         for h in range(H):
             expected = min(np.linalg.norm(c - v) - MODEL.sphere_radius - r
-                           for c in centers[n, h]
+                           for c in centers[..., n, h]
                            for v, r in zip(vol_centers[h], vol_radii[h]))
             assert got[n, h] == pytest.approx(expected, abs=1e-12)
     # one sphere on a robot sphere center: penetration is both radii
-    vol_centers[1, 2] = centers[0, 1, 9]
+    vol_centers[1, 2] = centers[9, :, 0, 1]
     got = separation_batch_spheres(MODEL, centers, vol_centers, vol_radii)
     assert got[0, 1] == pytest.approx(-(MODEL.sphere_radius + vol_radii[1, 2]), abs=1e-12)
 
@@ -249,6 +250,30 @@ def test_rollout_arrays_mirrors_sequential_stepping(rng):
             s = step(MODEL, s, controls[n, t], 0.04)
             np.testing.assert_allclose(Q[n, t], s.q, atol=1e-15)
             np.testing.assert_allclose(Qd[n, t], s.qd, atol=1e-15)
+
+
+def test_rollout_arrays_clamps_at_both_limits():
+    # even joints start just under their upper limit and odd joints just over
+    # their lower one; plan 0 drives every joint into its near limit and then
+    # away, plan 1 the reverse, plan 2 saturates the velocity limit throughout
+    outward = np.where(np.arange(N_DOF) % 2 == 0, 1.0, -1.0)
+    q0 = np.where(outward > 0, MODEL.hi - 0.01, MODEL.lo + 0.01)
+    controls = np.empty((3, 12, N_DOF))
+    controls[0, :6], controls[0, 6:] = 5.0 * outward, -0.5 * outward
+    controls[1, :6], controls[1, 6:] = -0.5 * outward, 5.0 * outward
+    controls[2] = 3.0 * outward
+    Q, Qd = rollout_arrays(MODEL, q0, controls, 0.04)
+    for n in range(3):
+        s = ArmState(q=q0, qd=np.zeros(N_DOF))
+        for t in range(12):
+            s = step(MODEL, s, controls[n, t], 0.04)
+            np.testing.assert_array_equal(Q[n, t], s.q)
+            np.testing.assert_array_equal(Qd[n, t], s.qd)
+    at_hi, at_lo = Q == MODEL.hi, Q == MODEL.lo
+    assert at_hi.any() and at_lo.any()
+    # a joint pushed past a limit this step reports zero velocity
+    assert (Qd[at_hi & (controls > 0)] == 0.0).all()
+    assert (Qd[at_lo & (controls < 0)] == 0.0).all()
 
 
 # --- model plumbing -------------------------------------------------------
