@@ -4,6 +4,15 @@ Every term scores a batch of N plans, (N, H, 7) joint arrays, so the planner
 scores all its samples at once; a single plan is a batch of one.
 ``total_cost_batch`` runs forward kinematics and the collision sum once and
 hands both to every term.
+
+The collision sum sum_t hinge(D_SAFE - sep)^2 gets nothing from a robot
+sphere that stays more than D_SAFE from the human, so ``collision_terms_batch``
+first runs a reach test: one axis-aligned box per sphere row over every plan
+and step, against one box around the forecast human over the horizon.  A row
+whose box is farther than D_SAFE plus the sphere radius (and a slack of
+``REACH_SLACK``) on some axis cannot change a cost and is dropped; the exact
+clearance kernels run on the rows that are left, so every sum is bit for bit
+the full-row one.  A NaN in the forecast keeps every row.
 """
 
 from __future__ import annotations
@@ -13,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forecast import Forecast, POINT, SAFETY_VOLUME
-from .motion import TASKS, MotionError, WRIST_INDICES, check_field_types
+from .motion import ARM_BONES, TASKS, MotionError, WRIST_INDICES, check_field_types
 from .robot import (
+    HUMAN_CAPSULE_RADIUS,
     ArmModel,
     collision_sphere_centers,
     fk_batch,
@@ -27,6 +37,8 @@ D_SAFE = 0.05
 ORIENTATION_WEIGHT = 0.3  # rad <-> m tradeoff in the pose cost
 STOP_WINDOW = 5           # final steps penalized for nonzero velocity
 JOINT_MARGIN = 0.9        # fraction of half-range before the limit hinge activates
+REACH_SLACK = 1e-6        # m; far above the rounding of a computed clearance
+ARM_JOINTS = sorted({j for bone in ARM_BONES for j in bone})
 
 
 @dataclass(frozen=True)
@@ -108,21 +120,64 @@ def base_terms_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray, frames,
     return weights.alpha_s * stop + weights.alpha_j * joint + weights.alpha_m * manip
 
 
-def separation_against_forecast(model: ArmModel, frames, forecast: Forecast) -> np.ndarray:
-    """Per-step minimum clearance (N, H) against a forecast of either kind."""
-    centers = collision_sphere_centers(model, frames)
+def _volume_spheres(forecast: Forecast, H: int):
+    """Safety-volume centers (H, S, 3) and radii (H, S) over the first H steps."""
+    if forecast.centers.shape[0] < H:
+        raise MotionError("forecast horizon shorter than plan horizon")
+    return forecast.centers[:H], forecast.radii[:H]
+
+
+def separation_against_forecast(model: ArmModel, centers: np.ndarray,
+                                forecast: Forecast) -> np.ndarray:
+    """Per-step minimum clearance (N, H) of sphere centers (rows, 3, N, H)
+    against a forecast of either kind."""
     H = centers.shape[-1]
     if forecast.kind == SAFETY_VOLUME:
-        if forecast.centers.shape[0] < H:
-            raise MotionError("forecast horizon shorter than plan horizon")
-        return separation_batch_spheres(model, centers, forecast.centers[:H],
-                                        forecast.radii[:H])
+        return separation_batch_spheres(model, centers, *_volume_spheres(forecast, H))
     return separation_batch(model, centers, _forecast_frames(forecast, H))
 
 
+def _human_box(forecast: Forecast, H: int):
+    """Lower and upper corners (3,) of a box holding the forecast human over
+    the first H steps: the arm capsules of a point forecast, the spheres of a
+    safety volume."""
+    if forecast.kind == SAFETY_VOLUME:
+        centers, radii = _volume_spheres(forecast, H)
+        r = radii[..., None]
+        return (centers - r).min(axis=(0, 1)), (centers + r).max(axis=(0, 1))
+    joints = _forecast_frames(forecast, H)[:, ARM_JOINTS]
+    return (joints.min(axis=(0, 1)) - HUMAN_CAPSULE_RADIUS,
+            joints.max(axis=(0, 1)) + HUMAN_CAPSULE_RADIUS)
+
+
+def _rows_in_reach(model: ArmModel, centers: np.ndarray, forecast: Forecast) -> np.ndarray:
+    """Mask (16,) of the sphere rows of centers (16, 3, N, H) that may come
+    within D_SAFE of the forecast human at some plan and step.
+
+    A row is dropped only when, on some axis, the box of its centers over all
+    plans and steps is more than D_SAFE + sphere radius + ``REACH_SLACK`` from
+    the human's box.  The largest gap over the axes is taken with NaN
+    propagating, so a NaN in either box keeps the row.
+    """
+    lo, hi = _human_box(forecast, centers.shape[-1])
+    rows = centers.reshape(centers.shape[:2] + (-1,))
+    gap = np.maximum(rows.min(axis=-1) - hi, lo - rows.max(axis=-1))   # (16, 3)
+    return ~(gap.max(axis=1) > D_SAFE + model.sphere_radius + REACH_SLACK)
+
+
 def collision_terms_batch(model: ArmModel, frames, forecast: Forecast) -> np.ndarray:
-    """Unweighted collision sum, sum_t hinge(D_SAFE - sep)^2 per plan (N,)."""
-    sep = separation_against_forecast(model, frames, forecast)
+    """Unweighted collision sum, sum_t hinge(D_SAFE - sep)^2 per plan (N,).
+
+    Only the sphere rows in reach of the human go to the clearance kernel;
+    with none in reach the sum is zero and no kernel runs.
+    """
+    centers = collision_sphere_centers(model, frames)
+    keep = _rows_in_reach(model, centers, forecast)
+    if not keep.any():
+        return np.zeros(centers.shape[2])
+    if not keep.all():
+        centers = centers[keep]
+    sep = separation_against_forecast(model, centers, forecast)
     return np.sum(hinge(D_SAFE - sep) ** 2, axis=1)
 
 

@@ -37,6 +37,7 @@ TABLE_Z = 0.9
 TABLE_DWELL_S = 0.5
 N_TABLE_WAYPOINTS = 6
 MAX_EPISODE_LEN_S = 3600.0
+MAX_FPS = 1000.0   # above any motion-capture rate; bounds the frame count with the length
 
 
 class ScheduleError(MotionError):
@@ -67,6 +68,8 @@ class GenConfig:
             raise MotionError("n_interactions must be >= 1")
         if self.fps <= 0:
             raise MotionError("fps must be positive")
+        if self.fps > MAX_FPS:
+            raise MotionError(f"fps must be at most {MAX_FPS:g}")
         if self.n_interactions * self.interaction_len_s >= self.episode_len_s:
             raise ScheduleError("interactions do not fit in the episode")
 

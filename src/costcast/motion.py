@@ -163,7 +163,7 @@ def episode_to_dict(episode: Episode) -> dict:
     return {
         "fps": episode.fps,
         "joint_names": list(JOINT_NAMES),
-        "frames": [[list(map(float, p)) for p in frame] for frame in episode.frames],
+        "frames": episode.frames.tolist(),
         "transitions": [[s, e] for s, e in episode.transitions],
         "task": episode.task,
         "extras": episode.extras,

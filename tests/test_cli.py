@@ -85,7 +85,8 @@ def test_config_rejects_bad_values(tmp_path, capsys):
     assert RunConfig.load(write_config(tmp_path, dict(MINI, weights={"alpha_c": 100}))
                           ).weights.alpha_c == 100
     for bad in ({"gen": {"n_interactions": 0}}, {"seed": -1}, {"counts": {"stir": "x"}},
-                {"mppi": {"dt": 0.05}}, {"train": {"momentum": 2.0}}):
+                {"mppi": {"dt": 0.05}}, {"train": {"momentum": 2.0}},
+                {"gen": {"fps": 1e300}, "mppi": {"dt": 1e-300}}):
         path = write_config(tmp_path, dict(MINI, **bad))
         assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err

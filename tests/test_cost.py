@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import BASE_POSE, brute_force_separation, homogeneous
+from costcast import cost
 from costcast.cost import (
+    ARM_JOINTS,
     CostWeights,
     D_SAFE,
     ORIENTATION_WEIGHT,
@@ -23,9 +25,10 @@ from costcast.cost import (
     total_cost_batch,
     _wrist_pot_distance,
 )
-from costcast.forecast import Forecast, forecast_worst, point_forecast
+from costcast.forecast import SAFETY_VOLUME, Forecast, forecast_worst, point_forecast
 from costcast.motion import Context, HISTORY_LEN, HORIZON_LEN, MotionError
 from costcast.robot import (
+    HUMAN_CAPSULE_RADIUS,
     ArmModel,
     N_DOF,
     collision_sphere_centers,
@@ -148,11 +151,122 @@ def test_safety_volume_is_more_conservative_than_truth(rng):
     Q = np.clip(MODEL.mid()[None] + rng.normal(0, 0.3, size=(3, H, N_DOF)),
                 MODEL.lo, MODEL.hi)
     frames = fk_batch(MODEL, Q)
-    sep_vol = separation_against_forecast(MODEL, frames, vol)
-    sep_pt = separation_against_forecast(MODEL, frames, truth)
+    centers = collision_sphere_centers(MODEL, frames)
+    sep_vol = separation_against_forecast(MODEL, centers, vol)
+    sep_pt = separation_against_forecast(MODEL, centers, truth)
     assert (sep_vol <= sep_pt + 1e-9).all()
     assert (collision_terms_batch(MODEL, frames, vol)
             >= collision_terms_batch(MODEL, frames, truth) - 1e-9).all()
+
+
+def human_forecast(kind, humans, radii):
+    """A point forecast of poses (H, 7, 3), or a safety volume of spheres with
+    radii (H, 6) on their arm joints."""
+    if kind == "point":
+        return point_forecast(humans)
+    return Forecast(kind=SAFETY_VOLUME, centers=humans[:, ARM_JOINTS], radii=radii)
+
+
+def place_at_clearance(kind, pose, radii, centers, axis, side, clearance):
+    """A still human, pose (7, 3) with volume radii (6,), shifted so that its
+    extreme arm joint (or volume sphere) on one side of the arm along ``axis``
+    lies exactly beyond the arm's extreme sphere center there.  That sphere's
+    clearance is then ``clearance``, and the two reach-test boxes are
+    D_SAFE + sphere radius + (clearance - D_SAFE) apart.  Returns (H, 7, 3)."""
+    joints = pose[ARM_JOINTS]
+    pad = np.full(len(ARM_JOINTS), HUMAN_CAPSULE_RADIUS) if kind == "point" else radii
+    coord = centers[:, axis]
+    row, n, t = np.unravel_index(coord.argmax() if side > 0 else coord.argmin(), coord.shape)
+    edge = joints[:, axis] - side * pad
+    joint = edge.argmin() if side > 0 else edge.argmax()
+    target = centers[row, :, n, t].copy()
+    target[axis] += side * (clearance + MODEL.sphere_radius + pad[joint])
+    return np.repeat((pose + (target - joints[joint]))[None], H, axis=0)
+
+
+def full_row_collision(frames, fc):
+    """The collision sum over all 16 sphere rows, with no reach test."""
+    sep = separation_against_forecast(MODEL, collision_sphere_centers(MODEL, frames), fc)
+    return np.sum(hinge(D_SAFE - sep) ** 2, axis=1)
+
+
+def assert_same_bits(got, want):
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+BOUNDARY_OFFSETS = (-1e-3, -2e-6, -1e-6, -5e-7, -1e-15, -1e-16, 0.0, 1e-16, 1e-15, 5e-7, 1e-6,
+                    2e-6, 1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+# at these draws rounding puts a clearance a few ulps under D_SAFE while its
+# boxes are D_SAFE + sphere radius apart: the cases the reach slack is for
+@example(kind="point", place="boundary", poison=False, n=1, h=1, seed=23)
+@example(kind="volume", place="boundary", poison=False, n=1, h=1, seed=14)
+@given(kind=st.sampled_from(["point", "volume"]),
+       place=st.sampled_from(["far", "overlap", "boundary"]), poison=st.booleans(),
+       n=st.integers(1, 6), h=st.integers(1, H), seed=st.integers(0, 2**32 - 1))
+def test_reach_test_keeps_the_collision_sum_bit_identical(kind, place, poison, n, h, seed):
+    # dropping the sphere rows out of reach leaves every sum bit for bit the
+    # full-row sum: with the human far away, overlapping the arm, or with one
+    # sphere at clearance D_SAFE + offset on either side of the arm along
+    # each axis, where the reach test decides; a NaN gives the same NaN sums
+    rng = np.random.default_rng(seed)
+    Q = rng.uniform(MODEL.lo, MODEL.hi, size=(n, h, N_DOF))
+    frames = fk_batch(MODEL, Q)
+    humans = BASE_POSE[None] + rng.normal(0, 0.03, size=(H, 7, 3))
+    radii = rng.uniform(0.02, 0.2, size=(H, len(ARM_JOINTS)))
+    if place == "far":
+        placed = [humans + np.array([0.0, -6.0, 0.0])]
+    elif place == "overlap":
+        placed = [humans + np.array([0.70, 0.05, 0.35]) + rng.normal(0, 0.2, size=3)]
+    else:
+        radii = np.repeat(radii[:1], H, axis=0)
+        centers = collision_sphere_centers(MODEL, frames)
+        placed = [place_at_clearance(kind, humans[0], radii[0], centers, axis, side,
+                                     D_SAFE + offset)
+                  for offset in BOUNDARY_OFFSETS for axis in range(3) for side in (-1, 1)]
+    for humans in placed:
+        if poison:
+            humans = humans.copy()
+            humans[rng.integers(h), ARM_JOINTS[rng.integers(len(ARM_JOINTS))],
+                   rng.integers(3)] = np.nan
+        fc = human_forecast(kind, humans, radii)
+        want = full_row_collision(frames, fc)
+        assert_same_bits(collision_terms_batch(MODEL, frames, fc), want)
+        if poison:
+            assert np.isnan(want).all()
+
+
+def test_collision_runs_no_kernel_on_rows_out_of_reach(monkeypatch, rng):
+    # with the human out of reach the sum is zero and no clearance kernel runs
+    Q = np.clip(MODEL.mid() + rng.normal(0, 0.2, size=(4, H, N_DOF)), MODEL.lo, MODEL.hi)
+    frames = fk_batch(MODEL, Q)
+    far = far_forecast().trajectory.frames
+    radii = np.full((H, len(ARM_JOINTS)), 0.3)
+    seen = []
+
+    def kernel(model, centers, *human):
+        seen.append(centers.shape[0])
+        raise AssertionError("clearance kernel called")
+
+    monkeypatch.setattr(cost, "separation_batch", kernel)
+    monkeypatch.setattr(cost, "separation_batch_spheres", kernel)
+    for kind in ("point", "volume"):
+        got = collision_terms_batch(MODEL, frames, human_forecast(kind, far, radii))
+        assert got.tobytes() == np.zeros(4).tobytes()
+    assert seen == []
+    # a human near the arm column sends some rows, but not all 16, to the kernel;
+    # a volume around the whole arm sends all 16
+    near = BASE_POSE[None].repeat(H, axis=0) + np.array([0.70, 0.05, 0.35])
+    huge = Forecast(kind=SAFETY_VOLUME, centers=np.full((H, 1, 3), [1.0, 0.0, 1.0]),
+                    radii=np.full((H, 1), 2.0))
+    for fc in (human_forecast("point", near, radii), huge):
+        with pytest.raises(AssertionError, match="kernel called"):
+            collision_terms_batch(MODEL, frames, fc)
+    assert 0 < seen[0] < 16 and seen[1] == 16
 
 
 # --- stirring -------------------------------------------------------------

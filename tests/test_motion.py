@@ -1,6 +1,8 @@
 """Tests for the core skeletal-motion types, window cutting (forecast.WindowSet)
 and the episode file format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,10 @@ def test_episode_json_round_trip(tmp_path, rng):
                  extras={"goals": [[0.5, 0.1, 1.0]]})
     path = tmp_path / "ep.json"
     save_episode(ep, path)
+    # the frames are written as the same text as one float per coordinate
+    per_value = dict(episode_to_dict(ep),
+                     frames=[[list(map(float, p)) for p in frame] for frame in ep.frames])
+    assert path.read_text() == json.dumps(per_value)
     back = load_episode(path)
     np.testing.assert_allclose(back.frames, ep.frames, atol=1e-15)
     assert back.transitions == ep.transitions
