@@ -7,12 +7,15 @@ hands both to every term.
 
 The collision sum sum_t hinge(D_SAFE - sep)^2 gets nothing from a robot
 sphere that stays more than D_SAFE from the human, so ``collision_terms_batch``
-first runs a reach test: one axis-aligned box per sphere row over every plan
-and step, against one box around the forecast human over the horizon.  A row
-whose box is farther than D_SAFE plus the sphere radius (and a slack of
-``REACH_SLACK``) on some axis cannot change a cost and is dropped; the exact
-clearance kernels run on the rows that are left, so every sum is bit for bit
-the full-row one.  A NaN in the forecast keeps every row.
+first runs a reach test on boxes.  Each sphere row's box over every plan and
+step comes from the boxes of the two frame origins it lies between, and each
+human part gets one box over the horizon: an ``ARM_BONES`` capsule of a point
+forecast or a sphere of a safety volume.  A (row, part) pair whose boxes are
+farther apart than D_SAFE plus the sphere radius (and a slack of
+``REACH_SLACK``) on some axis cannot change a cost.  Centers are built only
+for the rows with some pair in reach, and the exact clearance kernel runs
+only on the parts with some pair in reach, so every sum is bit for bit the
+full one.  A NaN in the forecast keeps every pair it touches.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .robot import (
     manipulability_batch,
     separation_batch,
     separation_batch_spheres,
+    sphere_row_boxes,
 )
 
 D_SAFE = 0.05
@@ -38,7 +42,7 @@ ORIENTATION_WEIGHT = 0.3  # rad <-> m tradeoff in the pose cost
 STOP_WINDOW = 5           # final steps penalized for nonzero velocity
 JOINT_MARGIN = 0.9        # fraction of half-range before the limit hinge activates
 REACH_SLACK = 1e-6        # m; far above the rounding of a computed clearance
-ARM_JOINTS = sorted({j for bone in ARM_BONES for j in bone})
+BONES = np.array(ARM_BONES)   # (4, 2) joint pairs of the human arm capsules
 
 
 @dataclass(frozen=True)
@@ -127,57 +131,60 @@ def _volume_spheres(forecast: Forecast, H: int):
     return forecast.centers[:H], forecast.radii[:H]
 
 
-def separation_against_forecast(model: ArmModel, centers: np.ndarray,
-                                forecast: Forecast) -> np.ndarray:
+def separation_against_forecast(model: ArmModel, centers: np.ndarray, forecast: Forecast,
+                                parts=slice(None)) -> np.ndarray:
     """Per-step minimum clearance (N, H) of sphere centers (rows, 3, N, H)
-    against a forecast of either kind."""
+    against the ``parts`` of a forecast of either kind: indices into
+    ``ARM_BONES`` for a point forecast, into the spheres of a safety volume."""
     H = centers.shape[-1]
     if forecast.kind == SAFETY_VOLUME:
-        return separation_batch_spheres(model, centers, *_volume_spheres(forecast, H))
-    return separation_batch(model, centers, _forecast_frames(forecast, H))
+        vol_centers, vol_radii = _volume_spheres(forecast, H)
+        return separation_batch_spheres(model, centers, vol_centers[:, parts],
+                                        vol_radii[:, parts])
+    return separation_batch(model, centers, _forecast_frames(forecast, H), BONES[parts])
 
 
-def _human_box(forecast: Forecast, H: int):
-    """Lower and upper corners (3,) of a box holding the forecast human over
-    the first H steps: the arm capsules of a point forecast, the spheres of a
-    safety volume."""
+def _part_boxes(forecast: Forecast, H: int):
+    """Lower and upper corners (parts, 3) of a box around each part of the
+    forecast human over the first H steps: each ``ARM_BONES`` capsule of a
+    point forecast, each sphere of a safety volume."""
     if forecast.kind == SAFETY_VOLUME:
         centers, radii = _volume_spheres(forecast, H)
         r = radii[..., None]
-        return (centers - r).min(axis=(0, 1)), (centers + r).max(axis=(0, 1))
-    joints = _forecast_frames(forecast, H)[:, ARM_JOINTS]
-    return (joints.min(axis=(0, 1)) - HUMAN_CAPSULE_RADIUS,
-            joints.max(axis=(0, 1)) + HUMAN_CAPSULE_RADIUS)
+        return (centers - r).min(axis=0), (centers + r).max(axis=0)
+    joints = _forecast_frames(forecast, H)
+    return (joints.min(axis=0)[BONES].min(axis=1) - HUMAN_CAPSULE_RADIUS,
+            joints.max(axis=0)[BONES].max(axis=1) + HUMAN_CAPSULE_RADIUS)
 
 
-def _rows_in_reach(model: ArmModel, centers: np.ndarray, forecast: Forecast) -> np.ndarray:
-    """Mask (16,) of the sphere rows of centers (16, 3, N, H) that may come
-    within D_SAFE of the forecast human at some plan and step.
+def _pairs_in_reach(model: ArmModel, frames, forecast: Forecast):
+    """Indices of the sphere rows and of the human parts that may come within
+    D_SAFE of each other at some plan and step.
 
-    A row is dropped only when, on some axis, the box of its centers over all
-    plans and steps is more than D_SAFE + sphere radius + ``REACH_SLACK`` from
-    the human's box.  The largest gap over the axes is taken with NaN
-    propagating, so a NaN in either box keeps the row.
+    A (row, part) pair is out of reach when, on some axis, the row's box over
+    all plans and steps is more than D_SAFE + sphere radius + ``REACH_SLACK``
+    from the part's box over the horizon.  The largest gap over the axes is
+    taken with NaN propagating, so a NaN in either box keeps the pair.
     """
-    lo, hi = _human_box(forecast, centers.shape[-1])
-    rows = centers.reshape(centers.shape[:2] + (-1,))
-    gap = np.maximum(rows.min(axis=-1) - hi, lo - rows.max(axis=-1))   # (16, 3)
-    return ~(gap.max(axis=1) > D_SAFE + model.sphere_radius + REACH_SLACK)
+    row_lo, row_hi = sphere_row_boxes(model, frames)
+    part_lo, part_hi = _part_boxes(forecast, frames[1].shape[-1])
+    gap = np.maximum(row_lo[:, None] - part_hi, part_lo - row_hi[:, None]).max(axis=-1)
+    near = ~(gap > D_SAFE + model.sphere_radius + REACH_SLACK)   # (16, parts)
+    return np.flatnonzero(near.any(axis=1)), np.flatnonzero(near.any(axis=0))
 
 
 def collision_terms_batch(model: ArmModel, frames, forecast: Forecast) -> np.ndarray:
     """Unweighted collision sum, sum_t hinge(D_SAFE - sep)^2 per plan (N,).
 
-    Only the sphere rows in reach of the human go to the clearance kernel;
-    with none in reach the sum is zero and no kernel runs.
+    Only the sphere rows and human parts in reach of each other are built
+    and go to the clearance kernel; with none in reach the sum is zero and
+    no centers are built.
     """
-    centers = collision_sphere_centers(model, frames)
-    keep = _rows_in_reach(model, centers, forecast)
-    if not keep.any():
-        return np.zeros(centers.shape[2])
-    if not keep.all():
-        centers = centers[keep]
-    sep = separation_against_forecast(model, centers, forecast)
+    rows, parts = _pairs_in_reach(model, frames, forecast)
+    if not rows.size:
+        return np.zeros(frames[1].shape[2])
+    centers = collision_sphere_centers(model, frames, rows)
+    sep = separation_against_forecast(model, centers, forecast, parts)
     return np.sum(hinge(D_SAFE - sep) ** 2, axis=1)
 
 

@@ -44,6 +44,7 @@ DEFAULT_RETRACT_POINT = (0.80, 0.0, 0.90)
 DEFAULT_TABLE_GOAL = (0.62, 0.25, 0.98)
 IK_DAMPING = 0.05    # damped-least-squares lambda
 IK_STEP_CLIP = 0.2   # rad, per joint per IK iteration
+MAX_SAMPLES = 10000  # far above the samples of sampling MPC; bounds each iteration's arrays
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,8 @@ class MppiConfig:
         check_field_types(self)
         if self.n_samples < 2:
             raise MotionError("need at least 2 samples")
+        if self.n_samples > MAX_SAMPLES:
+            raise MotionError(f"n_samples must be at most {MAX_SAMPLES}")
         if self.n_iterations < 1:
             raise MotionError("need at least 1 MPPI iteration")
         if not 1 <= self.horizon <= HORIZON_LEN:

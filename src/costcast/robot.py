@@ -114,7 +114,8 @@ def fk_batch(model: ArmModel, Q: np.ndarray):
     batch = Q.shape[:-1]
     R = np.empty((8, 3, 3) + batch)
     p = np.empty((8, 3) + batch)
-    cos_q, sin_q = np.moveaxis(np.cos(Q), -1, 0), np.moveaxis(np.sin(Q), -1, 0)  # (7, *batch)
+    joints = np.moveaxis(Q, -1, 0)
+    cos_q, sin_q = np.cos(joints, order="C"), np.sin(joints, order="C")  # (7, *batch)
     column = (3,) + (1,) * len(batch)
     x, y, z = (np.broadcast_to(axis.reshape(column), (3,) + batch) for axis in np.eye(3))
     pos = np.broadcast_to(np.asarray(model.base_position, dtype=float).reshape(column),
@@ -188,48 +189,70 @@ def manipulability_batch(frames) -> np.ndarray:
     return np.sqrt(np.clip(det, 0.0, None))
 
 
-def collision_sphere_centers(model: ArmModel, frames) -> np.ndarray:
-    """World centers of the robot collision spheres, shape (16, 3, *batch).
+def collision_sphere_centers(model: ArmModel, frames, rows=range(16)) -> np.ndarray:
+    """World centers of robot collision spheres, shape (len(rows), 3, *batch).
 
     ``frames`` is the (R, p) pair of ``fk_batch``.  Two spheres per chain
     segment, at 1/3 and 2/3 of the straight segment between consecutive frame
     origins (base included): rows 0-7 hold the 1/3 points and rows 8-15 the
-    2/3 points of segments 0-7.
+    2/3 points of segments 0-7.  Only the requested rows are built, in the
+    order given; each is computed on its own, so a subset is bit for bit
+    those rows of the full set.
     """
     _, p = frames
     batch = p.shape[2:]
     base = np.asarray(model.base_position, dtype=float).reshape((3,) + (1,) * len(batch))
-    centers = np.empty((16, 3) + batch)
-    near, far = centers[:8], centers[8:]
-    np.subtract(p[0], base, out=near[0])
-    np.subtract(p[1:], p[:-1], out=near[1:])      # segment vectors b - a
-    np.multiply(near, 2.0, out=far)
-    far /= 3.0
-    near /= 3.0
-    for s in (near, far):
-        s[0] += base
-        s[1:] += p[:-1]
+    centers = np.empty((len(rows), 3) + batch)
+    for c, row in zip(centers, rows):
+        segment = row % 8
+        a = p[segment - 1] if segment else base
+        np.subtract(p[segment], a, out=c)
+        if row >= 8:
+            c *= 2.0
+        c /= 3.0
+        c += a
     return centers
 
 
-def separation_batch(model: ArmModel, centers: np.ndarray, human_frames: np.ndarray) -> np.ndarray:
+def sphere_row_boxes(model: ArmModel, frames):
+    """Lower and upper corners (2, 16, 3) of a box around each collision
+    sphere row's centers over the whole batch, from the boxes of the frame
+    origins.
+
+    The row at fraction k/3 of the segment from origin a to origin b gets
+    ``((3 - k) lo_a + k lo_b) / 3`` to ``((3 - k) hi_a + k hi_b) / 3``, which
+    holds its centers up to rounding.
+    """
+    _, p = frames
+    origins = p.reshape(8, 3, -1)
+    ends = np.empty((2, 9, 3))     # lower and upper corners, base first
+    ends[:, 0] = model.base_position
+    origins.min(axis=-1, out=ends[0, 1:])
+    origins.max(axis=-1, out=ends[1, 1:])
+    a, b = ends[:, :-1], ends[:, 1:]
+    return np.concatenate([(2.0 * a + b) / 3.0, (a + 2.0 * b) / 3.0], axis=1)
+
+
+def separation_batch(model: ArmModel, centers: np.ndarray, human_frames: np.ndarray,
+                     bones=ARM_BONES) -> np.ndarray:
     """Minimum clearance per (plan, step) against per-step human poses.
 
-    centers: (16, 3, N, H) robot sphere centers from ``collision_sphere_centers``.
-    human_frames: (H, J, 3) human poses per step.
+    centers: (rows, 3, N, H) robot sphere centers from ``collision_sphere_centers``.
+    human_frames: (H, J, 3) human poses per step; ``bones`` the (i, j) joint
+    pairs of the capsules to check, every ``ARM_BONES`` bone by default.
     Returns (N, H).
 
-    Each coordinate of the centers is a (16, N, H) plane, so each bone is
+    Each coordinate of the centers is a (rows, N, H) plane, so each bone is
     elementwise work against its per-step scalars, spread once into (N, H)
     planes, with every temporary in a scratch buffer allocated once per call.
     The minimum is taken over squared distances, with one square root at the
     end.
     """
-    cx, cy, cz = centers.swapaxes(0, 1)   # (16, N, H) each
+    cx, cy, cz = centers.swapaxes(0, 1)   # (rows, N, H) each
     best = np.full(cx.shape, np.inf)
     rx, ry, rz, t, tmp = (np.empty(cx.shape) for _ in range(5))
     planes = np.empty((7,) + cx.shape[1:])
-    for i, j in ARM_BONES:
+    for i, j in bones:
         a = human_frames[:, i]            # (H, 3)
         ab = human_frames[:, j] - a       # (H, 3)
         planes[:3] = a.T[:, None]
@@ -244,7 +267,8 @@ def separation_batch(model: ArmModel, centers: np.ndarray, human_frames: np.ndar
         t += np.multiply(ry, by, out=tmp)
         t += np.multiply(rz, bz, out=tmp)
         t /= denom
-        np.clip(t, 0.0, 1.0, out=t)
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
         rx -= np.multiply(t, bx, out=tmp)
         ry -= np.multiply(t, by, out=tmp)
         rz -= np.multiply(t, bz, out=tmp)
@@ -261,13 +285,13 @@ def separation_batch_spheres(model: ArmModel, centers: np.ndarray,
                              vol_centers: np.ndarray, vol_radii: np.ndarray) -> np.ndarray:
     """Clearance against per-step safety-volume spheres.
 
-    centers: (16, 3, N, H) robot sphere centers; vol_centers: (H, S, 3),
+    centers: (rows, 3, N, H) robot sphere centers; vol_centers: (H, S, 3),
     vol_radii: (H, S).  Returns (N, H).
 
-    Each volume sphere is elementwise work on the (16, N, H) coordinate
+    Each volume sphere is elementwise work on the (rows, N, H) coordinate
     planes against per-step scalars, into scratch buffers allocated once.
     """
-    cx, cy, cz = centers.swapaxes(0, 1)   # (16, N, H) each
+    cx, cy, cz = centers.swapaxes(0, 1)   # (rows, N, H) each
     best = np.full(cx.shape, np.inf)
     d, tmp = np.empty(cx.shape), np.empty(cx.shape)
     for (vx, vy, vz), r in zip(vol_centers.transpose(1, 2, 0), vol_radii.T):  # (H,) each
@@ -315,6 +339,7 @@ def rollout_arrays(model: ArmModel, q0: np.ndarray, controls: np.ndarray, dt: fl
     Q = np.empty_like(Qd)
     q = np.asarray(q0, dtype=float)
     for t in range(Qd.shape[1]):
-        q = np.clip(np.add(q, delta[:, t], out=U[:, t]), lo, hi, out=Q[:, t])
+        np.add(q, delta[:, t], out=U[:, t])
+        q = np.minimum(np.maximum(U[:, t], lo, out=Q[:, t]), hi, out=Q[:, t])
     Qd[(U < lo) | (U > hi)] = 0.0
     return Q, Qd

@@ -1,16 +1,24 @@
 """Tests for the command-line interface: config handling, exit codes, and a
 small end-to-end pipeline."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from costcast.cli import ConfigError, DEFAULT_COUNTS, RunConfig, main
-from costcast.forecast import load_checkpoint
+from costcast.cost import CostWeights
+from costcast.datagen import GenConfig
+from costcast.forecast import TrainConfig, load_checkpoint
 from costcast.metrics import MetricReport
-from costcast.motion import load_episode
-from costcast.planner import SimLog
+from costcast.motion import is_finite_number, load_episode
+from costcast.planner import MppiConfig, SimLog
 
 MINI = {
     "seed": 3,
@@ -86,7 +94,8 @@ def test_config_rejects_bad_values(tmp_path, capsys):
                           ).weights.alpha_c == 100
     for bad in ({"gen": {"n_interactions": 0}}, {"seed": -1}, {"counts": {"stir": "x"}},
                 {"mppi": {"dt": 0.05}}, {"train": {"momentum": 2.0}},
-                {"gen": {"fps": 1e300}, "mppi": {"dt": 1e-300}}):
+                {"gen": {"fps": 1e300}, "mppi": {"dt": 1e-300}},
+                {"mppi": {"n_samples": 10**12}}):
         path = write_config(tmp_path, dict(MINI, **bad))
         assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
@@ -199,6 +208,67 @@ def test_gen_seed_sets_the_episode_data(tmp_path, capsys):
     assert stir_bytes("seven.json", {"seed": 7}) != default
     # gen.seed defaults to the run seed, so spelling that out changes nothing
     assert stir_bytes("same.json", {"seed": MINI["seed"]}) == default
+
+
+# values of every JSON kind, the awkward ones included; numbers stay small
+# enough that a config which passes makes a short episode
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-50.0, 50.0),
+    st.sampled_from([1e-300, 1e300, float("nan"), float("inf"), float("-inf"), -0.0, 2**63,
+                     10**400, -10**400]),
+    st.text(max_size=3), st.lists(st.integers(-1, 2), max_size=4), st.just({}))
+TINY_COUNTS = st.sampled_from([0, 1, 0, 1, 0, 1, -1, 1.5, "1", True, None, 1e300])
+SECTIONS = {"gen": GenConfig, "train": TrainConfig, "mppi": MppiConfig, "weights": CostWeights}
+
+
+def near_default(default):
+    """Values of a config field's own type around its default."""
+    if isinstance(default, tuple):
+        return st.lists(st.floats(-1.0, 2.0), min_size=3, max_size=3)
+    if isinstance(default, int):
+        return st.sampled_from([-1, 0, 1, 2, default, 2 * default])
+    return st.sampled_from([0.0, 1e-9, default, 0.5 * default, 2.0 * default, 10.0 * default,
+                            -default])
+
+
+@st.composite
+def run_documents(draw):
+    """A run config of random fields, mostly of the right type, asking for at
+    most one episode per task."""
+    doc = {"counts": draw(st.fixed_dictionaries(
+        {task: TINY_COUNTS for task in DEFAULT_COUNTS}))}
+    for name, config in SECTIONS.items():
+        fields = {f.name: f.default for f in dataclasses.fields(config)}
+        keys = st.sampled_from(sorted(fields))
+        section = draw(st.lists(keys, unique=True, max_size=3).flatmap(
+            lambda ks: st.fixed_dictionaries({k: st.one_of(near_default(fields[k]),
+                                                           near_default(fields[k]), ODD_VALUES)
+                                              for k in ks})))
+        doc[name] = draw(st.sampled_from([section, section, section, {"bogus": 1}, [section]]))
+    gen, mppi = doc["gen"], doc["mppi"]
+    if isinstance(mppi, dict) and draw(st.booleans()):
+        fps = gen.get("fps", 25.0) if isinstance(gen, dict) else 25.0
+        if is_finite_number(fps) and fps:
+            mppi["dt"] = 1.0 / fps   # the frame period the dt check asks for
+    doc.update(draw(st.dictionaries(st.sampled_from(["seed", "preset", "models", "out_root"]),
+                                    ODD_VALUES, max_size=2)))
+    return doc
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=run_documents())
+def test_gen_on_random_configs_exits_cleanly(doc):
+    # any config the CLI is given either runs, or exits 2 (config) or 3
+    # (runtime) with a message, never with a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["gen", "--config", str(path), "--out", str(Path(tmp) / "runs")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
 
 
 # --- exit codes -----------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import BASE_POSE, brute_force_separation, homogeneous
 from costcast import cost
 from costcast.cost import (
-    ARM_JOINTS,
     CostWeights,
     D_SAFE,
     ORIENTATION_WEIGHT,
@@ -26,7 +25,7 @@ from costcast.cost import (
     _wrist_pot_distance,
 )
 from costcast.forecast import SAFETY_VOLUME, Forecast, forecast_worst, point_forecast
-from costcast.motion import Context, HISTORY_LEN, HORIZON_LEN, MotionError
+from costcast.motion import ARM_BONES, Context, HISTORY_LEN, HORIZON_LEN, MotionError
 from costcast.robot import (
     HUMAN_CAPSULE_RADIUS,
     ArmModel,
@@ -40,6 +39,7 @@ from costcast.robot import (
 
 MODEL = ArmModel()
 H = HORIZON_LEN
+ARM_JOINTS = sorted({j for bone in ARM_BONES for j in bone})
 
 
 def const_plan(q, qd=None, n=H):
@@ -167,14 +167,16 @@ def human_forecast(kind, humans, radii):
     return Forecast(kind=SAFETY_VOLUME, centers=humans[:, ARM_JOINTS], radii=radii)
 
 
-def place_at_clearance(kind, pose, radii, centers, axis, side, clearance):
-    """A still human, pose (7, 3) with volume radii (6,), shifted so that its
-    extreme arm joint (or volume sphere) on one side of the arm along ``axis``
-    lies exactly beyond the arm's extreme sphere center there.  That sphere's
-    clearance is then ``clearance``, and the two reach-test boxes are
-    D_SAFE + sphere radius + (clearance - D_SAFE) apart.  Returns (H, 7, 3)."""
-    joints = pose[ARM_JOINTS]
-    pad = np.full(len(ARM_JOINTS), HUMAN_CAPSULE_RADIUS) if kind == "point" else radii
+def place_at_clearance(kind, pose, radii, centers, axis, side, clearance, near=ARM_JOINTS):
+    """A still human, pose (7, 3) with volume radii (6,), shifted so that the
+    extreme one of its ``near`` arm joints (or volume spheres) on one side of
+    the arm along ``axis`` lies exactly beyond the arm's extreme sphere center
+    there.  That sphere's clearance is then ``clearance``, and the exact boxes
+    of that row and that joint's bones (or sphere) are D_SAFE + sphere radius
+    + (clearance - D_SAFE) apart.  Returns (H, 7, 3)."""
+    cols = [ARM_JOINTS.index(j) for j in near]
+    joints = pose[near]
+    pad = np.full(len(near), HUMAN_CAPSULE_RADIUS) if kind == "point" else radii[cols]
     coord = centers[:, axis]
     row, n, t = np.unravel_index(coord.argmax() if side > 0 else coord.argmin(), coord.shape)
     edge = joints[:, axis] - side * pad
@@ -206,13 +208,15 @@ BOUNDARY_OFFSETS = (-1e-3, -2e-6, -1e-6, -5e-7, -1e-15, -1e-16, 0.0, 1e-16, 1e-1
 @example(kind="point", place="boundary", poison=False, n=1, h=1, seed=23)
 @example(kind="volume", place="boundary", poison=False, n=1, h=1, seed=14)
 @given(kind=st.sampled_from(["point", "volume"]),
-       place=st.sampled_from(["far", "overlap", "boundary"]), poison=st.booleans(),
+       place=st.sampled_from(["far", "overlap", "boundary", "one far"]), poison=st.booleans(),
        n=st.integers(1, 6), h=st.integers(1, H), seed=st.integers(0, 2**32 - 1))
 def test_reach_test_keeps_the_collision_sum_bit_identical(kind, place, poison, n, h, seed):
-    # dropping the sphere rows out of reach leaves every sum bit for bit the
-    # full-row sum: with the human far away, overlapping the arm, or with one
-    # sphere at clearance D_SAFE + offset on either side of the arm along
-    # each axis, where the reach test decides; a NaN gives the same NaN sums
+    # dropping the sphere rows and human parts out of reach leaves every sum
+    # bit for bit the full sum: with the human far away, overlapping the arm,
+    # or with one sphere at clearance D_SAFE + offset on either side of the
+    # arm along each axis, where the reach test decides.  "one far" moves one
+    # arm (or one volume sphere) away first, so the test on the parts decides
+    # which bones (or spheres) the kernel sees.  A NaN gives the same NaN sums.
     rng = np.random.default_rng(seed)
     Q = rng.uniform(MODEL.lo, MODEL.hi, size=(n, h, N_DOF))
     frames = fk_batch(MODEL, Q)
@@ -225,8 +229,16 @@ def test_reach_test_keeps_the_collision_sum_bit_identical(kind, place, poison, n
     else:
         radii = np.repeat(radii[:1], H, axis=0)
         centers = collision_sphere_centers(MODEL, frames)
-        placed = [place_at_clearance(kind, humans[0], radii[0], centers, axis, side,
-                                     D_SAFE + offset)
+        pose, near = humans[0], ARM_JOINTS
+        if place == "one far":
+            k = 2 * rng.integers(2)
+            arm = sorted({j for bone in ARM_BONES[k:k + 2] for j in bone})   # one whole arm
+            away = arm if kind == "point" else [ARM_JOINTS[rng.integers(len(ARM_JOINTS))]]
+            pose = pose.copy()
+            pose[away] += np.array([0.0, -6.0, 0.0])
+            near = [j for j in ARM_JOINTS if j not in away]
+        placed = [place_at_clearance(kind, pose, radii[0], centers, axis, side,
+                                     D_SAFE + offset, near)
                   for offset in BOUNDARY_OFFSETS for axis in range(3) for side in (-1, 1)]
     for humans in placed:
         if poison:
@@ -241,32 +253,46 @@ def test_reach_test_keeps_the_collision_sum_bit_identical(kind, place, poison, n
 
 
 def test_collision_runs_no_kernel_on_rows_out_of_reach(monkeypatch, rng):
-    # with the human out of reach the sum is zero and no clearance kernel runs
+    # with the human out of reach the sum is zero, and neither sphere centers
+    # nor clearances are computed
     Q = np.clip(MODEL.mid() + rng.normal(0, 0.2, size=(4, H, N_DOF)), MODEL.lo, MODEL.hi)
     frames = fk_batch(MODEL, Q)
     far = far_forecast().trajectory.frames
     radii = np.full((H, len(ARM_JOINTS)), 0.3)
-    seen = []
+    built, seen = [], []
 
-    def kernel(model, centers, *human):
-        seen.append(centers.shape[0])
+    def centers_of(model, frames, rows):
+        built.append(len(rows))
+        return collision_sphere_centers(model, frames, rows)
+
+    def point_kernel(model, centers, human_frames, bones):
+        seen.append((centers.shape[0], len(bones)))
         raise AssertionError("clearance kernel called")
 
-    monkeypatch.setattr(cost, "separation_batch", kernel)
-    monkeypatch.setattr(cost, "separation_batch_spheres", kernel)
+    def volume_kernel(model, centers, vol_centers, vol_radii):
+        seen.append((centers.shape[0], vol_centers.shape[1]))
+        raise AssertionError("clearance kernel called")
+
+    monkeypatch.setattr(cost, "collision_sphere_centers", centers_of)
+    monkeypatch.setattr(cost, "separation_batch", point_kernel)
+    monkeypatch.setattr(cost, "separation_batch_spheres", volume_kernel)
     for kind in ("point", "volume"):
         got = collision_terms_batch(MODEL, frames, human_forecast(kind, far, radii))
         assert got.tobytes() == np.zeros(4).tobytes()
-    assert seen == []
-    # a human near the arm column sends some rows, but not all 16, to the kernel;
-    # a volume around the whole arm sends all 16
+    assert built == [] and seen == []
+    # a human with one arm at the arm column sends some rows, but not all 16,
+    # and only that arm's bones to the kernel; a volume around the whole arm
+    # sends all 16 rows
     near = BASE_POSE[None].repeat(H, axis=0) + np.array([0.70, 0.05, 0.35])
     huge = Forecast(kind=SAFETY_VOLUME, centers=np.full((H, 1, 3), [1.0, 0.0, 1.0]),
                     radii=np.full((H, 1), 2.0))
-    for fc in (human_forecast("point", near, radii), huge):
+    for fc in (point_forecast(near), huge):
         with pytest.raises(AssertionError, match="kernel called"):
             collision_terms_batch(MODEL, frames, fc)
-    assert 0 < seen[0] < 16 and seen[1] == 16
+    assert built == [rows for rows, _ in seen]
+    (rows, bones), (all_rows, spheres) = seen
+    assert 0 < rows < 16 and bones == 2
+    assert all_rows == 16 and spheres == 1
 
 
 # --- stirring -------------------------------------------------------------

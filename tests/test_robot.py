@@ -25,6 +25,7 @@ from costcast.robot import (
     rollout_arrays,
     separation_batch,
     separation_batch_spheres,
+    sphere_row_boxes,
     step,
 )
 
@@ -202,6 +203,24 @@ def test_margin_spheres_replace_human_capsules(rng):
     vol_centers[1, 2] = centers[9, :, 0, 1]
     got = separation_batch_spheres(MODEL, centers, vol_centers, vol_radii)
     assert got[0, 1] == pytest.approx(-(MODEL.sphere_radius + vol_radii[1, 2]), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True),
+       shape=st.lists(st.integers(1, 6), min_size=0, max_size=2), seed=st.integers(0, 2**32 - 1))
+def test_collision_sphere_centers_builds_any_rows_bit_for_bit(rows, shape, seed):
+    # a subset of rows, in any order, is those rows of the full build bit for
+    # bit; every center lies in its row's box from the frame-origin boxes
+    rng = np.random.default_rng(seed)
+    frames = fk_batch(MODEL, rng.uniform(MODEL.lo, MODEL.hi, size=tuple(shape) + (N_DOF,)))
+    full = collision_sphere_centers(MODEL, frames)
+    assert full.shape == (16, 3) + tuple(shape)
+    got = collision_sphere_centers(MODEL, frames, rows)
+    assert got.shape == (len(rows), 3) + tuple(shape)
+    assert got.tobytes() == full[rows].tobytes()
+    lo, hi = sphere_row_boxes(MODEL, frames)
+    flat = full.reshape(16, 3, -1)
+    assert (flat >= lo[..., None] - 1e-12).all() and (flat <= hi[..., None] + 1e-12).all()
 
 
 # --- integration ----------------------------------------------------------
