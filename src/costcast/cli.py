@@ -27,6 +27,7 @@ from .robot import ArmModel
 
 DEFAULT_COUNTS = {"stir": 19, "handover": 27, "tableset": 15}
 BASELINES = ("cur", "cvm", "worst", "fut")
+SPLIT_PARTS = ("train", "val", "test")
 
 
 class ConfigError(ValueError):
@@ -153,35 +154,38 @@ def cmd_gen(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_manifest(run_dir: Path):
+def _split_episodes(cfg: RunConfig, parts) -> dict:
+    """The episodes of the named parts of the per-task 8:1:1 split.
+
+    ``datagen.split_dataset`` splits the manifest entries of each task, so
+    only the files of the requested parts ("train", "val", "test") are read.
+    Returns ``{part: {task: [episodes]}}`` with tasks in sorted order.
+    """
+    for task, count in sorted(cfg.counts.items()):
+        if 0 < count < datagen.MIN_SPLIT_EPISODES:
+            raise ConfigError(f"counts.{task} is {count}; a task that is split 8:1:1 "
+                              f"needs 0 or at least {datagen.MIN_SPLIT_EPISODES} episodes")
+    run_dir = cfg.run_dir()
     path = run_dir / "manifest.json"
     if not path.exists():
         raise MotionError(f"no manifest at {path}; run `gen` first")
-    manifest = json.loads(path.read_text())
-    episodes = {}
-    for entry in manifest:
-        episodes.setdefault(entry["task"], []).append(load_episode(run_dir / entry["file"]))
+    entries = {}
+    for entry in json.loads(path.read_text()):
+        entries.setdefault(entry["task"], []).append(entry)
+    episodes = {part: {} for part in parts}
+    for task in sorted(entries):
+        split = dict(zip(SPLIT_PARTS, datagen.split_dataset(entries[task], cfg.seed)))
+        for part in parts:
+            episodes[part][task] = [load_episode(run_dir / e["file"]) for e in split[part]]
     return episodes
-
-
-def _splits(episodes_by_task: dict, seed: int):
-    """Per-task 8:1:1 splits merged into train/val/test episode lists."""
-    train, val, test = [], [], {}
-    for task in sorted(episodes_by_task):
-        tr, va, te = datagen.split_dataset(episodes_by_task[task], seed)
-        train.extend(tr)
-        val.extend(va)
-        test[task] = te
-    return train, val, test
 
 
 def cmd_train(cfg: RunConfig) -> int:
     """Train the configured preset and write a checkpoint plus loss history."""
+    split = _split_episodes(cfg, ("train", "val"))
     run_dir = cfg.run_dir()
-    episodes = _load_manifest(run_dir)
-    train_eps, val_eps, _ = _splits(episodes, cfg.seed)
-    train_ws = WindowSet(train_eps)
-    val_ws = WindowSet(val_eps)
+    train_ws = WindowSet([ep for eps in split["train"].values() for ep in eps])
+    val_ws = WindowSet([ep for eps in split["val"].values() for ep in eps])
     tconf = forecast.preset_config(cfg.preset, cfg.train)
     model, history = forecast.train(forecast.ForecastModel.init(), train_ws, val_ws, tconf)
     ckpt = run_dir / f"checkpoint_{cfg.preset}.json"
@@ -205,9 +209,8 @@ def _forecaster_for(name: str, run_dir: Path):
 
 def cmd_eval_forecast(cfg: RunConfig) -> int:
     """Forecasting metrics for the configured models on the test split."""
+    test = _split_episodes(cfg, ("test",))["test"]
     run_dir = cfg.run_dir()
-    episodes = _load_manifest(run_dir)
-    _, _, test = _splits(episodes, cfg.seed)
     windows = {task: WindowSet(eps) for task, eps in sorted(test.items())}
     report = metrics.MetricReport()
     for name in cfg.models:
@@ -237,9 +240,8 @@ def cmd_simulate(cfg: RunConfig, episode_path: str, model_name: str, out_path: s
 
 def cmd_eval_plan(cfg: RunConfig) -> int:
     """Planning metrics via playback of the test split for each model."""
+    test = _split_episodes(cfg, ("test",))["test"]
     run_dir = cfg.run_dir()
-    episodes = _load_manifest(run_dir)
-    _, _, test = _splits(episodes, cfg.seed)
     arm = ArmModel()
     report_path = run_dir / "plan_report.json"
     report = metrics.MetricReport()

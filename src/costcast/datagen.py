@@ -30,6 +30,7 @@ LEFT_ELBOW = np.array([0.10, -0.55, 0.78])
 LEFT_WRIST = np.array([0.05, -0.40, 0.60])
 UPPER_BACK = np.array([0.30, -0.35, 1.25])
 ARM_BONE_LEN = 0.36
+ARM_REACH = 2 * ARM_BONE_LEN
 
 HANDOVER_BOX = np.array([[0.4, 0.7], [-0.2, 0.2], [0.8, 1.2]])
 TABLE_BOX = np.array([[0.3, 0.8], [-0.35, 0.35]])
@@ -38,6 +39,8 @@ TABLE_DWELL_S = 0.5
 N_TABLE_WAYPOINTS = 6
 MAX_EPISODE_LEN_S = 3600.0
 MAX_FPS = 1000.0   # above any motion-capture rate; bounds the frame count with the length
+MAX_JITTER_SIGMA = 0.05   # metres; an order above motion-capture noise
+MIN_SPLIT_EPISODES = 10   # the fewest episodes an 8:1:1 split gives a val and a test episode
 
 
 class ScheduleError(MotionError):
@@ -59,7 +62,12 @@ class GenConfig:
     def __post_init__(self):
         check_field_types(self)
         for name in ("pot_position", "rest_wrist"):
-            object.__setattr__(self, name, _point(getattr(self, name), name))
+            point = _point(getattr(self, name), name)
+            _check_reach(np.asarray(point), name)
+            object.__setattr__(self, name, point)
+        if not 0.0 <= self.jitter_sigma <= MAX_JITTER_SIGMA:
+            raise MotionError(f"jitter_sigma must be in [0, {MAX_JITTER_SIGMA:g}] m, "
+                              f"got {self.jitter_sigma!r}")
         if self.episode_len_s > MAX_EPISODE_LEN_S:
             raise MotionError(f"episode_len_s must be at most {MAX_EPISODE_LEN_S:g} s")
         if self.reach_duration_s <= 0 or self.hold_duration_s <= 0:
@@ -86,6 +94,17 @@ def _point(value, name: str) -> tuple:
     return tuple(float(v) for v in value)
 
 
+def _check_reach(wrist: np.ndarray, name: str) -> tuple:
+    """The shoulder-to-wrist vector and its length, for a right-wrist point
+    the arm can reach."""
+    d = wrist - RIGHT_SHOULDER
+    r = np.linalg.norm(d)
+    if r >= ARM_REACH - 1e-6:
+        raise MotionError(f"{name} at {r:.3f} m from the right shoulder exceeds "
+                          f"arm reach {ARM_REACH:.3f} m")
+    return d, r
+
+
 def min_jerk(p0, p1, n_steps: int) -> np.ndarray:
     """Minimum-jerk (quintic) profile from p0 to p1 over n_steps samples.
 
@@ -105,10 +124,7 @@ def _elbow_from_wrist(wrist: np.ndarray) -> np.ndarray:
     The elbow sits on the circle of valid two-link solutions, picked on the
     downward side of the shoulder-wrist axis.
     """
-    d = wrist - RIGHT_SHOULDER
-    r = np.linalg.norm(d)
-    if r >= 2 * ARM_BONE_LEN - 1e-6:
-        raise MotionError(f"wrist target at {r:.3f} m exceeds arm reach {2 * ARM_BONE_LEN:.3f} m")
+    d, r = _check_reach(wrist, "wrist target")
     u = d / max(r, 1e-9)
     down = np.array([0.0, 0.0, -1.0])
     perp = down - np.dot(down, u) * u
@@ -268,8 +284,8 @@ def split_dataset(episodes, seed: int):
     """Seeded shuffle then an 8:1:1 train/val/test partition by episode."""
     episodes = list(episodes)
     n = len(episodes)
-    if n < 10:
-        raise MotionError(f"need at least 10 episodes to split 8:1:1, got {n}")
+    if n < MIN_SPLIT_EPISODES:
+        raise MotionError(f"need at least {MIN_SPLIT_EPISODES} episodes to split 8:1:1, got {n}")
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(np.floor(0.8 * n))
     n_val = int(np.floor(0.1 * n))

@@ -193,4 +193,16 @@ def save_episode(episode: Episode, path) -> None:
 
 
 def load_episode(path) -> Episode:
-    return episode_from_dict(json.loads(Path(path).read_text()))
+    """Read an episode file; a missing, truncated or malformed file raises a
+    MotionError that names it."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise MotionError("not a JSON object")
+        return episode_from_dict(doc)
+    except FileNotFoundError as exc:
+        raise MotionError(f"no episode file at {path}") from exc
+    except KeyError as exc:
+        raise MotionError(f"episode file {path} has no {exc} field") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise MotionError(f"episode file {path}: {exc}") from exc

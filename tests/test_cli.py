@@ -6,18 +6,21 @@ import csv
 import dataclasses
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from costcast import cli
 from costcast.cli import ConfigError, DEFAULT_COUNTS, RunConfig, main
 from costcast.cost import CostWeights
-from costcast.datagen import GenConfig
+from costcast.datagen import MAX_JITTER_SIGMA, GenConfig, split_dataset
 from costcast.forecast import TrainConfig, load_checkpoint
 from costcast.metrics import MetricReport
-from costcast.motion import is_finite_number, load_episode
+from costcast.motion import MotionError, is_finite_number, load_episode
 from costcast.planner import MppiConfig, SimLog
 
 MINI = {
@@ -139,6 +142,11 @@ def test_gen_points_length_and_tableset_tour_exit_2(tmp_path, capsys):
              "pot_position must be 3 finite numbers"),
             (dict(MINI, gen={"rest_wrist": [0.0, "x", 1.0]}), "rest_wrist must be 3 finite numbers"),
             (dict(MINI, gen={"rest_wrist": [0.0, True, 1.0]}), "rest_wrist must be 3 finite numbers"),
+            (dict(MINI, gen={"pot_position": [5, 5, 5]}), "pot_position at 7.959 m from the "
+             "right shoulder exceeds arm reach 0.720 m"),
+            (dict(MINI, gen={"rest_wrist": [0.45, -0.2, 0.33]}), "rest_wrist at 0.720 m"),
+            (dict(MINI, gen={"jitter_sigma": 1e300}), "jitter_sigma must be in [0, 0.05] m"),
+            (dict(MINI, gen={"jitter_sigma": -0.5}), "jitter_sigma must be in [0, 0.05] m"),
             (dict(MINI, gen={"episode_len_s": 1e308}), "episode_len_s must be at most"),
             (dict(MINI, counts=one_tableset, gen={"episode_len_s": 9.0, "n_interactions": 1}),
              "too short for waypoint tour")):
@@ -148,10 +156,13 @@ def test_gen_points_length_and_tableset_tour_exit_2(tmp_path, capsys):
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
     # the points are stored as float tuples; the tour is checked only when
-    # tableset episodes are requested
+    # tableset episodes are requested; both ends of the jitter range are valid
     cfg = RunConfig.load(write_config(tmp_path, dict(MINI, gen={"pot_position": [1, 0, 1]})))
     assert cfg.gen.pot_position == (1.0, 0.0, 1.0)
     assert all(type(v) is float for v in cfg.gen.pot_position)
+    for sigma in (0, MAX_JITTER_SIGMA):
+        assert RunConfig.load(write_config(tmp_path, dict(MINI, gen={"jitter_sigma": sigma}))
+                              ).gen.jitter_sigma == sigma
     RunConfig.load(write_config(tmp_path, dict(MINI, gen={"episode_len_s": 9.0,
                                                           "n_interactions": 1})))
 
@@ -222,13 +233,15 @@ SECTIONS = {"gen": GenConfig, "train": TrainConfig, "mppi": MppiConfig, "weights
 
 
 def near_default(default):
-    """Values of a config field's own type around its default."""
+    """Values of a config field's own type around its default, and far from it."""
     if isinstance(default, tuple):
-        return st.lists(st.floats(-1.0, 2.0), min_size=3, max_size=3)
+        return st.one_of(st.lists(st.floats(-1.0, 2.0), min_size=3, max_size=3),
+                         st.sampled_from([[5.0, 5.0, 5.0], [-100.0, 0.0, 1e6],
+                                          [0.45, -0.2, 0.33]]))
     if isinstance(default, int):
         return st.sampled_from([-1, 0, 1, 2, default, 2 * default])
     return st.sampled_from([0.0, 1e-9, default, 0.5 * default, 2.0 * default, 10.0 * default,
-                            -default])
+                            -default, 1e300, -0.5, 100.0 * default])
 
 
 @st.composite
@@ -290,6 +303,139 @@ def test_exit_3_when_training_without_data(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path)
     assert main(["train", "--config", path]) == 3
     assert "manifest" in capsys.readouterr().err
+
+
+def test_split_commands_refuse_a_task_too_small_to_split(tmp_path, capsys, monkeypatch):
+    # gen writes any count, but a task of 1-9 episodes cannot be split 8:1:1,
+    # so the commands that split exit 2 before reading an episode
+    path = write_config(tmp_path, dict(MINI, counts={"stir": 10, "handover": 3, "tableset": 0}))
+    args = ["--config", path, "--out", str(tmp_path / "runs")]
+    assert main(["gen", *args]) == 0
+    capsys.readouterr()
+    loads = []
+    monkeypatch.setattr(cli, "load_episode", loads.append)
+    for command in ("train", "eval-forecast", "eval-plan"):
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert "counts.handover is 3" in err and "Traceback" not in err
+    assert loads == []
+
+
+SPLIT_RUN = {
+    "seed": 4,
+    "counts": {"stir": 10, "handover": 10, "tableset": 0},
+    "gen": {"episode_len_s": 6.0, "n_interactions": 1},
+    "train": {"epochs": 1},
+    "models": ["cur"],
+    "preset": "manicast",
+}
+
+
+@pytest.fixture(scope="module")
+def split_run(tmp_path_factory):
+    """A generated run of short episodes; tests copy it before changing it."""
+    root = tmp_path_factory.mktemp("split")
+    config = write_config(root, SPLIT_RUN)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--config", config, "--out", str(root / "runs")]) == 0
+    return root
+
+
+def copy_run(split_run, tmp_path):
+    """A private copy of the split run: its config path, CLI args and run dir."""
+    shutil.copytree(split_run / "runs", tmp_path / "runs")
+    config = write_config(tmp_path, SPLIT_RUN)
+    cfg = RunConfig.load(config, {"out": str(tmp_path / "runs")})
+    return ["--config", config, "--out", str(tmp_path / "runs")], cfg.run_dir()
+
+
+def split_files(run_dir, seed):
+    """{part: [episode file, ...]} of the per-task 8:1:1 split of a manifest."""
+    by_task = {}
+    for entry in json.loads((run_dir / "manifest.json").read_text()):
+        by_task.setdefault(entry["task"], []).append(entry["file"])
+    files = {"train": [], "val": [], "test": []}
+    for task in sorted(by_task):
+        for part, names in zip(files, split_dataset(by_task[task], seed)):
+            files[part].extend(names)
+    return files
+
+
+def test_each_command_reads_only_its_split(split_run, tmp_path, monkeypatch, capsys):
+    args, run_dir = copy_run(split_run, tmp_path)
+    files = split_files(run_dir, SPLIT_RUN["seed"])
+    read = []
+
+    def counting_load(path):
+        read.append(Path(path).relative_to(run_dir).as_posix())
+        return load_episode(path)
+
+    monkeypatch.setattr(cli, "load_episode", counting_load)
+    for command, parts in (("train", ("train", "val")), ("eval-forecast", ("test",)),
+                           ("eval-plan", ("test",))):
+        read.clear()
+        assert main([command, *args]) == 0
+        assert sorted(read) == sorted(f for part in parts for f in files[part]), command
+    assert len(files["train"]) + len(files["val"]) == 18 and len(files["test"]) == 2
+    # the test split alone decides the forecast report
+    report = (run_dir / "forecast_report.json").read_bytes()
+    (run_dir / files["train"][0]).unlink()
+    assert main(["eval-forecast", *args]) == 0
+    assert (run_dir / "forecast_report.json").read_bytes() == report
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:1000])
+
+
+def _drop_frames(path):
+    doc = json.loads(path.read_text())
+    del doc["frames"]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("damage, message", [
+    (Path.unlink, "no episode file at"),
+    (_drop_frames, "has no 'frames' field"),
+    (_truncate, "Expecting"),
+])
+def test_bad_episode_file_exits_3_naming_it(split_run, tmp_path, capsys, damage, message):
+    args, run_dir = copy_run(split_run, tmp_path)
+    bad = run_dir / split_files(run_dir, SPLIT_RUN["seed"])["test"][0]
+    damage(bad)
+    assert main(["eval-forecast", *args]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err and "Traceback" not in err
+    with pytest.raises(MotionError, match=message):
+        load_episode(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.fixed_dictionaries({task: st.integers(10, 30) for task in DEFAULT_COUNTS}),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_splitting_the_manifest_selects_the_episodes_of_splitting_the_dataset(
+        counts, seed, data):
+    manifest = data.draw(st.permutations(
+        [{"file": f"data/{task}_{i:03d}.json", "task": task}
+         for task, n in counts.items() for i in range(n)]))
+    episodes = {}   # a distinct stand-in object per file
+
+    def fake_load(path):
+        return episodes.setdefault(Path(path).name, object())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = RunConfig(seed=seed, out_root=tmp, counts=counts)
+        (cfg.run_dir() / "manifest.json").write_text(json.dumps(manifest))
+        with mock.patch.object(cli, "load_episode", fake_load):
+            got = cli._split_episodes(cfg, ("train", "val", "test"))
+    # the reference reads every episode, then splits the episodes
+    by_task = {}
+    for entry in manifest:
+        by_task.setdefault(entry["task"], []).append(fake_load(entry["file"]))
+    for task in sorted(by_task):
+        want = split_dataset(by_task[task], seed)
+        assert [got[part][task] for part in ("train", "val", "test")] == list(want)
+    assert list(got["train"]) == sorted(by_task)
 
 
 # --- end-to-end mini pipeline ---------------------------------------------
