@@ -21,7 +21,7 @@ import numpy as np
 from . import datagen, forecast, metrics
 from .cost import CostWeights
 from .forecast import TrainConfig, WindowSet, make_forecaster
-from .motion import MotionError, load_episode, save_episode
+from .motion import MotionError, load_episode, read_json, save_episode
 from .planner import MppiConfig, SimLog, build_task_spec, run_episode
 from .robot import ArmModel
 
@@ -61,7 +61,10 @@ class RunConfig:
 
     @classmethod
     def load(cls, path=None, overrides=None) -> "RunConfig":
-        doc = json.loads(Path(path).read_text()) if path else {}
+        try:
+            doc = json.loads(Path(path).read_text()) if path else {}
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("the run config must be a JSON object")
         overrides = overrides or {}
@@ -169,14 +172,18 @@ def _split_episodes(cfg: RunConfig, parts) -> dict:
     path = run_dir / "manifest.json"
     if not path.exists():
         raise MotionError(f"no manifest at {path}; run `gen` first")
-    entries = {}
-    for entry in json.loads(path.read_text()):
-        entries.setdefault(entry["task"], []).append(entry)
+    files = {}
+    try:
+        for entry in read_json(path, "manifest"):
+            files.setdefault(entry["task"], []).append(run_dir / entry["file"])
+    except (KeyError, TypeError) as exc:
+        raise MotionError(f"manifest file {path} needs a list of task/file entries: "
+                          f"{exc!r}") from exc
     episodes = {part: {} for part in parts}
-    for task in sorted(entries):
-        split = dict(zip(SPLIT_PARTS, datagen.split_dataset(entries[task], cfg.seed)))
+    for task in sorted(files):
+        split = dict(zip(SPLIT_PARTS, datagen.split_dataset(files[task], cfg.seed)))
         for part in parts:
-            episodes[part][task] = [load_episode(run_dir / e["file"]) for e in split[part]]
+            episodes[part][task] = [load_episode(f) for f in split[part]]
     return episodes
 
 
@@ -372,7 +379,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(cfg, args.logs)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MotionError as exc:

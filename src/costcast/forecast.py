@@ -4,6 +4,14 @@ The trainable model is a separable linear map: a joint-mixing matrix S and a
 temporal matrix M act on history displacements, so the forward pass and its
 gradient are closed form.  Training can upsample rare transition windows and
 upweight wrist joints in the loss.
+
+The model's arrays are window-last: time first, the windows in the middle and
+each frame's (joint, xyz) coordinates flattened to one row of width 3J, so a
+batch of windows is (frames, B, 3J).  ``WindowSet.gather`` returns that
+layout, and every product of the forward pass and of a training step is then
+one 2-D matrix product over the whole batch.  ``model_forward`` takes a
+``Context`` in the package's batch-first layout and moves its batch axes to
+the middle and back.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .motion import (
     Context,
     Trajectory,
     check_field_types,
+    read_json,
 )
 
 POINT = "point"
@@ -134,30 +143,34 @@ def _joint_mixer(S: np.ndarray) -> np.ndarray:
     return (S.T[:, None, :, None] * np.eye(3)[:, None]).reshape(_ROW, _ROW)
 
 
-def _forward_rows(model: ForecastModel, ctx_frames: np.ndarray):
-    """The forward pass on frames flattened to (joint, xyz) rows.
+def _forward_rows(S: np.ndarray, M: np.ndarray, ctx: np.ndarray):
+    """The forward pass on window-last rows.
 
-    ctx_frames (..., k, J, 3) -> forecast rows (..., T, 3J), plus the history
-    displacements dX and their joint-mixed form SX, both (..., k, 3J), which
-    the gradient reuses.  The joint mixing is one GEMM over every history row
-    and the temporal map one GEMM per window.
+    ctx (k, *batch, 3J) -> forecast rows (T, *batch, 3J), plus the history
+    displacements dX and their joint-mixed form SX, both (k, *batch, 3J),
+    which the gradient reuses.  The joint mixing is one GEMM over every
+    history row and the temporal map one GEMM over every window,
+    ``M.T @ SX.reshape(k, -1)``.
     """
-    lead = ctx_frames.shape[:-3]
-    last = ctx_frames[..., -1:, :, :].reshape(*lead, 1, _ROW)
-    dX = ctx_frames.reshape(*lead, HISTORY_LEN, _ROW) - last
-    SX = (dX.reshape(-1, _ROW) @ _joint_mixer(model.S)).reshape(dX.shape)
-    return last + model.M.T @ SX, dX, SX
-
-
-def _forward_arrays(model: ForecastModel, ctx_frames: np.ndarray) -> np.ndarray:
-    """Batched forward pass; ctx_frames (..., k, J, 3) -> (..., T, J, 3)."""
-    pred = _forward_rows(model, ctx_frames)[0]
-    return pred.reshape(*pred.shape[:-1], N_JOINTS, 3)
+    last = ctx[-1]
+    dX = ctx - last
+    SX = (dX.reshape(-1, _ROW) @ _joint_mixer(S)).reshape(dX.shape)
+    pred = last + (M.T @ SX.reshape(HISTORY_LEN, -1)).reshape((HORIZON_LEN,) + dX.shape[1:])
+    return pred, dX, SX
 
 
 def model_forward(model: ForecastModel, ctx: Context) -> Forecast:
-    """Forecast = last pose + S-mixed, M-mapped history displacements."""
-    return point_forecast(_forward_arrays(model, ctx.frames), ctx.dt)
+    """Forecast = last pose + S-mixed, M-mapped history displacements.
+
+    The context's batch axes, if any, move to the middle of the rows and back;
+    a single context has none.
+    """
+    batch = ctx.frames.shape[:-3]
+    rows = np.moveaxis(ctx.frames, -3, 0).reshape((HISTORY_LEN,) + batch + (_ROW,))
+    pred = _forward_rows(model.S, model.M, rows)[0]
+    pred.flags.writeable = False  # a fresh array: the Trajectory keeps its view
+    frames = np.moveaxis(pred.reshape((HORIZON_LEN,) + batch + (N_JOINTS, 3)), 0, -3)
+    return point_forecast(frames, ctx.dt)
 
 
 def default_weights(wrist_weight: float = 1.0) -> np.ndarray:
@@ -181,24 +194,27 @@ def weighted_loss(model: ForecastModel, ctx: Context, truth: Trajectory,
     w = np.asarray(w, dtype=float)
     if (w <= 0).any():
         raise MotionError("loss weights must be positive")
-    return _weighted_sse(_forward_arrays(model, ctx.frames) - truth.frames, w)[0]
+    return _weighted_sse(model_forward(model, ctx).trajectory.frames - truth.frames, w)[0]
 
 
-def _batch_loss_and_grad(model: ForecastModel, ctx_b: np.ndarray, fut_b: np.ndarray,
+def _batch_loss_and_grad(S: np.ndarray, M: np.ndarray, ctx: np.ndarray, fut: np.ndarray,
                          w: np.ndarray):
     """Mean loss over a batch and its exact gradients w.r.t. S and M.
 
-    Per window pred = last + M^T SX with SX = dX kron(S.T, I3), so with
-    G = dL/dpred: dM = sum_b SX_b G_b^T, and dS sums the xyz diagonal of each
-    (joint, joint) block of the mixer's gradient sum_b dX_b^T M G_b.
+    ctx (k, B, 3J) and fut (T, B, 3J) are window-last rows, as
+    ``WindowSet.gather`` returns them.  Per window pred = last + M^T SX with
+    SX = dX kron(S.T, I3), so with G = dL/dpred laid out (T, B*3J), each
+    product is one GEMM over the batch: M G, dM = SX G^T with SX as
+    (k, B*3J), and the mixer's gradient dX^T (M G) over every history row, of
+    which dS sums the xyz diagonal of each (joint, joint) block.
     """
-    B = ctx_b.shape[0]
-    pred, dX, SX = _forward_rows(model, ctx_b)
-    sse, weighted = _weighted_sse(pred - fut_b.reshape(pred.shape), w)
-    G = (2.0 / B) * weighted.reshape(pred.shape)
-    dMix = dX.reshape(-1, _ROW).T @ (model.M @ G).reshape(-1, _ROW)
+    B = ctx.shape[1]
+    pred, dX, SX = _forward_rows(S, M, ctx)
+    sse, weighted = _weighted_sse(pred - fut, w)
+    G = (2.0 / B) * weighted.reshape(HORIZON_LEN, -1)
+    dMix = dX.reshape(-1, _ROW).T @ (M @ G).reshape(-1, _ROW)
     dS = np.trace(dMix.reshape(N_JOINTS, 3, N_JOINTS, 3), axis1=1, axis2=3).T
-    dM = np.tensordot(SX, G, axes=([0, 2], [0, 2]))
+    dM = SX.reshape(HISTORY_LEN, -1) @ G.T
     return sse / B, dS, dM
 
 
@@ -228,8 +244,8 @@ class WindowSet:
             starts.append(offset + start)
             flags.append(overlap.any(axis=1))
             offset += n
-        self.frames = np.concatenate([np.empty((0, N_JOINTS, 3))]
-                                     + [ep.frames for ep in episodes])
+        self.rows = np.concatenate([np.empty((0, N_JOINTS, 3))]
+                                   + [ep.frames for ep in episodes]).reshape(-1, _ROW)
         self.start = np.concatenate(starts)
         self.flags = np.concatenate(flags)
         self.dt = episodes[0].dt if episodes else DEFAULT_DT
@@ -238,10 +254,14 @@ class WindowSet:
         return len(self.start)
 
     def gather(self, idx):
-        """Context/future arrays for the given window indices: (B,k,J,3), (B,T,J,3)."""
-        rows = self.start[np.asarray(idx, dtype=int), None] + np.arange(HISTORY_LEN + HORIZON_LEN)
-        windows = self.frames[rows]
-        return windows[:, :HISTORY_LEN], windows[:, HISTORY_LEN:]
+        """The given windows as one read-only window-last array
+        (HISTORY_LEN + HORIZON_LEN, B, 3J): frame f of window b is row
+        ``[f, b]``.  ``[:HISTORY_LEN]`` is the context and ``[HISTORY_LEN:]``
+        the future."""
+        at = np.arange(HISTORY_LEN + HORIZON_LEN)[:, None] + self.start[np.asarray(idx, dtype=int)]
+        windows = np.take(self.rows, at, axis=0)
+        windows.flags.writeable = False  # Context and Trajectory keep views, not copies
+        return windows
 
 
 ANNOTATED = "annotated"
@@ -267,8 +287,9 @@ def build_transition_set(windows: WindowSet, mode: str = ANNOTATED,
             raise MotionError("cost_percentile mode requires a cost_fn")
         cmax = np.empty(n)
         for i in range(n):
-            ctx, fut = windows.gather([i])
-            cmax[i] = cost_fn(Context(ctx[0], windows.dt), Trajectory(fut[0], windows.dt))
+            frames = windows.gather([i]).reshape(-1, N_JOINTS, 3)
+            cmax[i] = cost_fn(Context(frames[:HISTORY_LEN], windows.dt),
+                              Trajectory(frames[HISTORY_LEN:], windows.dt))
         delta = np.quantile(cmax, 1.0 - delta_percentile)
         idx = np.nonzero(cmax >= delta)[0]
     else:
@@ -332,8 +353,9 @@ def _val_loss(model: ForecastModel, ws: WindowSet, w: np.ndarray) -> float:
     total = 0.0
     n = len(ws)
     for start in range(0, n, VAL_CHUNK):
-        ctx_b, fut_b = ws.gather(np.arange(start, min(start + VAL_CHUNK, n)))
-        total += _weighted_sse(_forward_arrays(model, ctx_b) - fut_b, w)[0]
+        windows = ws.gather(np.arange(start, min(start + VAL_CHUNK, n)))
+        pred = _forward_rows(model.S, model.M, windows[:HISTORY_LEN])[0]
+        total += _weighted_sse(pred - windows[HISTORY_LEN:], w)[0]
     return total / n
 
 
@@ -350,35 +372,35 @@ def train(model: ForecastModel, train_windows: WindowSet, val_windows: WindowSet
         transition_set = build_transition_set(train_windows, mode=ANNOTATED)
     w = default_weights(config.wrist_weight)
     rng = np.random.default_rng(config.seed)
+    # plain arrays inside the batch loop; a model is built once per epoch
     S, M = model.S.copy(), model.M.copy()
     vS, vM = np.zeros_like(S), np.zeros_like(M)
     n_batches = max(1, len(train_windows) // config.batch_size)
 
-    best = ForecastModel(S=S.copy(), M=M.copy(), trained=True, w=w)
+    best = ForecastModel(S=S, M=M, trained=True, w=w)
     best_val = _val_loss(best, val_windows, w)
     history = [{"epoch": 0, "train_loss": None, "val_loss": best_val}]
 
-    cur = ForecastModel(S=S, M=M)
     for epoch in range(1, config.epochs + 1):
         epoch_loss = 0.0
         for _ in range(n_batches):
             idx = sample_batch(len(train_windows), transition_set,
                                config.transition_mix, config.batch_size, rng)
-            ctx_b, fut_b = train_windows.gather(idx)
-            loss, dS, dM = _batch_loss_and_grad(cur, ctx_b, fut_b, w)
+            windows = train_windows.gather(idx)
+            loss, dS, dM = _batch_loss_and_grad(S, M, windows[:HISTORY_LEN],
+                                                windows[HISTORY_LEN:], w)
             if not np.isfinite(loss):
                 raise MotionError(f"training diverged (non-finite loss) at epoch {epoch}")
             vS = config.momentum * vS - config.learning_rate * dS
             vM = config.momentum * vM - config.learning_rate * dM
             S = S + vS
             M = M + vM
-            cur = ForecastModel(S=S, M=M)
             epoch_loss += loss
+        cur = ForecastModel(S=S, M=M, trained=True, w=w)
         val = _val_loss(cur, val_windows, w)
         history.append({"epoch": epoch, "train_loss": epoch_loss / n_batches, "val_loss": val})
         if val < best_val:
-            best_val = val
-            best = ForecastModel(S=S.copy(), M=M.copy(), trained=True, w=w)
+            best_val, best = val, cur
     return best, history
 
 
@@ -398,11 +420,18 @@ def save_checkpoint(model: ForecastModel, path, preset: str = "", seed: int = 0)
 
 
 def load_checkpoint(path) -> ForecastModel:
-    doc = json.loads(Path(path).read_text())
-    S = np.array(doc["S"]["data"]).reshape(doc["S"]["shape"])
-    M = np.array(doc["M"]["data"]).reshape(doc["M"]["shape"])
-    w = None if doc.get("w") is None else np.asarray(doc["w"], dtype=float)
-    return ForecastModel(S=S, M=M, trained=bool(doc.get("trained", True)), w=w)
+    """Read a checkpoint; a missing, truncated or malformed file raises a
+    MotionError that names it."""
+    doc = read_json(path, "checkpoint")
+    try:
+        S = np.array(doc["S"]["data"]).reshape(doc["S"]["shape"])
+        M = np.array(doc["M"]["data"]).reshape(doc["M"]["shape"])
+        w = None if doc.get("w") is None else np.asarray(doc["w"], dtype=float)
+        return ForecastModel(S=S, M=M, trained=bool(doc.get("trained", True)), w=w)
+    except KeyError as exc:
+        raise MotionError(f"checkpoint file {path} has no {exc} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise MotionError(f"checkpoint file {path}: {exc}") from exc
 
 
 def make_forecaster(name_or_model):

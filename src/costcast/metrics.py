@@ -12,7 +12,16 @@ from pathlib import Path
 import numpy as np
 
 from .forecast import POINT, WindowSet
-from .motion import HORIZON_LEN, Context, MotionError, Trajectory, WRIST_INDICES
+from .motion import (
+    HISTORY_LEN,
+    HORIZON_LEN,
+    N_JOINTS,
+    WRIST_INDICES,
+    Context,
+    MotionError,
+    Trajectory,
+    read_json,
+)
 
 MM = 1000.0
 GOAL_DETECT_RADIUS = 0.10
@@ -53,8 +62,11 @@ def evaluate_forecaster(windows: WindowSet, forecaster, chunk: int = 256) -> dic
     wr = list(WRIST_INDICES)
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n))
-        ctx_b, fut_b = windows.gather(idx)
-        fc = forecaster(Context(ctx_b, windows.dt), Trajectory(fut_b, windows.dt))
+        # batch-first views (B, k + T, J, 3) of the window-last gather
+        frames = np.moveaxis(windows.gather(idx).reshape(-1, len(idx), N_JOINTS, 3), 1, 0)
+        fut_b = frames[:, HISTORY_LEN:]
+        fc = forecaster(Context(frames[:, :HISTORY_LEN], windows.dt),
+                        Trajectory(fut_b, windows.dt))
         if fc.kind != POINT:
             raise MotionError("displacement metrics need point forecasts")
         d = _displacements(fc.trajectory.frames, fut_b)  # (B, T, J)
@@ -314,5 +326,5 @@ class MetricReport:
 
     @classmethod
     def from_json(cls, path) -> "MetricReport":
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path, "report")
         return cls(forecasting=doc.get("forecasting", {}), planning=doc.get("planning", {}))

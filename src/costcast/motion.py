@@ -174,11 +174,8 @@ def episode_from_dict(doc: dict) -> Episode:
     names = doc.get("joint_names")
     if names is not None and list(names) != list(JOINT_NAMES):
         raise MotionError(f"unexpected joint names {names}")
-    frames = np.asarray(doc["frames"], dtype=float)
-    if frames.ndim != 3 or frames.shape[1] != N_JOINTS:
-        raise MotionError(f"episode file has wrong joint count: {frames.shape}")
-    if not np.isfinite(frames).all():
-        raise MotionError("episode file contains non-finite values")
+    frames = np.array(doc["frames"], dtype=float)
+    frames.flags.writeable = False  # freshly decoded: Episode checks it and keeps it
     return Episode(
         fps=float(doc["fps"]),
         frames=frames,
@@ -192,17 +189,26 @@ def save_episode(episode: Episode, path) -> None:
     Path(path).write_text(json.dumps(episode_to_dict(episode)))
 
 
+def read_json(path, what: str):
+    """Parse a JSON file of the run; a missing, unreadable or truncated file
+    raises a MotionError that names it as the ``what`` file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise MotionError(f"no {what} file at {path}") from exc
+    except (OSError, ValueError) as exc:
+        raise MotionError(f"{what} file {path}: {exc}") from exc
+
+
 def load_episode(path) -> Episode:
     """Read an episode file; a missing, truncated or malformed file raises a
     MotionError that names it."""
+    doc = read_json(path, "episode")
     try:
-        doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
             raise MotionError("not a JSON object")
         return episode_from_dict(doc)
-    except FileNotFoundError as exc:
-        raise MotionError(f"no episode file at {path}") from exc
     except KeyError as exc:
         raise MotionError(f"episode file {path} has no {exc} field") from exc
-    except (OSError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise MotionError(f"episode file {path}: {exc}") from exc

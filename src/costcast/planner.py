@@ -230,11 +230,14 @@ class SimLog:
 
     @classmethod
     def from_jsonl(cls, path) -> "SimLog":
-        lines = Path(path).read_text().splitlines()
-        meta = json.loads(lines[0])["meta"]
-        records = [json.loads(line) for line in lines[1:]]
-        return cls(task=meta["task"], model_name=meta["model"], dt=meta["dt"],
-                   records=records)
+        try:
+            lines = Path(path).read_text().splitlines()
+            meta = json.loads(lines[0])["meta"]
+            records = [json.loads(line) for line in lines[1:]]
+            return cls(task=meta["task"], model_name=meta["model"], dt=meta["dt"],
+                       records=records)
+        except (IndexError, KeyError, OSError, TypeError, ValueError) as exc:
+            raise MotionError(f"sim log {path}: {exc!r}") from exc
 
 
 def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeights,

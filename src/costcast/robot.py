@@ -196,21 +196,30 @@ def collision_sphere_centers(model: ArmModel, frames, rows=range(16)) -> np.ndar
     segment, at 1/3 and 2/3 of the straight segment between consecutive frame
     origins (base included): rows 0-7 hold the 1/3 points and rows 8-15 the
     2/3 points of segments 0-7.  Only the requested rows are built, in the
-    order given; each is computed on its own, so a subset is bit for bit
-    those rows of the full set.
+    order given.  Each run of consecutive rows of segments 1-7 is built as one
+    slice, and the base segment's row on its own; every element takes the same
+    operations, so a subset is bit for bit those rows of the full set.
     """
     _, p = frames
     batch = p.shape[2:]
-    base = np.asarray(model.base_position, dtype=float).reshape((3,) + (1,) * len(batch))
+    base = np.asarray(model.base_position, dtype=float).reshape((1, 3) + (1,) * len(batch))
+    rows = list(rows)
     centers = np.empty((len(rows), 3) + batch)
-    for c, row in zip(centers, rows):
-        segment = row % 8
-        a = p[segment - 1] if segment else base
-        np.subtract(p[segment], a, out=c)
-        if row >= 8:
+    i = 0
+    while i < len(rows):
+        first = rows[i] % 8
+        j = i + 1
+        if first:
+            while j < len(rows) and rows[j] == rows[j - 1] + 1 and rows[j] % 8:
+                j += 1
+        c = centers[i:j]
+        a = p[first - 1:first - 1 + j - i] if first else base
+        np.subtract(p[first:first + j - i], a, out=c)
+        if rows[i] >= 8:
             c *= 2.0
         c /= 3.0
         c += a
+        i = j
     return centers
 
 

@@ -42,6 +42,12 @@ def random_trajectory(rng, dt=0.04):
     return Trajectory(frames, dt=dt)
 
 
+def window_last(frames):
+    """Batch-first frames (B, n, J, 3) as the forecaster's window-last rows
+    (n, B, 3J)."""
+    return np.swapaxes(frames, 0, 1).reshape(frames.shape[1], frames.shape[0], -1)
+
+
 def linear_episode(n_frames, velocity, fps=25.0, transitions=()):
     """Every joint translates at a constant velocity (m/s)."""
     v = np.asarray(velocity, dtype=float)

@@ -21,6 +21,7 @@ from conftest import (
     random_context,
     random_pose_array,
     random_trajectory,
+    window_last,
 )
 from costcast import datagen, metrics
 from costcast.cli import main as cli_main
@@ -211,8 +212,9 @@ def test_loss_gradient_matches_finite_differences_100_pairs():
         model = ForecastModel(
             S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
             M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
-        _, dS, dM = _batch_loss_and_grad(model, np.stack([c.frames for c, _ in batch]),
-                                         np.stack([t.frames for _, t in batch]), w)
+        _, dS, dM = _batch_loss_and_grad(model.S, model.M,
+                                         window_last(np.stack([c.frames for c, _ in batch])),
+                                         window_last(np.stack([t.frames for _, t in batch])), w)
 
         def mean_loss(m):
             return np.mean([weighted_loss(m, c, t, w) for c, t in batch])

@@ -18,7 +18,7 @@ from costcast import cli
 from costcast.cli import ConfigError, DEFAULT_COUNTS, RunConfig, main
 from costcast.cost import CostWeights
 from costcast.datagen import MAX_JITTER_SIGMA, GenConfig, split_dataset
-from costcast.forecast import TrainConfig, load_checkpoint
+from costcast.forecast import ForecastModel, TrainConfig, load_checkpoint, save_checkpoint
 from costcast.metrics import MetricReport
 from costcast.motion import MotionError, is_finite_number, load_episode
 from costcast.planner import MppiConfig, SimLog
@@ -290,7 +290,8 @@ def test_exit_2_on_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["gen", "--config", str(bad)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: config file {bad}" in err and "Traceback" not in err
 
 
 def test_exit_2_on_unknown_preset(tmp_path, capsys):
@@ -388,10 +389,14 @@ def _truncate(path):
     path.write_text(path.read_text()[:1000])
 
 
-def _drop_frames(path):
+def _drop_field(path, field):
     doc = json.loads(path.read_text())
-    del doc["frames"]
+    del doc[field]
     path.write_text(json.dumps(doc))
+
+
+def _drop_frames(path):
+    _drop_field(path, "frames")
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -408,6 +413,31 @@ def test_bad_episode_file_exits_3_naming_it(split_run, tmp_path, capsys, damage,
     assert str(bad) in err and message in err and "Traceback" not in err
     with pytest.raises(MotionError, match=message):
         load_episode(bad)
+
+
+@pytest.mark.parametrize("name, command, drop, message", [
+    ("manifest.json", "eval-forecast", None, "manifest file"),
+    ("checkpoint_manicast.json", "simulate", None, "checkpoint file"),
+    ("checkpoint_manicast.json", "simulate", "S", "has no 'S' field"),
+    ("checkpoint_manicast.json", "simulate", "M", "has no 'M' field"),
+])
+def test_bad_run_file_exits_3_naming_it(split_run, tmp_path, capsys, name, command, drop,
+                                        message):
+    # a truncated file of the run directory, or a checkpoint without a
+    # matrix, is a runtime error, not a config error
+    args, run_dir = copy_run(split_run, tmp_path)
+    save_checkpoint(ForecastModel.init(), run_dir / "checkpoint_manicast.json")
+    bad = run_dir / name
+    if drop is None:
+        _truncate(bad)
+    else:
+        _drop_field(bad, drop)
+    if command == "simulate":
+        args += ["--episode", str(run_dir / "data/handover_000.json"), "--model", "manicast",
+                 "--log-out", str(tmp_path / "sim.jsonl")]
+    assert main([command, *args]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err and "Traceback" not in err
 
 
 @settings(max_examples=40, deadline=None)

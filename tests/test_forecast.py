@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BASE_POSE, linear_episode, random_context, random_trajectory
+from conftest import BASE_POSE, linear_episode, random_context, random_trajectory, window_last
 from costcast.datagen import GenConfig, gen_stirring
 from costcast.forecast import (
     ANNOTATED,
@@ -135,8 +135,9 @@ def test_loss_gradient_matches_finite_differences(rng):
     w = default_weights(2.0)
     model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
                           M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
-    _, dS, dM = _batch_loss_and_grad(model, np.stack([c.frames for c, _ in batch]),
-                                     np.stack([t.frames for _, t in batch]), w)
+    _, dS, dM = _batch_loss_and_grad(model.S, model.M,
+                                     window_last(np.stack([c.frames for c, _ in batch])),
+                                     window_last(np.stack([t.frames for _, t in batch])), w)
 
     def mean_loss(m):
         return np.mean([weighted_loss(m, c, t, w) for c, t in batch])
@@ -169,12 +170,49 @@ def test_batch_gradient_is_the_mean_of_single_window_gradients(B, seed, wrist):
     w = default_weights(wrist)
     model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
                           M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
-    loss, dS, dM = _batch_loss_and_grad(model, ctx, fut, w)
+    loss, dS, dM = _batch_loss_and_grad(model.S, model.M, window_last(ctx), window_last(fut), w)
     losses = [weighted_loss(model, Context(ctx[i]), Trajectory(fut[i]), w) for i in range(B)]
     assert loss == pytest.approx(np.mean(losses), rel=1e-12)
-    singles = [_batch_loss_and_grad(model, ctx[i:i + 1], fut[i:i + 1], w) for i in range(B)]
+    singles = [_batch_loss_and_grad(model.S, model.M, window_last(ctx[i:i + 1]),
+                                    window_last(fut[i:i + 1]), w) for i in range(B)]
     for got, want in ((dS, np.mean([g[1] for g in singles], axis=0)),
                       (dM, np.mean([g[2] for g in singles], axis=0))):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def einsum_reference(S, M, ctx, fut, w):
+    """pred, mean loss, dS and dM of the separable model from batch-first
+    (B, k, J, 3) contexts and (B, T, J, 3) futures, each written as one einsum."""
+    B = len(ctx)
+    last = ctx[:, -1:]
+    dX = ctx - last
+    SX = np.einsum("ij,bkjc->bkic", S, dX)            # joints mixed by S
+    pred = last + np.einsum("kt,bkic->btic", M, SX)   # history mapped by M
+    resid = pred - fut
+    loss = np.einsum("j,btjc,btjc->", w, resid, resid) / B
+    G = 2.0 / B * w[:, None] * resid                  # dloss/dpred
+    dM = np.einsum("bkic,btic->kt", SX, G)
+    dS = np.einsum("kt,btic,bkjc->ij", M, G, dX)
+    return pred, loss, dS, dM
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), wrist=st.floats(1.0, 5.0))
+def test_window_last_loss_gradient_and_forward_equal_the_einsum_reference(B, seed, wrist):
+    rng = np.random.default_rng(seed)
+    ctx = BASE_POSE + rng.normal(0, 0.05, (B, HISTORY_LEN, N_JOINTS, 3))
+    fut = BASE_POSE + rng.normal(0, 0.05, (B, HORIZON_LEN, N_JOINTS, 3))
+    S = np.eye(N_JOINTS) + rng.normal(0, 0.5, (N_JOINTS, N_JOINTS))
+    M = rng.normal(0, 0.1, (HISTORY_LEN, HORIZON_LEN))
+    w = default_weights(wrist)
+    pred, loss, dS, dM = einsum_reference(S, M, ctx, fut, w)
+    got_loss, got_dS, got_dM = _batch_loss_and_grad(S, M, window_last(ctx), window_last(fut), w)
+    assert got_loss == pytest.approx(loss, rel=1e-12)
+    model = ForecastModel(S=S, M=M)
+    batch = model_forward(model, Context(ctx)).trajectory.frames
+    singles = np.stack([model_forward(model, Context(c)).trajectory.frames for c in ctx])
+    for got, want in ((got_dS, dS), (got_dM, dM), (batch, pred), (singles, pred)):
+        assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -210,12 +248,12 @@ def test_gather_and_flags_match_episode_slicing(eps, data):
         future = range(s + HISTORY_LEN, s + HISTORY_LEN + HORIZON_LEN)
         assert flag == any(a <= f <= b for f in future for a, b in ep.transitions)
     idx = data.draw(st.lists(st.integers(0, len(ws) - 1), min_size=1, max_size=20))
-    ctx_b, fut_b = ws.gather(idx)
+    windows = ws.gather(idx)
+    assert windows.shape == (HISTORY_LEN + HORIZON_LEN, len(idx), 3 * N_JOINTS)
     for row, wi in enumerate(idx):
         ep, s = ref[wi]
-        np.testing.assert_array_equal(ctx_b[row], ep.frames[s:s + HISTORY_LEN])
-        np.testing.assert_array_equal(
-            fut_b[row], ep.frames[s + HISTORY_LEN:s + HISTORY_LEN + HORIZON_LEN])
+        for f in range(HISTORY_LEN + HORIZON_LEN):
+            np.testing.assert_array_equal(windows[f, row], ep.frames[s + f].ravel())
 
 
 def test_windowset_agrees_with_slide_windows():
@@ -228,10 +266,10 @@ def test_windowset_agrees_with_slide_windows():
            for ep in eps for s in range(len(ep) - span + 1)]
     assert len(ws) == len(ref)
     idx = [0, 17, len(ws) - 1]
-    ctx_b, fut_b = ws.gather(idx)
+    windows = ws.gather(idx)
     for row, i in enumerate(idx):
-        np.testing.assert_array_equal(ctx_b[row], ref[i][0])
-        np.testing.assert_array_equal(fut_b[row], ref[i][1])
+        np.testing.assert_array_equal(windows[:HISTORY_LEN, row], ref[i][0].reshape(HISTORY_LEN, -1))
+        np.testing.assert_array_equal(windows[HISTORY_LEN:, row], ref[i][1].reshape(HORIZON_LEN, -1))
 
 
 @settings(max_examples=40, deadline=None)

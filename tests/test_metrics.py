@@ -18,7 +18,14 @@ from costcast.metrics import (
     worked_toycmdp,
     _incursions,
 )
-from costcast.motion import Episode, MotionError, N_JOINTS, WRIST_INDICES
+from costcast.motion import (
+    Episode,
+    HISTORY_LEN,
+    HORIZON_LEN,
+    MotionError,
+    N_JOINTS,
+    WRIST_INDICES,
+)
 from costcast.planner import SimLog
 
 DT = 0.04
@@ -41,10 +48,12 @@ def test_ade_fde_hand_oracle(rng):
 
 def test_ade_fde_matches_hand_sum(rng):
     # the true future scaled by 1.01, scored over chunks of 7 windows
-    ws = WindowSet([random_episode(rng)])
+    ep = random_episode(rng)
+    ws = WindowSet([ep])
     m = evaluate_forecaster(ws, lambda ctx, fut: point_forecast(1.01 * fut.frames, fut.dt),
                             chunk=7)
-    _, fut = ws.gather(np.arange(len(ws)))
+    fut = np.stack([ep.frames[s + HISTORY_LEN:s + HISTORY_LEN + HORIZON_LEN]
+                    for s in range(len(ws))])
     d = np.linalg.norm(1.01 * fut - fut, axis=-1)   # (windows, T, J)
     flags = ws.flags
     wrists = d[:, :, list(WRIST_INDICES)]
