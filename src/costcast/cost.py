@@ -5,13 +5,18 @@ scores all its samples at once; a single plan is a batch of one.
 ``total_cost_batch`` runs forward kinematics and the collision sum once and
 hands both to every term.
 
+The collision path sees the forecast human as per-step capsules:
+``human_capsules`` gives the ``ARM_BONES`` capsules of a point forecast, or
+the spheres of a safety volume as capsules whose two ends coincide, and is
+the one place there that reads the forecast's kind.  Every part then goes
+through the one clearance kernel, ``separation_batch``.
+
 The collision sum sum_t hinge(D_SAFE - sep)^2 gets nothing from a robot
 sphere that stays more than D_SAFE from the human, so ``collision_terms_batch``
 first runs a reach test on boxes.  Each sphere row's box over every plan and
 step comes from the boxes of the two frame origins it lies between, and each
-human part gets one box over the horizon: an ``ARM_BONES`` capsule of a point
-forecast or a sphere of a safety volume.  A (row, part) pair whose boxes are
-farther apart than D_SAFE plus the sphere radius (and a slack of
+human capsule gets one box over the horizon.  A (row, part) pair whose boxes
+are farther apart than D_SAFE plus the sphere radius (and a slack of
 ``REACH_SLACK``) on some axis cannot change a cost.  Centers are built only
 for the rows with some pair in reach, and the exact clearance kernel runs
 only on the parts with some pair in reach, so every sum is bit for bit the
@@ -24,16 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecast import Forecast, POINT, SAFETY_VOLUME
-from .motion import ARM_BONES, TASKS, MotionError, WRIST_INDICES, check_field_types
+from .forecast import Forecast, SAFETY_VOLUME
+from .motion import TASKS, MotionError, WRIST_INDICES, check_field_types
 from .robot import (
-    HUMAN_CAPSULE_RADIUS,
     ArmModel,
+    arm_capsules,
     collision_sphere_centers,
     fk_batch,
     manipulability_batch,
     separation_batch,
-    separation_batch_spheres,
     sphere_row_boxes,
 )
 
@@ -42,7 +46,6 @@ ORIENTATION_WEIGHT = 0.3  # rad <-> m tradeoff in the pose cost
 STOP_WINDOW = 5           # final steps penalized for nonzero velocity
 JOINT_MARGIN = 0.9        # fraction of half-range before the limit hinge activates
 REACH_SLACK = 1e-6        # m; far above the rounding of a computed clearance
-BONES = np.array(ARM_BONES)   # (4, 2) joint pairs of the human arm capsules
 
 
 @dataclass(frozen=True)
@@ -94,13 +97,11 @@ class TaskSpec:
                 raise MotionError(f"task {self.task!r} requires spec field {name!r}")
 
 
-def _forecast_frames(forecast: Forecast, H: int) -> np.ndarray:
-    if forecast.kind != POINT:
-        raise MotionError("this operation needs a point-trajectory forecast")
-    frames = forecast.trajectory.frames
-    if frames.shape[0] < H:
+def _first_steps(steps: np.ndarray, H: int) -> np.ndarray:
+    """The first H steps of a per-step forecast array."""
+    if steps.shape[0] < H:
         raise MotionError("forecast horizon shorter than plan horizon")
-    return frames[:H]
+    return steps[:H]
 
 
 def hinge(x: np.ndarray) -> np.ndarray:
@@ -124,50 +125,30 @@ def base_terms_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray, frames,
     return weights.alpha_s * stop + weights.alpha_j * joint + weights.alpha_m * manip
 
 
-def _volume_spheres(forecast: Forecast, H: int):
-    """Safety-volume centers (H, S, 3) and radii (H, S) over the first H steps."""
-    if forecast.centers.shape[0] < H:
-        raise MotionError("forecast horizon shorter than plan horizon")
-    return forecast.centers[:H], forecast.radii[:H]
-
-
-def separation_against_forecast(model: ArmModel, centers: np.ndarray, forecast: Forecast,
-                                parts=slice(None)) -> np.ndarray:
-    """Per-step minimum clearance (N, H) of sphere centers (rows, 3, N, H)
-    against the ``parts`` of a forecast of either kind: indices into
-    ``ARM_BONES`` for a point forecast, into the spheres of a safety volume."""
-    H = centers.shape[-1]
+def human_capsules(forecast: Forecast, H: int):
+    """The forecast human over the first H steps as capsules: starts and ends
+    (H, P, 3) and radii (H, P).  A point forecast gives its ``ARM_BONES``
+    capsules, a safety volume its spheres with both ends at the center."""
     if forecast.kind == SAFETY_VOLUME:
-        vol_centers, vol_radii = _volume_spheres(forecast, H)
-        return separation_batch_spheres(model, centers, vol_centers[:, parts],
-                                        vol_radii[:, parts])
-    return separation_batch(model, centers, _forecast_frames(forecast, H), BONES[parts])
+        centers = _first_steps(forecast.centers, H)
+        return centers, centers, forecast.radii[:H]
+    return arm_capsules(_first_steps(forecast.trajectory.frames, H))
 
 
-def _part_boxes(forecast: Forecast, H: int):
-    """Lower and upper corners (parts, 3) of a box around each part of the
-    forecast human over the first H steps: each ``ARM_BONES`` capsule of a
-    point forecast, each sphere of a safety volume."""
-    if forecast.kind == SAFETY_VOLUME:
-        centers, radii = _volume_spheres(forecast, H)
-        r = radii[..., None]
-        return (centers - r).min(axis=0), (centers + r).max(axis=0)
-    joints = _forecast_frames(forecast, H)
-    return (joints.min(axis=0)[BONES].min(axis=1) - HUMAN_CAPSULE_RADIUS,
-            joints.max(axis=0)[BONES].max(axis=1) + HUMAN_CAPSULE_RADIUS)
-
-
-def _pairs_in_reach(model: ArmModel, frames, forecast: Forecast):
-    """Indices of the sphere rows and of the human parts that may come within
-    D_SAFE of each other at some plan and step.
+def _pairs_in_reach(model: ArmModel, frames, capsules):
+    """Indices of the sphere rows and of the human capsules that may come
+    within D_SAFE of each other at some plan and step.
 
     A (row, part) pair is out of reach when, on some axis, the row's box over
     all plans and steps is more than D_SAFE + sphere radius + ``REACH_SLACK``
-    from the part's box over the horizon.  The largest gap over the axes is
-    taken with NaN propagating, so a NaN in either box keeps the pair.
+    from the capsule's box over the horizon.  The largest gap over the axes
+    is taken with NaN propagating, so a NaN in either box keeps the pair.
     """
+    starts, ends, radii = capsules
+    r = radii[..., None]
+    part_lo = (np.minimum(starts, ends) - r).min(axis=0)   # (parts, 3)
+    part_hi = (np.maximum(starts, ends) + r).max(axis=0)
     row_lo, row_hi = sphere_row_boxes(model, frames)
-    part_lo, part_hi = _part_boxes(forecast, frames[1].shape[-1])
     gap = np.maximum(row_lo[:, None] - part_hi, part_lo - row_hi[:, None]).max(axis=-1)
     near = ~(gap > D_SAFE + model.sphere_radius + REACH_SLACK)   # (16, parts)
     return np.flatnonzero(near.any(axis=1)), np.flatnonzero(near.any(axis=0))
@@ -176,15 +157,16 @@ def _pairs_in_reach(model: ArmModel, frames, forecast: Forecast):
 def collision_terms_batch(model: ArmModel, frames, forecast: Forecast) -> np.ndarray:
     """Unweighted collision sum, sum_t hinge(D_SAFE - sep)^2 per plan (N,).
 
-    Only the sphere rows and human parts in reach of each other are built
-    and go to the clearance kernel; with none in reach the sum is zero and
-    no centers are built.
+    Only the sphere rows and human capsules in reach of each other are
+    built and go to the clearance kernel; with none in reach the sum is zero
+    and no centers are built.
     """
-    rows, parts = _pairs_in_reach(model, frames, forecast)
+    capsules = human_capsules(forecast, frames[1].shape[-1])
+    rows, parts = _pairs_in_reach(model, frames, capsules)
     if not rows.size:
         return np.zeros(frames[1].shape[2])
     centers = collision_sphere_centers(model, frames, rows)
-    sep = separation_against_forecast(model, centers, forecast, parts)
+    sep = separation_batch(model, centers, *(c[:, parts] for c in capsules))
     return np.sum(hinge(D_SAFE - sep) ** 2, axis=1)
 
 
@@ -193,8 +175,7 @@ def _wrist_pot_distance(forecast: Forecast, pot: np.ndarray, H: int) -> np.ndarr
     if forecast.kind == SAFETY_VOLUME:
         d = np.linalg.norm(forecast.centers[:H] - pot, axis=-1) - forecast.radii[:H]
         return np.maximum(d, 0.0).min(axis=-1)
-    frames = _forecast_frames(forecast, H)
-    wrists = frames[:, list(WRIST_INDICES)]
+    wrists = _first_steps(forecast.trajectory.frames, H)[:, list(WRIST_INDICES)]
     return np.linalg.norm(wrists - pot, axis=-1).min(axis=-1)
 
 

@@ -327,4 +327,10 @@ class MetricReport:
     @classmethod
     def from_json(cls, path) -> "MetricReport":
         doc = read_json(path, "report")
-        return cls(forecasting=doc.get("forecasting", {}), planning=doc.get("planning", {}))
+        if not isinstance(doc, dict):
+            raise MotionError(f"report file {path} is not a JSON object")
+        parts = {name: doc.get(name, {}) for name in ("forecasting", "planning")}
+        for name, part in parts.items():
+            if not isinstance(part, dict):
+                raise MotionError(f"report file {path}: {name!r} is not a JSON object")
+        return cls(**parts)

@@ -28,6 +28,7 @@ from .robot import (
     ArmModel,
     ArmState,
     N_DOF,
+    arm_capsules,
     collision_sphere_centers,
     fk_batch,
     linear_jacobian,
@@ -233,11 +234,15 @@ class SimLog:
         try:
             lines = Path(path).read_text().splitlines()
             meta = json.loads(lines[0])["meta"]
-            records = [json.loads(line) for line in lines[1:]]
-            return cls(task=meta["task"], model_name=meta["model"], dt=meta["dt"],
-                       records=records)
+            log = cls(task=meta["task"], model_name=meta["model"], dt=meta["dt"],
+                      records=[json.loads(line) for line in lines[1:]])
         except (IndexError, KeyError, OSError, TypeError, ValueError) as exc:
             raise MotionError(f"sim log {path}: {exc!r}") from exc
+        for line, rec in enumerate(log.records, start=2):
+            if not (isinstance(rec, dict) and {"step", "min_sep"} <= rec.keys()):
+                raise MotionError(f"sim log {path}: line {line} is not a record "
+                                  "with 'step' and 'min_sep'")
+        return log
 
 
 def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeights,
@@ -271,7 +276,7 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
         arm = step(model, arm, cmd, cfg.dt)
         R, p = fk_batch(model, arm.q)
         sep = separation_batch(model, collision_sphere_centers(model, (R, p))[..., None, None],
-                               episode.frames[t][None])[0, 0]
+                               *arm_capsules(episode.frames[t][None]))[0, 0]
 
         rec = {
             "step": t,

@@ -10,6 +10,12 @@ array puts the batch axes last: frames are (8, 3, 3, *batch) and (8, 3,
 (16, 3) arrays.  The default model approximates a Franka-class arm via
 modified-DH parameters.  Geometry lives in the config; algorithms do not
 depend on the exact plant.
+
+The human is a set of per-step capsules, and ``separation_batch`` is the one
+clearance kernel against them: ``arm_capsules`` turns poses into the
+``ARM_BONES`` capsules, and a safety-volume sphere is a capsule whose two
+ends coincide.  ``rollout_arrays`` is the one clamped integrator; ``step`` is
+its single-step call.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ DEFAULT_BASE_POS = (1.0, 0.0, 0.5)
 
 ROBOT_SPHERE_RADIUS = 0.06
 HUMAN_CAPSULE_RADIUS = 0.05
+_BONE_STARTS, _BONE_ENDS = np.array(ARM_BONES).T   # joint indices, (4,) each
 
 
 @dataclass(frozen=True)
@@ -242,28 +249,37 @@ def sphere_row_boxes(model: ArmModel, frames):
     return np.concatenate([(2.0 * a + b) / 3.0, (a + 2.0 * b) / 3.0], axis=1)
 
 
-def separation_batch(model: ArmModel, centers: np.ndarray, human_frames: np.ndarray,
-                     bones=ARM_BONES) -> np.ndarray:
-    """Minimum clearance per (plan, step) against per-step human poses.
+def arm_capsules(frames: np.ndarray):
+    """The ``ARM_BONES`` capsules of human poses (H, J, 3): starts and ends
+    (H, 4, 3) and radii (H, 4), every radius ``HUMAN_CAPSULE_RADIUS``."""
+    return (frames[:, _BONE_STARTS], frames[:, _BONE_ENDS],
+            np.full((len(frames), len(ARM_BONES)), HUMAN_CAPSULE_RADIUS))
+
+
+def separation_batch(model: ArmModel, centers: np.ndarray, starts: np.ndarray,
+                     ends: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Minimum clearance per (plan, step) against per-step capsules.
 
     centers: (rows, 3, N, H) robot sphere centers from ``collision_sphere_centers``.
-    human_frames: (H, J, 3) human poses per step; ``bones`` the (i, j) joint
-    pairs of the capsules to check, every ``ARM_BONES`` bone by default.
-    Returns (N, H).
+    starts, ends: (H, P, 3) the two ends of each of P capsule axes per step;
+    radii: (H, P).  A sphere is a capsule whose two ends coincide.  Returns
+    (N, H).
 
-    Each coordinate of the centers is a (rows, N, H) plane, so each bone is
+    Each coordinate of the centers is a (rows, N, H) plane, so each capsule is
     elementwise work against its per-step scalars, spread once into (N, H)
     planes, with every temporary in a scratch buffer allocated once per call.
-    The minimum is taken over squared distances, with one square root at the
-    end.
+    Each capsule's squared distances are reduced over the sphere rows into
+    its own (N, H) plane; then one square root is taken of every plane, and
+    the robot sphere radius and then each capsule's radius are subtracted
+    before the minimum over capsules.
     """
     cx, cy, cz = centers.swapaxes(0, 1)   # (rows, N, H) each
-    best = np.full(cx.shape, np.inf)
     rx, ry, rz, t, tmp = (np.empty(cx.shape) for _ in range(5))
     planes = np.empty((7,) + cx.shape[1:])
-    for i, j in bones:
-        a = human_frames[:, i]            # (H, 3)
-        ab = human_frames[:, j] - a       # (H, 3)
+    # step-major memory, so the caller's sum over steps adds in step order
+    dist = np.empty((starts.shape[1],) + cx.shape[:0:-1])   # (P, H, N)
+    for a, b, d in zip(starts.swapaxes(0, 1), ends.swapaxes(0, 1), dist):   # (H, 3), (H, N)
+        ab = b - a
         planes[:3] = a.T[:, None]
         planes[3:6] = ab.T[:, None]
         planes[6] = np.maximum(np.einsum("hk,hk->h", ab, ab), 1e-18)
@@ -271,7 +287,7 @@ def separation_batch(model: ArmModel, centers: np.ndarray, human_frames: np.ndar
         np.subtract(cx, ax, out=rx)
         np.subtract(cy, ay, out=ry)
         np.subtract(cz, az, out=rz)
-        # t = (r . ab) / |ab|^2, clipped onto the bone
+        # t = (r . ab) / |ab|^2, clipped onto the axis
         np.multiply(rx, bx, out=t)
         t += np.multiply(ry, by, out=tmp)
         t += np.multiply(rz, bz, out=tmp)
@@ -284,59 +300,19 @@ def separation_batch(model: ArmModel, centers: np.ndarray, human_frames: np.ndar
         np.multiply(rx, rx, out=t)
         t += np.multiply(ry, ry, out=tmp)
         t += np.multiply(rz, rz, out=tmp)
-        np.minimum(best, t, out=best)
-    # step-major memory, so the caller's sum over steps adds in step order
-    dist = np.sqrt(best.min(axis=0).T.copy()).T
-    return dist - model.sphere_radius - HUMAN_CAPSULE_RADIUS
-
-
-def separation_batch_spheres(model: ArmModel, centers: np.ndarray,
-                             vol_centers: np.ndarray, vol_radii: np.ndarray) -> np.ndarray:
-    """Clearance against per-step safety-volume spheres.
-
-    centers: (rows, 3, N, H) robot sphere centers; vol_centers: (H, S, 3),
-    vol_radii: (H, S).  Returns (N, H).
-
-    Each volume sphere is elementwise work on the (rows, N, H) coordinate
-    planes against per-step scalars, into scratch buffers allocated once.
-    """
-    cx, cy, cz = centers.swapaxes(0, 1)   # (rows, N, H) each
-    best = np.full(cx.shape, np.inf)
-    d, tmp = np.empty(cx.shape), np.empty(cx.shape)
-    for (vx, vy, vz), r in zip(vol_centers.transpose(1, 2, 0), vol_radii.T):  # (H,) each
-        np.subtract(cx, vx, out=d)
-        np.multiply(d, d, out=d)
-        np.subtract(cy, vy, out=tmp)
-        d += np.multiply(tmp, tmp, out=tmp)
-        np.subtract(cz, vz, out=tmp)
-        d += np.multiply(tmp, tmp, out=tmp)
-        np.sqrt(d, out=d)
-        d -= r
-        np.minimum(best, d, out=best)
-    return best.min(axis=0) - model.sphere_radius
-
-
-def step(model: ArmModel, state: ArmState, qd_cmd: np.ndarray, dt: float) -> ArmState:
-    """Kinematic integration with velocity and joint-limit clamping.
-
-    Velocity commands are clamped to the limits; joints that hit a position
-    limit are clamped there with their velocity zeroed.
-    """
-    qd = np.clip(np.asarray(qd_cmd, dtype=float), -model.vel, model.vel)
-    q = state.q + qd * dt
-    lo, hi = model.lo, model.hi
-    clamped = (q < lo) | (q > hi)
-    q = np.clip(q, lo, hi)
-    qd = np.where(clamped, 0.0, qd)
-    return ArmState(q=q, qd=qd)
+        t.min(axis=0, out=d.T)
+    np.sqrt(dist, out=dist)
+    dist -= model.sphere_radius
+    dist -= radii.T[..., None]
+    return dist.min(axis=0, initial=np.inf).T
 
 
 def rollout_arrays(model: ArmModel, q0: np.ndarray, controls: np.ndarray, dt: float):
     """Vectorized rollout of (N, H, 7) velocity controls from one start config.
 
     Returns (Q, Qd): positions and applied velocities, each (N, H, 7).
-    Mirrors `step` exactly (clamping included): velocities are clipped up
-    front, each step's position is integrated (U) and then clamped (Q), and
+    Velocity commands are clipped to the limits up front, each step's
+    position is integrated (U) and then clamped to the joint limits (Q), and
     a joint's velocity is zeroed wherever its integrated position left the
     limits.
     """
@@ -352,3 +328,9 @@ def rollout_arrays(model: ArmModel, q0: np.ndarray, controls: np.ndarray, dt: fl
         q = np.minimum(np.maximum(U[:, t], lo, out=Q[:, t]), hi, out=Q[:, t])
     Qd[(U < lo) | (U > hi)] = 0.0
     return Q, Qd
+
+
+def step(model: ArmModel, state: ArmState, qd_cmd: np.ndarray, dt: float) -> ArmState:
+    """One clamped integration step: ``rollout_arrays`` at N = H = 1."""
+    Q, Qd = rollout_arrays(model, state.q, np.asarray(qd_cmd, dtype=float)[None, None], dt)
+    return ArmState(q=Q[0, 0], qd=Qd[0, 0])

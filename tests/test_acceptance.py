@@ -66,6 +66,7 @@ from costcast.robot import (
     ArmModel,
     ArmState,
     N_DOF,
+    arm_capsules,
     collision_sphere_centers,
     fk_batch,
     linear_jacobian,
@@ -315,7 +316,7 @@ def test_min_separation_matches_brute_force_1000_scenes():
         q = rng.uniform(MODEL.lo, MODEL.hi)
         human = random_pose_array(rng, scale=0.05)
         centers = collision_sphere_centers(MODEL, fk_batch(MODEL, q))
-        sep = separation_batch(MODEL, centers[..., None, None], human[None])[0, 0]
+        sep = separation_batch(MODEL, centers[..., None, None], *arm_capsules(human[None]))[0, 0]
         assert sep == pytest.approx(brute_force_separation(MODEL, q, human), abs=1e-9)
 
 

@@ -440,6 +440,41 @@ def test_bad_run_file_exits_3_naming_it(split_run, tmp_path, capsys, name, comma
     assert str(bad) in err and message in err and "Traceback" not in err
 
 
+def empty_run(tmp_path):
+    """CLI args and an empty run directory of the split-run config."""
+    config = write_config(tmp_path, SPLIT_RUN)
+    run_dir = RunConfig.load(config, {"out": str(tmp_path / "runs")}).run_dir()
+    return ["--config", config, "--out", str(tmp_path / "runs")], run_dir
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("forecast_report.json", []),
+    ("plan_report.json", "planning"),
+    ("forecast_report.json", {"forecasting": [1]}),
+    ("plan_report.json", {"forecasting": {}, "planning": 3}),
+])
+def test_report_on_a_non_object_report_exits_3_naming_it(tmp_path, capsys, name, doc):
+    args, run_dir = empty_run(tmp_path)
+    bad = run_dir / name
+    bad.write_text(json.dumps(doc))
+    assert main(["report", *args]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "not a JSON object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("record", [[1, 2], {"x": 1}, {"step": 3}, {"min_sep": 0.1}])
+def test_report_on_a_malformed_sim_log_record_exits_3_naming_it(tmp_path, capsys, record):
+    args, _ = empty_run(tmp_path)
+    log = tmp_path / "sim.jsonl"
+    log.write_text("".join(json.dumps(line) + "\n" for line in (
+        {"meta": {"task": "stir", "model": "cur", "dt": 0.04}},
+        {"step": 0, "min_sep": 0.1}, record)))
+    assert main(["report", *args, str(log)]) == 3
+    err = capsys.readouterr().err
+    assert f"sim log {log}: line 3" in err and "Traceback" not in err
+    assert not (tmp_path / "sim.csv").exists()
+
+
 @settings(max_examples=40, deadline=None)
 @given(counts=st.fixed_dictionaries({task: st.integers(10, 30) for task in DEFAULT_COUNTS}),
        seed=st.integers(0, 2**32 - 1), data=st.data())

@@ -17,8 +17,8 @@ from costcast.cost import (
     grasp_pose,
     handover_terms_batch,
     hinge,
+    human_capsules,
     pose_error_batch,
-    separation_against_forecast,
     stir_terms_batch,
     tableset_terms_batch,
     total_cost_batch,
@@ -30,11 +30,11 @@ from costcast.robot import (
     HUMAN_CAPSULE_RADIUS,
     ArmModel,
     N_DOF,
+    arm_capsules,
     collision_sphere_centers,
     fk_batch,
     manipulability_batch,
     separation_batch,
-    separation_batch_spheres,
 )
 
 MODEL = ArmModel()
@@ -152,8 +152,8 @@ def test_safety_volume_is_more_conservative_than_truth(rng):
                 MODEL.lo, MODEL.hi)
     frames = fk_batch(MODEL, Q)
     centers = collision_sphere_centers(MODEL, frames)
-    sep_vol = separation_against_forecast(MODEL, centers, vol)
-    sep_pt = separation_against_forecast(MODEL, centers, truth)
+    sep_vol = separation_batch(MODEL, centers, *human_capsules(vol, H))
+    sep_pt = separation_batch(MODEL, centers, *human_capsules(truth, H))
     assert (sep_vol <= sep_pt + 1e-9).all()
     assert (collision_terms_batch(MODEL, frames, vol)
             >= collision_terms_batch(MODEL, frames, truth) - 1e-9).all()
@@ -188,7 +188,8 @@ def place_at_clearance(kind, pose, radii, centers, axis, side, clearance, near=A
 
 def full_row_collision(frames, fc):
     """The collision sum over all 16 sphere rows, with no reach test."""
-    sep = separation_against_forecast(MODEL, collision_sphere_centers(MODEL, frames), fc)
+    sep = separation_batch(MODEL, collision_sphere_centers(MODEL, frames),
+                           *human_capsules(fc, frames[1].shape[-1]))
     return np.sum(hinge(D_SAFE - sep) ** 2, axis=1)
 
 
@@ -265,17 +266,12 @@ def test_collision_runs_no_kernel_on_rows_out_of_reach(monkeypatch, rng):
         built.append(len(rows))
         return collision_sphere_centers(model, frames, rows)
 
-    def point_kernel(model, centers, human_frames, bones):
-        seen.append((centers.shape[0], len(bones)))
-        raise AssertionError("clearance kernel called")
-
-    def volume_kernel(model, centers, vol_centers, vol_radii):
-        seen.append((centers.shape[0], vol_centers.shape[1]))
+    def kernel(model, centers, starts, ends, radii):
+        seen.append((centers.shape[0], starts.shape[1]))
         raise AssertionError("clearance kernel called")
 
     monkeypatch.setattr(cost, "collision_sphere_centers", centers_of)
-    monkeypatch.setattr(cost, "separation_batch", point_kernel)
-    monkeypatch.setattr(cost, "separation_batch_spheres", volume_kernel)
+    monkeypatch.setattr(cost, "separation_batch", kernel)
     for kind in ("point", "volume"):
         got = collision_terms_batch(MODEL, frames, human_forecast(kind, far, radii))
         assert got.tobytes() == np.zeros(4).tobytes()
@@ -546,9 +542,9 @@ def test_batch_last_kinematics_match_single_configurations(task, n, h, seed):
         frames = fk_batch(MODEL, Q)
         centers = collision_sphere_centers(MODEL, frames)
         return (*frames, manipulability_batch(frames), centers,
-                separation_batch(MODEL, centers, humans[steps]),
-                separation_batch_spheres(MODEL, centers, vol_centers[steps],
-                                         vol_radii[steps]))
+                separation_batch(MODEL, centers, *arm_capsules(humans[steps])),
+                separation_batch(MODEL, centers, vol_centers[steps], vol_centers[steps],
+                                 vol_radii[steps]))
 
     batch = kinematics(Q, slice(0, h))
     assert [a.shape for a in batch] == [(8, 3, 3, n, h), (8, 3, n, h), (n, h),

@@ -17,6 +17,7 @@ from costcast.robot import (
     ArmState,
     HUMAN_CAPSULE_RADIUS,
     N_DOF,
+    arm_capsules,
     collision_sphere_centers,
     fk_batch,
     linear_jacobian,
@@ -24,7 +25,6 @@ from costcast.robot import (
     quat_from_matrix,
     rollout_arrays,
     separation_batch,
-    separation_batch_spheres,
     sphere_row_boxes,
     step,
 )
@@ -45,7 +45,8 @@ def ee_position(model, q):
 def separation(model, q, human):
     """Clearance of one configuration against one (J, 3) human pose."""
     centers = collision_sphere_centers(model, fk_batch(model, q))
-    return separation_batch(model, centers[..., None, None], np.asarray(human)[None])[0, 0]
+    return separation_batch(model, centers[..., None, None],
+                            *arm_capsules(np.asarray(human)[None]))[0, 0]
 
 
 # --- forward kinematics ---------------------------------------------------
@@ -153,7 +154,8 @@ def test_separation_batch_matches_min_separation_per_step(n, seed, case):
         humans[:, 3] = humans[:, 1]
     if case == "far":
         humans += np.array([5.0, 0.0, 0.0])
-    sep = separation_batch(MODEL, collision_sphere_centers(MODEL, fk_batch(MODEL, Q)), humans)
+    sep = separation_batch(MODEL, collision_sphere_centers(MODEL, fk_batch(MODEL, Q)),
+                           *arm_capsules(humans))
     assert sep.shape == (n, H)
     expected = [[brute_force_separation(MODEL, Q[i, h], humans[h]) for h in range(H)]
                 for i in range(n)]
@@ -184,14 +186,15 @@ def test_wrist_on_robot_sphere_center_penetrates_fully(rng):
 
 
 def test_margin_spheres_replace_human_capsules(rng):
-    # safety-volume spheres in place of the human capsules: several spheres
-    # per step against several plans, checked by a scan of every pair
+    # safety-volume spheres, capsules whose two ends coincide, in place of
+    # the human capsules: several spheres per step against several plans,
+    # checked by a scan of every pair
     N, H, S = 3, 4, 5
     centers = collision_sphere_centers(MODEL, fk_batch(MODEL, rng.uniform(
         MODEL.lo, MODEL.hi, size=(N, H, N_DOF))))
     vol_centers = np.array([0.5, 0.0, 1.0]) + rng.normal(0.0, 0.3, size=(H, S, 3))
     vol_radii = rng.uniform(0.05, 0.3, size=(H, S))
-    got = separation_batch_spheres(MODEL, centers, vol_centers, vol_radii)
+    got = separation_batch(MODEL, centers, vol_centers, vol_centers, vol_radii)
     assert got.shape == (N, H)
     for n in range(N):
         for h in range(H):
@@ -201,8 +204,57 @@ def test_margin_spheres_replace_human_capsules(rng):
             assert got[n, h] == pytest.approx(expected, abs=1e-12)
     # one sphere on a robot sphere center: penetration is both radii
     vol_centers[1, 2] = centers[9, :, 0, 1]
-    got = separation_batch_spheres(MODEL, centers, vol_centers, vol_radii)
+    got = separation_batch(MODEL, centers, vol_centers, vol_centers, vol_radii)
     assert got[0, 1] == pytest.approx(-(MODEL.sphere_radius + vol_radii[1, 2]), abs=1e-12)
+
+
+def brute_force_capsule_clearance(model, centers, starts, ends, radii):
+    """Scalar scan of every (robot sphere, capsule) pair per plan and step:
+    centers (rows, 3, N, H), capsules (H, P, 3) and radii (H, P); (N, H)."""
+    _, _, N, H = centers.shape
+    out = np.empty((N, H))
+    for n, h in np.ndindex(N, H):
+        best = np.inf
+        for c in centers[:, :, n, h]:
+            for a, b, r in zip(starts[h], ends[h], radii[h]):
+                ab = b - a
+                denom = float(ab @ ab)
+                t = 0.0 if denom < 1e-18 else float(np.clip((c - a) @ ab / denom, 0.0, 1.0))
+                best = min(best, float(np.linalg.norm(c - (a + t * ab))) - model.sphere_radius - r)
+        out[n, h] = best
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), h=st.integers(1, 5), bones=st.integers(0, 3),
+       spheres=st.integers(0, 3), poison=st.sampled_from([None, "start", "end", "radius"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_kernel_scores_bones_and_spheres_in_one_call(n, h, bones, spheres, poison, seed):
+    # bone capsules and zero-length capsules (spheres) of different radii,
+    # interleaved in one call, against a scan of every pair; a NaN in one
+    # capsule at one step makes every clearance at that step NaN
+    rng = np.random.default_rng(seed)
+    P = max(bones + spheres, 1)
+    centers = collision_sphere_centers(MODEL, fk_batch(MODEL, rng.uniform(
+        MODEL.lo, MODEL.hi, size=(n, h, N_DOF))))
+    starts = np.array([0.6, 0.0, 0.8]) + rng.normal(0.0, 0.3, size=(h, P, 3))
+    ends = starts + rng.normal(0.0, 0.2, size=(h, P, 3))
+    sphere = rng.permutation(P) < spheres
+    ends[:, sphere] = starts[:, sphere]
+    radii = rng.uniform(0.01, 0.3, size=(h, P))
+    if poison is not None:
+        step_, part = rng.integers(h), rng.integers(P)
+        target = {"start": starts, "end": ends, "radius": radii}[poison]
+        target[step_, part] = np.nan
+    got = separation_batch(MODEL, centers, starts, ends, radii)
+    assert got.shape == (n, h)
+    want = brute_force_capsule_clearance(MODEL, centers, starts, ends, radii)
+    if poison is not None:
+        assert np.isnan(got[:, step_]).all()
+        clean = np.arange(h) != step_
+        got, want = got[:, clean], want[:, clean]
+    assert not np.isnan(got).any()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,6 +345,34 @@ def test_rollout_arrays_clamps_at_both_limits():
     # a joint pushed past a limit this step reports zero velocity
     assert (Qd[at_hi & (controls > 0)] == 0.0).all()
     assert (Qd[at_lo & (controls < 0)] == 0.0).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), h=st.integers(1, 12), dt=st.sampled_from([0.01, 0.04, 0.1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_rollout_arrays_matches_a_scalar_clamp_loop(n, h, dt, seed):
+    # every joint starts less than a full-speed step from a limit and its
+    # first command is three times its velocity limit outward, so each joint
+    # clamps both its velocity and its position; later commands reach three
+    # times the limit either way
+    rng = np.random.default_rng(seed)
+    lo, hi, vel = MODEL.lo, MODEL.hi, MODEL.vel
+    outward = rng.choice([-1.0, 1.0], size=N_DOF)
+    margin = rng.uniform(0.0, 0.05, size=N_DOF) * dt / 0.1
+    q0 = np.where(outward > 0, hi - margin, lo + margin)
+    controls = rng.uniform(-3.0, 3.0, size=(n, h, N_DOF)) * vel
+    controls[:, 0] = 3.0 * vel * outward
+    Q, Qd = rollout_arrays(MODEL, q0, controls, dt)
+    for i in range(n):
+        for j in range(N_DOF):
+            q = float(q0[j])
+            for t in range(h):
+                qd = min(max(float(controls[i, t, j]), -float(vel[j])), float(vel[j]))
+                q += qd * dt
+                if q < lo[j] or q > hi[j]:
+                    q, qd = min(max(q, float(lo[j])), float(hi[j])), 0.0
+                assert (Q[i, t, j], Qd[i, t, j]) == (q, qd)
+    assert (Qd[:, 0] == 0.0).all()
 
 
 # --- model plumbing -------------------------------------------------------
