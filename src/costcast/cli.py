@@ -26,7 +26,6 @@ from .planner import MppiConfig, SimLog, build_task_spec, run_episode
 from .robot import ArmModel
 
 DEFAULT_COUNTS = {"stir": 19, "handover": 27, "tableset": 15}
-BASELINES = ("cur", "cvm", "worst", "fut")
 SPLIT_PARTS = ("train", "val", "test")
 
 
@@ -72,6 +71,9 @@ class RunConfig:
         gen_kwargs = _sub(doc, "gen")
         gen_kwargs.setdefault("seed", seed)
         train_kwargs = _sub(doc, "train")
+        if {"transition_mix", "wrist_weight"} & train_kwargs.keys():
+            raise ConfigError("train.transition_mix and train.wrist_weight are set by the "
+                              f"preset; choose one of {sorted(forecast.PRESETS)}")
         train_kwargs.setdefault("seed", seed)
         mppi_kwargs = _sub(doc, "mppi")
         mppi_kwargs.setdefault("seed", seed)
@@ -108,7 +110,7 @@ class RunConfig:
             raise ConfigError(f"mppi.dt {cfg.mppi.dt} must equal 1/gen.fps "
                               f"({1.0 / cfg.gen.fps}), the episode frame period")
         for name in cfg.models:
-            if name not in BASELINES and name not in forecast.PRESETS:
+            if name not in forecast.BASELINES and name not in forecast.PRESETS:
                 raise ConfigError(f"unknown model {name!r}")
         if cfg.preset not in forecast.PRESETS:
             raise ConfigError(f"unknown preset {cfg.preset!r}")
@@ -194,7 +196,7 @@ def cmd_train(cfg: RunConfig) -> int:
     train_ws = WindowSet([ep for eps in split["train"].values() for ep in eps])
     val_ws = WindowSet([ep for eps in split["val"].values() for ep in eps])
     tconf = forecast.preset_config(cfg.preset, cfg.train)
-    model, history = forecast.train(forecast.ForecastModel.init(), train_ws, val_ws, tconf)
+    model, history = forecast.train(train_ws, val_ws, tconf)
     ckpt = run_dir / f"checkpoint_{cfg.preset}.json"
     forecast.save_checkpoint(model, ckpt, preset=cfg.preset, seed=tconf.seed)
     with open(run_dir / f"history_{cfg.preset}.csv", "w", newline="") as f:
@@ -206,7 +208,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _forecaster_for(name: str, run_dir: Path):
-    if name in BASELINES:
+    if name in forecast.BASELINES:
         return make_forecaster(name)
     ckpt = run_dir / f"checkpoint_{name}.json"
     if not ckpt.exists():
@@ -362,7 +364,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "lemma-check":
-            return cmd_lemma(args.n_instances, args.seed)
+            return cmd_lemma(_non_negative_int(args.n_instances, "--n-instances"),
+                             _non_negative_int(args.seed, "--seed"))
         overrides = {k: v for k, v in (("seed", args.seed), ("preset", args.preset),
                                        ("out", args.out)) if v is not None}
         cfg = RunConfig.load(args.config, overrides)

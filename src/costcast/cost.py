@@ -5,11 +5,12 @@ scores all its samples at once; a single plan is a batch of one.
 ``total_cost_batch`` runs forward kinematics and the collision sum once and
 hands both to every term.
 
-The collision path sees the forecast human as per-step capsules:
-``human_capsules`` gives the ``ARM_BONES`` capsules of a point forecast, or
-the spheres of a safety volume as capsules whose two ends coincide, and is
-the one place there that reads the forecast's kind.  Every part then goes
-through the one clearance kernel, ``separation_batch``.
+A forecast is either a point forecast, the predicted ``Trajectory``, or a
+``SafetyVolume`` of spheres.  The collision path sees either as per-step
+capsules: ``human_capsules`` gives the ``ARM_BONES`` capsules of a
+trajectory, or the spheres of a safety volume as capsules whose two ends
+coincide, and is the one place there that tells the two apart.  Every part
+then goes through the one clearance kernel, ``separation_batch``.
 
 The collision sum sum_t hinge(D_SAFE - sep)^2 gets nothing from a robot
 sphere that stays more than D_SAFE from the human, so ``collision_terms_batch``
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecast import Forecast, SAFETY_VOLUME
+from .forecast import Forecast, SafetyVolume
 from .motion import TASKS, MotionError, WRIST_INDICES, check_field_types
 from .robot import (
     ArmModel,
@@ -127,12 +128,12 @@ def base_terms_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray, frames,
 
 def human_capsules(forecast: Forecast, H: int):
     """The forecast human over the first H steps as capsules: starts and ends
-    (H, P, 3) and radii (H, P).  A point forecast gives its ``ARM_BONES``
-    capsules, a safety volume its spheres with both ends at the center."""
-    if forecast.kind == SAFETY_VOLUME:
+    (H, P, 3) and radii (H, P).  A ``Trajectory`` gives its ``ARM_BONES``
+    capsules, a ``SafetyVolume`` its spheres with both ends at the center."""
+    if isinstance(forecast, SafetyVolume):
         centers = _first_steps(forecast.centers, H)
         return centers, centers, forecast.radii[:H]
-    return arm_capsules(_first_steps(forecast.trajectory.frames, H))
+    return arm_capsules(_first_steps(forecast.frames, H))
 
 
 def _pairs_in_reach(model: ArmModel, frames, capsules):
@@ -172,10 +173,10 @@ def collision_terms_batch(model: ArmModel, frames, forecast: Forecast) -> np.nda
 
 def _wrist_pot_distance(forecast: Forecast, pot: np.ndarray, H: int) -> np.ndarray:
     """Per-step distance of the nearest forecast wrist to the pot, shape (H,)."""
-    if forecast.kind == SAFETY_VOLUME:
+    if isinstance(forecast, SafetyVolume):
         d = np.linalg.norm(forecast.centers[:H] - pot, axis=-1) - forecast.radii[:H]
         return np.maximum(d, 0.0).min(axis=-1)
-    wrists = _first_steps(forecast.trajectory.frames, H)[:, list(WRIST_INDICES)]
+    wrists = _first_steps(forecast.frames, H)[:, list(WRIST_INDICES)]
     return np.linalg.norm(wrists - pot, axis=-1).min(axis=-1)
 
 
@@ -267,12 +268,12 @@ def _end_effector_poses(frames):
 def handover_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
                          spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Track the grasp pose at the forecast final wrist while the object is in hand."""
-    if forecast.kind == SAFETY_VOLUME:
+    if isinstance(forecast, SafetyVolume):
         raise MotionError("handover cost needs a point forecast (no wrist in a safety volume)")
     if not spec.object_in_hand:
         return np.zeros(Q.shape[0])
     # the moving (right) wrist is the handover hand
-    wrist = forecast.trajectory.frames[-1, WRIST_INDICES[1]]
+    wrist = forecast.frames[-1, WRIST_INDICES[1]]
     ee_pos, ee_R = _end_effector_poses(frames)
     target_R = grasp_pose(ee_pos[:, 0], ee_R[:, 0], wrist)
     return np.sum(pose_error_batch(ee_pos, ee_R, wrist, target_R[:, None]), axis=1)

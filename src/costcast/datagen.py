@@ -18,7 +18,7 @@ from .motion import (
     MotionError,
     N_JOINTS,
     check_field_types,
-    is_finite_number,
+    finite_point,
 )
 
 # Static skeleton layout (world frame, meters).  The right arm is the moving
@@ -62,7 +62,7 @@ class GenConfig:
     def __post_init__(self):
         check_field_types(self)
         for name in ("pot_position", "rest_wrist"):
-            point = _point(getattr(self, name), name)
+            point = finite_point(getattr(self, name), name)
             _check_reach(np.asarray(point), name)
             object.__setattr__(self, name, point)
         if not 0.0 <= self.jitter_sigma <= MAX_JITTER_SIGMA:
@@ -84,14 +84,6 @@ class GenConfig:
     @property
     def interaction_len_s(self) -> float:
         return 2 * self.reach_duration_s + self.hold_duration_s
-
-
-def _point(value, name: str) -> tuple:
-    """A 3-vector of finite, non-bool numbers, as a tuple of floats."""
-    if (not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 3
-            or not all(is_finite_number(v) for v in value)):
-        raise MotionError(f"{name} must be 3 finite numbers, got {value!r}")
-    return tuple(float(v) for v in value)
 
 
 def _check_reach(wrist: np.ndarray, name: str) -> tuple:

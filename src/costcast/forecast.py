@@ -1,5 +1,9 @@
 """Human-motion forecasters and the cost-aware training loop.
 
+A point forecast is the predicted ``Trajectory`` over the horizon; the
+conservative baseline returns a ``SafetyVolume`` of spheres instead.  The
+planner's terms tell the two apart by type.
+
 The trainable model is a separable linear map: a joint-mixing matrix S and a
 temporal matrix M act on history displacements, so the forward pass and its
 gradient are closed form.  Training can upsample rare transition windows and
@@ -35,9 +39,6 @@ from .motion import (
     read_json,
 )
 
-POINT = "point"
-SAFETY_VOLUME = "safety_volume"
-
 # Training-configuration presets: (transition_mix, wrist_weight).
 PRESETS = {
     "scratch": (0.0, 1.0),
@@ -48,46 +49,36 @@ PRESETS = {
 
 
 @dataclass(frozen=True)
-class Forecast:
-    """Either a point-trajectory forecast or a conservative safety volume."""
+class SafetyVolume:
+    """A conservative forecast: spheres that hold the human at every step."""
 
-    kind: str
-    trajectory: Trajectory | None = None
-    centers: np.ndarray | None = None  # (T, S, 3) sphere centers
-    radii: np.ndarray | None = None    # (T, S)
+    centers: np.ndarray  # (T, S, 3)
+    radii: np.ndarray    # (T, S)
 
     def __post_init__(self):
-        if self.kind == POINT:
-            if self.trajectory is None or self.centers is not None:
-                raise MotionError("point forecast must carry exactly a trajectory")
-        elif self.kind == SAFETY_VOLUME:
-            if self.trajectory is not None or self.centers is None or self.radii is None:
-                raise MotionError("safety-volume forecast must carry spheres only")
-            if self.centers.shape[0] != HORIZON_LEN:
-                raise MotionError("safety volume must cover the full horizon")
-        else:
-            raise MotionError(f"unknown forecast kind {self.kind!r}")
+        if self.centers.shape[0] != HORIZON_LEN:
+            raise MotionError("safety volume must cover the full horizon")
 
 
-def point_forecast(frames: np.ndarray, dt: float = DEFAULT_DT) -> Forecast:
-    return Forecast(kind=POINT, trajectory=Trajectory(frames, dt=dt))
+# What a forecaster returns: a point forecast is the predicted Trajectory.
+Forecast = Trajectory | SafetyVolume
 
 
-def forecast_cur(ctx: Context) -> Forecast:
+def forecast_cur(ctx: Context) -> Trajectory:
     """Constant-pose baseline: the last observed pose held over the horizon."""
     frames = np.repeat(ctx.frames[..., -1:, :, :], HORIZON_LEN, axis=-3)
-    return point_forecast(frames, ctx.dt)
+    return Trajectory(frames, ctx.dt)
 
 
-def forecast_cvm(ctx: Context) -> Forecast:
+def forecast_cvm(ctx: Context) -> Trajectory:
     """Constant-velocity baseline fit over the whole history window."""
     last = ctx.frames[..., -1:, :, :]
     v = (last - ctx.frames[..., :1, :, :]) / ((HISTORY_LEN - 1) * ctx.dt)
     t = np.arange(1, HORIZON_LEN + 1)[:, None, None] * ctx.dt
-    return point_forecast(last + t * v, ctx.dt)
+    return Trajectory(last + t * v, ctx.dt)
 
 
-def forecast_worst(ctx: Context) -> Forecast:
+def forecast_worst(ctx: Context) -> SafetyVolume:
     """Conservative safety volume: arm-length spheres at the last shoulder
     positions of a single (unbatched) context; the planner's input only."""
     last = ctx.frames[-1]
@@ -96,15 +87,14 @@ def forecast_worst(ctx: Context) -> Forecast:
     right = np.linalg.norm(last[5] - last[3]) + np.linalg.norm(last[3] - last[1])
     radius = max(left, right)
     centers = np.repeat(last[[4, 5]][None], HORIZON_LEN, axis=0)  # (T, 2, 3)
-    radii = np.full((HORIZON_LEN, 2), radius)
-    return Forecast(kind=SAFETY_VOLUME, centers=centers, radii=radii)
+    return SafetyVolume(centers, np.full((HORIZON_LEN, 2), radius))
 
 
-def forecast_oracle(window_future: Trajectory | None) -> Forecast:
+def forecast_oracle(window_future: Trajectory | None) -> Trajectory:
     """Ground-truth forecast, available only in playback."""
     if window_future is None:
         raise MotionError("oracle forecast requires the recorded future (playback only)")
-    return Forecast(kind=POINT, trajectory=window_future)
+    return window_future
 
 
 @dataclass(frozen=True)
@@ -159,7 +149,7 @@ def _forward_rows(S: np.ndarray, M: np.ndarray, ctx: np.ndarray):
     return pred, dX, SX
 
 
-def model_forward(model: ForecastModel, ctx: Context) -> Forecast:
+def model_forward(model: ForecastModel, ctx: Context) -> Trajectory:
     """Forecast = last pose + S-mixed, M-mapped history displacements.
 
     The context's batch axes, if any, move to the middle of the rows and back;
@@ -170,7 +160,7 @@ def model_forward(model: ForecastModel, ctx: Context) -> Forecast:
     pred = _forward_rows(model.S, model.M, rows)[0]
     pred.flags.writeable = False  # a fresh array: the Trajectory keeps its view
     frames = np.moveaxis(pred.reshape((HORIZON_LEN,) + batch + (N_JOINTS, 3)), 0, -3)
-    return point_forecast(frames, ctx.dt)
+    return Trajectory(frames, ctx.dt)
 
 
 def default_weights(wrist_weight: float = 1.0) -> np.ndarray:
@@ -194,7 +184,7 @@ def weighted_loss(model: ForecastModel, ctx: Context, truth: Trajectory,
     w = np.asarray(w, dtype=float)
     if (w <= 0).any():
         raise MotionError("loss weights must be positive")
-    return _weighted_sse(model_forward(model, ctx).trajectory.frames - truth.frames, w)[0]
+    return _weighted_sse(model_forward(model, ctx).frames - truth.frames, w)[0]
 
 
 def _batch_loss_and_grad(S: np.ndarray, M: np.ndarray, ctx: np.ndarray, fut: np.ndarray,
@@ -359,21 +349,24 @@ def _val_loss(model: ForecastModel, ws: WindowSet, w: np.ndarray) -> float:
     return total / n
 
 
-def train(model: ForecastModel, train_windows: WindowSet, val_windows: WindowSet,
-          config: TrainConfig, transition_set: np.ndarray | None = None):
-    """Momentum gradient descent on the weighted loss with transition upsampling.
+def train(train_windows: WindowSet, val_windows: WindowSet, config: TrainConfig):
+    """Momentum gradient descent on the weighted loss with transition upsampling,
+    from the untrained model (``ForecastModel.init``).  Transition windows
+    come from the annotated transition set of ``train_windows``.
 
     Returns (best_model, history) where best_model minimizes validation loss
     across epochs and history is a list of per-epoch dicts.
     """
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise MotionError("train and validation window sets must be non-empty")
-    if transition_set is None and config.transition_mix > 0:
+    transition_set = None
+    if config.transition_mix > 0:
         transition_set = build_transition_set(train_windows, mode=ANNOTATED)
     w = default_weights(config.wrist_weight)
     rng = np.random.default_rng(config.seed)
     # plain arrays inside the batch loop; a model is built once per epoch
-    S, M = model.S.copy(), model.M.copy()
+    init = ForecastModel.init()
+    S, M = init.S, init.M
     vS, vM = np.zeros_like(S), np.zeros_like(M)
     n_batches = max(1, len(train_windows) // config.batch_size)
 
@@ -434,18 +427,21 @@ def load_checkpoint(path) -> ForecastModel:
         raise MotionError(f"checkpoint file {path}: {exc}") from exc
 
 
+# The baseline forecasters by name, each a callable (ctx, truth_future_or_None).
+BASELINES = {
+    "cur": lambda ctx, fut=None: forecast_cur(ctx),
+    "cvm": lambda ctx, fut=None: forecast_cvm(ctx),
+    "worst": lambda ctx, fut=None: forecast_worst(ctx),
+    "fut": lambda ctx, fut=None: forecast_oracle(fut),
+}
+
+
 def make_forecaster(name_or_model):
     """Uniform forecaster interface: callable (ctx, truth_future_or_None) -> Forecast."""
     if isinstance(name_or_model, ForecastModel):
         model = name_or_model
         return lambda ctx, fut=None: model_forward(model, ctx)
-    name = str(name_or_model).lower()
-    if name == "cur":
-        return lambda ctx, fut=None: forecast_cur(ctx)
-    if name == "cvm":
-        return lambda ctx, fut=None: forecast_cvm(ctx)
-    if name == "worst":
-        return lambda ctx, fut=None: forecast_worst(ctx)
-    if name == "fut":
-        return lambda ctx, fut=None: forecast_oracle(fut)
-    raise MotionError(f"unknown forecaster {name_or_model!r}")
+    try:
+        return BASELINES[str(name_or_model).lower()]
+    except KeyError:
+        raise MotionError(f"unknown forecaster {name_or_model!r}") from None

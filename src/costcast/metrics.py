@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forecast import POINT, WindowSet
+from .forecast import SafetyVolume, WindowSet
 from .motion import (
     HISTORY_LEN,
     HORIZON_LEN,
@@ -67,9 +67,9 @@ def evaluate_forecaster(windows: WindowSet, forecaster, chunk: int = 256) -> dic
         fut_b = frames[:, HISTORY_LEN:]
         fc = forecaster(Context(frames[:, :HISTORY_LEN], windows.dt),
                         Trajectory(fut_b, windows.dt))
-        if fc.kind != POINT:
+        if isinstance(fc, SafetyVolume):
             raise MotionError("displacement metrics need point forecasts")
-        d = _displacements(fc.trajectory.frames, fut_b)  # (B, T, J)
+        d = _displacements(fc.frames, fut_b)  # (B, T, J)
         ade_w[idx] = d.mean(axis=(1, 2)) * MM
         fde_w[idx] = d[:, -1].mean(axis=1) * MM
         wade_w[idx] = d[:, :, wr].mean(axis=(1, 2)) * MM

@@ -55,6 +55,14 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def finite_point(value, name: str) -> tuple:
+    """A 3-vector of finite, non-bool numbers, as a tuple of floats."""
+    if (not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 3
+            or not all(is_finite_number(v) for v in value)):
+        raise MotionError(f"{name} must be 3 finite numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def check_field_types(config) -> None:
     """Reject a config dataclass field whose value does not fit its default.
 

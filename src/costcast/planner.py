@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost import CostWeights, TaskSpec, stir_retract_mask, total_cost_batch
-from .forecast import POINT, Forecast
+from .forecast import Forecast, SafetyVolume
 from .motion import (
     Context,
     Episode,
@@ -23,6 +23,7 @@ from .motion import (
     MotionError,
     Trajectory,
     check_field_types,
+    finite_point,
 )
 from .robot import (
     ArmModel,
@@ -136,13 +137,12 @@ def ik_position(model: ArmModel, q0: np.ndarray, target: np.ndarray,
 
 
 def stir_reference(model: ArmModel, pot_position: np.ndarray, dt: float,
-                   q_seed: np.ndarray | None = None) -> np.ndarray:
+                   q_seed: np.ndarray) -> np.ndarray:
     """Joint-space reference tracking a circle above the pot, one full period."""
     pot = np.asarray(pot_position, dtype=float)
     center = pot + np.array([0.0, 0.0, STIR_HEIGHT])
     n = int(round(STIR_PERIOD_S / dt))
-    q = ik_position(model, q_seed if q_seed is not None else model.mid(),
-                    center + np.array([STIR_RADIUS, 0.0, 0.0]))
+    q = ik_position(model, q_seed, center + np.array([STIR_RADIUS, 0.0, 0.0]))
     ref = np.empty((n, N_DOF))
     for i in range(n):
         ang = 2 * np.pi * i / n
@@ -181,7 +181,7 @@ def build_task_spec(episode: Episode, model: ArmModel, dt: float = 0.04) -> Task
 
 def plan_step(planner_state: PlannerState, arm_state: ArmState, forecast: Forecast,
               spec: TaskSpec, weights: CostWeights, cfg: MppiConfig,
-              model: ArmModel | None = None, cost_fn=None):
+              model: ArmModel, cost_fn=None):
     """One replanning cycle; returns (qd_cmd, best_cost).
 
     Samples ``n_samples`` control sequences around the warm-started mean for
@@ -191,7 +191,6 @@ def plan_step(planner_state: PlannerState, arm_state: ArmState, forecast: Foreca
     replan.  ``qd_cmd`` is the first control of the best sample and
     ``best_cost`` that sample's cost.
     """
-    model = model or ArmModel()
     mean = planner_state.mean_controls
     best_cost = np.inf
     best_controls = None
@@ -242,18 +241,19 @@ class SimLog:
             if not (isinstance(rec, dict) and {"step", "min_sep"} <= rec.keys()):
                 raise MotionError(f"sim log {path}: line {line} is not a record "
                                   "with 'step' and 'min_sep'")
+            for key in ("forecast_final_wrist", "gt_final_wrist"):
+                if key in rec and not (key == "forecast_final_wrist" and rec[key] is None):
+                    finite_point(rec[key], f"sim log {path}: line {line}: {key}")
         return log
 
 
 def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeights,
-                cfg: MppiConfig, model: ArmModel | None = None,
-                model_name: str = "model") -> SimLog:
+                cfg: MppiConfig, model: ArmModel, model_name: str = "model") -> SimLog:
     """Replay a recorded human episode against the live planner.
 
     ``forecaster`` is a callable (ctx, truth_future_or_None) -> Forecast (see
     ``make_forecaster``).  The oracle forecaster receives the true future.
     """
-    model = model or ArmModel()
     if len(episode) < HISTORY_LEN + HORIZON_LEN:
         raise MotionError("episode too short for playback")
     if abs(episode.dt - cfg.dt) > 1e-9:
@@ -297,10 +297,8 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
                 np.linalg.norm(episode.frames[t, [0, 1]] - pot, axis=-1).min()
                 <= weights.eps_pot)
         if episode.task == "handover":
-            if fc.kind == POINT:
-                rec["forecast_final_wrist"] = fc.trajectory.frames[-1, 1].tolist()
-            else:
-                rec["forecast_final_wrist"] = None
+            rec["forecast_final_wrist"] = (None if isinstance(fc, SafetyVolume)
+                                           else fc.frames[-1, 1].tolist())
             rec["gt_final_wrist"] = episode.frames[t + HORIZON_LEN, 1].tolist()
             rec["object_in_hand"] = bool(obj_flags[t]) if obj_flags is not None else False
         log.records.append(rec)

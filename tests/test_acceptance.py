@@ -41,18 +41,16 @@ from costcast.forecast import (
     TrainConfig,
     WindowSet,
     _batch_loss_and_grad,
-    build_transition_set,
     default_weights,
     forecast_cur,
     forecast_cvm,
     make_forecaster,
     model_forward,
-    point_forecast,
     preset_config,
     train,
     weighted_loss,
 )
-from costcast.motion import Context, HISTORY_LEN, HORIZON_LEN, N_JOINTS
+from costcast.motion import Context, HISTORY_LEN, HORIZON_LEN, N_JOINTS, Trajectory
 from costcast.planner import (
     MppiConfig,
     PlannerState,
@@ -163,13 +161,12 @@ def preset_sweep():
     vw = WindowSet([e for task in sorted(counts) for e in splits[task][1]])
     stir_test = WindowSet(splits["stir"][2])
     all_test = WindowSet([e for task in sorted(counts) for e in splits[task][2]])
-    tset = build_transition_set(tw)
 
     results = {}
     for seed in range(5):
         for preset in ("scratch", "manicast", "manicast-w"):
             cfg = preset_config(preset, TrainConfig(seed=seed, epochs=15))
-            model, _ = train(ForecastModel.init(), tw, vw, cfg, transition_set=tset)
+            model, _ = train(tw, vw, cfg)
             fc = make_forecaster(model)
             m_stir = metrics.evaluate_forecaster(stir_test, fc)
             m_all = metrics.evaluate_forecaster(all_test, fc)
@@ -251,7 +248,7 @@ def test_constant_velocity_forecast_exact_on_affine_motion():
         frames = BASE_POSE[None] + t * v
         ctx = Context(frames[:HISTORY_LEN])
         fc = forecast_cvm(ctx)
-        assert np.abs(fc.trajectory.frames - frames[HISTORY_LEN:]).max() < 1e-12
+        assert np.abs(fc.frames - frames[HISTORY_LEN:]).max() < 1e-12
 
 
 def test_untrained_model_identical_to_constant_pose_on_1000_contexts():
@@ -259,8 +256,8 @@ def test_untrained_model_identical_to_constant_pose_on_1000_contexts():
     model = ForecastModel.init()
     for _ in range(1000):
         ctx = random_context(rng)
-        np.testing.assert_array_equal(model_forward(model, ctx).trajectory.frames,
-                                      forecast_cur(ctx).trajectory.frames)
+        np.testing.assert_array_equal(model_forward(model, ctx).frames,
+                                      forecast_cur(ctx).frames)
 
 
 # --- 7. planner convergence and weight properties --------------------------
@@ -323,7 +320,7 @@ def test_min_separation_matches_brute_force_1000_scenes():
 def _scripted_total_cost(Q, Qd, forecast, spec, w):
     """Independent step-by-step recomputation of the full planner cost."""
     H = len(Q)
-    frames = forecast.trajectory.frames
+    frames = forecast.frames
     mid, half = MODEL.mid(), 0.5 * (MODEL.hi - MODEL.lo)
     stop = float(np.sum(Qd[-STOP_WINDOW:] ** 2))
     joint = float(np.sum(np.maximum(np.abs(Q - mid) - JOINT_MARGIN * half, 0.0) ** 2))
@@ -387,7 +384,7 @@ def test_total_cost_matches_scripted_recomputation_100_scenes():
         Qd = rng.normal(0, 1.0, size=(HORIZON_LEN, N_DOF))
         frames = BASE_POSE[None] + rng.normal(0, 0.03, size=(HORIZON_LEN, N_JOINTS, 3))
         frames += np.array([rng.uniform(0.0, 0.6), 0.0, 0.2])
-        fc = point_forecast(frames)
+        fc = Trajectory(frames)
         got = total_cost_batch(MODEL, Q[None], Qd[None], fc, spec, w)[0]
         want = _scripted_total_cost(Q, Qd, fc, spec, w)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)

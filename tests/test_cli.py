@@ -87,7 +87,8 @@ def test_config_rejects_bad_values(tmp_path, capsys):
                          ("mppi", {"temperature": "hot"}),
                          ("weights", {"alpha_c": float("nan")}),
                          ("weights", {"beta": float("inf")}), ("weights", {"beta": 10**400}),
-                         ("weights", {"eps_pot": 0.0}), ("weights", {"eps_pot": -1})):
+                         ("weights", {"eps_pot": 0.0}), ("weights", {"eps_pot": -1}),
+                         ("train", {"transition_mix": 0.9}), ("train", {"wrist_weight": 3.0})):
         with pytest.raises(ConfigError):
             RunConfig.load(write_config(tmp_path, dict(MINI, **{section: bad})))
     assert RunConfig.load(write_config(tmp_path, dict(MINI, gen={"fps": 20.0},
@@ -120,7 +121,9 @@ def test_config_rejects_bad_values(tmp_path, capsys):
                          (dict(MINI, train={"epochs": 1.5}), "epochs must be an integer"),
                          (dict(MINI, weights={"alpha_c": float("nan")}),
                           "alpha_c must be a finite number"),
-                         (dict(MINI, weights={"eps_pot": -1}), "eps_pot must be positive")):
+                         (dict(MINI, weights={"eps_pot": -1}), "eps_pot must be positive"),
+                         (dict(MINI, train={"transition_mix": 0.9, "wrist_weight": 3.0}),
+                          "set by the preset")):
         path = write_config(tmp_path, doc)
         assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
@@ -462,7 +465,11 @@ def test_report_on_a_non_object_report_exits_3_naming_it(tmp_path, capsys, name,
     assert str(bad) in err and "not a JSON object" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("record", [[1, 2], {"x": 1}, {"step": 3}, {"min_sep": 0.1}])
+@pytest.mark.parametrize("record", [
+    [1, 2], {"x": 1}, {"step": 3}, {"min_sep": 0.1},
+    {"step": 1, "min_sep": 0.1, "forecast_final_wrist": [1, 2], "gt_final_wrist": [1, 2, 3]},
+    {"step": 1, "min_sep": 0.1, "forecast_final_wrist": None, "gt_final_wrist": [1, 2, None]},
+])
 def test_report_on_a_malformed_sim_log_record_exits_3_naming_it(tmp_path, capsys, record):
     args, _ = empty_run(tmp_path)
     log = tmp_path / "sim.jsonl"
@@ -601,3 +608,14 @@ def test_lemma_check_command(capsys):
     assert main(["lemma-check", "--n-instances", "50", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "50/50 passed" in out
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["--seed", "-1"], 2, "--seed must be a non-negative integer"),
+    (["--n-instances", "-3"], 2, "--n-instances must be a non-negative integer"),
+    (["--n-instances", "0"], 0, "random sweep: 0/0 passed"),
+])
+def test_lemma_check_rejects_negative_arguments(capsys, args, code, message):
+    assert main(["lemma-check", *args]) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err and "Traceback" not in captured.err

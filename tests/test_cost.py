@@ -24,8 +24,8 @@ from costcast.cost import (
     total_cost_batch,
     _wrist_pot_distance,
 )
-from costcast.forecast import SAFETY_VOLUME, Forecast, forecast_worst, point_forecast
-from costcast.motion import ARM_BONES, Context, HISTORY_LEN, HORIZON_LEN, MotionError
+from costcast.forecast import SafetyVolume, forecast_worst
+from costcast.motion import ARM_BONES, Context, HISTORY_LEN, HORIZON_LEN, MotionError, Trajectory
 from costcast.robot import (
     HUMAN_CAPSULE_RADIUS,
     ArmModel,
@@ -75,7 +75,7 @@ def task_term(term, plan, fc, spec, w):
 def far_forecast():
     """Point forecast of a human far from the workspace."""
     frames = np.repeat((BASE_POSE + np.array([0.0, -6.0, 0.0]))[None], H, axis=0)
-    return point_forecast(frames)
+    return Trajectory(frames)
 
 
 def near_context(offset=(0.0, 0.0, 0.0)):
@@ -120,9 +120,8 @@ def test_collision_cost_closed_form_penetration():
     probe = np.array([0.4, 0.0, 1.6])
     d_min = np.linalg.norm(centers - probe, axis=-1).min()
     r = d_min - MODEL.sphere_radius + 0.01   # clearance becomes exactly -0.01
-    fc = Forecast(kind="safety_volume",
-                  centers=np.repeat(probe[None, None], H, axis=0),
-                  radii=np.full((H, 1), r))
+    fc = SafetyVolume(centers=np.repeat(probe[None, None], H, axis=0),
+                      radii=np.full((H, 1), r))
     w = CostWeights(alpha_c=100.0)
     expected = 100.0 * H * (D_SAFE + 0.01) ** 2
     assert collision_term(const_plan(q), fc, w) == pytest.approx(expected, rel=1e-9)
@@ -131,7 +130,7 @@ def test_collision_cost_closed_form_penetration():
 def test_collision_cost_matches_per_step_oracle(rng):
     frames = BASE_POSE[None] + rng.normal(0, 0.02, size=(H, 7, 3))
     frames = frames + np.array([0.70, 0.05, 0.35])  # right wrist near the arm column
-    fc = point_forecast(frames)
+    fc = Trajectory(frames)
     Q = MODEL.mid()[None] + rng.normal(0, 0.2, size=(H, N_DOF))
     Q = np.clip(Q, MODEL.lo, MODEL.hi)
     w = CostWeights()
@@ -147,7 +146,7 @@ def test_safety_volume_is_more_conservative_than_truth(rng):
     # against any point trajectory it contains
     ctx = near_context(offset=(0.3, 0.1, 0.0))
     vol = forecast_worst(ctx)
-    truth = point_forecast(np.repeat(ctx.frames[-1][None], H, axis=0))
+    truth = Trajectory(np.repeat(ctx.frames[-1][None], H, axis=0))
     Q = np.clip(MODEL.mid()[None] + rng.normal(0, 0.3, size=(3, H, N_DOF)),
                 MODEL.lo, MODEL.hi)
     frames = fk_batch(MODEL, Q)
@@ -163,8 +162,8 @@ def human_forecast(kind, humans, radii):
     """A point forecast of poses (H, 7, 3), or a safety volume of spheres with
     radii (H, 6) on their arm joints."""
     if kind == "point":
-        return point_forecast(humans)
-    return Forecast(kind=SAFETY_VOLUME, centers=humans[:, ARM_JOINTS], radii=radii)
+        return Trajectory(humans)
+    return SafetyVolume(centers=humans[:, ARM_JOINTS], radii=radii)
 
 
 def place_at_clearance(kind, pose, radii, centers, axis, side, clearance, near=ARM_JOINTS):
@@ -258,7 +257,7 @@ def test_collision_runs_no_kernel_on_rows_out_of_reach(monkeypatch, rng):
     # nor clearances are computed
     Q = np.clip(MODEL.mid() + rng.normal(0, 0.2, size=(4, H, N_DOF)), MODEL.lo, MODEL.hi)
     frames = fk_batch(MODEL, Q)
-    far = far_forecast().trajectory.frames
+    far = far_forecast().frames
     radii = np.full((H, len(ARM_JOINTS)), 0.3)
     built, seen = [], []
 
@@ -280,9 +279,8 @@ def test_collision_runs_no_kernel_on_rows_out_of_reach(monkeypatch, rng):
     # and only that arm's bones to the kernel; a volume around the whole arm
     # sends all 16 rows
     near = BASE_POSE[None].repeat(H, axis=0) + np.array([0.70, 0.05, 0.35])
-    huge = Forecast(kind=SAFETY_VOLUME, centers=np.full((H, 1, 3), [1.0, 0.0, 1.0]),
-                    radii=np.full((H, 1), 2.0))
-    for fc in (point_forecast(near), huge):
+    huge = SafetyVolume(centers=np.full((H, 1, 3), [1.0, 0.0, 1.0]), radii=np.full((H, 1), 2.0))
+    for fc in (Trajectory(near), huge):
         with pytest.raises(AssertionError, match="kernel called"):
             collision_terms_batch(MODEL, frames, fc)
     assert built == [rows for rows, _ in seen]
@@ -311,7 +309,7 @@ def test_stir_retract_branch_zero_at_rest():
     spec = stir_spec()
     frames = np.repeat(BASE_POSE[None], H, axis=0).copy()
     frames[:, 1] = spec.pot_position  # right wrist forecast on the pot, all steps
-    fc = point_forecast(frames)
+    fc = Trajectory(frames)
     Q = np.repeat(spec.rest_config[None], H, axis=0)
     assert task_term(stir_terms_batch, plan_from_arrays(Q), fc, spec, CostWeights()) == 0.0
 
@@ -321,7 +319,7 @@ def test_stir_cost_matches_per_step_oracle(rng):
     frames = np.repeat(BASE_POSE[None], H, axis=0).copy()
     near_steps = rng.random(H) < 0.5
     frames[near_steps, 1] = spec.pot_position
-    fc = point_forecast(frames)
+    fc = Trajectory(frames)
     Q = np.clip(MODEL.mid()[None] + rng.normal(0, 0.2, size=(H, N_DOF)),
                 MODEL.lo, MODEL.hi)
     w = CostWeights()
@@ -448,7 +446,7 @@ def test_handover_grasp_target_at_start_pose_rejected():
     frames[:, 1] = fk_batch(MODEL, q)[1][7]  # forecast final wrist exactly at the end effector
     # target would coincide with the start pose -> the grasp pose is undefined
     with pytest.raises(MotionError):
-        task_term(handover_terms_batch, const_plan(q), point_forecast(frames),
+        task_term(handover_terms_batch, const_plan(q), Trajectory(frames),
                   TaskSpec(task="handover", object_in_hand=True), CostWeights())
 
 
@@ -467,7 +465,7 @@ def test_tableset_cost_is_affine_in_beta(rng):
                 MODEL.lo, MODEL.hi)
     plan = plan_from_arrays(Q)
     frames = np.repeat((BASE_POSE + np.array([0.35, 0.0, 0.0]))[None], H, axis=0)
-    fc = point_forecast(frames)
+    fc = Trajectory(frames)
     c1 = task_term(tableset_terms_batch, plan, fc, spec_b(1.0), CostWeights(beta=1.0))
     c5 = task_term(tableset_terms_batch, plan, fc, spec_b(5.0), CostWeights(beta=5.0))
     c9 = task_term(tableset_terms_batch, plan, fc, spec_b(9.0), CostWeights(beta=9.0))
@@ -487,7 +485,7 @@ def test_tableset_zero_at_goal_with_far_human():
 def test_total_cost_is_sum_of_terms(rng):
     spec = stir_spec()
     frames = BASE_POSE[None] + rng.normal(0, 0.02, size=(H, 7, 3))
-    fc = point_forecast(frames)
+    fc = Trajectory(frames)
     Q = np.clip(MODEL.mid()[None] + rng.normal(0, 0.2, size=(H, N_DOF)),
                 MODEL.lo, MODEL.hi)
     Qd = rng.normal(0, 1.0, size=(H, N_DOF))
@@ -507,6 +505,15 @@ PROPERTY_SPECS = {
 }
 
 
+@pytest.mark.parametrize("volume", [False, True])
+def test_plan_longer_than_the_forecast_horizon_is_rejected(volume):
+    # a plan of HORIZON_LEN + 1 steps has no forecast for its last step
+    fc = forecast_worst(near_context()) if volume else far_forecast()
+    plan = const_plan(MODEL.mid(), n=H + 1)
+    with pytest.raises(MotionError, match="forecast horizon shorter than plan horizon"):
+        total_cost_batch(MODEL, *plan, fc, PROPERTY_SPECS["tableset"], CostWeights())
+
+
 @settings(max_examples=30, deadline=None)
 @given(task=st.sampled_from(sorted(PROPERTY_SPECS)), n=st.integers(2, 8),
        seed=st.integers(0, 2**32 - 1))
@@ -516,7 +523,7 @@ def test_total_cost_rows_match_single_plan_evaluation(task, n, seed):
     Q = rng.uniform(MODEL.lo, MODEL.hi, size=(n, H, N_DOF))
     Qd = rng.uniform(-MODEL.vel, MODEL.vel, size=(n, H, N_DOF))
     frames = BASE_POSE[None] + rng.normal(0, 0.03, size=(H, 7, 3))
-    fc = point_forecast(frames + np.array([rng.uniform(0.0, 0.6), 0.0, 0.2]))
+    fc = Trajectory(frames + np.array([rng.uniform(0.0, 0.6), 0.0, 0.2]))
     spec, w = PROPERTY_SPECS[task], CostWeights()
     batch = total_cost_batch(MODEL, Q, Qd, fc, spec, w)
     single = [total_cost_batch(MODEL, Q[i:i + 1], Qd[i:i + 1], fc, spec, w)[0]
@@ -555,7 +562,7 @@ def test_batch_last_kinematics_match_single_configurations(task, n, h, seed):
             for got, one in zip(batch, single):
                 assert np.array_equal(got[..., i, t], one[..., 0, 0])
     # the total cost of each plan matches that plan scored alone
-    fc = point_forecast(humans)
+    fc = Trajectory(humans)
     spec, w = PROPERTY_SPECS[task], CostWeights()
     costs = total_cost_batch(MODEL, Q, Qd, fc, spec, w)
     alone = [total_cost_batch(MODEL, Q[i:i + 1], Qd[i:i + 1], fc, spec, w)[0] for i in range(n)]
@@ -565,7 +572,7 @@ def test_batch_last_kinematics_match_single_configurations(task, n, h, seed):
 def test_wrist_pot_distance_picks_nearest_wrist():
     pot = np.array([0.55, 0.0, 0.95])
     frames = np.repeat(BASE_POSE[None], H, axis=0)
-    D = _wrist_pot_distance(point_forecast(frames), pot, H)
+    D = _wrist_pot_distance(Trajectory(frames), pot, H)
     expected = min(np.linalg.norm(BASE_POSE[0] - pot), np.linalg.norm(BASE_POSE[1] - pot))
     np.testing.assert_allclose(D, expected, atol=1e-12)
 

@@ -9,9 +9,9 @@ from costcast.datagen import GenConfig, gen_stirring
 from costcast.forecast import (
     ANNOTATED,
     COST_PERCENTILE,
-    Forecast,
     ForecastModel,
     PRESETS,
+    SafetyVolume,
     TrainConfig,
     WindowSet,
     _batch_loss_and_grad,
@@ -56,7 +56,7 @@ def test_cur_final_error_equals_horizon_times_speed():
     ep = linear_episode(45, (speed, 0.0, 0.0))
     ctx, fut = window_from_episode(ep)
     fc = forecast_cur(ctx)
-    err = np.linalg.norm(fc.trajectory.frames[-1] - fut.frames[-1], axis=-1)
+    err = np.linalg.norm(fc.frames[-1] - fut.frames[-1], axis=-1)
     np.testing.assert_allclose(err, HORIZON_LEN * ep.dt * speed, atol=1e-12)
 
 
@@ -64,7 +64,7 @@ def test_cvm_is_exact_on_linear_motion():
     ep = linear_episode(45, (0.2, -0.1, 0.05))
     ctx, fut = window_from_episode(ep)
     fc = forecast_cvm(ctx)
-    np.testing.assert_allclose(fc.trajectory.frames, fut.frames, atol=1e-10)
+    np.testing.assert_allclose(fc.frames, fut.frames, atol=1e-10)
 
 
 def test_worst_volume_contains_true_wrists():
@@ -80,19 +80,16 @@ def test_worst_volume_contains_true_wrists():
 
 def test_oracle_returns_truth_and_requires_it(rng):
     fut = random_trajectory(rng)
-    assert forecast_oracle(fut).trajectory is fut
+    assert forecast_oracle(fut) is fut
     with pytest.raises(MotionError):
         forecast_oracle(None)
 
 
 def test_forecast_container_validation(rng):
     with pytest.raises(MotionError):
-        Forecast(kind="nope")
+        Trajectory(np.zeros((HORIZON_LEN - 1, N_JOINTS, 3)))
     with pytest.raises(MotionError):
-        Forecast(kind="point")
-    with pytest.raises(MotionError):
-        Forecast(kind="safety_volume", centers=np.zeros((5, 2, 3)),
-                 radii=np.ones((5, 2)))
+        SafetyVolume(centers=np.zeros((5, 2, 3)), radii=np.ones((5, 2)))
 
 
 # --- linear model ---------------------------------------------------------
@@ -101,8 +98,8 @@ def test_untrained_model_equals_constant_pose_baseline(rng):
     model = ForecastModel.init()
     for _ in range(5):
         ctx = random_context(rng)
-        np.testing.assert_allclose(model_forward(model, ctx).trajectory.frames,
-                                   forecast_cur(ctx).trajectory.frames, atol=0)
+        np.testing.assert_allclose(model_forward(model, ctx).frames,
+                                   forecast_cur(ctx).frames, atol=0)
 
 
 def test_constant_velocity_stencil_reproduces_cvm(rng):
@@ -111,8 +108,8 @@ def test_constant_velocity_stencil_reproduces_cvm(rng):
     model = ForecastModel(S=np.eye(N_JOINTS), M=M)
     for _ in range(5):
         ctx = random_context(rng)
-        np.testing.assert_allclose(model_forward(model, ctx).trajectory.frames,
-                                   forecast_cvm(ctx).trajectory.frames, atol=1e-12)
+        np.testing.assert_allclose(model_forward(model, ctx).frames,
+                                   forecast_cvm(ctx).frames, atol=1e-12)
 
 
 def test_weighted_loss_matches_hand_computation():
@@ -209,8 +206,8 @@ def test_window_last_loss_gradient_and_forward_equal_the_einsum_reference(B, see
     got_loss, got_dS, got_dM = _batch_loss_and_grad(S, M, window_last(ctx), window_last(fut), w)
     assert got_loss == pytest.approx(loss, rel=1e-12)
     model = ForecastModel(S=S, M=M)
-    batch = model_forward(model, Context(ctx)).trajectory.frames
-    singles = np.stack([model_forward(model, Context(c)).trajectory.frames for c in ctx])
+    batch = model_forward(model, Context(ctx)).frames
+    singles = np.stack([model_forward(model, Context(c)).frames for c in ctx])
     for got, want in ((got_dS, dS), (got_dM, dM), (batch, pred), (singles, pred)):
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -281,11 +278,11 @@ def test_batched_forecasters_equal_per_context_calls(n, seed, dt):
     model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
                           M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
     for forecaster in (forecast_cur, forecast_cvm, lambda c: model_forward(model, c)):
-        batch = forecaster(Context(frames, dt)).trajectory.frames
+        batch = forecaster(Context(frames, dt)).frames
         assert batch.shape == (n, HORIZON_LEN, N_JOINTS, 3)
         for i in range(n):
             np.testing.assert_array_equal(
-                batch[i], forecaster(Context(frames[i], dt)).trajectory.frames)
+                batch[i], forecaster(Context(frames[i], dt)).frames)
 
 
 def test_annotated_transition_set_matches_flags():
@@ -324,7 +321,7 @@ def test_cost_percentile_overlaps_annotations_on_stirring():
     frames = fk_batch(m, probe)
 
     def cmax(ctx, fut):
-        fc = Forecast(kind="point", trajectory=fut)
+        fc = fut
         coll = collision_terms_batch(m, frames, fc)
         return stir_terms_batch(probe, frames, coll, fc, spec, weights)[0]
 
@@ -364,7 +361,7 @@ def test_training_reduces_validation_loss():
     eps = episodes_small(3)
     ws_train, ws_val = WindowSet(eps[:2]), WindowSet(eps[2:])
     cfg = TrainConfig(epochs=3, seed=0, transition_mix=0.0)
-    model, history = train(ForecastModel.init(), ws_train, ws_val, cfg)
+    model, history = train(ws_train, ws_val, cfg)
     assert model.trained
     assert history[-1]["val_loss"] < history[0]["val_loss"]
     # the returned model achieves the best validation loss seen
@@ -377,7 +374,7 @@ def test_zero_learning_rate_is_a_no_op():
     eps = episodes_small(2)
     ws = WindowSet(eps)
     cfg = TrainConfig(epochs=2, learning_rate=0.0, transition_mix=0.0)
-    model, _ = train(ForecastModel.init(), ws, ws, cfg)
+    model, _ = train(ws, ws, cfg)
     np.testing.assert_array_equal(model.S, np.eye(N_JOINTS))
     np.testing.assert_array_equal(model.M, 0.0)
 
@@ -386,19 +383,19 @@ def test_training_is_seeded_deterministic():
     eps = episodes_small(2)
     ws = WindowSet(eps)
     cfg = TrainConfig(epochs=2, seed=7)
-    a, _ = train(ForecastModel.init(), ws, ws, cfg)
-    b, _ = train(ForecastModel.init(), ws, ws, cfg)
+    a, _ = train(ws, ws, cfg)
+    b, _ = train(ws, ws, cfg)
     np.testing.assert_array_equal(a.S, b.S)
     np.testing.assert_array_equal(a.M, b.M)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value encountered")
 def test_divergence_error_names_the_epoch():
     eps = episodes_small(2)
     ws = WindowSet(eps)
     cfg = TrainConfig(epochs=3, learning_rate=1e6, transition_mix=0.0)
     with pytest.raises(MotionError, match="epoch"):
-        train(ForecastModel.init(), ws, ws, cfg)
+        train(ws, ws, cfg)
 
 
 def test_preset_table_and_config():
@@ -434,12 +431,12 @@ def test_checkpoint_round_trip(tmp_path, rng):
 def test_make_forecaster_interface(rng):
     ctx = random_context(rng)
     fut = random_trajectory(rng)
-    assert make_forecaster("cur")(ctx).kind == "point"
-    assert make_forecaster("worst")(ctx).kind == "safety_volume"
-    np.testing.assert_array_equal(make_forecaster("fut")(ctx, fut).trajectory.frames,
+    assert isinstance(make_forecaster("cur")(ctx), Trajectory)
+    assert isinstance(make_forecaster("worst")(ctx), SafetyVolume)
+    np.testing.assert_array_equal(make_forecaster("fut")(ctx, fut).frames,
                                   fut.frames)
     model = ForecastModel.init()
-    np.testing.assert_array_equal(make_forecaster(model)(ctx).trajectory.frames,
-                                  forecast_cur(ctx).trajectory.frames)
+    np.testing.assert_array_equal(make_forecaster(model)(ctx).frames,
+                                  forecast_cur(ctx).frames)
     with pytest.raises(MotionError):
         make_forecaster("nope")

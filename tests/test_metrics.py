@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import BASE_POSE, linear_episode
-from costcast.forecast import WindowSet, forecast_cur, forecast_worst, point_forecast
+from costcast.forecast import WindowSet, forecast_cur, forecast_worst
 from costcast.metrics import (
     METRIC_KEYS,
     MetricReport,
@@ -25,6 +25,7 @@ from costcast.motion import (
     MotionError,
     N_JOINTS,
     WRIST_INDICES,
+    Trajectory,
 )
 from costcast.planner import SimLog
 
@@ -41,7 +42,7 @@ def random_episode(rng, n=60):
 def test_ade_fde_hand_oracle(rng):
     ws = WindowSet([random_episode(rng)])
     offset = np.array([0.003, 0.004, 0.0])
-    m = evaluate_forecaster(ws, lambda ctx, fut: point_forecast(fut.frames + offset, fut.dt))
+    m = evaluate_forecaster(ws, lambda ctx, fut: Trajectory(fut.frames + offset, fut.dt))
     for key in METRIC_KEYS:
         assert m[key] == pytest.approx(5.0, abs=1e-9)   # 5 mm uniform offset
 
@@ -50,7 +51,7 @@ def test_ade_fde_matches_hand_sum(rng):
     # the true future scaled by 1.01, scored over chunks of 7 windows
     ep = random_episode(rng)
     ws = WindowSet([ep])
-    m = evaluate_forecaster(ws, lambda ctx, fut: point_forecast(1.01 * fut.frames, fut.dt),
+    m = evaluate_forecaster(ws, lambda ctx, fut: Trajectory(1.01 * fut.frames, fut.dt),
                             chunk=7)
     fut = np.stack([ep.frames[s + HISTORY_LEN:s + HISTORY_LEN + HORIZON_LEN]
                     for s in range(len(ws))])

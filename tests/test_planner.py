@@ -7,8 +7,7 @@ import pytest
 from conftest import BASE_POSE
 from costcast.cost import CostWeights, TaskSpec
 from costcast.datagen import GenConfig, gen_stirring
-from costcast.forecast import point_forecast
-from costcast.motion import Episode, HISTORY_LEN, HORIZON_LEN, MotionError
+from costcast.motion import Episode, HISTORY_LEN, HORIZON_LEN, MotionError, Trajectory
 from costcast.planner import (
     DEFAULT_RETRACT_POINT,
     MppiConfig,
@@ -173,7 +172,7 @@ def test_logged_branch_looks_only_as_far_as_the_plan_horizon():
                     stir_reference=MODEL.mid()[None])
     future = np.repeat(BASE_POSE[None], HORIZON_LEN, axis=0)
     future[20, 1] = pot
-    fc = point_forecast(future)
+    fc = Trajectory(future)
     for horizon, fired in ((5, False), (HORIZON_LEN, True)):
         cfg = MppiConfig(horizon=horizon, n_samples=4, n_iterations=1)
         log = run_episode(episode, lambda ctx, truth: fc, spec, CostWeights(), cfg, model=MODEL)
