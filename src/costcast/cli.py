@@ -132,7 +132,10 @@ class RunConfig:
     def run_dir(self) -> Path:
         digest = hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
         d = Path(self.out_root) / digest
-        d.mkdir(parents=True, exist_ok=True)
+        try:
+            d.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise ConfigError(f"out_root {self.out_root} must be a directory: {exc}") from exc
         return d
 
 
@@ -236,6 +239,10 @@ def cmd_eval_forecast(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig, episode_path: str, model_name: str, out_path: str) -> int:
     """Play back one episode against the planner with the named forecaster."""
+    if Path(out_path).is_dir():
+        raise MotionError(f"the sim log {out_path} is a directory")
+    if not Path(out_path).parent.is_dir():
+        raise MotionError(f"no directory for the sim log {out_path}")
     episode = load_episode(episode_path)
     arm = ArmModel()
     spec = build_task_spec(episode, arm, dt=cfg.mppi.dt)

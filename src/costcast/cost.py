@@ -113,7 +113,8 @@ def hinge(x: np.ndarray) -> np.ndarray:
 #
 # ``frames`` is the (R, p) pair that ``fk_batch`` returns for Q: rotations
 # (8, 3, 3, N, H) and origins (8, 3, N, H), end effector at index 7, with the
-# batch axes last.  Terms that need component-last poses take them as views.
+# batch axes last.  The pose terms score the end effector straight from the
+# (3, 3, N, H) and (3, N, H) planes ``R[7]`` and ``p[7]``.
 
 def base_terms_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray, frames,
                      weights: CostWeights) -> np.ndarray:
@@ -203,17 +204,27 @@ def stir_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast
     return np.sum(np.where(near[None], d_rest, d_stir), axis=1)
 
 
+def _batch_last(target, ndim: int) -> np.ndarray:
+    """``target`` with trailing unit axes up to ``ndim`` axes, so it
+    broadcasts against batch-last arrays from the leading batch axis on."""
+    target = np.asarray(target)
+    return target.reshape(target.shape + (1,) * (ndim - target.ndim))
+
+
 def pose_error_batch(ee_pos: np.ndarray, ee_R: np.ndarray, target_pos: np.ndarray,
                      target_R: np.ndarray) -> np.ndarray:
-    """Position + weighted geodesic-orientation error per element.
+    """Position + weighted geodesic-orientation error per configuration.
 
-    ee_pos: (..., 3), ee_R: (..., 3, 3); the target position (3,) and
-    rotation (3, 3) broadcast against them.
+    ee_pos (3, *batch) and ee_R (3, 3, *batch) are batch-last end-effector
+    frames, the ``p[7]`` and ``R[7]`` of ``fk_batch``.  The target position
+    (3, *lead) and rotation (3, 3, *lead) take the leading batch axes they
+    vary over: ``lead`` is () for a constant target and (N,) for per-plan
+    targets.  The position error is a norm over 3 planes, and
+    tr(ee_R^T target_R) a sum of 9 elementwise products.  Returns (*batch).
     """
-    dp = np.linalg.norm(ee_pos - target_pos, axis=-1)
-    rel = np.swapaxes(ee_R, -1, -2) @ target_R
-    tr = np.clip((np.trace(rel, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
-    ang = np.arccos(tr)
+    dp = np.linalg.norm(ee_pos - _batch_last(target_pos, ee_pos.ndim), axis=0)
+    tr = np.einsum("ij...,ij...->...", ee_R, _batch_last(target_R, ee_R.ndim))
+    ang = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
     return dp + ORIENTATION_WEIGHT * ang
 
 
@@ -258,13 +269,6 @@ def grasp_pose(ee_pos: np.ndarray, ee_R: np.ndarray, wrist_final: np.ndarray) ->
     return align @ ee_R
 
 
-def _end_effector_poses(frames):
-    """End-effector positions (N, H, 3) and rotations (N, H, 3, 3), as views
-    of the batch-last ``fk_batch`` frames."""
-    R, p = frames
-    return np.moveaxis(p[7], 0, -1), np.moveaxis(R[7], (0, 1), (-2, -1))
-
-
 def handover_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
                          spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Track the grasp pose at the forecast final wrist while the object is in hand."""
@@ -274,9 +278,9 @@ def handover_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Fore
         return np.zeros(Q.shape[0])
     # the moving (right) wrist is the handover hand
     wrist = forecast.frames[-1, WRIST_INDICES[1]]
-    ee_pos, ee_R = _end_effector_poses(frames)
-    target_R = grasp_pose(ee_pos[:, 0], ee_R[:, 0], wrist)
-    return np.sum(pose_error_batch(ee_pos, ee_R, wrist, target_R[:, None]), axis=1)
+    R, p = frames
+    target_R = grasp_pose(p[7, :, :, 0].T, np.moveaxis(R[7, :, :, :, 0], -1, 0), wrist)
+    return np.sum(pose_error_batch(p[7], R[7], wrist, np.moveaxis(target_R, 0, -1)), axis=1)
 
 
 def tableset_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
@@ -284,7 +288,8 @@ def tableset_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Fore
     """Goal reaching plus beta-weighted collision avoidance."""
     spec.require("table_goal")
     T = spec.table_goal
-    goal = np.sum(pose_error_batch(*_end_effector_poses(frames), T[:3, 3], T[:3, :3]), axis=1)
+    R, p = frames
+    goal = np.sum(pose_error_batch(p[7], R[7], T[:3, 3], T[:3, :3]), axis=1)
     return goal + weights.beta * coll
 
 

@@ -115,21 +115,30 @@ def fk_batch(model: ArmModel, Q: np.ndarray):
     Each frame is carried as its three world-frame axes ``x, y, z``, arrays of
     shape (3, *batch), so a DH row is two plane rotations of axis pairs and
     two translations along an axis, all elementwise against per-joint
-    (*batch) planes.
+    (*batch) planes.  Each joint's cosine and sine come from one tangent of
+    the half angle, tau = tan(q/2): cos q = (1 - tau^2)/(1 + tau^2) and
+    sin q = 2 tau/(1 + tau^2).  A twist of exactly +-pi/2 is the exact axis
+    swap y, z <- +-z, -+y; any other twist is a plane rotation.
     """
     Q = np.asarray(Q, dtype=float)
     batch = Q.shape[:-1]
     R = np.empty((8, 3, 3) + batch)
     p = np.empty((8, 3) + batch)
-    joints = np.moveaxis(Q, -1, 0)
-    cos_q, sin_q = np.cos(joints, order="C"), np.sin(joints, order="C")  # (7, *batch)
+    tau = np.tan(np.multiply(np.moveaxis(Q, -1, 0), 0.5, order="C"))   # (7, *batch) planes
+    scale = 1.0 / (1.0 + tau * tau)
+    cos_q = (1.0 - tau * tau) * scale
+    sin_q = 2.0 * tau * scale
     column = (3,) + (1,) * len(batch)
     x, y, z = (np.broadcast_to(axis.reshape(column), (3,) + batch) for axis in np.eye(3))
     pos = np.broadcast_to(np.asarray(model.base_position, dtype=float).reshape(column),
                           (3,) + batch)
     for i, (a, d, alpha) in enumerate(model.dh):
         # T = RotX(alpha) TransX(a) RotZ(theta) TransZ(d)
-        if alpha:
+        if alpha == np.pi / 2:
+            y, z = z, -y
+        elif alpha == -np.pi / 2:
+            y, z = -z, y
+        elif alpha:
             ca, sa = np.cos(alpha), np.sin(alpha)
             y, z = ca * y + sa * z, ca * z - sa * y
         if a:

@@ -302,6 +302,17 @@ def test_exit_2_on_unknown_preset(tmp_path, capsys):
     assert main(["train", "--config", path, "--preset", "alien"]) == 2
 
 
+@pytest.mark.parametrize("under", [(), ("sub",)])
+def test_exit_2_when_the_output_root_is_a_file(tmp_path, capsys, under):
+    # a regular file where the run directory's root (or one of its parents) goes
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken.joinpath(*under)
+    assert main(["gen", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: out_root {out}" in err and "Traceback" not in err
+
+
 def test_exit_3_when_training_without_data(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path)
@@ -587,6 +598,21 @@ def test_exit_2_on_simulate_with_zero_mppi_iterations(pipeline, tmp_path, capsys
     assert code == 2
     assert "config error" in err and "Traceback" not in err
     assert not (tmp_path / "sim.jsonl").exists()
+
+
+@pytest.mark.parametrize("where", [("missing", "sim.jsonl"), ()])
+def test_simulate_to_a_log_path_it_cannot_write_exits_3_before_playback(pipeline, tmp_path,
+                                                                        capsys, where):
+    # a log in a directory that does not exist, or a log path that is a directory
+    _, run_dir, args = pipeline
+    log_path = tmp_path.joinpath(*where)
+    with mock.patch.object(cli, "run_episode", side_effect=AssertionError("played")):
+        code = main(["simulate", *args, "--episode", str(run_dir / "data" / "stir_000.json"),
+                     "--model", "cur", "--log-out", str(log_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert str(log_path) in err and "Traceback" not in err
+    assert log_path.is_dir() or not log_path.parent.exists()
 
 
 def test_wrist_error_of_the_oracle_forecast_is_zero(pipeline, tmp_path):

@@ -453,9 +453,34 @@ def test_handover_grasp_target_at_start_pose_rejected():
 # --- tableset -------------------------------------------------------------
 
 def test_pose_error_closed_form():
-    pos = np.array([[0.1, 0.2, 0.8]])
-    err = pose_error_batch(pos, rot("z", 90)[None], np.array([0.1, 0.2, 0.3]), np.eye(3))
+    # one batch-last configuration: position (3, 1), rotation (3, 3, 1)
+    pos = np.array([[0.1], [0.2], [0.8]])
+    err = pose_error_batch(pos, rot("z", 90)[..., None], np.array([0.1, 0.2, 0.3]), np.eye(3))
     assert err[0] == pytest.approx(0.5 + ORIENTATION_WEIGHT * np.pi / 2, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(per_plan=st.booleans(), n=st.integers(1, 6), h=st.integers(1, H),
+       seed=st.integers(0, 2**32 - 1))
+def test_pose_error_matches_component_last_oracle(per_plan, n, h, seed):
+    # the batch-last error against explicit ee_R^T @ target_R, trace and
+    # arccos on component-last poses, for one target or one target per plan
+    rng = np.random.default_rng(seed)
+    ee_R = random_rotations(rng, n * h).reshape(n, h, 3, 3)
+    ee_pos = rng.normal(size=(n, h, 3))
+    lead = (n,) if per_plan else ()
+    target_R = random_rotations(rng, n if per_plan else 1).reshape(lead + (3, 3))
+    target_pos = rng.normal(size=lead + (3,))
+    plan_axis = (slice(None), None) if per_plan else ()
+    rel = np.swapaxes(ee_R, -1, -2) @ target_R[plan_axis]
+    ang = np.arccos(np.clip((np.trace(rel, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0))
+    want = (np.linalg.norm(ee_pos - target_pos[plan_axis], axis=-1)
+            + ORIENTATION_WEIGHT * ang)
+    got = pose_error_batch(np.moveaxis(ee_pos, -1, 0), np.moveaxis(ee_R, (-2, -1), (0, 1)),
+                           np.moveaxis(target_pos, -1, 0),
+                           np.moveaxis(target_R, (-2, -1), (0, 1)))
+    assert got.shape == (n, h)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_tableset_cost_is_affine_in_beta(rng):

@@ -32,6 +32,13 @@ from costcast.robot import (
 MODEL = ArmModel()
 # every joint axis on the world z line through the base: singular everywhere
 COAXIAL = ArmModel(dh=tuple((0.0, 0.1, 0.0) for _ in range(N_DOF)))
+# twists that are not quarter turns, so every joint takes the general rotation
+SKEWED = ArmModel(dh=((0.05, 0.3, 0.4), (0.0, 0.1, -1.1), (0.1, 0.2, 2.0), (-0.07, 0.0, -2.9),
+                      (0.0, 0.25, 0.7), (0.03, 0.0, np.pi), (0.0, 0.1, -0.2)))
+# 0, +-pi/2, +-pi and +-(pi - 1e-9), where the half-angle tangent is largest;
+# row r sets joint j to EDGE_ANGLES[(r + j) % 7], so each joint takes each angle
+EDGE_ANGLES = np.array([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, np.pi - 1e-9, 1e-9 - np.pi])
+EDGE_Q = EDGE_ANGLES[(np.arange(7)[:, None] + np.arange(N_DOF)) % 7]
 
 
 def random_q(rng, model=MODEL):
@@ -51,18 +58,22 @@ def separation(model, q, human):
 
 # --- forward kinematics ---------------------------------------------------
 
-@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3), "edge"])
 def test_fk_batch_frames_match_matrix_composition_oracle(rng, batch):
     # every frame's rotation and origin, end effector included, at any batch
-    # shape; the batch axes come last
-    Q = rng.uniform(MODEL.lo, MODEL.hi, size=batch + (N_DOF,))
-    R, p = fk_batch(MODEL, Q)
-    assert R.shape == (8, 3, 3) + batch and p.shape == (8, 3) + batch
-    for idx in np.ndindex(*batch):
-        ee_T, chain = fk_oracle(MODEL, Q[idx])
-        for i, T in enumerate(chain + [ee_T]):
-            np.testing.assert_allclose(R[(i, ...) + idx], T[:3, :3], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(p[(i, ...) + idx], T[:3, 3], rtol=0, atol=1e-12)
+    # shape, through quarter-turn twists (the default arm), general twists
+    # and none; the batch axes come last.  "edge" is the (7, 7) batch of
+    # EDGE_ANGLES.
+    for model in (MODEL, SKEWED, COAXIAL):
+        Q = EDGE_Q if batch == "edge" else rng.uniform(model.lo, model.hi,
+                                                       size=batch + (N_DOF,))
+        R, p = fk_batch(model, Q)
+        assert R.shape == (8, 3, 3) + Q.shape[:-1] and p.shape == (8, 3) + Q.shape[:-1]
+        for idx in np.ndindex(*Q.shape[:-1]):
+            ee_T, chain = fk_oracle(model, Q[idx])
+            for i, T in enumerate(chain + [ee_T]):
+                np.testing.assert_allclose(R[(i, ...) + idx], T[:3, :3], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(p[(i, ...) + idx], T[:3, 3], rtol=0, atol=1e-12)
 
 
 def test_base_joint_rotation_preserves_ee_height(rng):
