@@ -5,6 +5,13 @@ scores all its samples at once; a single plan is a batch of one.
 ``total_cost_batch`` runs forward kinematics and the collision sum once and
 hands both to every term.
 
+The per-step work follows the plans' dtype: float32 plans get float32
+kinematics, clearances and per-step terms, with the model, spec and forecast
+constants cast to that dtype where they meet (N, H, .) arrays.  Each term's
+sum over steps accumulates in float64, and the weights multiply those float64
+sums, so every cost is float64 and a weight anywhere in float64's range
+behaves as it does on float64 plans.
+
 A forecast is either a point forecast, the predicted ``Trajectory``, or a
 ``SafetyVolume`` of spheres.  The collision path sees either as per-step
 capsules: ``human_capsules`` gives the ``ARM_BONES`` capsules of a
@@ -46,7 +53,7 @@ D_SAFE = 0.05
 ORIENTATION_WEIGHT = 0.3  # rad <-> m tradeoff in the pose cost
 STOP_WINDOW = 5           # final steps penalized for nonzero velocity
 JOINT_MARGIN = 0.9        # fraction of half-range before the limit hinge activates
-REACH_SLACK = 1e-6        # m; far above the rounding of a computed clearance
+REACH_SLACK = 1e-6        # m; ten times the rounding of a float32 clearance (~1e-7 m)
 
 
 @dataclass(frozen=True)
@@ -119,11 +126,14 @@ def hinge(x: np.ndarray) -> np.ndarray:
 def base_terms_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray, frames,
                      weights: CostWeights) -> np.ndarray:
     """alpha_s*C_stop + alpha_j*C_joint + alpha_m*C_manip per plan, shape (N,)."""
-    stop = np.sum(Qd[:, -STOP_WINDOW:] ** 2, axis=(1, 2))
-    mid = model.mid()
+    stop = np.sum(Qd[:, -STOP_WINDOW:] ** 2, axis=(1, 2), dtype=float)
+    mid = model.mid().astype(Q.dtype)
     half = 0.5 * (model.hi - model.lo)
-    joint = np.sum(hinge(np.abs(Q - mid) - JOINT_MARGIN * half) ** 2, axis=(1, 2))
-    manip = np.sum(hinge(weights.manip_floor - manipulability_batch(frames)), axis=1)
+    margin = (JOINT_MARGIN * half).astype(Q.dtype)
+    joint = np.sum(hinge(np.abs(Q - mid) - margin) ** 2, axis=(1, 2), dtype=float)
+    # float64, because the floor is a weight and may lie beyond float32's range
+    manip = np.sum(hinge(np.subtract(weights.manip_floor, manipulability_batch(frames),
+                                     dtype=float)), axis=1)
     return weights.alpha_s * stop + weights.alpha_j * joint + weights.alpha_m * manip
 
 
@@ -169,7 +179,7 @@ def collision_terms_batch(model: ArmModel, frames, forecast: Forecast) -> np.nda
         return np.zeros(frames[1].shape[2])
     centers = collision_sphere_centers(model, frames, rows)
     sep = separation_batch(model, centers, *(c[:, parts] for c in capsules))
-    return np.sum(hinge(D_SAFE - sep) ** 2, axis=1)
+    return np.sum(hinge(D_SAFE - sep) ** 2, axis=1, dtype=float)
 
 
 def _wrist_pot_distance(forecast: Forecast, pot: np.ndarray, H: int) -> np.ndarray:
@@ -198,17 +208,18 @@ def stir_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast
     N, H, _ = Q.shape
     near = stir_retract_mask(forecast, spec, weights, H)
     ref = spec.stir_reference
-    ref_h = ref[np.arange(H) % ref.shape[0]]          # (H, 7)
-    d_rest = np.linalg.norm(Q - spec.rest_config, axis=-1)   # (N, H)
-    d_stir = np.linalg.norm(Q - ref_h[None], axis=-1)        # (N, H)
-    return np.sum(np.where(near[None], d_rest, d_stir), axis=1)
+    ref_h = ref[np.arange(H) % ref.shape[0]].astype(Q.dtype)                 # (H, 7)
+    d_rest = np.linalg.norm(Q - spec.rest_config.astype(Q.dtype), axis=-1)   # (N, H)
+    d_stir = np.linalg.norm(Q - ref_h[None], axis=-1)                        # (N, H)
+    return np.sum(np.where(near[None], d_rest, d_stir), axis=1, dtype=float)
 
 
-def _batch_last(target, ndim: int) -> np.ndarray:
-    """``target`` with trailing unit axes up to ``ndim`` axes, so it
-    broadcasts against batch-last arrays from the leading batch axis on."""
-    target = np.asarray(target)
-    return target.reshape(target.shape + (1,) * (ndim - target.ndim))
+def _batch_last(target, like: np.ndarray) -> np.ndarray:
+    """``target`` in the dtype of ``like``, with trailing unit axes up to
+    ``like.ndim`` axes, so it broadcasts against the batch-last array ``like``
+    from the leading batch axis on."""
+    target = np.asarray(target, like.dtype)
+    return target.reshape(target.shape + (1,) * (like.ndim - target.ndim))
 
 
 def pose_error_batch(ee_pos: np.ndarray, ee_R: np.ndarray, target_pos: np.ndarray,
@@ -222,8 +233,8 @@ def pose_error_batch(ee_pos: np.ndarray, ee_R: np.ndarray, target_pos: np.ndarra
     targets.  The position error is a norm over 3 planes, and
     tr(ee_R^T target_R) a sum of 9 elementwise products.  Returns (*batch).
     """
-    dp = np.linalg.norm(ee_pos - _batch_last(target_pos, ee_pos.ndim), axis=0)
-    tr = np.einsum("ij...,ij...->...", ee_R, _batch_last(target_R, ee_R.ndim))
+    dp = np.linalg.norm(ee_pos - _batch_last(target_pos, ee_pos), axis=0)
+    tr = np.einsum("ij...,ij...->...", ee_R, _batch_last(target_R, ee_R))
     ang = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
     return dp + ORIENTATION_WEIGHT * ang
 
@@ -280,7 +291,8 @@ def handover_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Fore
     wrist = forecast.frames[-1, WRIST_INDICES[1]]
     R, p = frames
     target_R = grasp_pose(p[7, :, :, 0].T, np.moveaxis(R[7, :, :, :, 0], -1, 0), wrist)
-    return np.sum(pose_error_batch(p[7], R[7], wrist, np.moveaxis(target_R, 0, -1)), axis=1)
+    return np.sum(pose_error_batch(p[7], R[7], wrist, np.moveaxis(target_R, 0, -1)), axis=1,
+                  dtype=float)
 
 
 def tableset_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
@@ -289,7 +301,7 @@ def tableset_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Fore
     spec.require("table_goal")
     T = spec.table_goal
     R, p = frames
-    goal = np.sum(pose_error_batch(p[7], R[7], T[:3, 3], T[:3, :3]), axis=1)
+    goal = np.sum(pose_error_batch(p[7], R[7], T[:3, 3], T[:3, :3]), axis=1, dtype=float)
     return goal + weights.beta * coll
 
 
@@ -306,7 +318,8 @@ def total_cost_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray,
     """base + alpha_c * collision + alpha_t * task term, per plan (N,).
 
     Forward kinematics and the collision sum are computed once and shared by
-    every term.
+    every term.  The kinematics and per-step terms run in the dtype of Q and
+    Qd; the result is float64 either way.
     """
     frames = fk_batch(model, Q)
     coll = collision_terms_batch(model, frames, forecast)

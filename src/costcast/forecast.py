@@ -125,6 +125,9 @@ class ForecastModel:
 _ROW = 3 * N_JOINTS
 # Windows per forward pass when scoring a validation set.
 VAL_CHUNK = 512
+# Largest training batch, far above the batches of SGD: one gather of this
+# many windows is 10,000 x 35 frames x 21 coordinates x 8 bytes = 59 MB.
+MAX_BATCH_SIZE = 10000
 
 
 def _joint_mixer(S: np.ndarray) -> np.ndarray:
@@ -319,8 +322,8 @@ class TrainConfig:
         check_field_types(self)
         if self.epochs < 0:
             raise MotionError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise MotionError("batch_size must be >= 1")
+        if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
+            raise MotionError(f"batch_size must be between 1 and {MAX_BATCH_SIZE}")
         if self.learning_rate < 0:
             raise MotionError("learning_rate must be nonnegative")
         if not 0.0 <= self.momentum < 1.0:

@@ -47,6 +47,10 @@ DEFAULT_TABLE_GOAL = (0.62, 0.25, 0.98)
 IK_DAMPING = 0.05    # damped-least-squares lambda
 IK_STEP_CLIP = 0.2   # rad, per joint per IK iteration
 MAX_SAMPLES = 10000  # far above the samples of sampling MPC; bounds each iteration's arrays
+# Sampled plans are scored in this dtype, which halves the bytes each scoring
+# kernel moves.  Their costs only rank the samples and set the softmax
+# weights, and float32 kinematics move a cost by about 1e-5 relative.
+SCORE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -186,10 +190,13 @@ def plan_step(planner_state: PlannerState, arm_state: ArmState, forecast: Foreca
 
     Samples ``n_samples`` control sequences around the warm-started mean for
     ``n_iterations`` rounds, scores rollouts with the total cost (or a custom
-    ``cost_fn(Q, Qd)``), and keeps the best sample seen across rounds.  The
-    stored mean is softmax-updated each round then time-shifted for the next
-    replan.  ``qd_cmd`` is the first control of the best sample and
-    ``best_cost`` that sample's cost.
+    ``cost_fn(Q, Qd)``), and keeps the best sample seen across rounds: the
+    one of least finite cost, as ``mppi_weights`` ranks them.  The stored
+    mean is softmax-updated each round then time-shifted for the next replan.
+    ``qd_cmd`` is the first control of the best sample and ``best_cost`` that
+    sample's cost.  The rollouts are integrated in float64 and cast to
+    ``SCORE_DTYPE`` for the total cost, so ``best_cost`` is the best sample's
+    float32-scored cost; a custom ``cost_fn`` gets the float64 rollouts.
     """
     mean = planner_state.mean_controls
     best_cost = np.inf
@@ -202,9 +209,10 @@ def plan_step(planner_state: PlannerState, arm_state: ArmState, forecast: Foreca
         if cost_fn is not None:
             costs = np.asarray(cost_fn(Q, Qd), dtype=float)
         else:
-            costs = total_cost_batch(model, Q, Qd, forecast, spec, weights)
+            costs = total_cost_batch(model, Q.astype(SCORE_DTYPE), Qd.astype(SCORE_DTYPE),
+                                     forecast, spec, weights)
         mean = mppi_update(costs, samples, cfg.temperature)
-        i = int(np.argmin(costs))
+        i = int(np.argmin(np.where(np.isfinite(costs), costs, np.inf)))
         if costs[i] < best_cost:
             best_cost = float(costs[i])
             best_controls = samples[i]

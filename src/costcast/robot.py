@@ -7,9 +7,11 @@ and collision spheres are all computed from those frames.  Every kinematics
 array puts the batch axes last: frames are (8, 3, 3, *batch) and (8, 3,
 *batch), sphere centers (16, 3, *batch), so each coordinate is a contiguous
 (*batch) plane and one configuration gives the plain (8, 3, 3), (8, 3) and
-(16, 3) arrays.  The default model approximates a Franka-class arm via
-modified-DH parameters.  Geometry lives in the config; algorithms do not
-depend on the exact plant.
+(16, 3) arrays.  The kernels follow the dtype of their input: float32
+configurations give float32 frames, Jacobian, manipulability, sphere centers
+and clearances, and any other input is computed in float64.  The default
+model approximates a Franka-class arm via modified-DH parameters.  Geometry
+lives in the config; algorithms do not depend on the exact plant.
 
 The human is a set of per-step capsules, and ``separation_batch`` is the one
 clearance kernel against them: ``arm_capsules`` turns poses into the
@@ -110,7 +112,8 @@ def fk_batch(model: ArmModel, Q: np.ndarray):
     Q has shape (*batch, 7).  Returns (R, p): rotation matrices (8, 3, 3,
     *batch) and origins (8, 3, *batch) for the 7 joint frames plus the
     flanged end-effector frame, all in the world frame.  One configuration
-    (batch ``()``) gives the plain (8, 3, 3) and (8, 3) arrays.
+    (batch ``()``) gives the plain (8, 3, 3) and (8, 3) arrays.  A float32 Q
+    gives float32 frames; any other Q gives float64 frames.
 
     Each frame is carried as its three world-frame axes ``x, y, z``, arrays of
     shape (3, *batch), so a DH row is two plane rotations of axis pairs and
@@ -120,18 +123,19 @@ def fk_batch(model: ArmModel, Q: np.ndarray):
     sin q = 2 tau/(1 + tau^2).  A twist of exactly +-pi/2 is the exact axis
     swap y, z <- +-z, -+y; any other twist is a plane rotation.
     """
-    Q = np.asarray(Q, dtype=float)
+    Q = np.asarray(Q)
+    dtype = np.result_type(Q, np.float32)
     batch = Q.shape[:-1]
-    R = np.empty((8, 3, 3) + batch)
-    p = np.empty((8, 3) + batch)
+    R = np.empty((8, 3, 3) + batch, dtype)
+    p = np.empty((8, 3) + batch, dtype)
     tau = np.tan(np.multiply(np.moveaxis(Q, -1, 0), 0.5, order="C"))   # (7, *batch) planes
     scale = 1.0 / (1.0 + tau * tau)
     cos_q = (1.0 - tau * tau) * scale
     sin_q = 2.0 * tau * scale
     column = (3,) + (1,) * len(batch)
-    x, y, z = (np.broadcast_to(axis.reshape(column), (3,) + batch) for axis in np.eye(3))
-    pos = np.broadcast_to(np.asarray(model.base_position, dtype=float).reshape(column),
-                          (3,) + batch)
+    x, y, z = (np.broadcast_to(axis.reshape(column), (3,) + batch)
+               for axis in np.eye(3, dtype=dtype))
+    pos = np.broadcast_to(np.asarray(model.base_position, dtype).reshape(column), (3,) + batch)
     for i, (a, d, alpha) in enumerate(model.dh):
         # T = RotX(alpha) TransX(a) RotZ(theta) TransZ(d)
         if alpha == np.pi / 2:
@@ -139,7 +143,8 @@ def fk_batch(model: ArmModel, Q: np.ndarray):
         elif alpha == -np.pi / 2:
             y, z = -z, y
         elif alpha:
-            ca, sa = np.cos(alpha), np.sin(alpha)
+            # Python floats, which leave a float32 batch float32
+            ca, sa = float(np.cos(alpha)), float(np.sin(alpha))
             y, z = ca * y + sa * z, ca * z - sa * y
         if a:
             pos = pos + a * x
@@ -184,7 +189,7 @@ def linear_jacobian(frames) -> np.ndarray:
     R, p = frames
     z = R[:7, :, 2]        # (7, 3, *batch)
     e = p[7] - p[:7]       # (7, 3, *batch)
-    J = np.empty((3,) + z.shape[:1] + z.shape[2:])
+    J = np.empty((3,) + z.shape[:1] + z.shape[2:], z.dtype)
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
         np.subtract(z[:, i] * e[:, j], z[:, j] * e[:, i], out=J[k])
@@ -218,9 +223,9 @@ def collision_sphere_centers(model: ArmModel, frames, rows=range(16)) -> np.ndar
     """
     _, p = frames
     batch = p.shape[2:]
-    base = np.asarray(model.base_position, dtype=float).reshape((1, 3) + (1,) * len(batch))
+    base = np.asarray(model.base_position, p.dtype).reshape((1, 3) + (1,) * len(batch))
     rows = list(rows)
-    centers = np.empty((len(rows), 3) + batch)
+    centers = np.empty((len(rows), 3) + batch, p.dtype)
     i = 0
     while i < len(rows):
         first = rows[i] % 8
@@ -242,7 +247,7 @@ def collision_sphere_centers(model: ArmModel, frames, rows=range(16)) -> np.ndar
 def sphere_row_boxes(model: ArmModel, frames):
     """Lower and upper corners (2, 16, 3) of a box around each collision
     sphere row's centers over the whole batch, from the boxes of the frame
-    origins.
+    origins; float64 whatever the frames' dtype.
 
     The row at fraction k/3 of the segment from origin a to origin b gets
     ``((3 - k) lo_a + k lo_b) / 3`` to ``((3 - k) hi_a + k hi_b) / 3``, which
@@ -252,8 +257,8 @@ def sphere_row_boxes(model: ArmModel, frames):
     origins = p.reshape(8, 3, -1)
     ends = np.empty((2, 9, 3))     # lower and upper corners, base first
     ends[:, 0] = model.base_position
-    origins.min(axis=-1, out=ends[0, 1:])
-    origins.max(axis=-1, out=ends[1, 1:])
+    ends[0, 1:] = origins.min(axis=-1)
+    ends[1, 1:] = origins.max(axis=-1)
     a, b = ends[:, :-1], ends[:, 1:]
     return np.concatenate([(2.0 * a + b) / 3.0, (a + 2.0 * b) / 3.0], axis=1)
 
@@ -272,7 +277,7 @@ def separation_batch(model: ArmModel, centers: np.ndarray, starts: np.ndarray,
     centers: (rows, 3, N, H) robot sphere centers from ``collision_sphere_centers``.
     starts, ends: (H, P, 3) the two ends of each of P capsule axes per step;
     radii: (H, P).  A sphere is a capsule whose two ends coincide.  Returns
-    (N, H).
+    (N, H) in the dtype of the centers.
 
     Each coordinate of the centers is a (rows, N, H) plane, so each capsule is
     elementwise work against its per-step scalars, spread once into (N, H)
@@ -283,10 +288,10 @@ def separation_batch(model: ArmModel, centers: np.ndarray, starts: np.ndarray,
     before the minimum over capsules.
     """
     cx, cy, cz = centers.swapaxes(0, 1)   # (rows, N, H) each
-    rx, ry, rz, t, tmp = (np.empty(cx.shape) for _ in range(5))
-    planes = np.empty((7,) + cx.shape[1:])
+    rx, ry, rz, t, tmp = (np.empty(cx.shape, cx.dtype) for _ in range(5))
+    planes = np.empty((7,) + cx.shape[1:], cx.dtype)
     # step-major memory, so the caller's sum over steps adds in step order
-    dist = np.empty((starts.shape[1],) + cx.shape[:0:-1])   # (P, H, N)
+    dist = np.empty((starts.shape[1],) + cx.shape[:0:-1], cx.dtype)   # (P, H, N)
     for a, b, d in zip(starts.swapaxes(0, 1), ends.swapaxes(0, 1), dist):   # (H, 3), (H, N)
         ab = b - a
         planes[:3] = a.T[:, None]

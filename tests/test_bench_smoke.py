@@ -1,0 +1,25 @@
+"""Smoke test of the benchmark: one short run of each playback workload must
+pass the benchmark's own correctness checks, which recompute the logged
+kinematics, clearances and integration apart from the program."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["playback-stir", "playback-handover", "playback-tableset"])
+def test_bench_playback_workload_reports_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, "--seconds", "1"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300,
+        check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    assert result["correct"] is True, "\n".join(lines)
+    assert result["failed"] == 0

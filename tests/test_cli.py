@@ -99,7 +99,7 @@ def test_config_rejects_bad_values(tmp_path, capsys):
     for bad in ({"gen": {"n_interactions": 0}}, {"seed": -1}, {"counts": {"stir": "x"}},
                 {"mppi": {"dt": 0.05}}, {"train": {"momentum": 2.0}},
                 {"gen": {"fps": 1e300}, "mppi": {"dt": 1e-300}},
-                {"mppi": {"n_samples": 10**12}}):
+                {"mppi": {"n_samples": 10**12}}, {"train": {"batch_size": 10**9}}):
         path = write_config(tmp_path, dict(MINI, **bad))
         assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Tests for the planner cost terms: base arm quality, collision, per-task."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,6 +36,7 @@ from costcast.robot import (
     collision_sphere_centers,
     fk_batch,
     manipulability_batch,
+    rollout_arrays,
     separation_batch,
 )
 
@@ -186,10 +189,11 @@ def place_at_clearance(kind, pose, radii, centers, axis, side, clearance, near=A
 
 
 def full_row_collision(frames, fc):
-    """The collision sum over all 16 sphere rows, with no reach test."""
+    """The collision sum over all 16 sphere rows, with no reach test,
+    accumulated over steps in float64."""
     sep = separation_batch(MODEL, collision_sphere_centers(MODEL, frames),
                            *human_capsules(fc, frames[1].shape[-1]))
-    return np.sum(hinge(D_SAFE - sep) ** 2, axis=1)
+    return np.sum(hinge(D_SAFE - sep) ** 2, axis=1, dtype=float)
 
 
 def assert_same_bits(got, want):
@@ -205,20 +209,22 @@ BOUNDARY_OFFSETS = (-1e-3, -2e-6, -1e-6, -5e-7, -1e-15, -1e-16, 0.0, 1e-16, 1e-1
 @settings(max_examples=40, deadline=None)
 # at these draws rounding puts a clearance a few ulps under D_SAFE while its
 # boxes are D_SAFE + sphere radius apart: the cases the reach slack is for
-@example(kind="point", place="boundary", poison=False, n=1, h=1, seed=23)
-@example(kind="volume", place="boundary", poison=False, n=1, h=1, seed=14)
+@example(kind="point", place="boundary", poison=False, n=1, h=1, seed=23, dtype="float64")
+@example(kind="volume", place="boundary", poison=False, n=1, h=1, seed=14, dtype="float64")
 @given(kind=st.sampled_from(["point", "volume"]),
        place=st.sampled_from(["far", "overlap", "boundary", "one far"]), poison=st.booleans(),
-       n=st.integers(1, 6), h=st.integers(1, H), seed=st.integers(0, 2**32 - 1))
-def test_reach_test_keeps_the_collision_sum_bit_identical(kind, place, poison, n, h, seed):
+       n=st.integers(1, 6), h=st.integers(1, H), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from(["float64", "float32"]))
+def test_reach_test_keeps_the_collision_sum_bit_identical(kind, place, poison, n, h, seed, dtype):
     # dropping the sphere rows and human parts out of reach leaves every sum
     # bit for bit the full sum: with the human far away, overlapping the arm,
     # or with one sphere at clearance D_SAFE + offset on either side of the
     # arm along each axis, where the reach test decides.  "one far" moves one
     # arm (or one volume sphere) away first, so the test on the parts decides
     # which bones (or spheres) the kernel sees.  A NaN gives the same NaN sums.
+    # Float32 plans, whose clearances round at about 1e-7 m, keep this too.
     rng = np.random.default_rng(seed)
-    Q = rng.uniform(MODEL.lo, MODEL.hi, size=(n, h, N_DOF))
+    Q = rng.uniform(MODEL.lo, MODEL.hi, size=(n, h, N_DOF)).astype(dtype)
     frames = fk_batch(MODEL, Q)
     humans = BASE_POSE[None] + rng.normal(0, 0.03, size=(H, 7, 3))
     radii = rng.uniform(0.02, 0.2, size=(H, len(ARM_JOINTS)))
@@ -592,6 +598,54 @@ def test_batch_last_kinematics_match_single_configurations(task, n, h, seed):
     costs = total_cost_batch(MODEL, Q, Qd, fc, spec, w)
     alone = [total_cost_batch(MODEL, Q[i:i + 1], Qd[i:i + 1], fc, spec, w)[0] for i in range(n)]
     np.testing.assert_allclose(costs, alone, rtol=1e-12, atol=0)
+
+
+def sampled_plans(rng, n=64):
+    """n noisy velocity plans rolled out from mid-range, as the planner samples
+    them: (Q, Qd), each (n, H, 7) float64."""
+    controls = rng.normal(0.0, 0.3, size=(n, H, N_DOF)) + rng.normal(0.0, 0.5, size=N_DOF)
+    return rollout_arrays(MODEL, MODEL.mid(), controls, 0.04)
+
+
+def near_forecast(kind, rng):
+    """A human whose right wrist reaches into the arm, as a point forecast or
+    as the conservative safety volume of the same context."""
+    offset = np.array([0.70, 0.05, 0.35]) + rng.normal(0.0, 0.05, size=3)
+    if kind == "volume":
+        return forecast_worst(near_context(offset))
+    return Trajectory(BASE_POSE[None] + offset + rng.normal(0, 0.02, size=(H, 7, 3)))
+
+
+@pytest.mark.parametrize("kind", ["point", "volume"])
+@pytest.mark.parametrize("task", sorted(PROPERTY_SPECS))
+def test_float32_plans_cost_within_1e_4_relative_of_float64(task, kind, rng):
+    # scoring float32 copies of sampled plans returns float64 costs within
+    # 1e-4 relative of the float64 call, with the collision term in play; a
+    # handover has no wrist in a safety volume at either dtype
+    Q, Qd = sampled_plans(rng)
+    fc, spec, w = near_forecast(kind, rng), PROPERTY_SPECS[task], CostWeights()
+    plans = {dtype: (Q.astype(dtype), Qd.astype(dtype)) for dtype in (np.float32, np.float64)}
+    if task == "handover" and kind == "volume":
+        for plan in plans.values():
+            with pytest.raises(MotionError, match="point forecast"):
+                total_cost_batch(MODEL, *plan, fc, spec, w)
+        return
+    assert (collision_terms_batch(MODEL, fk_batch(MODEL, Q), fc) > 0).any()
+    got = total_cost_batch(MODEL, *plans[np.float32], fc, spec, w)
+    want = total_cost_batch(MODEL, *plans[np.float64], fc, spec, w)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, want, rtol=1e-4, atol=0)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CostWeights)])
+def test_weights_at_1e300_give_finite_costs_on_float32_plans(field, rng):
+    # every weight multiplies a sum accumulated in float64, so a weight far
+    # beyond float32's range gives the finite costs it gives float64 plans
+    Q, Qd = (a.astype(np.float32) for a in sampled_plans(rng))
+    w = CostWeights(**{field: 1e300})
+    for task, spec in PROPERTY_SPECS.items():
+        costs = total_cost_batch(MODEL, Q, Qd, near_forecast("point", rng), spec, w)
+        assert np.isfinite(costs).all(), task
 
 
 def test_wrist_pot_distance_picks_nearest_wrist():

@@ -10,6 +10,7 @@ from costcast.forecast import (
     ANNOTATED,
     COST_PERCENTILE,
     ForecastModel,
+    MAX_BATCH_SIZE,
     PRESETS,
     SafetyVolume,
     TrainConfig,
@@ -408,11 +409,12 @@ def test_preset_table_and_config():
         preset_config("bogus")
     with pytest.raises(MotionError):
         TrainConfig(wrist_weight=0.5)
-    for bad in ({"batch_size": 0}, {"batch_size": -3}, {"epochs": -1}, {"momentum": 1.0},
-                {"momentum": -0.1}, {"learning_rate": float("nan")},
-                {"learning_rate": float("inf")}):
+    for bad in ({"batch_size": 0}, {"batch_size": -3}, {"batch_size": MAX_BATCH_SIZE + 1},
+                {"epochs": -1}, {"momentum": 1.0}, {"momentum": -0.1},
+                {"learning_rate": float("nan")}, {"learning_rate": float("inf")}):
         with pytest.raises(MotionError):
             TrainConfig(**bad)
+    assert TrainConfig(batch_size=MAX_BATCH_SIZE).batch_size == MAX_BATCH_SIZE
 
 
 def test_checkpoint_round_trip(tmp_path, rng):

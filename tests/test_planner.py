@@ -152,6 +152,29 @@ def test_planner_reaches_goal_within_100_replans():
     assert reached is not None and reached <= 100
 
 
+@pytest.mark.parametrize("non_finite", [[np.nan], [np.nan, np.inf, -np.inf]])
+def test_plan_step_keeps_the_least_finite_cost(non_finite):
+    # NaN at index 0 (then also +-inf at 1 and 2, leaving one finite cost):
+    # the best sample is the one of least finite cost, as mppi_weights
+    # ranks them, in every iteration
+    seen = []
+
+    def cost_fn(Q, Qd):
+        costs = np.abs(Qd).sum(axis=(1, 2))
+        costs[:len(non_finite)] = non_finite
+        seen.append((costs, Qd[:, 0].copy()))
+        return costs
+
+    cfg = MppiConfig(n_samples=4, n_iterations=2)
+    arm = ArmState(q=MODEL.mid(), qd=np.zeros(N_DOF))
+    cmd, best_cost = plan_step(PlannerState.init(cfg), arm, None, None, None, cfg, model=MODEL,
+                               cost_fn=cost_fn)
+    costs, first_controls = map(np.concatenate, zip(*seen))
+    best = np.flatnonzero(np.isfinite(costs))[np.argmin(costs[np.isfinite(costs)])]
+    assert best_cost == costs[best]
+    np.testing.assert_array_equal(cmd, first_controls[best])
+
+
 def test_planner_is_seeded_deterministic():
     _, a = run_to_goal(seed=3, goal=np.array([0.6, 0.2, 0.9]), max_replans=10)
     _, b = run_to_goal(seed=3, goal=np.array([0.6, 0.2, 0.9]), max_replans=10)

@@ -286,6 +286,28 @@ def test_collision_sphere_centers_builds_any_rows_bit_for_bit(rows, shape, seed)
     assert (flat >= lo[..., None] - 1e-12).all() and (flat <= hi[..., None] + 1e-12).all()
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), h=st.integers(1, 5), arm=st.sampled_from(["default", "skewed", "coaxial"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernels_follow_a_float32_input(n, h, arm, seed):
+    # float32 configurations give float32 frames, Jacobian, sphere centers
+    # and clearances, within 1e-6 m of the float64 kernels on the same values
+    model = {"default": MODEL, "skewed": SKEWED, "coaxial": COAXIAL}[arm]
+    rng = np.random.default_rng(seed)
+    Q = rng.uniform(model.lo, model.hi, size=(n, h, N_DOF)).astype(np.float32)
+    humans = np.stack([random_pose_array(rng, 0.05) for _ in range(h)])
+    humans += np.array([0.7, 0.05, 0.35]) + rng.normal(0.0, 0.15, size=(h, 1, 3))
+    results = {}
+    for dtype in (np.float32, np.float64):
+        frames = fk_batch(model, Q.astype(dtype))
+        centers = collision_sphere_centers(model, frames)
+        results[dtype] = (*frames, linear_jacobian(frames), centers,
+                          separation_batch(model, centers, *arm_capsules(humans)))
+    for got, want in zip(results[np.float32], results[np.float64]):
+        assert got.dtype == np.float32 and want.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
 # --- integration ----------------------------------------------------------
 
 def test_step_zero_command_is_identity():
