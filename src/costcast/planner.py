@@ -47,6 +47,7 @@ DEFAULT_TABLE_GOAL = (0.62, 0.25, 0.98)
 IK_DAMPING = 0.05    # damped-least-squares lambda
 IK_STEP_CLIP = 0.2   # rad, per joint per IK iteration
 MAX_SAMPLES = 10000  # far above the samples of sampling MPC; bounds each iteration's arrays
+MAX_NOISE_SIGMA = 1e6  # rad/s, far above any velocity limit; keeps every draw and mean finite
 # Sampled plans are scored in this dtype, which halves the bytes each scoring
 # kernel moves.  Their costs only rank the samples and set the softmax
 # weights, and float32 kinematics move a cost by about 1e-5 relative.
@@ -77,6 +78,8 @@ class MppiConfig:
             raise MotionError("dt must be positive")
         if self.temperature <= 0 or self.noise_sigma <= 0:
             raise MotionError("temperature and noise_sigma must be positive")
+        if self.noise_sigma > MAX_NOISE_SIGMA:
+            raise MotionError(f"noise_sigma must be at most {MAX_NOISE_SIGMA:g}")
 
 
 @dataclass
@@ -103,7 +106,12 @@ def rollout(model: ArmModel, state: ArmState, controls: np.ndarray, dt: float):
 
 
 def mppi_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
-    """Softmax weights over sampled plan costs (lower cost, higher weight)."""
+    """Softmax weights over sampled plan costs (lower cost, higher weight).
+
+    Where a cost gap over the temperature overflows, its log-weight is the
+    limit -inf, so at a vanishing temperature all the weight goes to the
+    least finite cost, shared equally between ties.
+    """
     costs = np.asarray(costs, dtype=float)
     if costs.size < 2:
         raise MotionError("need at least 2 costs")
@@ -111,7 +119,8 @@ def mppi_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
     if not finite.any():
         raise MotionError("all sampled plans have infinite cost")
     cmin = costs[finite].min()
-    logw = np.where(finite, -(costs - cmin) / temperature, -np.inf)
+    with np.errstate(over="ignore"):
+        logw = np.where(finite, -(costs - cmin) / temperature, -np.inf)
     w = np.exp(logw)
     return w / w.sum()
 
@@ -197,6 +206,9 @@ def plan_step(planner_state: PlannerState, arm_state: ArmState, forecast: Foreca
     sample's cost.  The rollouts are integrated in float64 and cast to
     ``SCORE_DTYPE`` for the total cost, so ``best_cost`` is the best sample's
     float32-scored cost; a custom ``cost_fn`` gets the float64 rollouts.
+    Those are the (N, H, 7) views that ``rollout_arrays`` returns, of
+    step-major (H, 7, N) memory with the sample axis innermost, not
+    C-ordered arrays.
     """
     mean = planner_state.mean_controls
     best_cost = np.inf

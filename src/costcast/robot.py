@@ -18,6 +18,14 @@ clearance kernel against them: ``arm_capsules`` turns poses into the
 ``ARM_BONES`` capsules, and a safety-volume sphere is a capsule whose two
 ends coincide.  ``rollout_arrays`` is the one clamped integrator; ``step`` is
 its single-step call.
+
+Sampled plans live in step-major, joint-planar (H, 7, N) memory:
+``rollout_arrays`` integrates there and returns (N, H, 7) views of it, with
+the sample axis innermost.  NumPy keeps an input's memory order (K-order) in
+elementwise results and casts, so every consumer of the plans, from the
+float32 casts of the planner to the cost terms, broadcasts its per-joint
+constants (limits, mid-range, rest pose, stir reference) along the N samples
+rather than along the 7 joints.
 """
 
 from __future__ import annotations
@@ -329,19 +337,30 @@ def rollout_arrays(model: ArmModel, q0: np.ndarray, controls: np.ndarray, dt: fl
     position is integrated (U) and then clamped to the joint limits (Q), and
     a joint's velocity is zeroed wherever its integrated position left the
     limits.
+
+    The work runs in step-major, joint-planar (H, 7, N) memory: each step is
+    an add, a maximum and a minimum on one contiguous (7, N) slab, against
+    the limits spread once into (7, N) slabs, so every per-joint constant
+    broadcasts along the N samples.  Q and Qd are (N, H, 7) views of that
+    memory, with the sample axis innermost; elementwise work on them keeps
+    that layout.
     """
     controls = np.asarray(controls, dtype=float)
-    lo, hi, vel = model.lo, model.hi, model.vel
-    Qd = np.clip(controls, -vel, vel)
+    n, h, _ = controls.shape
+    vel = model.vel[:, None]
+    Qd = np.empty((h, N_DOF, n))
+    np.clip(controls.transpose(1, 2, 0), -vel, vel, out=Qd)
     delta = Qd * dt
     U = np.empty_like(Qd)
     Q = np.empty_like(Qd)
-    q = np.asarray(q0, dtype=float)
-    for t in range(Qd.shape[1]):
-        np.add(q, delta[:, t], out=U[:, t])
-        q = np.minimum(np.maximum(U[:, t], lo, out=Q[:, t]), hi, out=Q[:, t])
-    Qd[(U < lo) | (U > hi)] = 0.0
-    return Q, Qd
+    # the limits as whole (7, N) slabs: one contiguous inner loop per ufunc
+    lo_n, hi_n = (np.repeat(c[:, None], n, axis=1) for c in (model.lo, model.hi))
+    q = np.asarray(q0, dtype=float)[:, None]
+    for d, u, q_t in zip(delta, U, Q):
+        np.add(q, d, out=u)
+        q = np.minimum(np.maximum(u, lo_n, out=q_t), hi_n, out=q_t)
+    np.putmask(Qd, (U < lo_n) | (U > hi_n), 0.0)
+    return Q.transpose(2, 0, 1), Qd.transpose(2, 0, 1)
 
 
 def step(model: ArmModel, state: ArmState, qd_cmd: np.ndarray, dt: float) -> ArmState:

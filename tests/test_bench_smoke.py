@@ -1,6 +1,7 @@
-"""Smoke test of the benchmark: one short run of each playback workload must
-pass the benchmark's own correctness checks, which recompute the logged
-kinematics, clearances and integration apart from the program."""
+"""Smoke test of the benchmark: one short run of each workload must pass the
+benchmark's own correctness checks, which recompute the logged kinematics,
+clearances and integration of playback, and the training loss and forecast
+report of train-eval, apart from the program."""
 
 import json
 import subprocess
@@ -12,8 +13,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["playback-stir", "playback-handover", "playback-tableset"])
-def test_bench_playback_workload_reports_correct(workload):
+@pytest.mark.parametrize("workload", ["playback-stir", "playback-handover", "playback-tableset",
+                                      "train-eval"])
+def test_bench_workload_reports_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, "--seconds", "1"],
         cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300,

@@ -84,7 +84,7 @@ def test_config_rejects_bad_values(tmp_path, capsys):
                          ("gen", {"episode_len_s": float("nan")}),
                          ("gen", {"n_interactions": 1.5}), ("gen", {"jitter_sigma": True}),
                          ("train", {"epochs": 1.5}), ("train", {"batch_size": 2.5}),
-                         ("mppi", {"temperature": "hot"}),
+                         ("mppi", {"temperature": "hot"}), ("mppi", {"noise_sigma": 1e308}),
                          ("weights", {"alpha_c": float("nan")}),
                          ("weights", {"beta": float("inf")}), ("weights", {"beta": 10**400}),
                          ("weights", {"eps_pot": 0.0}), ("weights", {"eps_pot": -1}),

@@ -637,6 +637,25 @@ def test_float32_plans_cost_within_1e_4_relative_of_float64(task, kind, rng):
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(task=st.sampled_from(sorted(PROPERTY_SPECS)), kind=st.sampled_from(["point", "volume"]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_sample_innermost_plans_cost_what_contiguous_copies_cost(task, kind, dtype, seed):
+    # the rollout's sample-innermost views and C-ordered copies of the same
+    # plans differ only in how the sums over steps and joints round
+    rng = np.random.default_rng(seed)
+    views = [a.astype(dtype) for a in sampled_plans(rng)]
+    copies = [np.ascontiguousarray(a) for a in views]
+    fc, spec, w = near_forecast(kind, rng), PROPERTY_SPECS[task], CostWeights()
+    if task == "handover" and kind == "volume":
+        for plan in (views, copies):
+            with pytest.raises(MotionError, match="point forecast"):
+                total_cost_batch(MODEL, *plan, fc, spec, w)
+        return
+    np.testing.assert_allclose(total_cost_batch(MODEL, *views, fc, spec, w),
+                               total_cost_batch(MODEL, *copies, fc, spec, w), rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CostWeights)])
 def test_weights_at_1e300_give_finite_costs_on_float32_plans(field, rng):
     # every weight multiplies a sum accumulated in float64, so a weight far

@@ -10,6 +10,7 @@ from costcast.datagen import GenConfig, gen_stirring
 from costcast.motion import Episode, HISTORY_LEN, HORIZON_LEN, MotionError, Trajectory
 from costcast.planner import (
     DEFAULT_RETRACT_POINT,
+    MAX_NOISE_SIGMA,
     MppiConfig,
     PlannerState,
     STIR_HEIGHT,
@@ -65,6 +66,37 @@ def test_weights_handle_infinite_costs():
         mppi_weights(np.array([1.0]), 1.0)
 
 
+@pytest.mark.parametrize("temperature", [1e-310, 5e-324])
+def test_weights_at_a_vanishing_temperature_go_to_the_least_finite_cost(temperature):
+    # each gap over the temperature overflows to the limit -inf without a
+    # warning (warnings are errors here): one-hot on the least finite cost,
+    # shared equally between ties
+    costs = np.array([3.0, np.inf, 1.0, 2.0, np.nan, 1e308])
+    np.testing.assert_array_equal(mppi_weights(costs, temperature), [0, 0, 1, 0, 0, 0])
+    np.testing.assert_array_equal(mppi_weights(np.array([-1e308, 2.0, -1e308]), temperature),
+                                  [0.5, 0.0, 0.5])
+
+
+def test_plan_step_at_a_vanishing_temperature_keeps_the_best_sample():
+    seen = []
+
+    def cost_fn(Q, Qd):
+        costs = np.abs(Qd).sum(axis=(1, 2))
+        seen.append(costs)
+        return costs
+
+    cfg = MppiConfig(n_samples=4, n_iterations=1, temperature=1e-310)
+    ps = PlannerState.init(cfg)
+    samples = ps.mean_controls + np.random.default_rng(cfg.seed).normal(
+        0.0, cfg.noise_sigma, size=(cfg.n_samples, cfg.horizon, N_DOF))
+    arm = ArmState(q=MODEL.mid(), qd=np.zeros(N_DOF))
+    cmd, _ = plan_step(ps, arm, None, None, None, cfg, model=MODEL, cost_fn=cost_fn)
+    best = samples[int(np.argmin(seen[0]))]
+    np.testing.assert_array_equal(cmd, best[0])
+    # the stored mean is the best sample itself, shifted by one step
+    np.testing.assert_array_equal(ps.mean_controls, np.vstack([best[1:], best[-1:]]))
+
+
 def test_update_with_equal_costs_returns_sample_mean(rng):
     samples = rng.normal(size=(6, 4, N_DOF))
     out = mppi_update(np.zeros(6), samples, temperature=0.7)
@@ -78,6 +110,10 @@ def test_config_validation():
         MppiConfig(temperature=0.0)
     with pytest.raises(MotionError):
         MppiConfig(noise_sigma=-1.0)
+    # a larger sigma would overflow the sampled controls to +-inf
+    with pytest.raises(MotionError, match="noise_sigma must be at most"):
+        MppiConfig(noise_sigma=1e308)
+    assert MppiConfig(noise_sigma=MAX_NOISE_SIGMA).noise_sigma == MAX_NOISE_SIGMA
     for bad in (dict(n_iterations=0), dict(horizon=0), dict(horizon=26), dict(dt=0.0),
                 dict(dt=-0.04)):
         with pytest.raises(MotionError):

@@ -380,6 +380,15 @@ def test_rollout_arrays_clamps_at_both_limits():
     assert (Qd[at_lo & (controls < 0)] == 0.0).all()
 
 
+def test_rollout_arrays_returns_sample_innermost_views(rng):
+    # Q and Qd are (N, H, 7) views of step-major, joint-planar (H, 7, N)
+    # memory, and a dtype cast keeps that layout
+    Q, Qd = rollout_arrays(MODEL, random_q(rng), rng.normal(0.0, 1.5, size=(5, 4, N_DOF)), 0.04)
+    for A in (Q, Qd, Q.astype(np.float32), Qd.astype(np.float32)):
+        assert A.shape == (5, 4, N_DOF)
+        assert A.transpose(1, 2, 0).flags.c_contiguous
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 4), h=st.integers(1, 12), dt=st.sampled_from([0.01, 0.04, 0.1]),
        seed=st.integers(0, 2**32 - 1))
