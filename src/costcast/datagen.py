@@ -86,13 +86,21 @@ class GenConfig:
         return 2 * self.reach_duration_s + self.hold_duration_s
 
 
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Euclidean lengths over the last axis: one row-by-column product per
+    vector, the BLAS dot product that ``np.linalg.norm`` takes of one vector."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def _check_reach(wrist: np.ndarray, name: str) -> tuple:
-    """The shoulder-to-wrist vector and its length, for a right-wrist point
-    the arm can reach."""
+    """The shoulder-to-wrist vectors (..., 3) and their lengths (...), for
+    right-wrist points (..., 3) the arm can reach; the error names the first
+    distance out of reach."""
     d = wrist - RIGHT_SHOULDER
-    r = np.linalg.norm(d)
-    if r >= ARM_REACH - 1e-6:
-        raise MotionError(f"{name} at {r:.3f} m from the right shoulder exceeds "
+    r = _lengths(d)
+    far = r >= ARM_REACH - 1e-6
+    if far.any():
+        raise MotionError(f"{name} at {r[far][0]:.3f} m from the right shoulder exceeds "
                           f"arm reach {ARM_REACH:.3f} m")
     return d, r
 
@@ -110,34 +118,33 @@ def min_jerk(p0, p1, n_steps: int) -> np.ndarray:
     return p0 + s[:, None] * (p1 - p0)
 
 
-def _elbow_from_wrist(wrist: np.ndarray) -> np.ndarray:
-    """Two-link elbow position for a right-arm wrist target.
-
-    The elbow sits on the circle of valid two-link solutions, picked on the
-    downward side of the shoulder-wrist axis.
-    """
-    d, r = _check_reach(wrist, "wrist target")
-    u = d / max(r, 1e-9)
-    down = np.array([0.0, 0.0, -1.0])
-    perp = down - np.dot(down, u) * u
-    if np.linalg.norm(perp) < 1e-6:
-        perp = np.array([-1.0, 0.0, 0.0]) - np.dot([-1.0, 0.0, 0.0], u) * u
-    perp = perp / np.linalg.norm(perp)
-    bulge = np.sqrt(max(ARM_BONE_LEN**2 - (r / 2) ** 2, 0.0))
-    return RIGHT_SHOULDER + 0.5 * d + bulge * perp
-
-
 def _frames_from_wrist_path(wrist_path: np.ndarray) -> np.ndarray:
-    n = wrist_path.shape[0]
-    frames = np.empty((n, N_JOINTS, 3))
+    """Skeleton frames (n, J, 3) for a right-wrist path (n, 3), the other
+    joints held at the static layout.
+
+    Each elbow is the two-link solution on the downward side of its
+    shoulder-wrist axis (or toward -x where that axis is vertical), solved
+    for the whole path at once.
+    """
+    d, r = _check_reach(wrist_path, "wrist target")
+    u = d / np.maximum(r, 1e-9)[:, None]
+    # down - (down . u) u, and the -x fallback alike; each dot is minus one coordinate
+    perp = np.array([0.0, 0.0, -1.0]) + u[:, 2:] * u
+    side = np.array([-1.0, 0.0, 0.0]) + u[:, :1] * u
+    norm = _lengths(perp)
+    vertical = norm < 1e-6
+    perp[vertical] = side[vertical]
+    norm[vertical] = _lengths(side[vertical])
+    # float_power takes pow() of each element, as the scalar ``** 2`` did
+    bulge = np.sqrt(np.maximum(ARM_BONE_LEN**2 - np.float_power(r / 2, 2), 0.0))
+    frames = np.empty((len(wrist_path), N_JOINTS, 3))
     frames[:, 0] = LEFT_WRIST
     frames[:, 1] = wrist_path
     frames[:, 2] = LEFT_ELBOW
+    frames[:, 3] = RIGHT_SHOULDER + 0.5 * d + bulge[:, None] * (perp / norm[:, None])
     frames[:, 4] = LEFT_SHOULDER
     frames[:, 5] = RIGHT_SHOULDER
     frames[:, 6] = UPPER_BACK
-    for i in range(n):
-        frames[i, 3] = _elbow_from_wrist(wrist_path[i])
     return frames
 
 

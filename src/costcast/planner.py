@@ -46,6 +46,7 @@ DEFAULT_RETRACT_POINT = (0.80, 0.0, 0.90)
 DEFAULT_TABLE_GOAL = (0.62, 0.25, 0.98)
 IK_DAMPING = 0.05    # damped-least-squares lambda
 IK_STEP_CLIP = 0.2   # rad, per joint per IK iteration
+IK_TOLERANCE = 1e-5  # m; an IK row this close to its target stops updating
 MAX_SAMPLES = 10000  # far above the samples of sampling MPC; bounds each iteration's arrays
 MAX_NOISE_SIGMA = 1e6  # rad/s, far above any velocity limit; keeps every draw and mean finite
 # Sampled plans are scored in this dtype, which halves the bytes each scoring
@@ -133,36 +134,60 @@ def mppi_update(costs: np.ndarray, samples: np.ndarray, temperature: float) -> n
 
 def ik_position(model: ArmModel, q0: np.ndarray, target: np.ndarray,
                 iters: int = 200) -> np.ndarray:
-    """Damped-least-squares position IK from q0 to a Cartesian target."""
-    q = np.asarray(q0, dtype=float).copy()
+    """Damped-least-squares position IK from q0 to Cartesian targets, as one batch.
+
+    ``q0`` (7,) or (*b, 7) broadcasts against ``target`` (3,) or (*b, 3); the
+    result has the broadcast batch shape plus (7,), so one configuration and
+    one target give a (7,) configuration.  Each iteration runs one
+    ``fk_batch``, one ``linear_jacobian`` and one stacked 3x3 solve over the
+    rows still ``IK_TOLERANCE`` or farther from their targets.  A row within
+    it stops updating, and the loop ends once every row has stopped or after
+    ``iters`` iterations.  A joint at a limit whose descent direction J^T err
+    points out of that limit has its Jacobian column dropped for the solve,
+    so the step goes to the joints that can move.  Each step is clipped to
+    ``IK_STEP_CLIP`` per joint and the result to the joint limits.  Rows do
+    not interact: a row of a batched call is its one-row call up to rounding.
+    """
+    q0 = np.asarray(q0, dtype=float)
     target = np.asarray(target, dtype=float)
+    batch = np.broadcast_shapes(q0.shape[:-1], target.shape[:-1])
+    q = np.array(np.broadcast_to(q0, batch + (N_DOF,))).reshape(-1, N_DOF)
+    target = np.broadcast_to(target, batch + (3,)).reshape(-1, 3)
+    lo, hi = model.lo, model.hi
+    damping = IK_DAMPING**2 * np.eye(3)
+    live = np.arange(len(q))
     for _ in range(iters):
-        frames = fk_batch(model, q)
-        err = target - frames[1][7]  # end-effector origin
-        if np.linalg.norm(err) < 1e-5:
+        frames = fk_batch(model, q[live])
+        err = target[live] - frames[1][7].T    # end-effector origins, (m, 3)
+        moving = np.linalg.norm(err, axis=-1) >= IK_TOLERANCE
+        if not moving.any():
             break
-        Jl = linear_jacobian(frames)
-        JJt = Jl @ Jl.T + IK_DAMPING**2 * np.eye(3)
-        dq = Jl.T @ np.linalg.solve(JJt, err)
-        q = q + np.clip(dq, -IK_STEP_CLIP, IK_STEP_CLIP)
-        q = np.clip(q, model.lo, model.hi)
-    return q
+        live, err, ql = live[moving], err[moving], q[live[moving]]
+        J = linear_jacobian(frames)[..., moving].transpose(2, 0, 1)   # (m, 3, 7)
+        descent = np.einsum("mkj,mk->mj", J, err)
+        pinned = ((ql <= lo) & (descent < 0)) | ((ql >= hi) & (descent > 0))
+        J = np.where(pinned[:, None], 0.0, J)
+        y = np.linalg.solve(J @ J.transpose(0, 2, 1) + damping, err[..., None])
+        dq = (J.transpose(0, 2, 1) @ y)[..., 0]
+        q[live] = np.clip(ql + np.clip(dq, -IK_STEP_CLIP, IK_STEP_CLIP), lo, hi)
+    return q.reshape(batch + (N_DOF,))
 
 
 def stir_reference(model: ArmModel, pot_position: np.ndarray, dt: float,
                    q_seed: np.ndarray) -> np.ndarray:
-    """Joint-space reference tracking a circle above the pot, one full period."""
+    """Joint-space reference tracking a circle above the pot, one full period.
+
+    Row i reaches the circle point at angle 2 pi i / n, n = STIR_PERIOD_S / dt.
+    The first point is solved from ``q_seed``; then all n points are solved
+    in one ``ik_position`` call seeded from that solution, so neighbouring
+    rows, the last and the first included, lie on one branch of solutions.
+    """
     pot = np.asarray(pot_position, dtype=float)
     center = pot + np.array([0.0, 0.0, STIR_HEIGHT])
     n = int(round(STIR_PERIOD_S / dt))
-    q = ik_position(model, q_seed, center + np.array([STIR_RADIUS, 0.0, 0.0]))
-    ref = np.empty((n, N_DOF))
-    for i in range(n):
-        ang = 2 * np.pi * i / n
-        target = center + STIR_RADIUS * np.array([np.cos(ang), np.sin(ang), 0.0])
-        q = ik_position(model, q, target, iters=50)
-        ref[i] = q
-    return ref
+    ang = 2 * np.pi * np.arange(n) / n
+    targets = center + STIR_RADIUS * np.stack([np.cos(ang), np.sin(ang), np.zeros(n)], axis=-1)
+    return ik_position(model, ik_position(model, q_seed, targets[0]), targets)
 
 
 def rest_configuration(model: ArmModel) -> np.ndarray:

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 from costcast.datagen import (
+    ARM_BONE_LEN,
+    ARM_REACH,
     GENERATORS,
     GenConfig,
     HANDOVER_BOX,
+    RIGHT_SHOULDER,
     ScheduleError,
     TABLE_BOX,
     TABLE_Z,
+    _frames_from_wrist_path,
     gen_handover,
     gen_stirring,
     gen_tableset,
     min_jerk,
     split_dataset,
 )
-from costcast.motion import ARM_BONES, episode_to_dict
+from costcast.motion import ARM_BONES, MotionError, episode_to_dict
 
 SMALL = dict(episode_len_s=16.0, n_interactions=2)
 
@@ -110,6 +114,36 @@ def test_all_tasks_satisfy_bone_invariants():
         ep = gen(GenConfig(seed=8, **SMALL))
         lengths = np.linalg.norm(ep.frames[:, bones[:, 0]] - ep.frames[:, bones[:, 1]], axis=-1)
         assert ((lengths > 0.15) & (lengths < 0.45)).all(), task
+
+
+def scalar_elbow(wrist):
+    """Per-frame two-link elbow, written one point at a time: on the downward
+    side of the shoulder-wrist axis, or toward -x where that axis is vertical."""
+    d = wrist - RIGHT_SHOULDER
+    r = np.linalg.norm(d)
+    u = d / max(r, 1e-9)
+    down = np.array([0.0, 0.0, -1.0])
+    perp = down - np.dot(down, u) * u
+    if np.linalg.norm(perp) < 1e-6:
+        perp = np.array([-1.0, 0.0, 0.0]) - np.dot([-1.0, 0.0, 0.0], u) * u
+    perp = perp / np.linalg.norm(perp)
+    bulge = np.sqrt(max(ARM_BONE_LEN**2 - (r / 2) ** 2, 0.0))
+    return RIGHT_SHOULDER + 0.5 * d + bulge * perp
+
+
+def test_path_elbows_are_the_per_frame_solutions(rng):
+    # the same arithmetic in the same order, so the frames are equal bit for bit
+    dirs = rng.normal(size=(300, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    path = RIGHT_SHOULDER + dirs * rng.uniform(0.0, ARM_REACH - 2e-6, size=(300, 1))
+    path[:3] = RIGHT_SHOULDER + np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.3], [0.0, 0.0, 0.0]])
+    frames = _frames_from_wrist_path(path)
+    np.testing.assert_array_equal(frames[:, 3], [scalar_elbow(w) for w in path])
+    np.testing.assert_array_equal(frames[:, 1], path)
+    far = path.copy()
+    far[7] = RIGHT_SHOULDER + [0.0, ARM_REACH, 0.0]
+    with pytest.raises(MotionError, match=f"wrist target at {ARM_REACH:.3f} m"):
+        _frames_from_wrist_path(far)
 
 
 def test_wrist_stays_near_rest_outside_transitions():

@@ -3,13 +3,16 @@ specs, and the receding-horizon loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import BASE_POSE
+from conftest import BASE_POSE, fk_oracle
+from costcast import planner
 from costcast.cost import CostWeights, TaskSpec
 from costcast.datagen import GenConfig, gen_stirring
 from costcast.motion import Episode, HISTORY_LEN, HORIZON_LEN, MotionError, Trajectory
 from costcast.planner import (
     DEFAULT_RETRACT_POINT,
+    IK_TOLERANCE,
     MAX_NOISE_SIGMA,
     MppiConfig,
     PlannerState,
@@ -130,9 +133,66 @@ def test_ik_reaches_reachable_target():
     assert (q >= MODEL.lo).all() and (q <= MODEL.hi).all()
 
 
+def within_limits(q):
+    return bool(((q >= MODEL.lo) & (q <= MODEL.hi)).all())
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 6), shared_seed=st.booleans())
+def test_batched_ik_rows_are_their_one_row_calls(seed, b, shared_seed):
+    rng = np.random.default_rng(seed)
+    # targets that some configuration within the limits reaches
+    targets = fk_batch(MODEL, rng.uniform(MODEL.lo, MODEL.hi, size=(b, N_DOF)))[1][7].T
+    q0 = (MODEL.mid() if shared_seed
+          else rng.uniform(MODEL.lo, MODEL.hi, size=(b, N_DOF)))
+    q = ik_position(MODEL, q0, targets)
+    assert q.shape == (b, N_DOF)
+    assert within_limits(q)
+    for i in range(b):
+        row = ik_position(MODEL, q0 if shared_seed else q0[i], targets[i])
+        np.testing.assert_allclose(q[i], row, rtol=0, atol=1e-12)
+    # one target broadcasts against a batch of seeds, too
+    np.testing.assert_array_equal(
+        ik_position(MODEL, np.broadcast_to(MODEL.mid(), (2, N_DOF)), targets[0]),
+        np.broadcast_to(ik_position(MODEL, MODEL.mid(), targets[0]), (2, N_DOF)))
+
+
+def test_ik_stops_once_every_row_converges_or_after_iters(monkeypatch):
+    calls = []
+
+    def counted_fk(model, Q):
+        calls.append(np.shape(Q)[0])
+        return fk_batch(model, Q)
+
+    monkeypatch.setattr(planner, "fk_batch", counted_fk)
+    base = np.asarray(MODEL.base_position)
+    far = base + np.array([[3.0, 0.0, 0.0], [0.0, -2.0, 2.0]])    # out of reach
+    q = ik_position(MODEL, MODEL.mid(), far, iters=30)
+    assert calls == [2] * 30
+    assert within_limits(q)
+    # a reachable row drops out of the batch once it converges, and the
+    # loop ends with the last row
+    calls.clear()
+    q = ik_position(MODEL, MODEL.mid(), np.vstack([far[:1], DEFAULT_RETRACT_POINT]), iters=60)
+    assert calls[0] == 2 and calls[-1] == 1 and len(calls) == 60
+    calls.clear()
+    ik_position(MODEL, MODEL.mid(), DEFAULT_RETRACT_POINT)
+    assert len(calls) < 200
+
+
 def test_rest_configuration_hits_retract_point():
+    # joint 4 ends at its limit; a step that pushes it further out must not
+    # stall the other joints short of the target
     q = rest_configuration(MODEL)
-    assert np.linalg.norm(fk_batch(MODEL, q)[1][7] - np.asarray(DEFAULT_RETRACT_POINT)) < 1e-3
+    ee, _ = fk_oracle(MODEL, q)
+    assert np.linalg.norm(ee[:3, 3] - np.asarray(DEFAULT_RETRACT_POINT)) < IK_TOLERANCE
+    assert within_limits(q)
+
+
+def stir_circle(pot, n):
+    center = pot + np.array([0.0, 0.0, STIR_HEIGHT])
+    ang = 2 * np.pi * np.arange(n) / n
+    return center + STIR_RADIUS * np.stack([np.cos(ang), np.sin(ang), np.zeros(n)], axis=-1)
 
 
 def test_stir_reference_tracks_the_circle():
@@ -140,11 +200,17 @@ def test_stir_reference_tracks_the_circle():
     ref = stir_reference(MODEL, pot, 0.04, q_seed=rest_configuration(MODEL))
     n = int(round(STIR_PERIOD_S / 0.04))
     assert ref.shape == (n, N_DOF)
-    center = pot + np.array([0.0, 0.0, STIR_HEIGHT])
-    for i in range(0, n, 10):
-        ang = 2 * np.pi * i / n
-        target = center + STIR_RADIUS * np.array([np.cos(ang), np.sin(ang), 0.0])
-        assert np.linalg.norm(fk_batch(MODEL, ref[i])[1][7] - target) < 5e-3
+    for q, target in zip(ref, stir_circle(pot, n)):
+        assert np.linalg.norm(fk_oracle(MODEL, q)[0][:3, 3] - target) < IK_TOLERANCE
+    assert within_limits(ref)
+
+
+def test_stir_reference_closes_its_period():
+    # every row lies on one branch of solutions: neighbouring rows, the last
+    # and the first included, are close in joint space
+    ref = stir_reference(MODEL, np.array([0.55, 0.0, 0.95]), 0.04,
+                         q_seed=rest_configuration(MODEL))
+    assert np.abs(np.roll(ref, -1, axis=0) - ref).max() <= 0.05
 
 
 def test_build_task_spec_per_task():
