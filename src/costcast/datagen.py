@@ -70,14 +70,17 @@ class GenConfig:
                               f"got {self.jitter_sigma!r}")
         if self.episode_len_s > MAX_EPISODE_LEN_S:
             raise MotionError(f"episode_len_s must be at most {MAX_EPISODE_LEN_S:g} s")
-        if self.reach_duration_s <= 0 or self.hold_duration_s <= 0:
-            raise MotionError("durations must be positive")
         if self.n_interactions < 1:
             raise MotionError("n_interactions must be >= 1")
         if self.fps <= 0:
             raise MotionError("fps must be positive")
         if self.fps > MAX_FPS:
             raise MotionError(f"fps must be at most {MAX_FPS:g}")
+        for name in ("reach_duration_s", "hold_duration_s"):
+            # int(round(d * fps)) < 1, the frame count that _reach_hold_return takes
+            if getattr(self, name) * self.fps <= 0.5:
+                raise MotionError(f"{name} must last at least one frame at {self.fps:g} fps, "
+                                  f"got {getattr(self, name)!r} s")
         if self.n_interactions * self.interaction_len_s >= self.episode_len_s:
             raise ScheduleError("interactions do not fit in the episode")
 

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .motion import (
+    ARM_BONES,
     DEFAULT_DT,
     HISTORY_LEN,
     HORIZON_LEN,
@@ -83,10 +84,10 @@ def forecast_worst(ctx: Context) -> SafetyVolume:
     positions of a single (unbatched) context; the planner's input only."""
     last = ctx.frames[-1]
     # radius = longest arm (shoulder->elbow + elbow->wrist) in the last frame
-    left = np.linalg.norm(last[4] - last[2]) + np.linalg.norm(last[2] - last[0])
-    right = np.linalg.norm(last[5] - last[3]) + np.linalg.norm(last[3] - last[1])
-    radius = max(left, right)
-    centers = np.repeat(last[[4, 5]][None], HORIZON_LEN, axis=0)  # (T, 2, 3)
+    bones = [np.linalg.norm(last[a] - last[b]) for a, b in ARM_BONES]
+    radius = max(bones[0] + bones[1], bones[2] + bones[3])
+    shoulders = [a for a, _ in ARM_BONES[::2]]
+    centers = np.repeat(last[shoulders][None], HORIZON_LEN, axis=0)  # (T, 2, 3)
     return SafetyVolume(centers, np.full((HORIZON_LEN, 2), radius))
 
 

@@ -82,6 +82,11 @@ def check_field_types(config) -> None:
             object.__setattr__(config, f.name, float(value))
 
 
+def _check_dt(dt, what: str) -> None:
+    if not (is_finite_number(dt) and dt > 0):
+        raise MotionError(f"{what} dt must be a finite positive number, got {dt!r}")
+
+
 def _readonly(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     arr = arr.copy() if arr.flags.writeable else arr
@@ -103,8 +108,7 @@ class Context:
         frames = _readonly(self.frames)
         if frames.shape[-3:] != (HISTORY_LEN, N_JOINTS, 3):
             raise MotionError(f"context must have shape (..., {HISTORY_LEN}, {N_JOINTS}, 3), got {frames.shape}")
-        if self.dt <= 0:
-            raise MotionError("context dt must be positive")
+        _check_dt(self.dt, "context")
         object.__setattr__(self, "frames", frames)
 
 
@@ -119,6 +123,7 @@ class Trajectory:
         frames = _readonly(self.frames)
         if frames.shape[-3:] != (HORIZON_LEN, N_JOINTS, 3):
             raise MotionError(f"trajectory must have shape (..., {HORIZON_LEN}, {N_JOINTS}, 3), got {frames.shape}")
+        _check_dt(self.dt, "trajectory")
         object.__setattr__(self, "frames", frames)
 
 
@@ -143,8 +148,8 @@ class Episode:
             raise MotionError(f"episode frames must have shape (n, {N_JOINTS}, 3), got {frames.shape}")
         if not np.isfinite(frames).all():
             raise MotionError("episode contains non-finite coordinates")
-        if self.fps <= 0:
-            raise MotionError("fps must be positive")
+        if not (is_finite_number(self.fps) and self.fps > 0):
+            raise MotionError(f"fps must be a finite positive number, got {self.fps!r}")
         if self.task not in TASKS:
             raise MotionError(f"unknown task {self.task!r}")
         n = frames.shape[0]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost import CostWeights, TaskSpec, stir_retract_mask, total_cost_batch
-from .forecast import Forecast, SafetyVolume
+from .forecast import SafetyVolume
 from .motion import (
     Context,
     Episode,
@@ -22,6 +22,7 @@ from .motion import (
     HORIZON_LEN,
     MotionError,
     Trajectory,
+    WRIST_INDICES,
     check_field_types,
     finite_point,
 )
@@ -207,7 +208,8 @@ def default_table_goal(model: ArmModel) -> np.ndarray:
 def build_task_spec(episode: Episode, model: ArmModel, dt: float = 0.04) -> TaskSpec:
     """Task spec with planner-side references derived from episode metadata."""
     if episode.task == "stir":
-        pot = np.asarray(episode.extras["pot_position"], dtype=float)
+        pot = np.asarray(finite_point(episode.extras.get("pot_position"),
+                                      "episode extras pot_position"))
         rest = rest_configuration(model)
         ref = stir_reference(model, pot, dt, q_seed=rest)
         return TaskSpec(task="stir", pot_position=pot, rest_config=rest, stir_reference=ref)
@@ -217,23 +219,19 @@ def build_task_spec(episode: Episode, model: ArmModel, dt: float = 0.04) -> Task
                     table_goal=default_table_goal(model))
 
 
-def plan_step(planner_state: PlannerState, arm_state: ArmState, forecast: Forecast,
-              spec: TaskSpec, weights: CostWeights, cfg: MppiConfig,
-              model: ArmModel, cost_fn=None):
+def plan_step(planner_state: PlannerState, arm_state: ArmState, cost_fn, cfg: MppiConfig,
+              model: ArmModel):
     """One replanning cycle; returns (qd_cmd, best_cost).
 
     Samples ``n_samples`` control sequences around the warm-started mean for
-    ``n_iterations`` rounds, scores rollouts with the total cost (or a custom
-    ``cost_fn(Q, Qd)``), and keeps the best sample seen across rounds: the
-    one of least finite cost, as ``mppi_weights`` ranks them.  The stored
-    mean is softmax-updated each round then time-shifted for the next replan.
-    ``qd_cmd`` is the first control of the best sample and ``best_cost`` that
-    sample's cost.  The rollouts are integrated in float64 and cast to
-    ``SCORE_DTYPE`` for the total cost, so ``best_cost`` is the best sample's
-    float32-scored cost; a custom ``cost_fn`` gets the float64 rollouts.
-    Those are the (N, H, 7) views that ``rollout_arrays`` returns, of
-    step-major (H, 7, N) memory with the sample axis innermost, not
-    C-ordered arrays.
+    ``n_iterations`` rounds, scores their rollouts with ``cost_fn(Q, Qd)``,
+    and keeps the best sample seen across rounds: the one of least finite
+    cost, as ``mppi_weights`` ranks them.  The stored mean is softmax-updated
+    each round then time-shifted for the next replan.  ``qd_cmd`` is the
+    first control of the best sample and ``best_cost`` that sample's cost.
+    ``cost_fn`` gets the float64 rollouts as the (N, H, 7) views that
+    ``rollout_arrays`` returns, of step-major (H, 7, N) memory with the
+    sample axis innermost, not C-ordered arrays.
     """
     mean = planner_state.mean_controls
     best_cost = np.inf
@@ -243,11 +241,7 @@ def plan_step(planner_state: PlannerState, arm_state: ArmState, forecast: Foreca
                                          size=(cfg.n_samples, cfg.horizon, N_DOF))
         samples = mean[None] + noise
         Q, Qd = rollout_arrays(model, arm_state.q, samples, cfg.dt)
-        if cost_fn is not None:
-            costs = np.asarray(cost_fn(Q, Qd), dtype=float)
-        else:
-            costs = total_cost_batch(model, Q.astype(SCORE_DTYPE), Qd.astype(SCORE_DTYPE),
-                                     forecast, spec, weights)
+        costs = np.asarray(cost_fn(Q, Qd), dtype=float)
         mean = mppi_update(costs, samples, cfg.temperature)
         i = int(np.argmin(np.where(np.isfinite(costs), costs, np.inf)))
         if costs[i] < best_cost:
@@ -298,6 +292,8 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
 
     ``forecaster`` is a callable (ctx, truth_future_or_None) -> Forecast (see
     ``make_forecaster``).  The oracle forecaster receives the true future.
+    Each tick's plans are scored by ``total_cost_batch`` on the rollouts cast
+    to ``SCORE_DTYPE``, against that tick's forecast and task spec.
     """
     if len(episode) < HISTORY_LEN + HORIZON_LEN:
         raise MotionError("episode too short for playback")
@@ -308,7 +304,12 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
     pstate = PlannerState.init(cfg)
     log = SimLog(task=episode.task, model_name=model_name, dt=cfg.dt)
     obj_flags = episode.extras.get("object_in_hand")
+    if obj_flags is not None and (not isinstance(obj_flags, list)
+                                  or len(obj_flags) != len(episode)):
+        raise MotionError(f"episode extras object_in_hand must be a list of {len(episode)} "
+                          "flags, one per frame")
     pot = spec.pot_position
+    wrist = WRIST_INDICES[1]   # the right wrist, the one that moves
 
     for t in range(HISTORY_LEN - 1, len(episode) - HORIZON_LEN):
         ctx = Context(episode.frames[t - HISTORY_LEN + 1:t + 1], dt=episode.dt)
@@ -317,7 +318,12 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
         step_spec = spec
         if episode.task == "handover" and obj_flags is not None:
             step_spec = replace(spec, object_in_hand=bool(obj_flags[t]))
-        cmd, best_cost = plan_step(pstate, arm, fc, step_spec, weights, cfg, model=model)
+
+        def cost_fn(Q, Qd):
+            return total_cost_batch(model, Q.astype(SCORE_DTYPE), Qd.astype(SCORE_DTYPE),
+                                    fc, step_spec, weights)
+
+        cmd, best_cost = plan_step(pstate, arm, cost_fn, cfg, model)
         arm = step(model, arm, cmd, cfg.dt)
         R, p = fk_batch(model, arm.q)
         sep = separation_batch(model, collision_sphere_centers(model, (R, p))[..., None, None],
@@ -333,18 +339,18 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
             "ee_quat": quat_from_matrix(R[7]).tolist(),
             "cost": best_cost,
             "min_sep": float(sep),
-            "gt_wrist": episode.frames[t, 1].tolist(),
+            "gt_wrist": episode.frames[t, wrist].tolist(),
         }
         if episode.task == "stir":
             rec["branch_active"] = bool(
                 stir_retract_mask(fc, step_spec, weights, cfg.horizon).any())
             rec["gt_near_pot"] = bool(
-                np.linalg.norm(episode.frames[t, [0, 1]] - pot, axis=-1).min()
+                np.linalg.norm(episode.frames[t, list(WRIST_INDICES)] - pot, axis=-1).min()
                 <= weights.eps_pot)
         if episode.task == "handover":
             rec["forecast_final_wrist"] = (None if isinstance(fc, SafetyVolume)
-                                           else fc.frames[-1, 1].tolist())
-            rec["gt_final_wrist"] = episode.frames[t + HORIZON_LEN, 1].tolist()
+                                           else fc.frames[-1, wrist].tolist())
+            rec["gt_final_wrist"] = episode.frames[t + HORIZON_LEN, wrist].tolist()
             rec["object_in_hand"] = bool(obj_flags[t]) if obj_flags is not None else False
         log.records.append(rec)
     return log

@@ -273,7 +273,7 @@ def test_planner_reaches_goal_within_100_replans():
     ps = PlannerState.init(cfg)
     arm = ArmState(q=rest_configuration(MODEL), qd=np.zeros(N_DOF))
     for i in range(100):
-        cmd, _ = plan_step(ps, arm, None, None, None, cfg, model=MODEL, cost_fn=cost_fn)
+        cmd, _ = plan_step(ps, arm, cost_fn, cfg, MODEL)
         arm = step(MODEL, arm, cmd, cfg.dt)
         if np.linalg.norm(fk_batch(MODEL, arm.q)[1][7] - goal) < 0.05:
             return

@@ -135,8 +135,9 @@ def test_config_rejects_bad_values(tmp_path, capsys):
 
 
 def test_gen_points_length_and_tableset_tour_exit_2(tmp_path, capsys):
-    # the 3-vector gen fields, the episode length bound and the tableset
-    # waypoint tour are checked when the config loads, before any data is written
+    # the 3-vector gen fields, the episode length bound, the one-frame
+    # durations and the tableset waypoint tour are checked when the config
+    # loads, before any data is written
     one_tableset = {"stir": 0, "handover": 0, "tableset": 1}
     for doc, message in (
             (dict(MINI, gen={"pot_position": "abc"}), "pot_position must be 3 finite numbers"),
@@ -151,6 +152,11 @@ def test_gen_points_length_and_tableset_tour_exit_2(tmp_path, capsys):
             (dict(MINI, gen={"jitter_sigma": 1e300}), "jitter_sigma must be in [0, 0.05] m"),
             (dict(MINI, gen={"jitter_sigma": -0.5}), "jitter_sigma must be in [0, 0.05] m"),
             (dict(MINI, gen={"episode_len_s": 1e308}), "episode_len_s must be at most"),
+            # a quarter frame at 25 fps: a hold would end before it starts
+            (dict(MINI, gen={"hold_duration_s": 0.01}),
+             "hold_duration_s must last at least one frame"),
+            (dict(MINI, gen={"reach_duration_s": 0.01}),
+             "reach_duration_s must last at least one frame"),
             (dict(MINI, counts=one_tableset, gen={"episode_len_s": 9.0, "n_interactions": 1}),
              "too short for waypoint tour")):
         path = write_config(tmp_path, doc)
@@ -427,6 +433,28 @@ def test_bad_episode_file_exits_3_naming_it(split_run, tmp_path, capsys, damage,
     assert str(bad) in err and message in err and "Traceback" not in err
     with pytest.raises(MotionError, match=message):
         load_episode(bad)
+
+
+@pytest.mark.parametrize("task, damage", [
+    ("stir", lambda extras: extras.pop("pot_position")),
+    ("stir", lambda extras: extras.update(pot_position=[0.5, 0.0])),
+    ("stir", lambda extras: extras.update(pot_position="abc")),
+    ("handover", lambda extras: extras.update(object_in_hand=extras["object_in_hand"][:-1])),
+], ids=["no-pot", "short-pot", "string-pot", "short-flags"])
+def test_simulate_on_bad_task_metadata_exits_3_naming_the_field(split_run, tmp_path, capsys,
+                                                                 task, damage):
+    args, run_dir = copy_run(split_run, tmp_path)
+    path = run_dir / "data" / f"{task}_000.json"
+    doc = json.loads(path.read_text())
+    damage(doc["extras"])
+    path.write_text(json.dumps(doc))
+    log_path = tmp_path / "sim.jsonl"
+    assert main(["simulate", *args, "--episode", str(path), "--model", "cur",
+                 "--log-out", str(log_path)]) == 3
+    err = capsys.readouterr().err
+    field = "pot_position" if task == "stir" else "object_in_hand"
+    assert f"episode extras {field}" in err and "Traceback" not in err
+    assert not log_path.exists()
 
 
 @pytest.mark.parametrize("name, command, drop, message", [

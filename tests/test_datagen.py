@@ -173,6 +173,16 @@ def test_infeasible_schedule_rejected():
         gen_stirring(GenConfig(seed=0, episode_len_s=13.0, n_interactions=4))
 
 
+@pytest.mark.parametrize("field", ["reach_duration_s", "hold_duration_s"])
+def test_durations_under_one_frame_rejected(field):
+    # at 25 fps, 0.02 s rounds to 0 frames and 0.021 s to 1
+    for seconds in (0.01, 0.02, 0.0, -1.0):
+        with pytest.raises(MotionError, match=field):
+            GenConfig(**{field: seconds})
+    ep = gen_handover(GenConfig(seed=0, **SMALL, **{field: 0.021}))
+    assert all(start <= end for start, end in ep.extras["hold_intervals"])
+
+
 def test_split_sizes_8_1_1():
     eps = [gen_stirring(GenConfig(seed=s, **SMALL)) for s in range(20)]
     train, val, test = split_dataset(eps, seed=0)

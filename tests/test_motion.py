@@ -57,6 +57,26 @@ def test_context_and_trajectory_length_enforced():
         Trajectory(np.zeros((N_JOINTS, 3)))
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -1.0, 0.0])
+def test_context_and_trajectory_require_a_finite_positive_dt(dt):
+    with pytest.raises(MotionError, match="context dt"):
+        Context(np.repeat(BASE_POSE[None], HISTORY_LEN, axis=0), dt=dt)
+    with pytest.raises(MotionError, match="trajectory dt"):
+        Trajectory(np.repeat(BASE_POSE[None], HORIZON_LEN, axis=0), dt=dt)
+
+
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), -25.0, 0.0])
+def test_episode_requires_a_finite_positive_fps(fps, tmp_path):
+    frames = np.repeat(BASE_POSE[None], 50, axis=0)
+    with pytest.raises(MotionError, match="fps"):
+        Episode(fps=fps, frames=frames)
+    # a file with such a rate fails to load, naming the file
+    path = tmp_path / "ep.json"
+    path.write_text(json.dumps(dict(episode_to_dict(Episode(fps=25.0, frames=frames)), fps=fps)))
+    with pytest.raises(MotionError, match="ep.json"):
+        load_episode(path)
+
+
 def test_episode_rejects_bad_transitions():
     frames = np.repeat(BASE_POSE[None], 50, axis=0)
     with pytest.raises(MotionError):

@@ -9,6 +9,7 @@ from conftest import BASE_POSE, fk_oracle
 from costcast import planner
 from costcast.cost import CostWeights, TaskSpec
 from costcast.datagen import GenConfig, gen_stirring
+from costcast.forecast import make_forecaster
 from costcast.motion import Episode, HISTORY_LEN, HORIZON_LEN, MotionError, Trajectory
 from costcast.planner import (
     DEFAULT_RETRACT_POINT,
@@ -16,6 +17,7 @@ from costcast.planner import (
     MAX_NOISE_SIGMA,
     MppiConfig,
     PlannerState,
+    SCORE_DTYPE,
     STIR_HEIGHT,
     STIR_PERIOD_S,
     STIR_RADIUS,
@@ -93,7 +95,7 @@ def test_plan_step_at_a_vanishing_temperature_keeps_the_best_sample():
     samples = ps.mean_controls + np.random.default_rng(cfg.seed).normal(
         0.0, cfg.noise_sigma, size=(cfg.n_samples, cfg.horizon, N_DOF))
     arm = ArmState(q=MODEL.mid(), qd=np.zeros(N_DOF))
-    cmd, _ = plan_step(ps, arm, None, None, None, cfg, model=MODEL, cost_fn=cost_fn)
+    cmd, _ = plan_step(ps, arm, cost_fn, cfg, MODEL)
     best = samples[int(np.argmin(seen[0]))]
     np.testing.assert_array_equal(cmd, best[0])
     # the stored mean is the best sample itself, shifted by one step
@@ -240,7 +242,7 @@ def run_to_goal(seed, goal, max_replans=100):
     cost_fn = goal_cost_fn(goal)
     trace = []
     for i in range(max_replans):
-        cmd, _ = plan_step(ps, arm, None, None, None, cfg, model=MODEL, cost_fn=cost_fn)
+        cmd, _ = plan_step(ps, arm, cost_fn, cfg, MODEL)
         arm = step(MODEL, arm, cmd, cfg.dt)
         d = float(np.linalg.norm(fk_batch(MODEL, arm.q)[1][7] - goal))
         trace.append((np.asarray(cmd), d))
@@ -269,8 +271,7 @@ def test_plan_step_keeps_the_least_finite_cost(non_finite):
 
     cfg = MppiConfig(n_samples=4, n_iterations=2)
     arm = ArmState(q=MODEL.mid(), qd=np.zeros(N_DOF))
-    cmd, best_cost = plan_step(PlannerState.init(cfg), arm, None, None, None, cfg, model=MODEL,
-                               cost_fn=cost_fn)
+    cmd, best_cost = plan_step(PlannerState.init(cfg), arm, cost_fn, cfg, MODEL)
     costs, first_controls = map(np.concatenate, zip(*seen))
     best = np.flatnonzero(np.isfinite(costs))[np.argmin(costs[np.isfinite(costs)])]
     assert best_cost == costs[best]
@@ -285,6 +286,32 @@ def test_planner_is_seeded_deterministic():
         assert da == db
     _, c = run_to_goal(seed=4, goal=np.array([0.6, 0.2, 0.9]), max_replans=10)
     assert any((x[0] != y[0]).any() for x, y in zip(a, c))
+
+
+def test_playback_scores_plans_in_score_dtype_and_logs_the_least_cost(monkeypatch):
+    # run_episode hands plan_step a cost that casts the rollouts to
+    # SCORE_DTYPE and calls total_cost_batch through the planner module
+    total_cost_batch = planner.total_cost_batch
+    calls = []
+
+    def spy(model, Q, Qd, *args):
+        costs = total_cost_batch(model, Q, Qd, *args)
+        calls.append((Q.dtype, Qd.dtype, costs))
+        return costs
+
+    monkeypatch.setattr(planner, "total_cost_batch", spy)
+    ep = gen_stirring(GenConfig(seed=0, episode_len_s=8.0, n_interactions=1))
+    episode = Episode(fps=ep.fps, frames=ep.frames[:HISTORY_LEN + HORIZON_LEN + 2],
+                      task="stir", extras=ep.extras)
+    cfg = MppiConfig(n_samples=8)
+    log = run_episode(episode, make_forecaster("cur"), build_task_spec(episode, MODEL),
+                      CostWeights(), cfg, model=MODEL)
+    assert len(log.records) == 3 and len(calls) == cfg.n_iterations * 3
+    assert all(q == qd == SCORE_DTYPE for q, qd, _ in calls)
+    for i, rec in enumerate(log.records):
+        ticks = calls[i * cfg.n_iterations:(i + 1) * cfg.n_iterations]
+        costs = np.concatenate([c for _, _, c in ticks]).astype(float)
+        assert rec["cost"] == costs[np.isfinite(costs)].min()
 
 
 def test_logged_branch_looks_only_as_far_as_the_plan_horizon():
