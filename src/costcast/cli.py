@@ -17,16 +17,20 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import datagen, forecast, metrics
 from .cost import CostWeights
 from .forecast import TrainConfig, WindowSet, make_forecaster
-from .motion import MotionError, load_episode, read_json, save_episode
+from .motion import MotionError, load_episode, read_json, save_episode, write_json
 from .planner import MppiConfig, SimLog, build_task_spec, run_episode
 from .robot import ArmModel
 
 DEFAULT_COUNTS = {"stir": 19, "handover": 27, "tableset": 15}
 SPLIT_PARTS = ("train", "val", "test")
+# Run files hold integers of at most 64 bits, and the manifest stores each
+# episode's seed, gen.seed * 10**6 plus an offset below 10**6.
+MAX_SEED = 2**64 // 10**6 - 1
 
 
 class ConfigError(ValueError):
@@ -43,6 +47,12 @@ def _sub(doc: dict, key: str) -> dict:
 def _non_negative_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _seed(value, name: str) -> int:
+    if _non_negative_int(value, name) > MAX_SEED:
+        raise ConfigError(f"{name} must be at most {MAX_SEED}, got {value}")
     return value
 
 
@@ -67,7 +77,7 @@ class RunConfig:
         if not isinstance(doc, dict):
             raise ConfigError("the run config must be a JSON object")
         overrides = overrides or {}
-        seed = _non_negative_int(overrides.get("seed", doc.get("seed", 0)), "seed")
+        seed = _seed(overrides.get("seed", doc.get("seed", 0)), "seed")
         gen_kwargs = _sub(doc, "gen")
         gen_kwargs.setdefault("seed", seed)
         train_kwargs = _sub(doc, "train")
@@ -105,7 +115,7 @@ class RunConfig:
             except MotionError as exc:
                 raise ConfigError(f"gen: {exc}") from exc
         for section in ("gen", "train", "mppi"):
-            _non_negative_int(getattr(cfg, section).seed, f"{section}.seed")
+            _seed(getattr(cfg, section).seed, f"{section}.seed")
         if abs(cfg.mppi.dt - 1.0 / cfg.gen.fps) > 1e-9:
             raise ConfigError(f"mppi.dt {cfg.mppi.dt} must equal 1/gen.fps "
                               f"({1.0 / cfg.gen.fps}), the episode frame period")
@@ -157,7 +167,7 @@ def cmd_gen(cfg: RunConfig) -> int:
             name = f"{task}_{i:03d}.json"
             save_episode(ep, data_dir / name)
             manifest.append({"file": f"data/{name}", "task": task, "seed": seed})
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    write_json(run_dir / "manifest.json", manifest, option=orjson.OPT_INDENT_2)
     print(f"wrote {len(manifest)} episodes to {data_dir}")
     return 0
 

@@ -20,9 +20,7 @@ the middle and back.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +36,7 @@ from .motion import (
     Trajectory,
     check_field_types,
     read_json,
+    write_json,
 )
 
 # Training-configuration presets: (transition_mix, wrist_weight).
@@ -413,7 +412,7 @@ def save_checkpoint(model: ForecastModel, path, preset: str = "", seed: int = 0)
         "M": {"shape": list(model.M.shape), "data": model.M.flatten().tolist()},
         "w": None if model.w is None else list(map(float, model.w)),
     }
-    Path(path).write_text(json.dumps(doc))
+    write_json(path, doc)
 
 
 def load_checkpoint(path) -> ForecastModel:

@@ -5,11 +5,10 @@ distribution loss bounds on finite toy problems.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .forecast import SafetyVolume, WindowSet
 from .motion import (
@@ -21,6 +20,7 @@ from .motion import (
     MotionError,
     Trajectory,
     read_json,
+    write_json,
 )
 
 MM = 1000.0
@@ -320,9 +320,10 @@ class MetricReport:
     planning: dict = field(default_factory=dict)     # model -> metric dict
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(
-            {"forecasting": self.forecasting, "planning": self.planning}, indent=2,
-            sort_keys=True))
+        """Write the report with sorted keys; an undefined metric, a NaN
+        mean over no samples, is written as ``null``."""
+        write_json(path, {"forecasting": self.forecasting, "planning": self.planning},
+                   option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
 
     @classmethod
     def from_json(cls, path) -> "MetricReport":

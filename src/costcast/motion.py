@@ -7,13 +7,13 @@ read-only) so they can be shared freely across workers.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 # Upper-body skeleton layout. The order is fixed so that serialized
 # episodes and per-joint weight vectors index consistently.
@@ -87,6 +87,39 @@ def _check_dt(dt, what: str) -> None:
         raise MotionError(f"{what} dt must be a finite positive number, got {dt!r}")
 
 
+def _check_intervals(pairs, n: int, name: str) -> None:
+    """Closed [start, end] frame intervals of an n-frame episode must lie in
+    the episode and be sorted and non-overlapping."""
+    prev_end = -1
+    for s, e in pairs:
+        if not (0 <= s <= e < n):
+            raise MotionError(f"{name} ({s}, {e}) outside frame range [0, {n})")
+        if s <= prev_end:
+            raise MotionError(f"{name} intervals must be sorted and non-overlapping")
+        prev_end = e
+
+
+def _check_handover(extras: dict, n: int) -> None:
+    """Handover metadata, when present: one goal point per hold interval,
+    the holds integer [start, end] frame pairs inside the episode."""
+    goals, holds = extras.get("goals"), extras.get("hold_intervals")
+    if goals is None and holds is None:
+        return
+    if not (isinstance(goals, list) and isinstance(holds, list) and len(goals) == len(holds)):
+        got = [len(v) if isinstance(v, list) else type(v).__name__ for v in (goals, holds)]
+        raise MotionError("episode extras goals and hold_intervals must be lists with one "
+                          f"hold per goal, got {got[0]} goals and {got[1]} holds")
+    for i, goal in enumerate(goals):
+        finite_point(goal, f"episode extras goals[{i}]")
+    for hold in holds:
+        if not (isinstance(hold, (list, tuple)) and len(hold) == 2
+                and all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                        for v in hold)):
+            raise MotionError("episode extras hold_intervals must be [start, end] pairs "
+                              f"of frame indices, got {hold!r}")
+    _check_intervals(holds, n, "episode extras hold_intervals")
+
+
 def _readonly(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     arr = arr.copy() if arr.flags.writeable else arr
@@ -133,7 +166,8 @@ class Episode:
 
     ``transitions`` are closed [start, end] frame-index intervals marking the
     close-proximity interaction windows.  ``extras`` carries task metadata
-    (pot position, handover goals, per-frame object-in-hand flags).
+    (pot position, handover goals, per-frame object-in-hand flags); a
+    handover episode's goals and hold intervals are checked here.
     """
 
     fps: float
@@ -152,15 +186,14 @@ class Episode:
             raise MotionError(f"fps must be a finite positive number, got {self.fps!r}")
         if self.task not in TASKS:
             raise MotionError(f"unknown task {self.task!r}")
+        if not isinstance(self.extras, dict):
+            raise MotionError("episode extras must be an object, "
+                              f"got {type(self.extras).__name__}")
         n = frames.shape[0]
         trans = tuple((int(s), int(e)) for s, e in self.transitions)
-        prev_end = -1
-        for s, e in trans:
-            if not (0 <= s <= e < n):
-                raise MotionError(f"transition ({s}, {e}) outside frame range [0, {n})")
-            if s <= prev_end:
-                raise MotionError("transition intervals must be sorted and non-overlapping")
-            prev_end = e
+        _check_intervals(trans, n, "transition")
+        if self.task == "handover":
+            _check_handover(self.extras, n)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "transitions", trans)
 
@@ -199,14 +232,21 @@ def episode_from_dict(doc: dict) -> Episode:
 
 
 def save_episode(episode: Episode, path) -> None:
-    Path(path).write_text(json.dumps(episode_to_dict(episode)))
+    write_json(path, episode_to_dict(episode))
+
+
+def write_json(path, doc, option: int = 0) -> None:
+    """Write a file of the run as JSON.  numpy scalars are written as the
+    numbers they hold, and NaN or infinite floats as ``null``.  ``option``
+    adds orjson layout flags, such as ``orjson.OPT_INDENT_2``."""
+    Path(path).write_bytes(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | option))
 
 
 def read_json(path, what: str):
     """Parse a JSON file of the run; a missing, unreadable or truncated file
     raises a MotionError that names it as the ``what`` file."""
     try:
-        return json.loads(Path(path).read_text())
+        return orjson.loads(Path(path).read_bytes())
     except FileNotFoundError as exc:
         raise MotionError(f"no {what} file at {path}") from exc
     except (OSError, ValueError) as exc:

@@ -134,6 +134,24 @@ def test_config_rejects_bad_values(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_seeds_fit_the_integers_of_the_run_files(tmp_path, capsys):
+    # the manifest stores gen.seed * 10**6 plus a task offset per episode,
+    # and run files hold integers of at most 64 bits
+    counts = {"stir": 0, "handover": 1, "tableset": 0}
+    path = write_config(tmp_path, dict(MINI, seed=cli.MAX_SEED, counts=counts))
+    assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 0
+    run_dir = RunConfig.load(path, {"out": str(tmp_path / "runs")}).run_dir()
+    [entry] = json.loads((run_dir / "manifest.json").read_text())
+    assert entry["seed"] == cli.MAX_SEED * 10**6 + 100000 < 2**64
+    capsys.readouterr()
+    for bad in ({"seed": cli.MAX_SEED + 1}, {"gen": {"seed": cli.MAX_SEED + 1}},
+                {"train": {"seed": 2**64}}, {"mppi": {"seed": 10**400}}):
+        path = write_config(tmp_path, dict(MINI, **bad))
+        assert main(["gen", "--config", path, "--out", str(tmp_path / "other")]) == 2
+        err = capsys.readouterr().err
+        assert f"seed must be at most {cli.MAX_SEED}" in err and "Traceback" not in err
+
+
 def test_gen_points_length_and_tableset_tour_exit_2(tmp_path, capsys):
     # the 3-vector gen fields, the episode length bound, the one-frame
     # durations and the tableset waypoint tour are checked when the config
@@ -422,7 +440,7 @@ def _drop_frames(path):
 @pytest.mark.parametrize("damage, message", [
     (Path.unlink, "no episode file at"),
     (_drop_frames, "has no 'frames' field"),
-    (_truncate, "Expecting"),
+    (_truncate, "unexpected end of data"),
 ])
 def test_bad_episode_file_exits_3_naming_it(split_run, tmp_path, capsys, damage, message):
     args, run_dir = copy_run(split_run, tmp_path)
@@ -455,6 +473,37 @@ def test_simulate_on_bad_task_metadata_exits_3_naming_the_field(split_run, tmp_p
     field = "pot_position" if task == "stir" else "object_in_hand"
     assert f"episode extras {field}" in err and "Traceback" not in err
     assert not log_path.exists()
+
+
+def _hold_past_the_end(doc):
+    doc["extras"]["hold_intervals"][-1][1] = len(doc["frames"])
+
+
+@pytest.mark.parametrize("damage, field", [
+    (lambda doc: doc["extras"].update(goals=[g[:2] for g in doc["extras"]["goals"]]),
+     "goals[0] must be 3 finite numbers"),
+    (lambda doc: doc["extras"].update(goals="abc"), "goals and hold_intervals"),
+    (lambda doc: doc["extras"].update(hold_intervals=[h[:1] for h in
+                                                      doc["extras"]["hold_intervals"]]),
+     "hold_intervals must be [start, end] pairs"),
+    (_hold_past_the_end, "hold_intervals"),
+    (lambda doc: doc["extras"].update(goals=doc["extras"]["goals"] * 2),
+     "one hold per goal"),
+], ids=["2-vector-goal", "string-goals", "one-number-hold", "hold-past-the-end",
+        "surplus-goals"])
+def test_eval_plan_on_bad_handover_metadata_exits_3_naming_the_field(
+        split_run, tmp_path, capsys, damage, field):
+    args, run_dir = copy_run(split_run, tmp_path)
+    [name] = [f for f in split_files(run_dir, SPLIT_RUN["seed"])["test"] if "handover" in f]
+    path = run_dir / name
+    doc = json.loads(path.read_text())
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["eval-plan", *args]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "episode extras" in err and field in err
+    assert "Traceback" not in err
+    assert not (run_dir / "plan_report.json").exists()
 
 
 @pytest.mark.parametrize("name, command, drop, message", [
@@ -502,6 +551,36 @@ def test_report_on_a_non_object_report_exits_3_naming_it(tmp_path, capsys, name,
     assert main(["report", *args]) == 3
     err = capsys.readouterr().err
     assert str(bad) in err and "not a JSON object" in err and "Traceback" not in err
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_report_writes_an_undefined_metric_as_null(tmp_path, capsys):
+    # an empty mean (no detection, arrival or incursion) is NaN in memory,
+    # and null in the files, which any JSON parser reads
+    args, run_dir = empty_run(tmp_path)
+    row = {"stop_ms": float("nan"), "stop_ms_se": 0.0, "n_incursions": 1}
+    MetricReport(planning={"cur/stir": row}).to_json(run_dir / "plan_report.json")
+    assert main(["report", *args]) == 0
+    for name in ("plan_report.json", "report.json"):
+        doc = json.loads((run_dir / name).read_text(), parse_constant=_refuse_constant)
+        assert doc["planning"] == {"cur/stir": {"stop_ms": None, "stop_ms_se": 0.0,
+                                                "n_incursions": 1}}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_report_on_a_report_holding_nan_exits_3_naming_it(tmp_path, capsys):
+    # reports of the stdlib writer spelled an undefined metric NaN, which is
+    # not JSON
+    args, run_dir = empty_run(tmp_path)
+    bad = run_dir / "plan_report.json"
+    bad.write_text(json.dumps({"planning": {"cur/stir": {"stop_ms": float("nan")}}}))
+    assert main(["report", *args]) == 3
+    err = capsys.readouterr().err
+    assert f"report file {bad}" in err and "Traceback" not in err
+    assert not (run_dir / "report.json").exists()
 
 
 @pytest.mark.parametrize("record", [

@@ -468,9 +468,13 @@ def test_pose_error_closed_form():
 @settings(max_examples=40, deadline=None)
 @given(per_plan=st.booleans(), n=st.integers(1, 6), h=st.integers(1, H),
        seed=st.integers(0, 2**32 - 1))
+@example(per_plan=False, n=5, h=19, seed=4294967295)
 def test_pose_error_matches_component_last_oracle(per_plan, n, h, seed):
     # the batch-last error against explicit ee_R^T @ target_R, trace and
-    # arccos on component-last poses, for one target or one target per plan
+    # arccos on component-last poses, for one target or one target per plan.
+    # arccos has slope 1/sqrt(1 - c^2), so near c = +-1 a last-bit difference
+    # in the trace moves the angle by ~1e-12: the oracle compares the two
+    # well-conditioned parts, the position norm and the cosine (tr - 1) / 2
     rng = np.random.default_rng(seed)
     ee_R = random_rotations(rng, n * h).reshape(n, h, 3, 3)
     ee_pos = rng.normal(size=(n, h, 3))
@@ -479,14 +483,20 @@ def test_pose_error_matches_component_last_oracle(per_plan, n, h, seed):
     target_pos = rng.normal(size=lead + (3,))
     plan_axis = (slice(None), None) if per_plan else ()
     rel = np.swapaxes(ee_R, -1, -2) @ target_R[plan_axis]
-    ang = np.arccos(np.clip((np.trace(rel, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0))
-    want = (np.linalg.norm(ee_pos - target_pos[plan_axis], axis=-1)
-            + ORIENTATION_WEIGHT * ang)
-    got = pose_error_batch(np.moveaxis(ee_pos, -1, 0), np.moveaxis(ee_R, (-2, -1), (0, 1)),
-                           np.moveaxis(target_pos, -1, 0),
-                           np.moveaxis(target_R, (-2, -1), (0, 1)))
+    cos = np.clip((np.trace(rel, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
+    dp = np.linalg.norm(ee_pos - target_pos[plan_axis], axis=-1)
+
+    def error(ee_R, target_R):
+        return pose_error_batch(np.moveaxis(ee_pos, -1, 0), np.moveaxis(ee_R, (-2, -1), (0, 1)),
+                                np.moveaxis(target_pos, -1, 0),
+                                np.moveaxis(target_R, (-2, -1), (0, 1)))
+
+    got = error(ee_R, target_R)
     assert got.shape == (n, h)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.cos((got - dp) / ORIENTATION_WEIGHT), cos, rtol=0, atol=1e-12)
+    # identity rotations have trace 3 exactly, so the angle is exactly 0
+    eye = np.broadcast_to(np.eye(3), ee_R.shape), np.broadcast_to(np.eye(3), target_R.shape)
+    np.testing.assert_allclose(error(*eye), dp, rtol=0, atol=1e-12)
 
 
 def test_tableset_cost_is_affine_in_beta(rng):

@@ -1,5 +1,7 @@
 """Tests for the forecasting baselines, the linear model, and training."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -428,6 +430,23 @@ def test_checkpoint_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(back.M, model.M)
     np.testing.assert_array_equal(back.w, model.w)
     assert back.trained
+
+
+def test_checkpoint_file_keeps_the_stdlib_json_layout(tmp_path, rng):
+    # the weights are np.float64 scalars; any JSON parser reads the file as
+    # the document the stdlib json writer produced
+    model = ForecastModel(S=rng.normal(size=(N_JOINTS, N_JOINTS)),
+                          M=rng.normal(size=(HISTORY_LEN, HORIZON_LEN)),
+                          trained=True, w=default_weights(5.0))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path, preset="manicast-w", seed=3)
+    assert isinstance(model.w[0], np.float64)
+    assert json.loads(path.read_text()) == {
+        "k": HISTORY_LEN, "T": HORIZON_LEN, "J": N_JOINTS, "preset": "manicast-w", "seed": 3,
+        "trained": True,
+        "S": {"shape": [N_JOINTS, N_JOINTS], "data": model.S.flatten().tolist()},
+        "M": {"shape": [HISTORY_LEN, HORIZON_LEN], "data": model.M.flatten().tolist()},
+        "w": [float(x) for x in model.w]}
 
 
 def test_make_forecaster_interface(rng):

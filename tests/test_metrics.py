@@ -1,6 +1,8 @@
 """Tests for forecasting metrics, playback planning metrics, and the
 finite-problem loss-bound verifier."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -261,3 +263,14 @@ def test_metric_report_round_trip(tmp_path):
     back = MetricReport.from_json(path)
     assert back.forecasting == rep.forecasting
     assert back.planning == rep.planning
+
+
+def test_metric_report_of_numpy_scalars_keeps_the_stdlib_json_text(tmp_path):
+    # np.float64 is a float subclass that stdlib json wrote as a float; the
+    # report keeps that text: sorted keys, two-space indents
+    doc = {"forecasting": {"cur/stir": {"ade": np.float64(12.5), "n_windows": 532,
+                                        "fde": np.float64(0.1) + np.float64(0.2)}},
+           "planning": {"manicast/handover": {"correct_goal_rate": np.float64(0.75)}}}
+    path = tmp_path / "report.json"
+    MetricReport(**doc).to_json(path)
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True)

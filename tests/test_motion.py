@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import BASE_POSE, linear_episode
 from costcast.forecast import WindowSet
@@ -89,6 +90,29 @@ def test_episode_rejects_bad_transitions():
 
 # --- windows (forecast.WindowSet) ---------------------------------------
 
+GOAL = [0.5, 0.1, 1.0]
+
+
+@pytest.mark.parametrize("extras, message", [
+    ([], "extras must be an object"),
+    ({"goals": [GOAL]}, "one hold per goal"),
+    ({"goals": [GOAL], "hold_intervals": [[5, 9], [12, 15]]}, "one hold per goal"),
+    ({"goals": [GOAL, [0.5, float("nan"), 1.0]], "hold_intervals": [[5, 9], [12, 15]]},
+     r"goals\[1\] must be 3 finite numbers"),
+    ({"goals": [GOAL], "hold_intervals": [[5.0, 9]]}, r"\[start, end\] pairs"),
+    ({"goals": [GOAL], "hold_intervals": [[True, 9]]}, r"\[start, end\] pairs"),
+    ({"goals": [GOAL], "hold_intervals": [[9, 5]]}, "outside frame range"),
+    ({"goals": [GOAL, GOAL], "hold_intervals": [[5, 12], [9, 15]]}, "sorted"),
+])
+def test_handover_episode_rejects_bad_metadata(extras, message):
+    frames = np.repeat(BASE_POSE[None], 40, axis=0)
+    with pytest.raises(MotionError, match=message):
+        Episode(fps=25.0, frames=frames, task="handover", extras=extras)
+    # the task metadata of the other tasks is checked where it is used
+    if isinstance(extras, dict):
+        Episode(fps=25.0, frames=frames, task="stir", extras=extras)
+
+
 def test_window_count_45_frames():
     ep = linear_episode(45, (0.0, 0.0, 0.0))
     assert len(WindowSet([ep])) == 11
@@ -143,18 +167,59 @@ def test_mixed_frame_rates_rejected():
 def test_episode_json_round_trip(tmp_path, rng):
     frames = BASE_POSE[None] + rng.normal(0, 0.01, size=(40, N_JOINTS, 3))
     ep = Episode(fps=25.0, frames=frames, transitions=((3, 9),), task="handover",
-                 extras={"goals": [[0.5, 0.1, 1.0]]})
+                 extras={"goals": [[0.5, 0.1, 1.0]], "hold_intervals": [[20, 30]]})
     path = tmp_path / "ep.json"
     save_episode(ep, path)
-    # the frames are written as the same text as one float per coordinate
+    # any JSON parser reads the file as one float per coordinate
     per_value = dict(episode_to_dict(ep),
                      frames=[[list(map(float, p)) for p in frame] for frame in ep.frames])
-    assert path.read_text() == json.dumps(per_value)
+    assert json.loads(path.read_text()) == per_value
     back = load_episode(path)
-    np.testing.assert_allclose(back.frames, ep.frames, atol=1e-15)
+    np.testing.assert_array_equal(back.frames, ep.frames)
     assert back.transitions == ep.transitions
     assert back.task == ep.task
     assert back.extras == ep.extras
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+               1e-300, -1e-300)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_edge=st.integers(0, 60),
+       scale=st.sampled_from([1e-300, 1e-5, 1.0, 1e5, 1e300]))
+def test_saved_episode_reads_back_bit_identical(tmp_path_factory, seed, n_edge, scale):
+    # normals of any scale with signed zeros, subnormals, the smallest normal
+    # and +-1e+-300 scattered in: both stdlib json and load_episode read back
+    # the very same doubles
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(HISTORY_LEN + HORIZON_LEN, N_JOINTS, 3)) * scale
+    frames.flat[rng.choice(frames.size, n_edge, replace=False)] = rng.choice(EDGE_FLOATS, n_edge)
+    ep = Episode(fps=25.0, frames=frames)
+    path = tmp_path_factory.mktemp("ep") / "ep.json"
+    save_episode(ep, path)
+    assert same_bits(json.loads(path.read_text())["frames"], frames)
+    assert same_bits(load_episode(path).frames, frames)
+
+
+def test_episode_file_of_the_stdlib_writer_still_loads(tmp_path, rng):
+    # datasets written before orjson: stdlib json text with spaces after
+    # separators and exponents spelled 1e-05 / 1e+300
+    frames = BASE_POSE[None] + rng.normal(0, 0.01, size=(40, N_JOINTS, 3))
+    frames[0, 0] = (1e-5, 1e300, -0.0)
+    ep = Episode(fps=25.0, frames=frames, transitions=((3, 9),), task="stir",
+                 extras={"pot_position": [0.55, 0.0, 0.95]})
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(episode_to_dict(ep)))
+    back = load_episode(path)
+    assert same_bits(back.frames, ep.frames)
+    assert (back.fps, back.transitions, back.task, back.extras) == (
+        ep.fps, ep.transitions, ep.task, ep.extras)
 
 
 def test_episode_reader_rejects_malformed_documents():

@@ -1,0 +1,37 @@
+"""The package declares every third-party module its source imports."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib", reason="tomllib is in the stdlib from Python 3.11")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def imported_modules(path: Path) -> set:
+    """Top-level names of the absolute imports anywhere in a source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"]}
+    third_party = {}
+    for path in sorted((ROOT / "src" / "costcast").glob("*.py")):
+        for name in imported_modules(path) - set(sys.stdlib_module_names) - {"costcast"}:
+            third_party.setdefault(name, path.name)
+    assert {"numpy", "orjson"} <= third_party.keys()
+    undeclared = {name: where for name, where in third_party.items()
+                  if name.lower() not in declared}
+    assert not undeclared, f"imported but not in [project].dependencies: {undeclared}"
