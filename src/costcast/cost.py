@@ -1,7 +1,8 @@
 """Planner cost function: base arm-quality terms plus per-task terms.
 
 Every term scores a batch of N plans, (N, H, 7) joint arrays, so the planner
-scores all its samples at once; a single plan is a batch of one.
+scores all its samples at once; a single plan is a batch of one.  The terms
+read their task's ``TaskSpec`` fields unchecked; the spec checks them.
 ``total_cost_batch`` runs forward kinematics and the collision sum once and
 hands both to every term.
 
@@ -76,8 +77,19 @@ class CostWeights:
             raise MotionError("eps_pot must be positive")
 
 
+# Every task needs rest_config, because playback starts the arm there.
+TASK_FIELDS = {
+    "stir": ("rest_config", "pot_position", "stir_reference"),
+    "handover": ("rest_config",),
+    "tableset": ("rest_config", "table_goal"),
+}
+
+
 @dataclass(frozen=True)
 class TaskSpec:
+    """What one task's cost and playback read, checked here once: the task's
+    ``TASK_FIELDS`` are required, and ``table_goal`` is a 4x4 rigid transform."""
+
     task: str
     pot_position: np.ndarray | None = None
     rest_config: np.ndarray | None = None       # joint-space retract target
@@ -88,6 +100,9 @@ class TaskSpec:
     def __post_init__(self):
         if self.task not in TASKS:
             raise MotionError(f"unknown task {self.task!r}")
+        for name in TASK_FIELDS[self.task]:
+            if getattr(self, name) is None:
+                raise MotionError(f"task {self.task!r} requires spec field {name!r}")
         for name in ("pot_position", "rest_config", "stir_reference"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
@@ -98,11 +113,6 @@ class TaskSpec:
                     or np.linalg.det(T[:3, :3]) <= 0):
                 raise MotionError("table_goal must be a 4x4 rigid transform")
             object.__setattr__(self, "table_goal", T)
-
-    def require(self, *names):
-        for name in names:
-            if getattr(self, name) is None:
-                raise MotionError(f"task {self.task!r} requires spec field {name!r}")
 
 
 def _first_steps(steps: np.ndarray, H: int) -> np.ndarray:
@@ -204,7 +214,6 @@ def stir_retract_mask(forecast: Forecast, spec: TaskSpec, weights: CostWeights,
 def stir_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
                      spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Retract to rest while the forecast wrist is near the pot, else track the stir cycle."""
-    spec.require("pot_position", "rest_config", "stir_reference")
     N, H, _ = Q.shape
     near = stir_retract_mask(forecast, spec, weights, H)
     ref = spec.stir_reference
@@ -298,7 +307,6 @@ def handover_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Fore
 def tableset_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
                          spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Goal reaching plus beta-weighted collision avoidance."""
-    spec.require("table_goal")
     T = spec.table_goal
     R, p = frames
     goal = np.sum(pose_error_batch(p[7], R[7], T[:3, 3], T[:3, :3]), axis=1, dtype=float)

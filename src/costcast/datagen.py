@@ -2,7 +2,7 @@
 
 Each episode records a single human partner whose right arm performs
 minimum-jerk reaches between a rest point and task targets (pot, handover
-goals, table waypoints), with the torso and left arm held fixed.  Seeded
+goals, table stops), with the torso and left arm held fixed.  Seeded
 Gaussian jitter smoothed by a 3-frame moving average adds sensor-like noise.
 """
 
@@ -248,7 +248,7 @@ def tableset_tour(config: GenConfig) -> tuple:
 
 
 def gen_tableset(config: GenConfig) -> Episode:
-    """Table-setting episode: the wrist tours seeded waypoints on the table plane.
+    """Table-setting episode: the wrist tours seeded stops on the table plane.
 
     The whole episode is one transition interval: it consists entirely of
     close-proximity arm movement over the shared table.
@@ -256,18 +256,12 @@ def gen_tableset(config: GenConfig) -> Episode:
     rng = np.random.default_rng(config.seed)
     n_frames, reach_n, dwell_n = tableset_tour(config)
 
-    waypoints = []
-    for _ in range(N_TABLE_WAYPOINTS):
-        x = rng.uniform(TABLE_BOX[0, 0], TABLE_BOX[0, 1])
-        y = rng.uniform(TABLE_BOX[1, 0], TABLE_BOX[1, 1])
-        waypoints.append(np.array([x, y, TABLE_Z]))
-
     wrist = np.empty((n_frames, 3))
     pos = np.asarray(config.rest_wrist, dtype=float)
     i = 0
-    for wp in waypoints:
-        seg = min_jerk(pos, wp, reach_n + 1)
-        wrist[i:i + reach_n + 1] = seg
+    for _ in range(N_TABLE_WAYPOINTS):
+        wp = np.array([rng.uniform(*TABLE_BOX[0]), rng.uniform(*TABLE_BOX[1]), TABLE_Z])
+        wrist[i:i + reach_n + 1] = min_jerk(pos, wp, reach_n + 1)
         i += reach_n
         wrist[i:i + dwell_n + 1] = wp
         i += dwell_n
@@ -275,8 +269,7 @@ def gen_tableset(config: GenConfig) -> Episode:
     wrist[i:] = pos
     frames = _apply_jitter(_frames_from_wrist_path(wrist), config.jitter_sigma, rng)
     return Episode(fps=config.fps, frames=frames, transitions=((0, n_frames - 1),),
-                   task="tableset",
-                   extras={"waypoints": [[float(x) for x in w] for w in waypoints]})
+                   task="tableset")
 
 
 GENERATORS = {"stir": gen_stirring, "handover": gen_handover, "tableset": gen_tableset}

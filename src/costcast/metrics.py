@@ -171,10 +171,7 @@ def handover_metrics(logs_model: list, logs_cur: list, episodes: list) -> dict:
     gains, paths, times = [], [], []
     n_handover, n_correct = 0, 0
     for lm, lc, ep in zip(logs_model, logs_cur, episodes):
-        goals = ep.extras.get("goals")
-        holds = ep.extras.get("hold_intervals")
-        if goals is None or holds is None:
-            raise MotionError("handover episode lacks goal metadata")
+        goals, holds = ep.extras["goals"], ep.extras["hold_intervals"]
         dt = lm.dt
         step0 = lm.records[0]["step"]
         ee = np.array([r["ee_pos"] for r in lm.records])

@@ -88,10 +88,18 @@ def _check_dt(dt, what: str) -> None:
 
 
 def _check_intervals(pairs, n: int, name: str) -> None:
-    """Closed [start, end] frame intervals of an n-frame episode must lie in
-    the episode and be sorted and non-overlapping."""
+    """Closed [start, end] frame intervals of an n-frame episode must be
+    integer pairs that lie in the episode, sorted and non-overlapping."""
+    if not isinstance(pairs, (list, tuple)):
+        raise MotionError(f"{name} must be a list of [start, end] pairs, got {pairs!r}")
     prev_end = -1
-    for s, e in pairs:
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                        for v in pair)):
+            raise MotionError(f"{name} must be [start, end] pairs of frame indices, "
+                              f"got {pair!r}")
+        s, e = pair
         if not (0 <= s <= e < n):
             raise MotionError(f"{name} ({s}, {e}) outside frame range [0, {n})")
         if s <= prev_end:
@@ -100,24 +108,21 @@ def _check_intervals(pairs, n: int, name: str) -> None:
 
 
 def _check_handover(extras: dict, n: int) -> None:
-    """Handover metadata, when present: one goal point per hold interval,
-    the holds integer [start, end] frame pairs inside the episode."""
+    """Handover metadata: one goal point per hold interval, the holds integer
+    [start, end] frame pairs inside the episode, and one in-hand flag per frame."""
     goals, holds = extras.get("goals"), extras.get("hold_intervals")
-    if goals is None and holds is None:
-        return
     if not (isinstance(goals, list) and isinstance(holds, list) and len(goals) == len(holds)):
         got = [len(v) if isinstance(v, list) else type(v).__name__ for v in (goals, holds)]
         raise MotionError("episode extras goals and hold_intervals must be lists with one "
                           f"hold per goal, got {got[0]} goals and {got[1]} holds")
     for i, goal in enumerate(goals):
         finite_point(goal, f"episode extras goals[{i}]")
-    for hold in holds:
-        if not (isinstance(hold, (list, tuple)) and len(hold) == 2
-                and all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                        for v in hold)):
-            raise MotionError("episode extras hold_intervals must be [start, end] pairs "
-                              f"of frame indices, got {hold!r}")
     _check_intervals(holds, n, "episode extras hold_intervals")
+    flags = extras.get("object_in_hand")
+    if not (isinstance(flags, list) and len(flags) == n
+            and all(isinstance(f, bool) for f in flags)):
+        raise MotionError(f"episode extras object_in_hand must be a list of {n} true/false "
+                          "flags, one per frame")
 
 
 def _readonly(a) -> np.ndarray:
@@ -165,9 +170,11 @@ class Episode:
     """A recorded (or generated) sequence of poses with transition annotations.
 
     ``transitions`` are closed [start, end] frame-index intervals marking the
-    close-proximity interaction windows.  ``extras`` carries task metadata
-    (pot position, handover goals, per-frame object-in-hand flags); a
-    handover episode's goals and hold intervals are checked here.
+    close-proximity interaction windows.  ``extras`` carries the task
+    metadata, checked here once: stir needs ``pot_position``, 3 finite numbers;
+    handover needs ``goals`` of 3 finite numbers each, one ``hold_intervals``
+    [start, end] frame pair per goal and one ``object_in_hand`` bool per
+    frame; tableset needs nothing.
     """
 
     fps: float
@@ -190,12 +197,14 @@ class Episode:
             raise MotionError("episode extras must be an object, "
                               f"got {type(self.extras).__name__}")
         n = frames.shape[0]
-        trans = tuple((int(s), int(e)) for s, e in self.transitions)
-        _check_intervals(trans, n, "transition")
-        if self.task == "handover":
+        _check_intervals(self.transitions, n, "transitions")
+        if self.task == "stir":
+            finite_point(self.extras.get("pot_position"), "episode extras pot_position")
+        elif self.task == "handover":
             _check_handover(self.extras, n)
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "transitions", trans)
+        object.__setattr__(self, "transitions",
+                           tuple((int(s), int(e)) for s, e in self.transitions))
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -223,9 +232,9 @@ def episode_from_dict(doc: dict) -> Episode:
     frames = np.array(doc["frames"], dtype=float)
     frames.flags.writeable = False  # freshly decoded: Episode checks it and keeps it
     return Episode(
-        fps=float(doc["fps"]),
+        fps=doc["fps"],
         frames=frames,
-        transitions=tuple((int(s), int(e)) for s, e in doc.get("transitions", [])),
+        transitions=doc.get("transitions", []),
         task=doc.get("task", "stir"),
         extras=doc.get("extras", {}),
     )

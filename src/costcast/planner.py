@@ -207,16 +207,14 @@ def default_table_goal(model: ArmModel) -> np.ndarray:
 
 def build_task_spec(episode: Episode, model: ArmModel, dt: float = 0.04) -> TaskSpec:
     """Task spec with planner-side references derived from episode metadata."""
+    rest = rest_configuration(model)
     if episode.task == "stir":
-        pot = np.asarray(finite_point(episode.extras.get("pot_position"),
-                                      "episode extras pot_position"))
-        rest = rest_configuration(model)
-        ref = stir_reference(model, pot, dt, q_seed=rest)
-        return TaskSpec(task="stir", pot_position=pot, rest_config=rest, stir_reference=ref)
+        pot = episode.extras["pot_position"]
+        return TaskSpec(task="stir", pot_position=pot, rest_config=rest,
+                        stir_reference=stir_reference(model, pot, dt, q_seed=rest))
     if episode.task == "handover":
-        return TaskSpec(task="handover", rest_config=rest_configuration(model))
-    return TaskSpec(task="tableset", rest_config=rest_configuration(model),
-                    table_goal=default_table_goal(model))
+        return TaskSpec(task="handover", rest_config=rest)
+    return TaskSpec(task="tableset", rest_config=rest, table_goal=default_table_goal(model))
 
 
 def plan_step(planner_state: PlannerState, arm_state: ArmState, cost_fn, cfg: MppiConfig,
@@ -299,15 +297,9 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
         raise MotionError("episode too short for playback")
     if abs(episode.dt - cfg.dt) > 1e-9:
         raise MotionError("episode rate must match the planner rate")
-    arm = ArmState(q=spec.rest_config if spec.rest_config is not None else model.mid(),
-                   qd=np.zeros(N_DOF))
+    arm = ArmState(q=spec.rest_config, qd=np.zeros(N_DOF))
     pstate = PlannerState.init(cfg)
     log = SimLog(task=episode.task, model_name=model_name, dt=cfg.dt)
-    obj_flags = episode.extras.get("object_in_hand")
-    if obj_flags is not None and (not isinstance(obj_flags, list)
-                                  or len(obj_flags) != len(episode)):
-        raise MotionError(f"episode extras object_in_hand must be a list of {len(episode)} "
-                          "flags, one per frame")
     pot = spec.pot_position
     wrist = WRIST_INDICES[1]   # the right wrist, the one that moves
 
@@ -316,8 +308,8 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
         truth = Trajectory(episode.frames[t + 1:t + 1 + HORIZON_LEN], dt=episode.dt)
         fc = forecaster(ctx, truth)
         step_spec = spec
-        if episode.task == "handover" and obj_flags is not None:
-            step_spec = replace(spec, object_in_hand=bool(obj_flags[t]))
+        if episode.task == "handover":
+            step_spec = replace(spec, object_in_hand=episode.extras["object_in_hand"][t])
 
         def cost_fn(Q, Qd):
             return total_cost_batch(model, Q.astype(SCORE_DTYPE), Qd.astype(SCORE_DTYPE),
@@ -351,6 +343,6 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
             rec["forecast_final_wrist"] = (None if isinstance(fc, SafetyVolume)
                                            else fc.frames[-1, wrist].tolist())
             rec["gt_final_wrist"] = episode.frames[t + HORIZON_LEN, wrist].tolist()
-            rec["object_in_hand"] = bool(obj_flags[t]) if obj_flags is not None else False
+            rec["object_in_hand"] = episode.extras["object_in_hand"][t]
         log.records.append(rec)
     return log

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: random valid poses, contexts, small
-hand-built episodes, and kinematics oracles written apart from the package's
-batch code."""
+hand-built episodes with valid task metadata, and kinematics oracles written
+apart from the package's batch code."""
 
 import numpy as np
 import pytest
@@ -48,12 +48,31 @@ def window_last(frames):
     return np.swapaxes(frames, 0, 1).reshape(frames.shape[1], frames.shape[0], -1)
 
 
+POT = [0.55, 0.0, 0.95]
+GOAL = [0.5, 0.1, 1.0]
+
+
+def task_episode(frames, task="stir", fps=25.0, transitions=(), **extras):
+    """An episode of ``task`` with the metadata it requires: the pot for stir;
+    for handover one goal held at the middle frame, with the object in hand
+    until then.  Keyword arguments replace metadata fields."""
+    n = len(frames)
+    required = {
+        "stir": {"pot_position": POT},
+        "handover": {"goals": [GOAL], "hold_intervals": [[n // 2, n // 2]],
+                     "object_in_hand": [t <= n // 2 for t in range(n)]},
+        "tableset": {},
+    }[task]
+    return Episode(fps=fps, frames=frames, transitions=transitions, task=task,
+                   extras={**required, **extras})
+
+
 def linear_episode(n_frames, velocity, fps=25.0, transitions=()):
     """Every joint translates at a constant velocity (m/s)."""
     v = np.asarray(velocity, dtype=float)
     t = np.arange(n_frames)[:, None, None] / fps
     frames = BASE_POSE[None] + t * v[None, None, :]
-    return Episode(fps=fps, frames=frames, transitions=transitions)
+    return task_episode(frames, fps=fps, transitions=transitions)
 
 
 def fk_oracle(model, q):

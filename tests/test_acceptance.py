@@ -373,8 +373,8 @@ def test_total_cost_matches_scripted_recomputation_100_scenes():
     specs = {
         "stir": TaskSpec(task="stir", pot_position=(0.55, 0.0, 0.95),
                          rest_config=MODEL.mid() - 0.3, stir_reference=ref),
-        "handover": TaskSpec(task="handover", object_in_hand=True),
-        "tableset": TaskSpec(task="tableset", table_goal=goal_ee),
+        "handover": TaskSpec(task="handover", rest_config=MODEL.mid(), object_in_hand=True),
+        "tableset": TaskSpec(task="tableset", rest_config=MODEL.mid(), table_goal=goal_ee),
     }
     tasks = list(specs)
     for k in range(100):

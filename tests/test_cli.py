@@ -506,6 +506,49 @@ def test_eval_plan_on_bad_handover_metadata_exits_3_naming_the_field(
     assert not (run_dir / "plan_report.json").exists()
 
 
+def _flags(cast):
+    def damage(doc):
+        doc["extras"]["object_in_hand"] = [cast(f) for f in doc["extras"]["object_in_hand"]]
+    return damage
+
+
+def _no_goals(doc):
+    del doc["extras"]["goals"], doc["extras"]["hold_intervals"]
+
+
+@pytest.mark.parametrize("command, task, damage, field", [
+    ("eval-plan", "handover", _flags(lambda f: str(f).lower()), "object_in_hand"),
+    ("train", "handover", _flags(lambda f: str(f).lower()), "object_in_hand"),
+    ("eval-plan", "handover", _flags(int), "object_in_hand"),
+    ("train", "handover", _flags(int), "object_in_hand"),
+    ("train", "handover", lambda doc: doc["extras"]["object_in_hand"].pop(), "object_in_hand"),
+    ("train", "stir", lambda doc: doc["extras"].pop("pot_position"), "pot_position"),
+    ("eval-plan", "handover", _no_goals, "goals and hold_intervals"),
+    ("train", "stir", lambda doc: doc.update(transitions=[[3.7, 9.2]]), "transitions"),
+    ("train", "stir", lambda doc: doc.update(transitions=[["3", "9"]]), "transitions"),
+    ("train", "stir", lambda doc: doc.update(transitions=[[True, 9]]), "transitions"),
+    ("train", "stir", lambda doc: doc.update(fps=True), "fps"),
+    ("train", "stir", lambda doc: doc.update(fps="25"), "fps"),
+], ids=["string-flags-eval-plan", "string-flags-train", "int-flags-eval-plan",
+        "int-flags-train", "short-flags-train", "no-pot-train", "no-goals-eval-plan",
+        "float-transition", "string-transition", "bool-transition", "bool-fps",
+        "string-fps"])
+def test_bad_task_data_exits_3_naming_the_file_and_field(split_run, tmp_path, capsys,
+                                                          command, task, damage, field):
+    # task data is checked where the episode is loaded: no command gets past
+    # a file whose data another command would misread or refuse
+    args, run_dir = copy_run(split_run, tmp_path)
+    part = "train" if command == "train" else "test"
+    [name, *_] = [f for f in split_files(run_dir, SPLIT_RUN["seed"])[part] if task in f]
+    path = run_dir / name
+    doc = json.loads(path.read_text())
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    assert main([command, *args]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name, command, drop, message", [
     ("manifest.json", "eval-forecast", None, "manifest file"),
     ("checkpoint_manicast.json", "simulate", None, "checkpoint file"),

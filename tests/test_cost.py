@@ -340,13 +340,17 @@ def test_stir_cost_matches_per_step_oracle(rng):
 
 
 def test_stir_spec_requirements_enforced():
-    spec = TaskSpec(task="stir", pot_position=(0.5, 0.0, 1.0))
+    # a spec is refused where it is built, not where a term reads it
     with pytest.raises(MotionError, match="rest_config"):
-        task_term(stir_terms_batch, const_plan(MODEL.mid()), far_forecast(), spec,
-                  CostWeights())
-    with pytest.raises(MotionError):
-        task_term(stir_terms_batch, const_plan(MODEL.mid()), far_forecast(),
-                  TaskSpec(task="handover"), CostWeights())
+        TaskSpec(task="stir", pot_position=(0.5, 0.0, 1.0))
+    with pytest.raises(MotionError, match="stir_reference"):
+        TaskSpec(task="stir", pot_position=(0.5, 0.0, 1.0), rest_config=MODEL.mid())
+    with pytest.raises(MotionError, match="pot_position"):
+        TaskSpec(task="stir", rest_config=MODEL.mid(), stir_reference=MODEL.mid()[None])
+    with pytest.raises(MotionError, match="rest_config"):
+        TaskSpec(task="handover")
+    with pytest.raises(MotionError, match="table_goal"):
+        TaskSpec(task="tableset", rest_config=MODEL.mid())
 
 
 # --- grasp pose and handover ----------------------------------------------
@@ -435,11 +439,11 @@ def test_grasp_pose_antiparallel_and_degenerate():
 
 def test_handover_cost_gated_by_object_in_hand(rng):
     fc = far_forecast()
-    idle = TaskSpec(task="handover", object_in_hand=False)
+    idle = TaskSpec(task="handover", rest_config=MODEL.mid(), object_in_hand=False)
     plan = const_plan(np.clip(MODEL.mid() + rng.normal(0, 0.3, N_DOF),
                               MODEL.lo, MODEL.hi))
     assert task_term(handover_terms_batch, plan, fc, idle, CostWeights()) == 0.0
-    active = TaskSpec(task="handover", object_in_hand=True)
+    active = TaskSpec(task="handover", rest_config=MODEL.mid(), object_in_hand=True)
     assert task_term(handover_terms_batch, plan, fc, active, CostWeights()) > 0.0
     ctx = near_context()
     with pytest.raises(MotionError):
@@ -453,7 +457,8 @@ def test_handover_grasp_target_at_start_pose_rejected():
     # target would coincide with the start pose -> the grasp pose is undefined
     with pytest.raises(MotionError):
         task_term(handover_terms_batch, const_plan(q), Trajectory(frames),
-                  TaskSpec(task="handover", object_in_hand=True), CostWeights())
+                  TaskSpec(task="handover", rest_config=MODEL.mid(), object_in_hand=True),
+                  CostWeights())
 
 
 # --- tableset -------------------------------------------------------------
@@ -501,7 +506,7 @@ def test_pose_error_matches_component_last_oracle(per_plan, n, h, seed):
 
 def test_tableset_cost_is_affine_in_beta(rng):
     ee = ee_transform(MODEL.mid())
-    spec_b = lambda beta: TaskSpec(task="tableset", table_goal=ee)
+    spec_b = lambda beta: TaskSpec(task="tableset", rest_config=MODEL.mid(), table_goal=ee)
     Q = np.clip(MODEL.mid()[None] + rng.normal(0, 0.2, size=(H, N_DOF)),
                 MODEL.lo, MODEL.hi)
     plan = plan_from_arrays(Q)
@@ -516,7 +521,7 @@ def test_tableset_cost_is_affine_in_beta(rng):
 
 def test_tableset_zero_at_goal_with_far_human():
     q = MODEL.mid()
-    spec = TaskSpec(task="tableset", table_goal=ee_transform(q))
+    spec = TaskSpec(task="tableset", rest_config=MODEL.mid(), table_goal=ee_transform(q))
     assert task_term(tableset_terms_batch, const_plan(q), far_forecast(), spec,
                      CostWeights()) == pytest.approx(0.0, abs=1e-9)
 
@@ -540,8 +545,8 @@ def test_total_cost_is_sum_of_terms(rng):
 
 PROPERTY_SPECS = {
     "stir": stir_spec(),
-    "handover": TaskSpec(task="handover", object_in_hand=True),
-    "tableset": TaskSpec(task="tableset",
+    "handover": TaskSpec(task="handover", rest_config=MODEL.mid(), object_in_hand=True),
+    "tableset": TaskSpec(task="tableset", rest_config=MODEL.mid(),
                          table_goal=homogeneous(rot("y", 180), [0.62, 0.25, 0.98])),
 }
 
@@ -695,7 +700,8 @@ def test_cost_weights_validation():
 
 def test_table_goal_must_be_a_rigid_transform():
     goal = homogeneous(rot("z", 30), [0.62, 0.25, 0.98])
-    np.testing.assert_array_equal(TaskSpec(task="tableset", table_goal=goal).table_goal, goal)
+    spec = TaskSpec(task="tableset", rest_config=MODEL.mid(), table_goal=goal)
+    np.testing.assert_array_equal(spec.table_goal, goal)
     bottom = goal.copy()
     bottom[3, 0] = 0.1
     sheared = goal.copy()
@@ -705,5 +711,5 @@ def test_table_goal_must_be_a_rigid_transform():
     for bad in (goal[:3], np.eye(3), bottom, sheared, scaled,
                 homogeneous(np.diag([1.0, 1.0, -1.0]), [0.0, 0.0, 0.0]),  # a reflection
                 homogeneous(np.full((3, 3), np.nan), [0.0, 0.0, 0.0])):
-        with pytest.raises(MotionError):
-            TaskSpec(task="tableset", table_goal=bad)
+        with pytest.raises(MotionError, match="table_goal must be a 4x4 rigid transform"):
+            TaskSpec(task="tableset", rest_config=MODEL.mid(), table_goal=bad)

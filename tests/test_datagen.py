@@ -9,6 +9,7 @@ from costcast.datagen import (
     GENERATORS,
     GenConfig,
     HANDOVER_BOX,
+    N_TABLE_WAYPOINTS,
     RIGHT_SHOULDER,
     ScheduleError,
     TABLE_BOX,
@@ -19,6 +20,7 @@ from costcast.datagen import (
     gen_tableset,
     min_jerk,
     split_dataset,
+    tableset_tour,
 )
 from costcast.motion import ARM_BONES, MotionError, episode_to_dict
 
@@ -89,12 +91,19 @@ def test_handover_seeded_reproducibility():
 
 
 def test_tableset_single_full_length_transition_and_waypoint_bounds():
-    ep = gen_tableset(GenConfig(seed=6, **SMALL))
+    cfg = GenConfig(seed=6, jitter_sigma=0.0, **SMALL)
+    ep = gen_tableset(cfg)
     assert ep.transitions == ((0, len(ep) - 1),)
-    for wp in ep.extras["waypoints"]:
-        assert TABLE_BOX[0, 0] <= wp[0] <= TABLE_BOX[0, 1]
-        assert TABLE_BOX[1, 0] <= wp[1] <= TABLE_BOX[1, 1]
-        assert wp[2] == TABLE_Z
+    assert ep.extras == {}
+    # each dwell holds the right wrist still at a waypoint on the table
+    _, reach_n, dwell_n = tableset_tour(cfg)
+    for k in range(N_TABLE_WAYPOINTS):
+        start = (k + 1) * reach_n + k * dwell_n
+        dwell = ep.frames[start:start + dwell_n + 1, 1]
+        assert (dwell == dwell[0]).all()
+        assert TABLE_BOX[0, 0] <= dwell[0, 0] <= TABLE_BOX[0, 1]
+        assert TABLE_BOX[1, 0] <= dwell[0, 1] <= TABLE_BOX[1, 1]
+        assert dwell[0, 2] == TABLE_Z
 
 
 def test_tableset_dwell_frames_are_static_without_jitter():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BASE_POSE, linear_episode, random_context, random_trajectory, window_last
+from conftest import (BASE_POSE, linear_episode, random_context, random_trajectory,
+                      task_episode, window_last)
 from costcast.datagen import GenConfig, gen_stirring
 from costcast.forecast import (
     ANNOTATED,
@@ -35,7 +36,6 @@ from costcast.forecast import (
 )
 from costcast.motion import (
     Context,
-    Episode,
     HISTORY_LEN,
     HORIZON_LEN,
     MotionError,
@@ -234,7 +234,7 @@ def episodes_with_transitions(draw):
         transitions = tuple(zip(cuts[0::2], cuts[1::2]))
         frames = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
             size=(n, N_JOINTS, 3))
-        eps.append(Episode(fps=25.0, frames=frames, transitions=transitions))
+        eps.append(task_episode(frames, transitions=transitions))
     return eps
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import BASE_POSE, linear_episode
+from conftest import BASE_POSE, linear_episode, task_episode
 from costcast.forecast import WindowSet, forecast_cur, forecast_worst
 from costcast.metrics import (
     METRIC_KEYS,
@@ -38,7 +38,7 @@ DT = 0.04
 
 def random_episode(rng, n=60):
     frames = BASE_POSE + rng.normal(0, 0.05, size=(n, N_JOINTS, 3))
-    return Episode(fps=25.0, frames=frames, transitions=((20, 30),))
+    return task_episode(frames, transitions=((20, 30),))
 
 
 def test_ade_fde_hand_oracle(rng):
@@ -155,8 +155,7 @@ def test_handover_metrics_hand_built_logs():
     goal = np.array([0.5, 0.0, 1.0])
     n = 100
     frames = np.repeat(BASE_POSE[None], n, axis=0)
-    ep = Episode(fps=25.0, frames=frames, task="handover",
-                 extras={"goals": [goal.tolist()], "hold_intervals": [[40, 80]]})
+    ep = task_episode(frames, "handover", goals=[goal.tolist()], hold_intervals=[[40, 80]])
 
     def make_log(detect_from):
         log = SimLog(task="handover", model_name="x", dt=DT)
@@ -181,13 +180,10 @@ def test_handover_metrics_hand_built_logs():
 
 
 def test_handover_metrics_requires_goal_metadata():
-    ep = Episode(fps=25.0, frames=np.repeat(BASE_POSE[None], 40, axis=0),
-                 task="handover")
-    log = SimLog(task="handover", model_name="x", dt=DT,
-                 records=[{"step": 0, "ee_pos": [0, 0, 0],
-                           "forecast_final_wrist": None}])
-    with pytest.raises(MotionError):
-        handover_metrics([log], [log], [ep])
+    # the metrics read goals and holds unchecked: a handover episode without
+    # them cannot be built
+    with pytest.raises(MotionError, match="goals and hold_intervals"):
+        Episode(fps=25.0, frames=np.repeat(BASE_POSE[None], 40, axis=0), task="handover")
 
 
 # --- loss-bound verifier ---------------------------------------------------

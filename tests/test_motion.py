@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BASE_POSE, linear_episode
+from conftest import BASE_POSE, GOAL, linear_episode, task_episode
+from costcast.datagen import GENERATORS, GenConfig
 from costcast.forecast import WindowSet
 from costcast.motion import (
+    TASKS,
     Context,
     Episode,
     HISTORY_LEN,
@@ -22,6 +24,8 @@ from costcast.motion import (
     load_episode,
     save_episode,
 )
+from costcast.planner import build_task_spec
+from costcast.robot import ArmModel
 
 
 # --- containers -----------------------------------------------------------
@@ -29,11 +33,11 @@ from costcast.motion import (
 def test_pose_shape_and_finiteness_enforced():
     # every frame of an episode is a (7, 3) pose with finite coordinates
     with pytest.raises(MotionError):
-        Episode(fps=25.0, frames=np.zeros((40, N_JOINTS - 1, 3)))
+        task_episode(np.zeros((40, N_JOINTS - 1, 3)))
     bad = np.repeat(BASE_POSE[None], 40, axis=0)
     bad[5, 0, 0] = np.nan
     with pytest.raises(MotionError):
-        Episode(fps=25.0, frames=bad)
+        task_episode(bad)
 
 
 def test_containers_are_immutable():
@@ -66,14 +70,14 @@ def test_context_and_trajectory_require_a_finite_positive_dt(dt):
         Trajectory(np.repeat(BASE_POSE[None], HORIZON_LEN, axis=0), dt=dt)
 
 
-@pytest.mark.parametrize("fps", [float("nan"), float("inf"), -25.0, 0.0])
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), -25.0, 0.0, True, "25"])
 def test_episode_requires_a_finite_positive_fps(fps, tmp_path):
     frames = np.repeat(BASE_POSE[None], 50, axis=0)
     with pytest.raises(MotionError, match="fps"):
-        Episode(fps=fps, frames=frames)
+        task_episode(frames, fps=fps)
     # a file with such a rate fails to load, naming the file
     path = tmp_path / "ep.json"
-    path.write_text(json.dumps(dict(episode_to_dict(Episode(fps=25.0, frames=frames)), fps=fps)))
+    path.write_text(json.dumps(dict(episode_to_dict(task_episode(frames)), fps=fps)))
     with pytest.raises(MotionError, match="ep.json"):
         load_episode(path)
 
@@ -81,16 +85,19 @@ def test_episode_requires_a_finite_positive_fps(fps, tmp_path):
 def test_episode_rejects_bad_transitions():
     frames = np.repeat(BASE_POSE[None], 50, axis=0)
     with pytest.raises(MotionError):
-        Episode(fps=25.0, frames=frames, transitions=((10, 60),))
+        task_episode(frames, transitions=((10, 60),))
     with pytest.raises(MotionError):
-        Episode(fps=25.0, frames=frames, transitions=((10, 20), (15, 30)))
-    ep = Episode(fps=25.0, frames=frames, transitions=((10, 20), (30, 40)))
+        task_episode(frames, transitions=((10, 20), (15, 30)))
+    for bad in ([(10.0, 20)], [(True, 20)], [("10", "20")], [(10,)], [10, 20], 10):
+        with pytest.raises(MotionError, match="transitions must be"):
+            task_episode(frames, transitions=bad)
+    ep = task_episode(frames, transitions=((10, 20), (30, 40)))
     assert ep.transitions == ((10, 20), (30, 40))
 
 
-# --- windows (forecast.WindowSet) ---------------------------------------
+# --- task metadata ------------------------------------------------------
 
-GOAL = [0.5, 0.1, 1.0]
+HOLD = {"goals": [GOAL], "hold_intervals": [[5, 9]]}
 
 
 @pytest.mark.parametrize("extras, message", [
@@ -103,15 +110,31 @@ GOAL = [0.5, 0.1, 1.0]
     ({"goals": [GOAL], "hold_intervals": [[True, 9]]}, r"\[start, end\] pairs"),
     ({"goals": [GOAL], "hold_intervals": [[9, 5]]}, "outside frame range"),
     ({"goals": [GOAL, GOAL], "hold_intervals": [[5, 12], [9, 15]]}, "sorted"),
+    ({}, "goals and hold_intervals"),
+    (HOLD, "object_in_hand must be a list of 40 true/false flags"),
+    (dict(HOLD, object_in_hand=["false"] * 40), "object_in_hand"),
+    (dict(HOLD, object_in_hand=[0] * 40), "object_in_hand"),
+    (dict(HOLD, object_in_hand=[False] * 39), "object_in_hand"),
 ])
 def test_handover_episode_rejects_bad_metadata(extras, message):
     frames = np.repeat(BASE_POSE[None], 40, axis=0)
     with pytest.raises(MotionError, match=message):
         Episode(fps=25.0, frames=frames, task="handover", extras=extras)
-    # the task metadata of the other tasks is checked where it is used
+    # a tableset episode requires no metadata and ignores these fields
     if isinstance(extras, dict):
+        Episode(fps=25.0, frames=frames, task="tableset", extras=extras)
+
+
+@pytest.mark.parametrize("pot", [None, [0.5, 0.0], "abc", [0.5, float("nan"), 1.0],
+                                 [0.5, True, 1.0]])
+def test_stir_episode_requires_a_pot_position(pot):
+    frames = np.repeat(BASE_POSE[None], 40, axis=0)
+    extras = {} if pot is None else {"pot_position": pot}
+    with pytest.raises(MotionError, match="episode extras pot_position must be 3 finite"):
         Episode(fps=25.0, frames=frames, task="stir", extras=extras)
 
+
+# --- windows (forecast.WindowSet) ---------------------------------------
 
 def test_window_count_45_frames():
     ep = linear_episode(45, (0.0, 0.0, 0.0))
@@ -166,8 +189,7 @@ def test_mixed_frame_rates_rejected():
 
 def test_episode_json_round_trip(tmp_path, rng):
     frames = BASE_POSE[None] + rng.normal(0, 0.01, size=(40, N_JOINTS, 3))
-    ep = Episode(fps=25.0, frames=frames, transitions=((3, 9),), task="handover",
-                 extras={"goals": [[0.5, 0.1, 1.0]], "hold_intervals": [[20, 30]]})
+    ep = task_episode(frames, "handover", transitions=((3, 9),), hold_intervals=[[20, 30]])
     path = tmp_path / "ep.json"
     save_episode(ep, path)
     # any JSON parser reads the file as one float per coordinate
@@ -200,7 +222,7 @@ def test_saved_episode_reads_back_bit_identical(tmp_path_factory, seed, n_edge, 
     rng = np.random.default_rng(seed)
     frames = rng.normal(size=(HISTORY_LEN + HORIZON_LEN, N_JOINTS, 3)) * scale
     frames.flat[rng.choice(frames.size, n_edge, replace=False)] = rng.choice(EDGE_FLOATS, n_edge)
-    ep = Episode(fps=25.0, frames=frames)
+    ep = task_episode(frames)
     path = tmp_path_factory.mktemp("ep") / "ep.json"
     save_episode(ep, path)
     assert same_bits(json.loads(path.read_text())["frames"], frames)
@@ -234,3 +256,37 @@ def test_episode_reader_rejects_malformed_documents():
         episode_from_dict(bad)
     with pytest.raises(MotionError):
         episode_from_dict(dict(doc, joint_names=["a"] * 7))
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+                | st.floats(allow_nan=False, allow_infinity=False))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda xs: st.lists(xs) | st.dictionaries(st.text(), xs))
+EXTRAS_FIELDS = {"stir": ("pot_position",),
+                 "handover": ("goals", "hold_intervals", "object_in_hand"),
+                 "tableset": ()}
+
+
+@pytest.fixture(scope="module")
+def saved_episodes():
+    """The JSON document of one generated episode of each task."""
+    config = GenConfig(episode_len_s=12.0, n_interactions=1)
+    return {task: episode_to_dict(GENERATORS[task](config)) for task in TASKS}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_a_random_field_loads_a_plannable_episode_or_raises_motion_error(
+        saved_episodes, tmp_path_factory, data, value):
+    # one field of a valid file replaced with any JSON value: the loader
+    # either refuses the file or returns an episode the planner accepts
+    task = data.draw(st.sampled_from(TASKS))
+    field = data.draw(st.sampled_from(("transitions", "fps", "extras", *EXTRAS_FIELDS[task])))
+    doc = dict(saved_episodes[task], extras=dict(saved_episodes[task]["extras"]))
+    (doc["extras"] if field in EXTRAS_FIELDS[task] else doc)[field] = value
+    path = tmp_path_factory.getbasetemp() / "random_field.json"
+    path.write_text(json.dumps(doc))
+    try:
+        episode = load_episode(path)
+    except MotionError:
+        return
+    build_task_spec(episode, ArmModel())
