@@ -40,6 +40,11 @@ ARM_BONES = ((4, 2), (2, 0), (5, 3), (3, 1))
 
 TASKS = ("stir", "handover", "tableset")
 
+# Largest coordinate of a task point (a pot, a goal), in metres: far outside
+# any workspace, and small enough that the squares and sums of squares that
+# the planner takes of such points stay finite.
+MAX_COORDINATE = 1e6
+
 
 class MotionError(ValueError):
     """Raised for malformed contexts, episodes or window requests."""
@@ -56,10 +61,12 @@ def is_finite_number(value) -> bool:
 
 
 def finite_point(value, name: str) -> tuple:
-    """A 3-vector of finite, non-bool numbers, as a tuple of floats."""
+    """A 3-vector of finite, non-bool numbers within ``MAX_COORDINATE`` of
+    the origin on each axis, as a tuple of floats."""
     if (not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 3
-            or not all(is_finite_number(v) for v in value)):
-        raise MotionError(f"{name} must be 3 finite numbers, got {value!r}")
+            or not all(is_finite_number(v) and abs(v) <= MAX_COORDINATE for v in value)):
+        raise MotionError(f"{name} must be 3 finite numbers within {MAX_COORDINATE:g} m of "
+                          f"the origin on each axis, got {value!r}")
     return tuple(float(v) for v in value)
 
 
@@ -171,10 +178,10 @@ class Episode:
 
     ``transitions`` are closed [start, end] frame-index intervals marking the
     close-proximity interaction windows.  ``extras`` carries the task
-    metadata, checked here once: stir needs ``pot_position``, 3 finite numbers;
-    handover needs ``goals`` of 3 finite numbers each, one ``hold_intervals``
-    [start, end] frame pair per goal and one ``object_in_hand`` bool per
-    frame; tableset needs nothing.
+    metadata, checked here once: stir needs a ``pot_position`` point
+    (``finite_point``); handover needs ``goals`` of such points, one
+    ``hold_intervals`` [start, end] frame pair per goal and one
+    ``object_in_hand`` bool per frame; tableset needs nothing.
     """
 
     fps: float
@@ -214,15 +221,20 @@ class Episode:
         return 1.0 / self.fps
 
 
-def episode_to_dict(episode: Episode) -> dict:
+def _episode_doc(episode: Episode, frames) -> dict:
     return {
         "fps": episode.fps,
         "joint_names": list(JOINT_NAMES),
-        "frames": episode.frames.tolist(),
+        "frames": frames,
         "transitions": [[s, e] for s, e in episode.transitions],
         "task": episode.task,
         "extras": episode.extras,
     }
+
+
+def episode_to_dict(episode: Episode) -> dict:
+    """The episode file's document, with the frames as nested lists."""
+    return _episode_doc(episode, episode.frames.tolist())
 
 
 def episode_from_dict(doc: dict) -> Episode:
@@ -241,13 +253,16 @@ def episode_from_dict(doc: dict) -> Episode:
 
 
 def save_episode(episode: Episode, path) -> None:
-    write_json(path, episode_to_dict(episode))
+    """Write the episode file.  orjson writes the frames array itself, in the
+    same bytes as its nested lists, and needs it C-contiguous."""
+    write_json(path, _episode_doc(episode, np.ascontiguousarray(episode.frames)))
 
 
 def write_json(path, doc, option: int = 0) -> None:
-    """Write a file of the run as JSON.  numpy scalars are written as the
-    numbers they hold, and NaN or infinite floats as ``null``.  ``option``
-    adds orjson layout flags, such as ``orjson.OPT_INDENT_2``."""
+    """Write a file of the run as JSON.  numpy scalars and C-contiguous
+    arrays are written as the numbers they hold, and NaN or infinite floats
+    as ``null``.  ``option`` adds orjson layout flags, such as
+    ``orjson.OPT_INDENT_2``."""
     Path(path).write_bytes(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | option))
 
 

@@ -164,6 +164,11 @@ def test_gen_points_length_and_tableset_tour_exit_2(tmp_path, capsys):
              "pot_position must be 3 finite numbers"),
             (dict(MINI, gen={"rest_wrist": [0.0, "x", 1.0]}), "rest_wrist must be 3 finite numbers"),
             (dict(MINI, gen={"rest_wrist": [0.0, True, 1.0]}), "rest_wrist must be 3 finite numbers"),
+            # beyond the coordinate bound, before the reach check squares it
+            (dict(MINI, gen={"pot_position": [1e200, 0.0, 0.0]}),
+             "pot_position must be 3 finite numbers within 1e+06 m"),
+            (dict(MINI, gen={"rest_wrist": [0.0, 0.0, -2e6]}),
+             "rest_wrist must be 3 finite numbers within 1e+06 m"),
             (dict(MINI, gen={"pot_position": [5, 5, 5]}), "pot_position at 7.959 m from the "
              "right shoulder exceeds arm reach 0.720 m"),
             (dict(MINI, gen={"rest_wrist": [0.45, -0.2, 0.33]}), "rest_wrist at 0.720 m"),
@@ -529,10 +534,14 @@ def _no_goals(doc):
     ("train", "stir", lambda doc: doc.update(transitions=[[True, 9]]), "transitions"),
     ("train", "stir", lambda doc: doc.update(fps=True), "fps"),
     ("train", "stir", lambda doc: doc.update(fps="25"), "fps"),
+    ("train", "stir", lambda doc: doc["extras"].update(pot_position=[1e200, 0.0, 0.0]),
+     "pot_position must be 3 finite numbers within 1e+06 m"),
+    ("eval-plan", "handover", lambda doc: doc["extras"]["goals"][0].__setitem__(1, -2e6),
+     "goals[0] must be 3 finite numbers within 1e+06 m"),
 ], ids=["string-flags-eval-plan", "string-flags-train", "int-flags-eval-plan",
         "int-flags-train", "short-flags-train", "no-pot-train", "no-goals-eval-plan",
         "float-transition", "string-transition", "bool-transition", "bool-fps",
-        "string-fps"])
+        "string-fps", "far-pot-train", "far-goal-eval-plan"])
 def test_bad_task_data_exits_3_naming_the_file_and_field(split_run, tmp_path, capsys,
                                                           command, task, damage, field):
     # task data is checked where the episode is loaded: no command gets past

@@ -1,6 +1,7 @@
 """Tests for the forecasting baselines, the linear model, and training."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import (BASE_POSE, linear_episode, random_context, random_trajectory,
                       task_episode, window_last)
 from costcast.datagen import GenConfig, gen_stirring
+from costcast import forecast
 from costcast.forecast import (
     ANNOTATED,
+    BLOCK_WINDOWS,
     COST_PERCENTILE,
     ForecastModel,
     MAX_BATCH_SIZE,
@@ -19,6 +22,7 @@ from costcast.forecast import (
     TrainConfig,
     WindowSet,
     _batch_loss_and_grad,
+    _val_loss,
     build_transition_set,
     default_weights,
     forecast_cur,
@@ -254,6 +258,60 @@ def test_gather_and_flags_match_episode_slicing(eps, data):
         ep, s = ref[wi]
         for f in range(HISTORY_LEN + HORIZON_LEN):
             np.testing.assert_array_equal(windows[f, row], ep.frames[s + f].ravel())
+
+
+def block_sizes(n):
+    """A block of one window, of 7, of the whole set and past it."""
+    return st.sampled_from([1, 7, n]) | st.integers(n + 1, 2 * n + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=episodes_with_transitions(), data=st.data())
+def test_chunks_concatenate_to_the_whole_gather(eps, data):
+    ws = WindowSet(eps)
+    n = len(ws)
+    size = data.draw(block_sizes(n))
+    blocks = list(ws.chunks(size))
+    assert [first for first, _ in blocks] == list(range(0, n, size))
+    assert all(0 < b.shape[1] <= size and not b.flags.writeable for _, b in blocks)
+    np.testing.assert_array_equal(np.concatenate([b for _, b in blocks], axis=1),
+                                  ws.gather(np.arange(n)))
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_chunks_need_a_positive_block_size(size):
+    with pytest.raises(MotionError, match="block size"):
+        next(WindowSet([linear_episode(40, (0.0, 0.0, 0.0))]).chunks(size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(eps=episodes_with_transitions(), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       wrist=st.floats(1.0, 5.0))
+def test_val_loss_in_blocks_is_the_mean_per_window_loss(eps, data, seed, wrist):
+    rng = np.random.default_rng(seed)
+    ws = WindowSet(eps)
+    model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.3, (N_JOINTS, N_JOINTS)),
+                          M=rng.normal(0, 0.1, (HISTORY_LEN, HORIZON_LEN)))
+    w = default_weights(wrist)
+    span = HISTORY_LEN + HORIZON_LEN
+    want = np.mean([weighted_loss(model, Context(ep.frames[s:s + HISTORY_LEN]),
+                                  Trajectory(ep.frames[s + HISTORY_LEN:s + span]), w)
+                    for ep in eps for s in range(len(ep) - span + 1)])
+    with mock.patch.object(forecast, "BLOCK_WINDOWS", data.draw(block_sizes(len(ws)))):
+        got = _val_loss(model, ws, w)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_val_loss_scores_in_blocks_of_the_block_size():
+    # 3 x 100 windows: the gathers are full blocks and one remainder
+    ws = WindowSet([linear_episode(134, (0.1, 0.0, 0.0))] * 3)
+    sizes = []
+    gather = WindowSet.gather
+    with mock.patch.object(WindowSet, "gather",
+                           lambda self, idx: sizes.append(len(idx)) or gather(self, idx)):
+        _val_loss(ForecastModel.init(), ws, default_weights())
+    full, rest = divmod(len(ws), BLOCK_WINDOWS)
+    assert sizes == [BLOCK_WINDOWS] * full + [rest] * (rest > 0)
 
 
 def test_windowset_agrees_with_slide_windows():

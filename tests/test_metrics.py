@@ -5,9 +5,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import BASE_POSE, linear_episode, task_episode
-from costcast.forecast import WindowSet, forecast_cur, forecast_worst
+from costcast.forecast import (
+    ForecastModel,
+    WindowSet,
+    forecast_cur,
+    forecast_worst,
+    make_forecaster,
+)
 from costcast.metrics import (
     METRIC_KEYS,
     MetricReport,
@@ -18,9 +25,11 @@ from costcast.metrics import (
     random_toycmdp,
     stop_restart_times,
     worked_toycmdp,
+    _displacements,
     _incursions,
 )
 from costcast.motion import (
+    Context,
     Episode,
     HISTORY_LEN,
     HORIZON_LEN,
@@ -89,6 +98,73 @@ def test_evaluate_forecaster_rejects_volume_forecasts():
     ws = WindowSet([ep])
     with pytest.raises(MotionError):
         evaluate_forecaster(ws, lambda ctx, fut=None: forecast_worst(ctx))
+
+
+def test_evaluate_forecaster_without_transition_windows_fails_before_scoring(rng):
+    frames = BASE_POSE + rng.normal(0, 0.05, size=(60, N_JOINTS, 3))
+    ws = WindowSet([task_episode(frames)])
+    calls = []
+    with pytest.raises(MotionError, match="no transition windows"):
+        evaluate_forecaster(ws, lambda ctx, fut: calls.append(1) or forecast_cur(ctx))
+    assert calls == []
+
+
+@st.composite
+def scored_windows(draw):
+    """1-3 random episodes from exactly one window long, the first with a
+    transition in its first window's future, a block size of 1, 7, every
+    window or more, and a forecaster: cur, cvm or a random linear model."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(HISTORY_LEN + HORIZON_LEN, 80))
+        frames = BASE_POSE + rng.normal(0, 0.05, size=(n, N_JOINTS, 3))
+        eps.append(task_episode(frames, transitions=((HISTORY_LEN, HISTORY_LEN + 2),)
+                                if i == 0 else ()))
+    ws = WindowSet(eps)
+    size = draw(st.sampled_from([1, 7, len(ws)]) | st.integers(len(ws) + 1, 2 * len(ws) + 1))
+    model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.3, (N_JOINTS, N_JOINTS)),
+                          M=rng.normal(0, 0.1, (HISTORY_LEN, HORIZON_LEN)))
+    name = draw(st.sampled_from(["cur", "cvm", "model"]))
+    return eps, ws, size, make_forecaster(model if name == "model" else name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=scored_windows())
+def test_evaluate_forecaster_in_blocks_matches_a_per_window_reference(case):
+    eps, ws, size, fc = case
+    got = evaluate_forecaster(ws, fc, chunk=size)
+    per_window = []
+    for ep in eps:
+        for s in range(len(ep) - HISTORY_LEN - HORIZON_LEN + 1):
+            ctx = Context(ep.frames[s:s + HISTORY_LEN], DT)
+            fut = Trajectory(ep.frames[s + HISTORY_LEN:s + HISTORY_LEN + HORIZON_LEN], DT)
+            d = np.linalg.norm(fc(ctx, fut).frames - fut.frames, axis=-1)   # (T, J)
+            wr = d[:, list(WRIST_INDICES)]
+            per_window.append((d.mean(), d[-1].mean(), wr.mean(), wr[-1].mean()))
+    per_window = 1000.0 * np.array(per_window)
+    flags = ws.flags
+    assert got["n_windows"] == len(per_window) and got["n_transition_windows"] == flags.sum()
+    for col, key in enumerate(("ade", "fde", "wrist_ade", "wrist_fde")):
+        for prefix, values in (("", per_window[:, col]), ("t_", per_window[flags, col])):
+            assert got[prefix + key] == pytest.approx(values.mean(), rel=1e-12)
+            se = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
+            assert got[prefix + key + "_se"] == pytest.approx(se, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       scale=st.sampled_from([1e-300, 1e-5, 1.0, 1e5, 1e150]), window_last=st.booleans())
+def test_displacements_are_bit_identical_to_linalg_norm(seed, shape, scale, window_last):
+    # contiguous operands and the strided batch-first views that evaluation
+    # passes, at scales from subnormal squares to 1e300
+    rng = np.random.default_rng(seed)
+    a, b = (scale * rng.normal(size=(*shape, 3)) for _ in range(2))
+    if window_last and len(shape) > 1:
+        a, b = (np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -2)), -2, 0) for x in (a, b))
+    want = np.linalg.norm(a - b, axis=-1)
+    got = _displacements(a, b)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # --- stop/restart metrics from hand-built logs ----------------------------

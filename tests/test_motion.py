@@ -4,6 +4,7 @@ and the episode file format."""
 import json
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from conftest import BASE_POSE, GOAL, linear_episode, task_episode
 from costcast.datagen import GENERATORS, GenConfig
 from costcast.forecast import WindowSet
 from costcast.motion import (
+    MAX_COORDINATE,
     TASKS,
     Context,
     Episode,
@@ -21,6 +23,7 @@ from costcast.motion import (
     Trajectory,
     episode_from_dict,
     episode_to_dict,
+    finite_point,
     load_episode,
     save_episode,
 )
@@ -134,6 +137,19 @@ def test_stir_episode_requires_a_pot_position(pot):
         Episode(fps=25.0, frames=frames, task="stir", extras=extras)
 
 
+def test_a_point_lies_within_the_coordinate_bound():
+    assert finite_point([MAX_COORDINATE, -MAX_COORDINATE, 0], "p") == (1e6, -1e6, 0.0)
+    frames = np.repeat(BASE_POSE[None], 40, axis=0)
+    for bad in ([1e200, 0.0, 0.0], [0.0, -np.nextafter(MAX_COORDINATE, np.inf), 0.0],
+                [0, 0, 10**7]):
+        with pytest.raises(MotionError, match=r"p must be 3 finite numbers within 1e\+06 m"):
+            finite_point(bad, "p")
+        with pytest.raises(MotionError, match="episode extras pot_position"):
+            task_episode(frames, pot_position=bad)
+        with pytest.raises(MotionError, match=r"episode extras goals\[0\]"):
+            task_episode(frames, "handover", goals=[bad])
+
+
 # --- windows (forecast.WindowSet) ---------------------------------------
 
 def test_window_count_45_frames():
@@ -201,6 +217,20 @@ def test_episode_json_round_trip(tmp_path, rng):
     assert back.transitions == ep.transitions
     assert back.task == ep.task
     assert back.extras == ep.extras
+
+
+def test_saved_episode_has_the_bytes_of_its_per_value_document(tmp_path, rng):
+    # orjson writes the frames array as it writes their nested lists; a
+    # strided read-only frame array is written from a contiguous copy
+    frames = BASE_POSE[None] + rng.normal(0, 0.01, size=(80, N_JOINTS, 3))
+    frames[0, 0] = (-0.0, 5e-324, 1e300)
+    strided = frames[::2]
+    strided.flags.writeable = False
+    for ep in (task_episode(frames, "handover"), task_episode(strided)):
+        assert ep.frames.flags.c_contiguous == (ep.task == "handover")
+        path = tmp_path / "ep.json"
+        save_episode(ep, path)
+        assert path.read_bytes() == orjson.dumps(episode_to_dict(ep))
 
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,

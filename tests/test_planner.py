@@ -1,16 +1,19 @@
 """Tests for the sampling-based planner: weight update, IK helpers, task
 specs, and the receding-horizon loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BASE_POSE, fk_oracle
+from conftest import BASE_POSE, fk_oracle, task_episode
 from costcast import planner
 from costcast.cost import CostWeights, TaskSpec
 from costcast.datagen import GenConfig, gen_stirring
 from costcast.forecast import make_forecaster
-from costcast.motion import Episode, HISTORY_LEN, HORIZON_LEN, MotionError, Trajectory
+from costcast.motion import (Episode, HISTORY_LEN, HORIZON_LEN, MAX_COORDINATE, MotionError,
+                             Trajectory)
 from costcast.planner import (
     DEFAULT_RETRACT_POINT,
     IK_TOLERANCE,
@@ -329,3 +332,21 @@ def test_logged_branch_looks_only_as_far_as_the_plan_horizon():
         cfg = MppiConfig(horizon=horizon, n_samples=4, n_iterations=1)
         log = run_episode(episode, lambda ctx, truth: fc, spec, CostWeights(), cfg, model=MODEL)
         assert [rec["branch_active"] for rec in log.records] == [fired, fired]
+
+
+@pytest.mark.parametrize("task", ["stir", "handover"])
+def test_task_points_at_the_coordinate_bound_plan_without_overflow(task):
+    # a pot or goal at the bound on every axis: the set-up IK and a short
+    # playback raise no RuntimeWarning (the suite makes each one an error)
+    # and stay finite
+    far = [MAX_COORDINATE, -MAX_COORDINATE, MAX_COORDINATE]
+    field = "pot_position" if task == "stir" else "goals"
+    frames = np.repeat(BASE_POSE[None], HISTORY_LEN + HORIZON_LEN + 5, axis=0)
+    ep = task_episode(frames, task, **{field: far if task == "stir" else [far]})
+    model = ArmModel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spec = build_task_spec(ep, model)
+        log = run_episode(ep, make_forecaster("cvm"), spec, CostWeights(), MppiConfig(seed=0),
+                          model=model)
+    assert log.records and all(np.isfinite(r["cost"]) for r in log.records)
