@@ -50,6 +50,12 @@ def _non_negative_int(value, name: str) -> int:
     return value
 
 
+def _check_model_name(name: str) -> None:
+    """A model name is a baseline's or a training preset's, letter for letter."""
+    if name not in forecast.BASELINES and name not in forecast.PRESETS:
+        raise ConfigError(f"unknown model {name!r}")
+
+
 def _seed(value, name: str) -> int:
     if _non_negative_int(value, name) > MAX_SEED:
         raise ConfigError(f"{name} must be at most {MAX_SEED}, got {value}")
@@ -120,8 +126,7 @@ class RunConfig:
             raise ConfigError(f"mppi.dt {cfg.mppi.dt} must equal 1/gen.fps "
                               f"({1.0 / cfg.gen.fps}), the episode frame period")
         for name in cfg.models:
-            if name not in forecast.BASELINES and name not in forecast.PRESETS:
-                raise ConfigError(f"unknown model {name!r}")
+            _check_model_name(name)
         if cfg.preset not in forecast.PRESETS:
             raise ConfigError(f"unknown preset {cfg.preset!r}")
         return cfg
@@ -249,6 +254,7 @@ def cmd_eval_forecast(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig, episode_path: str, model_name: str, out_path: str) -> int:
     """Play back one episode against the planner with the named forecaster."""
+    _check_model_name(model_name)
     if Path(out_path).is_dir():
         raise MotionError(f"the sim log {out_path} is a directory")
     if not Path(out_path).parent.is_dir():
@@ -338,7 +344,7 @@ def cmd_report(cfg: RunConfig, log_paths) -> int:
             writer.writerow(["frame", "wrist_error_mm", "branch_active", "min_sep_m"])
             for rec in log.records:
                 werr = ""
-                if rec.get("forecast_final_wrist") is not None and "gt_final_wrist" in rec:
+                if {"forecast_final_wrist", "gt_final_wrist"} <= rec.keys():
                     werr = 1000.0 * float(np.linalg.norm(
                         np.asarray(rec["forecast_final_wrist"])
                         - np.asarray(rec["gt_final_wrist"])))

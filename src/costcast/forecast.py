@@ -31,7 +31,6 @@ import numpy as np
 
 from .motion import (
     ARM_BONES,
-    DEFAULT_DT,
     HISTORY_LEN,
     HORIZON_LEN,
     MotionError,
@@ -72,15 +71,16 @@ Forecast = Trajectory | SafetyVolume
 def forecast_cur(ctx: Context) -> Trajectory:
     """Constant-pose baseline: the last observed pose held over the horizon."""
     frames = np.repeat(ctx.frames[..., -1:, :, :], HORIZON_LEN, axis=-3)
-    return Trajectory(frames, ctx.dt)
+    return Trajectory(frames)
 
 
 def forecast_cvm(ctx: Context) -> Trajectory:
-    """Constant-velocity baseline fit over the whole history window."""
+    """Constant-velocity baseline fit over the whole history window, per frame:
+    future frame i = 1..HORIZON_LEN is last + i * (last - first) / (HISTORY_LEN - 1)."""
     last = ctx.frames[..., -1:, :, :]
-    v = (last - ctx.frames[..., :1, :, :]) / ((HISTORY_LEN - 1) * ctx.dt)
-    t = np.arange(1, HORIZON_LEN + 1)[:, None, None] * ctx.dt
-    return Trajectory(last + t * v, ctx.dt)
+    v = (last - ctx.frames[..., :1, :, :]) / (HISTORY_LEN - 1)
+    i = np.arange(1, HORIZON_LEN + 1)[:, None, None]
+    return Trajectory(last + i * v)
 
 
 def forecast_worst(ctx: Context) -> SafetyVolume:
@@ -172,7 +172,7 @@ def model_forward(model: ForecastModel, ctx: Context) -> Trajectory:
     pred = _forward_rows(model.S, model.M, rows)[0]
     pred.flags.writeable = False  # a fresh array: the Trajectory keeps its view
     frames = np.moveaxis(pred.reshape((HORIZON_LEN,) + batch + (N_JOINTS, 3)), 0, -3)
-    return Trajectory(frames, ctx.dt)
+    return Trajectory(frames)
 
 
 def default_weights(wrist_weight: float = 1.0) -> np.ndarray:
@@ -250,7 +250,6 @@ class WindowSet:
                                    + [ep.frames for ep in episodes]).reshape(-1, _ROW)
         self.start = np.concatenate(starts)
         self.flags = np.concatenate(flags)
-        self.dt = episodes[0].dt if episodes else DEFAULT_DT
 
     def __len__(self) -> int:
         return len(self.start)
@@ -299,8 +298,7 @@ def build_transition_set(windows: WindowSet, mode: str = ANNOTATED,
         cmax = np.empty(n)
         for i in range(n):
             frames = windows.gather([i]).reshape(-1, N_JOINTS, 3)
-            cmax[i] = cost_fn(Context(frames[:HISTORY_LEN], windows.dt),
-                              Trajectory(frames[HISTORY_LEN:], windows.dt))
+            cmax[i] = cost_fn(Context(frames[:HISTORY_LEN]), Trajectory(frames[HISTORY_LEN:]))
         delta = np.quantile(cmax, 1.0 - delta_percentile)
         idx = np.nonzero(cmax >= delta)[0]
     else:
@@ -463,6 +461,6 @@ def make_forecaster(name_or_model):
         model = name_or_model
         return lambda ctx, fut=None: model_forward(model, ctx)
     try:
-        return BASELINES[str(name_or_model).lower()]
+        return BASELINES[str(name_or_model)]
     except KeyError:
         raise MotionError(f"unknown forecaster {name_or_model!r}") from None

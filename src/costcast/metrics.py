@@ -52,12 +52,12 @@ def _mean_se(values: np.ndarray):
     return float(values.mean()), se
 
 
-def evaluate_forecaster(windows: WindowSet, forecaster, chunk: int = BLOCK_WINDOWS) -> dict:
+def evaluate_forecaster(windows: WindowSet, forecaster) -> dict:
     """All eight forecasting metrics (in mm) for one forecaster over a window set.
 
-    The windows are scored in blocks of ``chunk`` (``WindowSet.chunks``); the
-    forecaster is called once per block, on the stacked contexts and true
-    futures.
+    The windows are scored in blocks of ``BLOCK_WINDOWS``
+    (``WindowSet.chunks``); the forecaster is called once per block, on the
+    stacked contexts and true futures.
     """
     n = len(windows)
     if n == 0:
@@ -70,13 +70,12 @@ def evaluate_forecaster(windows: WindowSet, forecaster, chunk: int = BLOCK_WINDO
     wade_w = np.empty(n)
     wfde_w = np.empty(n)
     wr = list(WRIST_INDICES)
-    for first, block in windows.chunks(chunk):
+    for first, block in windows.chunks(BLOCK_WINDOWS):
         # batch-first views (B, k + T, J, 3) of the window-last block
         frames = np.moveaxis(block.reshape(block.shape[0], -1, N_JOINTS, 3), 1, 0)
         at = slice(first, first + frames.shape[0])
         fut_b = frames[:, HISTORY_LEN:]
-        fc = forecaster(Context(frames[:, :HISTORY_LEN], windows.dt),
-                        Trajectory(fut_b, windows.dt))
+        fc = forecaster(Context(frames[:, :HISTORY_LEN]), Trajectory(fut_b))
         if isinstance(fc, SafetyVolume):
             raise MotionError("displacement metrics need point forecasts")
         d = _displacements(fc.frames, fut_b)  # (B, T, J)
@@ -164,9 +163,8 @@ def _detection_step(records, goal: np.ndarray, lo: int, hi: int):
     hi = min(hi, len(records) - 1)
     run = 0
     for i in range(lo, hi + 1):
-        w = records[i].get("forecast_final_wrist")
-        ok = w is not None and np.linalg.norm(np.asarray(w) - goal) <= GOAL_DETECT_RADIUS
-        run = run + 1 if ok else 0
+        w = np.asarray(records[i]["forecast_final_wrist"])
+        run = run + 1 if np.linalg.norm(w - goal) <= GOAL_DETECT_RADIUS else 0
         if run >= GOAL_DETECT_PERSIST:
             return i - GOAL_DETECT_PERSIST + 1
     return None

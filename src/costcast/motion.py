@@ -32,7 +32,6 @@ WRIST_INDICES = (0, 1)
 # Working rates: 10 frames (0.4 s) of history predict 25 frames (1 s).
 HISTORY_LEN = 10
 HORIZON_LEN = 25
-DEFAULT_DT = 0.04
 DEFAULT_FPS = 25.0
 
 # (shoulder->elbow, elbow->wrist) index pairs per arm.
@@ -40,9 +39,9 @@ ARM_BONES = ((4, 2), (2, 0), (5, 3), (3, 1))
 
 TASKS = ("stir", "handover", "tableset")
 
-# Largest coordinate of a task point (a pot, a goal), in metres: far outside
-# any workspace, and small enough that the squares and sums of squares that
-# the planner takes of such points stay finite.
+# Largest coordinate of a task point (a pot, a goal) or a frame, in metres:
+# far outside any workspace, and small enough that the squares and sums of
+# squares that the planner and the metrics take of such points stay finite.
 MAX_COORDINATE = 1e6
 
 
@@ -87,11 +86,6 @@ def check_field_types(config) -> None:
             if not is_finite_number(value):
                 raise MotionError(f"{f.name} must be a finite number, got {value!r}")
             object.__setattr__(config, f.name, float(value))
-
-
-def _check_dt(dt, what: str) -> None:
-    if not (is_finite_number(dt) and dt > 0):
-        raise MotionError(f"{what} dt must be a finite positive number, got {dt!r}")
 
 
 def _check_intervals(pairs, n: int, name: str) -> None:
@@ -143,17 +137,16 @@ def _readonly(a) -> np.ndarray:
 class Context:
     """The forecaster input: the last `HISTORY_LEN` poses, oldest first.
 
+    Context and Trajectory hold frames only; the rate is ``Episode.fps``.
     Leading batch dimensions stack several contexts; the planner passes one.
     """
 
     frames: np.ndarray  # (..., k, J, 3)
-    dt: float = DEFAULT_DT
 
     def __post_init__(self):
         frames = _readonly(self.frames)
         if frames.shape[-3:] != (HISTORY_LEN, N_JOINTS, 3):
             raise MotionError(f"context must have shape (..., {HISTORY_LEN}, {N_JOINTS}, 3), got {frames.shape}")
-        _check_dt(self.dt, "context")
         object.__setattr__(self, "frames", frames)
 
 
@@ -162,13 +155,11 @@ class Trajectory:
     """A `HORIZON_LEN`-frame future of poses."""
 
     frames: np.ndarray  # (..., T, J, 3)
-    dt: float = DEFAULT_DT
 
     def __post_init__(self):
         frames = _readonly(self.frames)
         if frames.shape[-3:] != (HORIZON_LEN, N_JOINTS, 3):
             raise MotionError(f"trajectory must have shape (..., {HORIZON_LEN}, {N_JOINTS}, 3), got {frames.shape}")
-        _check_dt(self.dt, "trajectory")
         object.__setattr__(self, "frames", frames)
 
 
@@ -194,8 +185,9 @@ class Episode:
         frames = _readonly(self.frames)
         if frames.ndim != 3 or frames.shape[1:] != (N_JOINTS, 3):
             raise MotionError(f"episode frames must have shape (n, {N_JOINTS}, 3), got {frames.shape}")
-        if not np.isfinite(frames).all():
-            raise MotionError("episode contains non-finite coordinates")
+        if not (np.abs(frames) <= MAX_COORDINATE).all():  # false for NaN and inf too
+            raise MotionError("episode frames must hold finite coordinates within "
+                              f"{MAX_COORDINATE:g} m of the origin on each axis")
         if not (is_finite_number(self.fps) and self.fps > 0):
             raise MotionError(f"fps must be a finite positive number, got {self.fps!r}")
         if self.task not in TASKS:

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .cost import CostWeights, TaskSpec, stir_retract_mask, total_cost_batch
-from .forecast import SafetyVolume
 from .motion import (
     Context,
     Episode,
@@ -279,7 +278,7 @@ class SimLog:
                 raise MotionError(f"sim log {path}: line {line} is not a record "
                                   "with 'step' and 'min_sep'")
             for key in ("forecast_final_wrist", "gt_final_wrist"):
-                if key in rec and not (key == "forecast_final_wrist" and rec[key] is None):
+                if key in rec:
                     finite_point(rec[key], f"sim log {path}: line {line}: {key}")
         return log
 
@@ -304,8 +303,8 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
     wrist = WRIST_INDICES[1]   # the right wrist, the one that moves
 
     for t in range(HISTORY_LEN - 1, len(episode) - HORIZON_LEN):
-        ctx = Context(episode.frames[t - HISTORY_LEN + 1:t + 1], dt=episode.dt)
-        truth = Trajectory(episode.frames[t + 1:t + 1 + HORIZON_LEN], dt=episode.dt)
+        ctx = Context(episode.frames[t - HISTORY_LEN + 1:t + 1])
+        truth = Trajectory(episode.frames[t + 1:t + 1 + HORIZON_LEN])
         fc = forecaster(ctx, truth)
         step_spec = spec
         if episode.task == "handover":
@@ -340,8 +339,7 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
                 np.linalg.norm(episode.frames[t, list(WRIST_INDICES)] - pot, axis=-1).min()
                 <= weights.eps_pot)
         if episode.task == "handover":
-            rec["forecast_final_wrist"] = (None if isinstance(fc, SafetyVolume)
-                                           else fc.frames[-1, wrist].tolist())
+            rec["forecast_final_wrist"] = fc.frames[-1, wrist].tolist()
             rec["gt_final_wrist"] = episode.frames[t + HORIZON_LEN, wrist].tolist()
             rec["object_in_hand"] = episode.extras["object_in_hand"][t]
         log.records.append(rec)

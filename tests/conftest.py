@@ -32,14 +32,14 @@ def random_pose_array(rng, scale=0.03):
     return BASE_POSE + rng.normal(0.0, scale, size=(N_JOINTS, 3))
 
 
-def random_context(rng, dt=0.04):
+def random_context(rng):
     frames = np.stack([random_pose_array(rng, 0.005) for _ in range(HISTORY_LEN)])
-    return Context(frames, dt=dt)
+    return Context(frames)
 
 
-def random_trajectory(rng, dt=0.04):
+def random_trajectory(rng):
     frames = np.stack([random_pose_array(rng, 0.005) for _ in range(HORIZON_LEN)])
-    return Trajectory(frames, dt=dt)
+    return Trajectory(frames)
 
 
 def window_last(frames):

@@ -521,6 +521,12 @@ def _no_goals(doc):
     del doc["extras"]["goals"], doc["extras"]["hold_intervals"]
 
 
+def _far_frames(doc):
+    # the last 20 frames scaled by 1e200: finite, but their squares overflow
+    doc["frames"][-20:] = [[[v * 1e200 for v in joint] for joint in frame]
+                           for frame in doc["frames"][-20:]]
+
+
 @pytest.mark.parametrize("command, task, damage, field", [
     ("eval-plan", "handover", _flags(lambda f: str(f).lower()), "object_in_hand"),
     ("train", "handover", _flags(lambda f: str(f).lower()), "object_in_hand"),
@@ -538,10 +544,12 @@ def _no_goals(doc):
      "pot_position must be 3 finite numbers within 1e+06 m"),
     ("eval-plan", "handover", lambda doc: doc["extras"]["goals"][0].__setitem__(1, -2e6),
      "goals[0] must be 3 finite numbers within 1e+06 m"),
+    ("eval-forecast", "stir", _far_frames,
+     "episode frames must hold finite coordinates within 1e+06 m"),
 ], ids=["string-flags-eval-plan", "string-flags-train", "int-flags-eval-plan",
         "int-flags-train", "short-flags-train", "no-pot-train", "no-goals-eval-plan",
         "float-transition", "string-transition", "bool-transition", "bool-fps",
-        "string-fps", "far-pot-train", "far-goal-eval-plan"])
+        "string-fps", "far-pot-train", "far-goal-eval-plan", "far-frames-eval-forecast"])
 def test_bad_task_data_exits_3_naming_the_file_and_field(split_run, tmp_path, capsys,
                                                           command, task, damage, field):
     # task data is checked where the episode is loaded: no command gets past
@@ -639,6 +647,7 @@ def test_report_on_a_report_holding_nan_exits_3_naming_it(tmp_path, capsys):
     [1, 2], {"x": 1}, {"step": 3}, {"min_sep": 0.1},
     {"step": 1, "min_sep": 0.1, "forecast_final_wrist": [1, 2], "gt_final_wrist": [1, 2, 3]},
     {"step": 1, "min_sep": 0.1, "forecast_final_wrist": None, "gt_final_wrist": [1, 2, None]},
+    {"step": 1, "min_sep": 0.1, "forecast_final_wrist": None, "gt_final_wrist": [1, 2, 3]},
 ])
 def test_report_on_a_malformed_sim_log_record_exits_3_naming_it(tmp_path, capsys, record):
     args, _ = empty_run(tmp_path)
@@ -745,6 +754,23 @@ def test_simulate_and_report_csv(pipeline, tmp_path):
     assert len(csv_lines) == 1 + len(log.records)
     merged = MetricReport.from_json(run_dir / "report.json")
     assert "cur/stir" in merged.forecasting
+
+
+@pytest.mark.parametrize("model, code, message", [
+    ("foo", 2, "config error: unknown model 'foo'"),
+    ("manicast-w", 3, "error: no checkpoint for model 'manicast-w'"),
+])
+def test_simulate_checks_the_model_name_like_the_config(pipeline, tmp_path, capsys,
+                                                        model, code, message):
+    # an unknown name is a config error, as in the config's models; a known
+    # preset that was never trained is a runtime error
+    _, run_dir, _ = pipeline
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "runs"),
+                 "--episode", str(run_dir / "data" / "stir_000.json"),
+                 "--model", model, "--log-out", str(tmp_path / "sim.jsonl")]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "sim.jsonl").exists()
 
 
 def test_exit_2_on_simulate_with_zero_mppi_iterations(pipeline, tmp_path, capsys):

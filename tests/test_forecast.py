@@ -50,9 +50,8 @@ from costcast.motion import (
 
 
 def window_from_episode(ep, start=0):
-    ctx = Context(ep.frames[start:start + HISTORY_LEN], dt=ep.dt)
-    fut = Trajectory(ep.frames[start + HISTORY_LEN:start + HISTORY_LEN + HORIZON_LEN],
-                     dt=ep.dt)
+    ctx = Context(ep.frames[start:start + HISTORY_LEN])
+    fut = Trajectory(ep.frames[start + HISTORY_LEN:start + HISTORY_LEN + HORIZON_LEN])
     return ctx, fut
 
 
@@ -331,19 +330,18 @@ def test_windowset_agrees_with_slide_windows():
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-       dt=st.floats(0.01, 0.1))
-def test_batched_forecasters_equal_per_context_calls(n, seed, dt):
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_batched_forecasters_equal_per_context_calls(n, seed):
     rng = np.random.default_rng(seed)
     frames = BASE_POSE + rng.normal(0, 0.05, size=(n, HISTORY_LEN, N_JOINTS, 3))
     model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
                           M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
     for forecaster in (forecast_cur, forecast_cvm, lambda c: model_forward(model, c)):
-        batch = forecaster(Context(frames, dt)).frames
+        batch = forecaster(Context(frames)).frames
         assert batch.shape == (n, HORIZON_LEN, N_JOINTS, 3)
         for i in range(n):
             np.testing.assert_array_equal(
-                batch[i], forecaster(Context(frames[i], dt)).frames)
+                batch[i], forecaster(Context(frames[i])).frames)
 
 
 def test_annotated_transition_set_matches_flags():
@@ -517,5 +515,6 @@ def test_make_forecaster_interface(rng):
     model = ForecastModel.init()
     np.testing.assert_array_equal(make_forecaster(model)(ctx).frames,
                                   forecast_cur(ctx).frames)
-    with pytest.raises(MotionError):
-        make_forecaster("nope")
+    for name in ("nope", "CUR"):   # names are exact, as the CLI checks them
+        with pytest.raises(MotionError):
+            make_forecaster(name)

@@ -2,12 +2,14 @@
 finite-problem loss-bound verifier."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BASE_POSE, linear_episode, task_episode
+from costcast import metrics
 from costcast.forecast import (
     ForecastModel,
     WindowSet,
@@ -53,17 +55,17 @@ def random_episode(rng, n=60):
 def test_ade_fde_hand_oracle(rng):
     ws = WindowSet([random_episode(rng)])
     offset = np.array([0.003, 0.004, 0.0])
-    m = evaluate_forecaster(ws, lambda ctx, fut: Trajectory(fut.frames + offset, fut.dt))
+    m = evaluate_forecaster(ws, lambda ctx, fut: Trajectory(fut.frames + offset))
     for key in METRIC_KEYS:
         assert m[key] == pytest.approx(5.0, abs=1e-9)   # 5 mm uniform offset
 
 
-def test_ade_fde_matches_hand_sum(rng):
-    # the true future scaled by 1.01, scored over chunks of 7 windows
+def test_ade_fde_matches_hand_sum(rng, monkeypatch):
+    # the true future scaled by 1.01, scored in blocks of 7 windows
     ep = random_episode(rng)
     ws = WindowSet([ep])
-    m = evaluate_forecaster(ws, lambda ctx, fut: Trajectory(1.01 * fut.frames, fut.dt),
-                            chunk=7)
+    monkeypatch.setattr(metrics, "BLOCK_WINDOWS", 7)
+    m = evaluate_forecaster(ws, lambda ctx, fut: Trajectory(1.01 * fut.frames))
     fut = np.stack([ep.frames[s + HISTORY_LEN:s + HISTORY_LEN + HORIZON_LEN]
                     for s in range(len(ws))])
     d = np.linalg.norm(1.01 * fut - fut, axis=-1)   # (windows, T, J)
@@ -133,12 +135,13 @@ def scored_windows(draw):
 @given(case=scored_windows())
 def test_evaluate_forecaster_in_blocks_matches_a_per_window_reference(case):
     eps, ws, size, fc = case
-    got = evaluate_forecaster(ws, fc, chunk=size)
+    with mock.patch.object(metrics, "BLOCK_WINDOWS", size):   # metrics' own binding
+        got = evaluate_forecaster(ws, fc)
     per_window = []
     for ep in eps:
         for s in range(len(ep) - HISTORY_LEN - HORIZON_LEN + 1):
-            ctx = Context(ep.frames[s:s + HISTORY_LEN], DT)
-            fut = Trajectory(ep.frames[s + HISTORY_LEN:s + HISTORY_LEN + HORIZON_LEN], DT)
+            ctx = Context(ep.frames[s:s + HISTORY_LEN])
+            fut = Trajectory(ep.frames[s + HISTORY_LEN:s + HISTORY_LEN + HORIZON_LEN])
             d = np.linalg.norm(fc(ctx, fut).frames - fut.frames, axis=-1)   # (T, J)
             wr = d[:, list(WRIST_INDICES)]
             per_window.append((d.mean(), d[-1].mean(), wr.mean(), wr[-1].mean()))

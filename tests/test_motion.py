@@ -35,12 +35,22 @@ from costcast.robot import ArmModel
 
 def test_pose_shape_and_finiteness_enforced():
     # every frame of an episode is a (7, 3) pose with finite coordinates
+    # within MAX_COORDINATE of the origin on each axis
     with pytest.raises(MotionError):
         task_episode(np.zeros((40, N_JOINTS - 1, 3)))
-    bad = np.repeat(BASE_POSE[None], 40, axis=0)
-    bad[5, 0, 0] = np.nan
-    with pytest.raises(MotionError):
-        task_episode(bad)
+    for value in (np.nan, -np.inf, np.nextafter(MAX_COORDINATE, np.inf)):
+        bad = np.repeat(BASE_POSE[None], 40, axis=0)
+        bad[5, 0, 0] = value
+        with pytest.raises(MotionError, match="within 1e\\+06 m"):
+            task_episode(bad)
+    # finite frames whose squares overflow in the metrics
+    far = np.repeat(BASE_POSE[None], 60, axis=0)
+    far[-20:] *= 1e200
+    with pytest.raises(MotionError, match="within 1e\\+06 m"):
+        task_episode(far)
+    edge = np.repeat(BASE_POSE[None], 40, axis=0)
+    edge[5, 0] = (MAX_COORDINATE, -MAX_COORDINATE, 0.0)
+    assert task_episode(edge).frames[5, 0, 1] == -MAX_COORDINATE
 
 
 def test_containers_are_immutable():
@@ -54,8 +64,6 @@ def test_context_and_trajectory_length_enforced():
         Context(np.repeat(BASE_POSE[None], HISTORY_LEN - 1, axis=0))
     with pytest.raises(MotionError):
         Trajectory(np.repeat(BASE_POSE[None], HORIZON_LEN + 1, axis=0))
-    with pytest.raises(MotionError):
-        Context(np.repeat(BASE_POSE[None], HISTORY_LEN, axis=0), dt=0.0)
     # leading batch dimensions stack contexts; the trailing three are checked
     assert Context(np.zeros((4, HISTORY_LEN, N_JOINTS, 3))).frames.shape[0] == 4
     assert Trajectory(np.zeros((2, 3, HORIZON_LEN, N_JOINTS, 3))).frames.ndim == 5
@@ -63,14 +71,6 @@ def test_context_and_trajectory_length_enforced():
         Context(np.zeros((4, HISTORY_LEN - 1, N_JOINTS, 3)))
     with pytest.raises(MotionError):
         Trajectory(np.zeros((N_JOINTS, 3)))
-
-
-@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -1.0, 0.0])
-def test_context_and_trajectory_require_a_finite_positive_dt(dt):
-    with pytest.raises(MotionError, match="context dt"):
-        Context(np.repeat(BASE_POSE[None], HISTORY_LEN, axis=0), dt=dt)
-    with pytest.raises(MotionError, match="trajectory dt"):
-        Trajectory(np.repeat(BASE_POSE[None], HORIZON_LEN, axis=0), dt=dt)
 
 
 @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -25.0, 0.0, True, "25"])
@@ -198,7 +198,7 @@ def test_mixed_frame_rates_rejected():
            linear_episode(120, (0.1, 0.0, 0.0), fps=50.0)]
     with pytest.raises(MotionError, match="rate"):
         WindowSet(eps)
-    assert WindowSet(eps[1:]).dt == pytest.approx(1 / 50.0)
+    assert len(WindowSet(eps[1:])) == 120 - HISTORY_LEN - HORIZON_LEN + 1
 
 
 # --- episode file format --------------------------------------------------
@@ -223,7 +223,7 @@ def test_saved_episode_has_the_bytes_of_its_per_value_document(tmp_path, rng):
     # orjson writes the frames array as it writes their nested lists; a
     # strided read-only frame array is written from a contiguous copy
     frames = BASE_POSE[None] + rng.normal(0, 0.01, size=(80, N_JOINTS, 3))
-    frames[0, 0] = (-0.0, 5e-324, 1e300)
+    frames[0, 0] = (-0.0, 5e-324, -MAX_COORDINATE)
     strided = frames[::2]
     strided.flags.writeable = False
     for ep in (task_episode(frames, "handover"), task_episode(strided)):
@@ -233,8 +233,8 @@ def test_saved_episode_has_the_bytes_of_its_per_value_document(tmp_path, rng):
         assert path.read_bytes() == orjson.dumps(episode_to_dict(ep))
 
 
-EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
-               1e-300, -1e-300)
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX_COORDINATE,
+               -MAX_COORDINATE, 1e-300, -1e-300)
 
 
 def same_bits(a, b) -> bool:
@@ -244,11 +244,11 @@ def same_bits(a, b) -> bool:
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_edge=st.integers(0, 60),
-       scale=st.sampled_from([1e-300, 1e-5, 1.0, 1e5, 1e300]))
+       scale=st.sampled_from([1e-300, 1e-5, 1.0, 1e5]))
 def test_saved_episode_reads_back_bit_identical(tmp_path_factory, seed, n_edge, scale):
-    # normals of any scale with signed zeros, subnormals, the smallest normal
-    # and +-1e+-300 scattered in: both stdlib json and load_episode read back
-    # the very same doubles
+    # normals of any scale an episode holds, with signed zeros, subnormals,
+    # the smallest normal, +-1e-300 and +-MAX_COORDINATE scattered in: both
+    # stdlib json and load_episode read back the very same doubles
     rng = np.random.default_rng(seed)
     frames = rng.normal(size=(HISTORY_LEN + HORIZON_LEN, N_JOINTS, 3)) * scale
     frames.flat[rng.choice(frames.size, n_edge, replace=False)] = rng.choice(EDGE_FLOATS, n_edge)
@@ -261,9 +261,9 @@ def test_saved_episode_reads_back_bit_identical(tmp_path_factory, seed, n_edge, 
 
 def test_episode_file_of_the_stdlib_writer_still_loads(tmp_path, rng):
     # datasets written before orjson: stdlib json text with spaces after
-    # separators and exponents spelled 1e-05 / 1e+300
+    # separators and exponents spelled 1e-05
     frames = BASE_POSE[None] + rng.normal(0, 0.01, size=(40, N_JOINTS, 3))
-    frames[0, 0] = (1e-5, 1e300, -0.0)
+    frames[0, 0] = (1e-5, MAX_COORDINATE, -0.0)
     ep = Episode(fps=25.0, frames=frames, transitions=((3, 9),), task="stir",
                  extras={"pot_position": [0.55, 0.0, 0.95]})
     path = tmp_path / "old.json"
