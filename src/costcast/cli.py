@@ -241,8 +241,8 @@ def cmd_eval_forecast(cfg: RunConfig) -> int:
     windows = {task: WindowSet(eps) for task, eps in sorted(test.items())}
     report = metrics.MetricReport()
     for name in cfg.models:
-        if name == "worst":
-            continue  # no point trajectory to score
+        if name in ("worst", "fut"):
+            continue  # no point trajectory to score; the oracle would score itself
         fc = _forecaster_for(name, run_dir)
         for task, ws in windows.items():
             report.forecasting[f"{name}/{task}"] = metrics.evaluate_forecaster(ws, fc)

@@ -14,6 +14,8 @@ import numpy as np
 
 from .motion import (
     DEFAULT_FPS,
+    MAX_FPS,
+    MIN_FPS,
     Episode,
     MotionError,
     N_JOINTS,
@@ -38,7 +40,6 @@ TABLE_Z = 0.9
 TABLE_DWELL_S = 0.5
 N_TABLE_WAYPOINTS = 6
 MAX_EPISODE_LEN_S = 3600.0
-MAX_FPS = 1000.0   # above any motion-capture rate; bounds the frame count with the length
 MAX_JITTER_SIGMA = 0.05   # metres; an order above motion-capture noise
 MIN_SPLIT_EPISODES = 10   # the fewest episodes an 8:1:1 split gives a val and a test episode
 
@@ -72,10 +73,8 @@ class GenConfig:
             raise MotionError(f"episode_len_s must be at most {MAX_EPISODE_LEN_S:g} s")
         if self.n_interactions < 1:
             raise MotionError("n_interactions must be >= 1")
-        if self.fps <= 0:
-            raise MotionError("fps must be positive")
-        if self.fps > MAX_FPS:
-            raise MotionError(f"fps must be at most {MAX_FPS:g}")
+        if not MIN_FPS <= self.fps <= MAX_FPS:
+            raise MotionError(f"fps must be in [{MIN_FPS:g}, {MAX_FPS:g}], got {self.fps!r}")
         for name in ("reach_duration_s", "hold_duration_s"):
             # int(round(d * fps)) < 1, the frame count that _reach_hold_return takes
             if getattr(self, name) * self.fps <= 0.5:

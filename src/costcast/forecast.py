@@ -25,6 +25,7 @@ its temporaries stay in cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,12 +153,15 @@ def _forward_rows(S: np.ndarray, M: np.ndarray, ctx: np.ndarray):
     displacements dX and their joint-mixed form SX, both (k, *batch, 3J),
     which the gradient reuses.  The joint mixing is one GEMM over every
     history row and the temporal map one GEMM over every window,
-    ``M.T @ SX.reshape(k, -1)``.
+    ``M.T @ SX.reshape(k, -1)``, to whose output ``last`` is added in place.
+    The forecast is a fresh, writable array that the caller may overwrite,
+    as the loss passes do when they turn it into the residual.
     """
     last = ctx[-1]
     dX = ctx - last
     SX = (dX.reshape(-1, _ROW) @ _joint_mixer(S)).reshape(dX.shape)
-    pred = last + (M.T @ SX.reshape(HISTORY_LEN, -1)).reshape((HORIZON_LEN,) + dX.shape[1:])
+    pred = (M.T @ SX.reshape(HISTORY_LEN, -1)).reshape((HORIZON_LEN,) + dX.shape[1:])
+    pred += last
     return pred, dX, SX
 
 
@@ -211,9 +215,11 @@ def _batch_loss_and_grad(S: np.ndarray, M: np.ndarray, ctx: np.ndarray, fut: np.
     which dS sums the xyz diagonal of each (joint, joint) block.
     """
     B = ctx.shape[1]
-    pred, dX, SX = _forward_rows(S, M, ctx)
-    sse, weighted = _weighted_sse(pred - fut, w)
-    G = (2.0 / B) * weighted.reshape(HORIZON_LEN, -1)
+    resid, dX, SX = _forward_rows(S, M, ctx)
+    resid -= fut
+    sse, weighted = _weighted_sse(resid, w)
+    weighted *= 2.0 / B
+    G = weighted.reshape(HORIZON_LEN, -1)
     dMix = dX.reshape(-1, _ROW).T @ (M @ G).reshape(-1, _ROW)
     dS = np.trace(dMix.reshape(N_JOINTS, 3, N_JOINTS, 3), axis1=1, axis2=3).T
     dM = SX.reshape(HISTORY_LEN, -1) @ G.T
@@ -318,7 +324,7 @@ def sample_batch(n_windows: int, transition_set: np.ndarray, mix: float,
         raise MotionError("mix > 0 requires a non-empty transition set")
     parts = []
     if n_trans > 0:
-        parts.append(rng.choice(transition_set, size=n_trans, replace=True))
+        parts.append(transition_set[rng.integers(0, len(transition_set), size=n_trans)])
     if batch_size - n_trans > 0:
         parts.append(rng.integers(0, n_windows, size=batch_size - n_trans))
     return np.concatenate(parts)
@@ -362,8 +368,9 @@ def _val_loss(model: ForecastModel, ws: WindowSet, w: np.ndarray) -> float:
     """Mean weighted loss over every window, scored in ``BLOCK_WINDOWS`` blocks."""
     total = 0.0
     for _first, windows in ws.chunks(BLOCK_WINDOWS):
-        pred = _forward_rows(model.S, model.M, windows[:HISTORY_LEN])[0]
-        total += _weighted_sse(pred - windows[HISTORY_LEN:], w)[0]
+        resid = _forward_rows(model.S, model.M, windows[:HISTORY_LEN])[0]
+        resid -= windows[HISTORY_LEN:]
+        total += _weighted_sse(resid, w)[0]
     return total / len(ws)
 
 
@@ -400,7 +407,7 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: TrainConfig)
             windows = train_windows.gather(idx)
             loss, dS, dM = _batch_loss_and_grad(S, M, windows[:HISTORY_LEN],
                                                 windows[HISTORY_LEN:], w)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise MotionError(f"training diverged (non-finite loss) at epoch {epoch}")
             vS = config.momentum * vS - config.learning_rate * dS
             vM = config.momentum * vM - config.learning_rate * dM

@@ -40,9 +40,10 @@ def _displacements(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     over xyz as two adds of the squared components.  The sum runs in the
     order of ``np.linalg.norm(pred - truth, axis=-1)``, so the result is
     bit-identical, and about 3 times faster on the strided views that
-    evaluation passes, where ``linalg.norm`` reduces a 3-wide axis."""
-    diff = pred - truth
-    sq = diff * diff
+    evaluation passes, where ``linalg.norm`` reduces a 3-wide axis.  The
+    difference is squared in place."""
+    sq = pred - truth
+    sq *= sq
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 

@@ -7,6 +7,7 @@ read-only) so they can be shared freely across workers.
 
 from __future__ import annotations
 
+import gc
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -33,6 +34,12 @@ WRIST_INDICES = (0, 1)
 HISTORY_LEN = 10
 HORIZON_LEN = 25
 DEFAULT_FPS = 25.0
+# Frame rates an episode may have.  The planner steps once per frame, so the
+# rate sets its step: 1 fps still gives the 4 s stir period four steps, and
+# 1000 fps, above any motion-capture rate, bounds the frame count of an
+# episode and the row count of its stir reference.
+MIN_FPS = 1.0
+MAX_FPS = 1000.0
 
 # (shoulder->elbow, elbow->wrist) index pairs per arm.
 ARM_BONES = ((4, 2), (2, 0), (5, 3), (3, 1))
@@ -188,8 +195,9 @@ class Episode:
         if not (np.abs(frames) <= MAX_COORDINATE).all():  # false for NaN and inf too
             raise MotionError("episode frames must hold finite coordinates within "
                               f"{MAX_COORDINATE:g} m of the origin on each axis")
-        if not (is_finite_number(self.fps) and self.fps > 0):
-            raise MotionError(f"fps must be a finite positive number, got {self.fps!r}")
+        if not (is_finite_number(self.fps) and MIN_FPS <= self.fps <= MAX_FPS):
+            raise MotionError(f"fps must be a number in [{MIN_FPS:g}, {MAX_FPS:g}], "
+                              f"got {self.fps!r}")
         if self.task not in TASKS:
             raise MotionError(f"unknown task {self.task!r}")
         if not isinstance(self.extras, dict):
@@ -271,7 +279,28 @@ def read_json(path, what: str):
 
 def load_episode(path) -> Episode:
     """Read an episode file; a missing, truncated or malformed file raises a
-    MotionError that names it."""
+    MotionError that names it.
+
+    Python's cyclic garbage collector is paused while the document is parsed,
+    converted and dropped.  A 12 s episode decodes into about 2,400 lists,
+    one per frame and one per joint, and that many allocations would start
+    several collections, each of which walks every tracked object.  None of
+    them could free anything: the decoded JSON has no cycles, and reference
+    counting frees it once the frames array is built.  The document is
+    released before the collector is switched back on, so its lists do not
+    count toward the next collection; the caller's collector state is
+    restored on every exit, errors included.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _decode_episode(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode_episode(path) -> Episode:
     doc = read_json(path, "episode")
     try:
         if not isinstance(doc, dict):

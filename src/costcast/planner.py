@@ -204,8 +204,17 @@ def default_table_goal(model: ArmModel) -> np.ndarray:
     return T
 
 
-def build_task_spec(episode: Episode, model: ArmModel, dt: float = 0.04) -> TaskSpec:
-    """Task spec with planner-side references derived from episode metadata."""
+def _check_rate(episode: Episode, dt: float) -> None:
+    """The planner runs at the episode's own rate, one tick per frame."""
+    if abs(episode.dt - dt) > 1e-9:
+        raise MotionError("episode rate must match the planner rate")
+
+
+def build_task_spec(episode: Episode, model: ArmModel, dt: float | None = None) -> TaskSpec:
+    """Task spec with planner-side references derived from episode metadata,
+    at the planner step ``dt``, by default the episode's own frame period."""
+    dt = episode.dt if dt is None else dt
+    _check_rate(episode, dt)
     rest = rest_configuration(model)
     if episode.task == "stir":
         pot = episode.extras["pot_position"]
@@ -294,8 +303,7 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
     """
     if len(episode) < HISTORY_LEN + HORIZON_LEN:
         raise MotionError("episode too short for playback")
-    if abs(episode.dt - cfg.dt) > 1e-9:
-        raise MotionError("episode rate must match the planner rate")
+    _check_rate(episode, cfg.dt)
     arm = ArmState(q=spec.rest_config, qd=np.zeros(N_DOF))
     pstate = PlannerState.init(cfg)
     log = SimLog(task=episode.task, model_name=model_name, dt=cfg.dt)

@@ -30,7 +30,8 @@ def test_bench_workload_reports_correct(workload):
 def test_traced_train_eval_reports_correct():
     # the traced run wraps program functions by the names they are bound to
     # (bench/spans.py), so a renamed binding fails here; the whole-set passes
-    # must show up in the spans
+    # and the training step, batch draw and episode decoding must show up in
+    # the spans
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "train-eval",
          "--seconds", "1", "--trace", "1"],
@@ -42,5 +43,6 @@ def test_traced_train_eval_reports_correct():
     assert result["correct"] is True, "\n".join(lines)
     assert result["failed"] == 0
     for name in ("forecast.val_loss.ms", "metrics.evaluate_forecaster.ms",
-                 "forecast.WindowSet.gather.ms"):
+                 "forecast.WindowSet.gather.ms", "forecast.batch_loss_and_grad.ms",
+                 "forecast.sample_batch.ms", "motion.load_episode.ms"):
         assert result["metrics"][name]["value"] > 0, name

@@ -739,6 +739,21 @@ def test_eval_forecast_report_contents(pipeline):
     assert m["fde"] > 0 and m["n_windows"] > 0
 
 
+def test_eval_forecast_skips_the_oracle(pipeline, tmp_path):
+    # fut is handed the true future, so it would score itself 0.0 mm; it is
+    # a playback forecaster, like worst, and gets no forecasting rows
+    _, run_dir, _ = pipeline
+    doc = dict(MINI, models=["cur", "fut", "manicast"])
+    config = write_config(tmp_path, doc)
+    args = ["--config", config, "--out", str(tmp_path / "runs")]
+    cfg = RunConfig.load(config, overrides={"out": str(tmp_path / "runs")})
+    shutil.copytree(run_dir, cfg.run_dir(), dirs_exist_ok=True)  # same seed, same data
+    assert main(["eval-forecast", *args]) == 0
+    report = MetricReport.from_json(cfg.run_dir() / "forecast_report.json")
+    assert set(report.forecasting) == {"cur/stir", "cur/handover",
+                                       "manicast/stir", "manicast/handover"}
+
+
 def test_simulate_and_report_csv(pipeline, tmp_path):
     _, run_dir, args = pipeline
     log_path = tmp_path / "sim.jsonl"

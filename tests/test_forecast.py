@@ -414,7 +414,97 @@ def test_sample_batch_mix_composition(rng):
         sample_batch(1000, tset, mix=1.5, batch_size=8, rng=rng)
 
 
+def reference_sample_batch(n_windows, transition_set, mix, batch_size, rng):
+    """The batch indices as ``rng.choice`` draws the transition windows."""
+    n_trans = int(np.ceil(mix * batch_size))
+    parts = []
+    if n_trans > 0:
+        parts.append(rng.choice(transition_set, size=n_trans, replace=True))
+    if batch_size - n_trans > 0:
+        parts.append(rng.integers(0, n_windows, size=batch_size - n_trans))
+    return np.concatenate(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_windows=st.integers(1, 10**6), n_set=st.integers(1, 2000), mix=st.floats(0.0, 1.0),
+       batch_size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_sample_batch_draws_the_stream_of_rng_choice(n_windows, n_set, mix, batch_size, seed):
+    tset = np.sort(np.random.default_rng(seed).integers(0, n_windows, size=n_set))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_batch(n_windows, tset, mix, batch_size, rng)
+    want = reference_sample_batch(n_windows, tset, mix, batch_size, ref)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == ref.bit_generator.state  # the next batch too
+
+
 # --- training -------------------------------------------------------------
+
+def reference_train(train_ws, val_ws, config):
+    """``train`` written with a fresh array for every sum, residual and
+    scaling of the window passes, and ``rng.choice`` transition draws."""
+    row_w = np.repeat(default_weights(config.wrist_weight), 3)
+    B = config.batch_size
+
+    def forward(S, M, ctx):
+        last = ctx[-1]
+        dX = ctx - last
+        SX = (dX.reshape(-1, 3 * N_JOINTS) @ forecast._joint_mixer(S)).reshape(dX.shape)
+        pred = last + (M.T @ SX.reshape(HISTORY_LEN, -1)).reshape(
+            (HORIZON_LEN,) + dX.shape[1:])
+        return pred, dX, SX
+
+    def sse(resid):
+        rows = resid.reshape(-1, 3 * N_JOINTS)
+        weighted = rows * row_w
+        return float(np.vdot(weighted, rows)), weighted
+
+    def val_loss(S, M):
+        total = sum(sse(forward(S, M, win[:HISTORY_LEN])[0] - win[HISTORY_LEN:])[0]
+                    for _, win in val_ws.chunks(BLOCK_WINDOWS))
+        return total / len(val_ws)
+
+    tset = build_transition_set(train_ws) if config.transition_mix > 0 else None
+    rng = np.random.default_rng(config.seed)
+    S, M = np.eye(N_JOINTS), np.zeros((HISTORY_LEN, HORIZON_LEN))
+    vS, vM = np.zeros_like(S), np.zeros_like(M)
+    n_batches = max(1, len(train_ws) // B)
+    best_val = val_loss(S, M)
+    best = (S, M)
+    history = [{"epoch": 0, "train_loss": None, "val_loss": best_val}]
+    for epoch in range(1, config.epochs + 1):
+        epoch_loss = 0.0
+        for _ in range(n_batches):
+            win = train_ws.gather(reference_sample_batch(
+                len(train_ws), tset, config.transition_mix, B, rng))
+            pred, dX, SX = forward(S, M, win[:HISTORY_LEN])
+            loss, weighted = sse(pred - win[HISTORY_LEN:])
+            G = (2.0 / B) * weighted.reshape(HORIZON_LEN, -1)
+            dMix = dX.reshape(-1, 3 * N_JOINTS).T @ (M @ G).reshape(-1, 3 * N_JOINTS)
+            dS = np.trace(dMix.reshape(N_JOINTS, 3, N_JOINTS, 3), axis1=1, axis2=3).T
+            dM = SX.reshape(HISTORY_LEN, -1) @ G.T
+            vS = config.momentum * vS - config.learning_rate * dS
+            vM = config.momentum * vM - config.learning_rate * dM
+            S, M = S + vS, M + vM
+            epoch_loss += loss / B
+        val = val_loss(S, M)
+        history.append({"epoch": epoch, "train_loss": epoch_loss / n_batches, "val_loss": val})
+        if val < best_val:
+            best_val, best = val, (S, M)
+    return best, history
+
+
+@pytest.mark.parametrize("batch_size", [50, 64])
+@pytest.mark.parametrize("wrist_weight", [1.0, 5.0])
+def test_training_equals_the_allocating_reference_bit_for_bit(batch_size, wrist_weight):
+    eps = episodes_small(3)
+    ws_train, ws_val = WindowSet(eps[:2]), WindowSet(eps[2:])
+    cfg = TrainConfig(epochs=2, batch_size=batch_size, wrist_weight=wrist_weight, seed=3)
+    model, history = train(ws_train, ws_val, cfg)
+    (S, M), want = reference_train(ws_train, ws_val, cfg)
+    assert np.array_equal(model.S, S) and np.array_equal(model.M, M)
+    assert history == want
+
 
 def test_training_reduces_validation_loss():
     eps = episodes_small(3)

@@ -1,6 +1,7 @@
 """Tests for the core skeletal-motion types, window cutting (forecast.WindowSet)
 and the episode file format."""
 
+import gc
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BASE_POSE, GOAL, linear_episode, task_episode
 from costcast.datagen import GENERATORS, GenConfig
+from costcast import motion
 from costcast.forecast import WindowSet
 from costcast.motion import (
     MAX_COORDINATE,
@@ -73,8 +75,10 @@ def test_context_and_trajectory_length_enforced():
         Trajectory(np.zeros((N_JOINTS, 3)))
 
 
-@pytest.mark.parametrize("fps", [float("nan"), float("inf"), -25.0, 0.0, True, "25"])
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), -25.0, 0.0, 0.99, 1000.5,
+                                 True, "25"])
 def test_episode_requires_a_finite_positive_fps(fps, tmp_path):
+    # and one the planner can step at, from MIN_FPS = 1 to MAX_FPS = 1000
     frames = np.repeat(BASE_POSE[None], 50, axis=0)
     with pytest.raises(MotionError, match="fps"):
         task_episode(frames, fps=fps)
@@ -286,6 +290,36 @@ def test_episode_reader_rejects_malformed_documents():
         episode_from_dict(bad)
     with pytest.raises(MotionError):
         episode_from_dict(dict(doc, joint_names=["a"] * 7))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", [None, "{", '{"fps": 25.0}'])
+def test_load_episode_restores_the_collector_state(tmp_path, monkeypatch, enabled, text):
+    # the collector is off while the document is decoded, and load_episode
+    # leaves it as it found it, also when the file is malformed
+    path = tmp_path / "ep.json"
+    if text is None:
+        save_episode(linear_episode(40, (0.1, 0.0, 0.0)), path)
+    else:
+        path.write_text(text)
+    seen = []
+
+    def spy(doc):
+        seen.append(gc.isenabled())
+        return episode_from_dict(doc)
+
+    monkeypatch.setattr(motion, "episode_from_dict", spy)
+    try:
+        gc.enable() if enabled else gc.disable()
+        if text is None:
+            assert len(load_episode(path)) == 40
+        else:
+            with pytest.raises(MotionError, match="ep.json"):
+                load_episode(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == ([] if text == "{" else [False])
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()

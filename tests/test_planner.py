@@ -228,6 +228,23 @@ def test_build_task_spec_per_task():
     assert spec.rest_config.shape == (N_DOF,)
 
 
+def still_stir(fps):
+    return task_episode(np.repeat(BASE_POSE[None], HISTORY_LEN + HORIZON_LEN, axis=0), fps=fps)
+
+
+@pytest.mark.parametrize("fps, rows", [(1.0, 4), (50.0, 200), (1000.0, 4000)])
+def test_build_task_spec_takes_the_episode_rate(fps, rows):
+    # one 4 s stir period in planner steps of one frame, at the lowest,
+    # a doubled and the highest rate an episode may have
+    spec = build_task_spec(still_stir(fps), MODEL)
+    assert spec.stir_reference.shape == (rows, N_DOF)
+
+
+def test_build_task_spec_rejects_a_step_other_than_the_episode_rate():
+    with pytest.raises(MotionError, match="episode rate must match the planner rate"):
+        build_task_spec(still_stir(50.0), MODEL, dt=0.04)
+
+
 # --- receding-horizon behavior --------------------------------------------
 
 def goal_cost_fn(goal):
