@@ -241,8 +241,8 @@ def cmd_eval_forecast(cfg: RunConfig) -> int:
     windows = {task: WindowSet(eps) for task, eps in sorted(test.items())}
     report = metrics.MetricReport()
     for name in cfg.models:
-        if name in ("worst", "fut"):
-            continue  # no point trajectory to score; the oracle would score itself
+        if name == "fut":
+            continue  # the oracle would score itself
         fc = _forecaster_for(name, run_dir)
         for task, ws in windows.items():
             report.forecasting[f"{name}/{task}"] = metrics.evaluate_forecaster(ws, fc)
@@ -284,8 +284,6 @@ def cmd_eval_plan(cfg: RunConfig) -> int:
         spec_cache = [build_task_spec(ep, arm, dt=cfg.mppi.dt) for ep in eps]
         logs = {}
         names = list(dict.fromkeys(["cur", *cfg.models]))
-        if task == "handover" and "worst" in names:
-            names.remove("worst")  # no wrist target in a safety volume
         for name in names:
             fc = _forecaster_for(name, run_dir)
             logs[name] = [run_episode(ep, fc, spec, cfg.weights, cfg.mppi, model=arm,

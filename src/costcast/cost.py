@@ -13,12 +13,9 @@ sum over steps accumulates in float64, and the weights multiply those float64
 sums, so every cost is float64 and a weight anywhere in float64's range
 behaves as it does on float64 plans.
 
-A forecast is either a point forecast, the predicted ``Trajectory``, or a
-``SafetyVolume`` of spheres.  The collision path sees either as per-step
-capsules: ``human_capsules`` gives the ``ARM_BONES`` capsules of a
-trajectory, or the spheres of a safety volume as capsules whose two ends
-coincide, and is the one place there that tells the two apart.  Every part
-then goes through the one clearance kernel, ``separation_batch``.
+A forecast is a point forecast, the predicted ``Trajectory``.  The collision
+path sees it as the per-step ``ARM_BONES`` capsules of ``arm_capsules``, and
+every capsule goes through the one clearance kernel, ``separation_batch``.
 
 The collision sum sum_t hinge(D_SAFE - sep)^2 gets nothing from a robot
 sphere that stays more than D_SAFE from the human, so ``collision_terms_batch``
@@ -38,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecast import Forecast, SafetyVolume
-from .motion import TASKS, MotionError, WRIST_INDICES, check_field_types
+from .motion import TASKS, MotionError, WRIST_INDICES, Trajectory, check_field_types
 from .robot import (
     ArmModel,
     arm_capsules,
@@ -147,16 +143,6 @@ def base_terms_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray, frames,
     return weights.alpha_s * stop + weights.alpha_j * joint + weights.alpha_m * manip
 
 
-def human_capsules(forecast: Forecast, H: int):
-    """The forecast human over the first H steps as capsules: starts and ends
-    (H, P, 3) and radii (H, P).  A ``Trajectory`` gives its ``ARM_BONES``
-    capsules, a ``SafetyVolume`` its spheres with both ends at the center."""
-    if isinstance(forecast, SafetyVolume):
-        centers = _first_steps(forecast.centers, H)
-        return centers, centers, forecast.radii[:H]
-    return arm_capsules(_first_steps(forecast.frames, H))
-
-
 def _pairs_in_reach(model: ArmModel, frames, capsules):
     """Indices of the sphere rows and of the human capsules that may come
     within D_SAFE of each other at some plan and step.
@@ -176,14 +162,14 @@ def _pairs_in_reach(model: ArmModel, frames, capsules):
     return np.flatnonzero(near.any(axis=1)), np.flatnonzero(near.any(axis=0))
 
 
-def collision_terms_batch(model: ArmModel, frames, forecast: Forecast) -> np.ndarray:
+def collision_terms_batch(model: ArmModel, frames, forecast: Trajectory) -> np.ndarray:
     """Unweighted collision sum, sum_t hinge(D_SAFE - sep)^2 per plan (N,).
 
     Only the sphere rows and human capsules in reach of each other are
     built and go to the clearance kernel; with none in reach the sum is zero
     and no centers are built.
     """
-    capsules = human_capsules(forecast, frames[1].shape[-1])
+    capsules = arm_capsules(_first_steps(forecast.frames, frames[1].shape[-1]))
     rows, parts = _pairs_in_reach(model, frames, capsules)
     if not rows.size:
         return np.zeros(frames[1].shape[2])
@@ -192,16 +178,13 @@ def collision_terms_batch(model: ArmModel, frames, forecast: Forecast) -> np.nda
     return np.sum(hinge(D_SAFE - sep) ** 2, axis=1, dtype=float)
 
 
-def _wrist_pot_distance(forecast: Forecast, pot: np.ndarray, H: int) -> np.ndarray:
+def _wrist_pot_distance(forecast: Trajectory, pot: np.ndarray, H: int) -> np.ndarray:
     """Per-step distance of the nearest forecast wrist to the pot, shape (H,)."""
-    if isinstance(forecast, SafetyVolume):
-        d = np.linalg.norm(forecast.centers[:H] - pot, axis=-1) - forecast.radii[:H]
-        return np.maximum(d, 0.0).min(axis=-1)
     wrists = _first_steps(forecast.frames, H)[:, list(WRIST_INDICES)]
     return np.linalg.norm(wrists - pot, axis=-1).min(axis=-1)
 
 
-def stir_retract_mask(forecast: Forecast, spec: TaskSpec, weights: CostWeights,
+def stir_retract_mask(forecast: Trajectory, spec: TaskSpec, weights: CostWeights,
                       H: int) -> np.ndarray:
     """Steps (H,) at which the stir term retracts: a forecast wrist lies within
     ``eps_pot`` of the pot."""
@@ -211,7 +194,7 @@ def stir_retract_mask(forecast: Forecast, spec: TaskSpec, weights: CostWeights,
 # Every task term takes (Q, frames, coll, forecast, spec, weights), where
 # ``coll`` is the collision sum of ``collision_terms_batch``, and returns (N,).
 
-def stir_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
+def stir_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Trajectory,
                      spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Retract to rest while the forecast wrist is near the pot, else track the stir cycle."""
     N, H, _ = Q.shape
@@ -289,11 +272,9 @@ def grasp_pose(ee_pos: np.ndarray, ee_R: np.ndarray, wrist_final: np.ndarray) ->
     return align @ ee_R
 
 
-def handover_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
+def handover_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Trajectory,
                          spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Track the grasp pose at the forecast final wrist while the object is in hand."""
-    if isinstance(forecast, SafetyVolume):
-        raise MotionError("handover cost needs a point forecast (no wrist in a safety volume)")
     if not spec.object_in_hand:
         return np.zeros(Q.shape[0])
     # the moving (right) wrist is the handover hand
@@ -304,7 +285,7 @@ def handover_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Fore
                   dtype=float)
 
 
-def tableset_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Forecast,
+def tableset_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Trajectory,
                          spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Goal reaching plus beta-weighted collision avoidance."""
     T = spec.table_goal
@@ -321,7 +302,7 @@ TASK_TERMS = {
 
 
 def total_cost_batch(model: ArmModel, Q: np.ndarray, Qd: np.ndarray,
-                     forecast: Forecast, spec: TaskSpec,
+                     forecast: Trajectory, spec: TaskSpec,
                      weights: CostWeights) -> np.ndarray:
     """base + alpha_c * collision + alpha_t * task term, per plan (N,).
 

@@ -1,8 +1,7 @@
 """Human-motion forecasters and the cost-aware training loop.
 
-A point forecast is the predicted ``Trajectory`` over the horizon; the
-conservative baseline returns a ``SafetyVolume`` of spheres instead.  The
-planner's terms tell the two apart by type.
+Every forecaster, baseline or learned, returns a point forecast: the
+predicted ``Trajectory`` over the horizon.
 
 The trainable model is a separable linear map: a joint-mixing matrix S and a
 temporal matrix M act on history displacements, so the forward pass and its
@@ -31,7 +30,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .motion import (
-    ARM_BONES,
     HISTORY_LEN,
     HORIZON_LEN,
     MotionError,
@@ -53,22 +51,6 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class SafetyVolume:
-    """A conservative forecast: spheres that hold the human at every step."""
-
-    centers: np.ndarray  # (T, S, 3)
-    radii: np.ndarray    # (T, S)
-
-    def __post_init__(self):
-        if self.centers.shape[0] != HORIZON_LEN:
-            raise MotionError("safety volume must cover the full horizon")
-
-
-# What a forecaster returns: a point forecast is the predicted Trajectory.
-Forecast = Trajectory | SafetyVolume
-
-
 def forecast_cur(ctx: Context) -> Trajectory:
     """Constant-pose baseline: the last observed pose held over the horizon."""
     frames = np.repeat(ctx.frames[..., -1:, :, :], HORIZON_LEN, axis=-3)
@@ -82,18 +64,6 @@ def forecast_cvm(ctx: Context) -> Trajectory:
     v = (last - ctx.frames[..., :1, :, :]) / (HISTORY_LEN - 1)
     i = np.arange(1, HORIZON_LEN + 1)[:, None, None]
     return Trajectory(last + i * v)
-
-
-def forecast_worst(ctx: Context) -> SafetyVolume:
-    """Conservative safety volume: arm-length spheres at the last shoulder
-    positions of a single (unbatched) context; the planner's input only."""
-    last = ctx.frames[-1]
-    # radius = longest arm (shoulder->elbow + elbow->wrist) in the last frame
-    bones = [np.linalg.norm(last[a] - last[b]) for a, b in ARM_BONES]
-    radius = max(bones[0] + bones[1], bones[2] + bones[3])
-    shoulders = [a for a, _ in ARM_BONES[::2]]
-    centers = np.repeat(last[shoulders][None], HORIZON_LEN, axis=0)  # (T, 2, 3)
-    return SafetyVolume(centers, np.full((HORIZON_LEN, 2), radius))
 
 
 def forecast_oracle(window_future: Trajectory | None) -> Trajectory:
@@ -280,35 +250,12 @@ class WindowSet:
             yield first, self.gather(np.arange(first, min(first + size, n)))
 
 
-ANNOTATED = "annotated"
-COST_PERCENTILE = "cost_percentile"
-
-
-def build_transition_set(windows: WindowSet, mode: str = ANNOTATED,
-                         delta_percentile: float = 0.10, cost_fn=None) -> np.ndarray:
-    """Indices of windows forming the transition distribution.
-
-    ``annotated`` uses the episode annotations.  ``cost_percentile`` computes
-    a max inducible cost per window via ``cost_fn(ctx, fut)`` (expected to
-    scan a fixed probe set of robot plans) and keeps the windows at or above
-    the (1 - delta_percentile) quantile.
-    """
-    n = len(windows)
-    if n == 0:
+def build_transition_set(windows: WindowSet) -> np.ndarray:
+    """Indices of the windows forming the transition distribution: those
+    whose future overlaps an annotated transition interval."""
+    if len(windows) == 0:
         raise MotionError("no windows given")
-    if mode == ANNOTATED:
-        idx = np.nonzero(windows.flags)[0]
-    elif mode == COST_PERCENTILE:
-        if cost_fn is None:
-            raise MotionError("cost_percentile mode requires a cost_fn")
-        cmax = np.empty(n)
-        for i in range(n):
-            frames = windows.gather([i]).reshape(-1, N_JOINTS, 3)
-            cmax[i] = cost_fn(Context(frames[:HISTORY_LEN]), Trajectory(frames[HISTORY_LEN:]))
-        delta = np.quantile(cmax, 1.0 - delta_percentile)
-        idx = np.nonzero(cmax >= delta)[0]
-    else:
-        raise MotionError(f"unknown transition-set mode {mode!r}")
+    idx = np.nonzero(windows.flags)[0]
     if len(idx) == 0:
         raise MotionError("transition set is empty; cannot form the transition distribution")
     return idx
@@ -386,7 +333,7 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: TrainConfig)
         raise MotionError("train and validation window sets must be non-empty")
     transition_set = None
     if config.transition_mix > 0:
-        transition_set = build_transition_set(train_windows, mode=ANNOTATED)
+        transition_set = build_transition_set(train_windows)
     w = default_weights(config.wrist_weight)
     rng = np.random.default_rng(config.seed)
     # plain arrays inside the batch loop; a model is built once per epoch
@@ -457,13 +404,12 @@ def load_checkpoint(path) -> ForecastModel:
 BASELINES = {
     "cur": lambda ctx, fut=None: forecast_cur(ctx),
     "cvm": lambda ctx, fut=None: forecast_cvm(ctx),
-    "worst": lambda ctx, fut=None: forecast_worst(ctx),
     "fut": lambda ctx, fut=None: forecast_oracle(fut),
 }
 
 
 def make_forecaster(name_or_model):
-    """Uniform forecaster interface: callable (ctx, truth_future_or_None) -> Forecast."""
+    """Uniform forecaster interface: callable (ctx, truth_future_or_None) -> Trajectory."""
     if isinstance(name_or_model, ForecastModel):
         model = name_or_model
         return lambda ctx, fut=None: model_forward(model, ctx)

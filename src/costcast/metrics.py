@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .forecast import BLOCK_WINDOWS, SafetyVolume, WindowSet
+from .forecast import BLOCK_WINDOWS, WindowSet
 from .motion import (
     HISTORY_LEN,
     HORIZON_LEN,
@@ -77,8 +77,6 @@ def evaluate_forecaster(windows: WindowSet, forecaster) -> dict:
         at = slice(first, first + frames.shape[0])
         fut_b = frames[:, HISTORY_LEN:]
         fc = forecaster(Context(frames[:, :HISTORY_LEN]), Trajectory(fut_b))
-        if isinstance(fc, SafetyVolume):
-            raise MotionError("displacement metrics need point forecasts")
         d = _displacements(fc.frames, fut_b)  # (B, T, J)
         ade_w[at] = d.mean(axis=(1, 2)) * MM
         fde_w[at] = d[:, -1].mean(axis=1) * MM

@@ -296,7 +296,7 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
                 cfg: MppiConfig, model: ArmModel, model_name: str = "model") -> SimLog:
     """Replay a recorded human episode against the live planner.
 
-    ``forecaster`` is a callable (ctx, truth_future_or_None) -> Forecast (see
+    ``forecaster`` is a callable (ctx, truth_future_or_None) -> Trajectory (see
     ``make_forecaster``).  The oracle forecaster receives the true future.
     Each tick's plans are scored by ``total_cost_batch`` on the rollouts cast
     to ``SCORE_DTYPE``, against that tick's forecast and task spec.

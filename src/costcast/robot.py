@@ -15,9 +15,8 @@ lives in the config; algorithms do not depend on the exact plant.
 
 The human is a set of per-step capsules, and ``separation_batch`` is the one
 clearance kernel against them: ``arm_capsules`` turns poses into the
-``ARM_BONES`` capsules, and a safety-volume sphere is a capsule whose two
-ends coincide.  ``rollout_arrays`` is the one clamped integrator; ``step`` is
-its single-step call.
+``ARM_BONES`` capsules.  ``rollout_arrays`` is the one clamped integrator;
+``step`` is its single-step call.
 
 Sampled plans live in step-major, joint-planar (H, 7, N) memory:
 ``rollout_arrays`` integrates there and returns (N, H, 7) views of it, with

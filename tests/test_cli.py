@@ -741,7 +741,7 @@ def test_eval_forecast_report_contents(pipeline):
 
 def test_eval_forecast_skips_the_oracle(pipeline, tmp_path):
     # fut is handed the true future, so it would score itself 0.0 mm; it is
-    # a playback forecaster, like worst, and gets no forecasting rows
+    # a playback forecaster and gets no forecasting rows
     _, run_dir, _ = pipeline
     doc = dict(MINI, models=["cur", "fut", "manicast"])
     config = write_config(tmp_path, doc)
@@ -773,6 +773,7 @@ def test_simulate_and_report_csv(pipeline, tmp_path):
 
 @pytest.mark.parametrize("model, code, message", [
     ("foo", 2, "config error: unknown model 'foo'"),
+    ("worst", 2, "config error: unknown model 'worst'"),
     ("manicast-w", 3, "error: no checkpoint for model 'manicast-w'"),
 ])
 def test_simulate_checks_the_model_name_like_the_config(pipeline, tmp_path, capsys,

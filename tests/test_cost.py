@@ -19,15 +19,13 @@ from costcast.cost import (
     grasp_pose,
     handover_terms_batch,
     hinge,
-    human_capsules,
     pose_error_batch,
     stir_terms_batch,
     tableset_terms_batch,
     total_cost_batch,
     _wrist_pot_distance,
 )
-from costcast.forecast import SafetyVolume, forecast_worst
-from costcast.motion import ARM_BONES, Context, HISTORY_LEN, HORIZON_LEN, MotionError, Trajectory
+from costcast.motion import ARM_BONES, HORIZON_LEN, MotionError, Trajectory
 from costcast.robot import (
     HUMAN_CAPSULE_RADIUS,
     ArmModel,
@@ -81,11 +79,6 @@ def far_forecast():
     return Trajectory(frames)
 
 
-def near_context(offset=(0.0, 0.0, 0.0)):
-    frames = np.repeat((BASE_POSE + np.asarray(offset))[None], HISTORY_LEN, axis=0)
-    return Context(frames)
-
-
 # --- base terms -----------------------------------------------------------
 
 def test_stop_cost_at_velocity_limit():
@@ -120,11 +113,15 @@ def test_manipulability_floor_penalty():
 def test_collision_cost_closed_form_penetration():
     q = MODEL.mid()
     centers = collision_sphere_centers(MODEL, fk_batch(MODEL, q))
-    probe = np.array([0.4, 0.0, 1.6])
-    d_min = np.linalg.norm(centers - probe, axis=-1).min()
-    r = d_min - MODEL.sphere_radius + 0.01   # clearance becomes exactly -0.01
-    fc = SafetyVolume(centers=np.repeat(probe[None, None], H, axis=0),
-                      radii=np.full((H, 1), r))
+    # every joint of the human at the probe: its bones are zero-length
+    # capsules of HUMAN_CAPSULE_RADIUS there.  The probe sits on the line from
+    # the sphere nearest [0.4, 0, 1.6] towards that point, that sphere stays
+    # the nearest, and its clearance is exactly -0.01
+    far = np.array([0.4, 0.0, 1.6])
+    nearest = centers[np.linalg.norm(centers - far, axis=-1).argmin()]
+    d = MODEL.sphere_radius + HUMAN_CAPSULE_RADIUS - 0.01
+    probe = nearest + d * (far - nearest) / np.linalg.norm(far - nearest)
+    fc = Trajectory(np.broadcast_to(probe, (H, 7, 3)))
     w = CostWeights(alpha_c=100.0)
     expected = 100.0 * H * (D_SAFE + 0.01) ** 2
     assert collision_term(const_plan(q), fc, w) == pytest.approx(expected, rel=1e-9)
@@ -144,47 +141,20 @@ def test_collision_cost_matches_per_step_oracle(rng):
     assert got > 0.0
 
 
-def test_safety_volume_is_more_conservative_than_truth(rng):
-    # clearance against the conservative volume never exceeds clearance
-    # against any point trajectory it contains
-    ctx = near_context(offset=(0.3, 0.1, 0.0))
-    vol = forecast_worst(ctx)
-    truth = Trajectory(np.repeat(ctx.frames[-1][None], H, axis=0))
-    Q = np.clip(MODEL.mid()[None] + rng.normal(0, 0.3, size=(3, H, N_DOF)),
-                MODEL.lo, MODEL.hi)
-    frames = fk_batch(MODEL, Q)
-    centers = collision_sphere_centers(MODEL, frames)
-    sep_vol = separation_batch(MODEL, centers, *human_capsules(vol, H))
-    sep_pt = separation_batch(MODEL, centers, *human_capsules(truth, H))
-    assert (sep_vol <= sep_pt + 1e-9).all()
-    assert (collision_terms_batch(MODEL, frames, vol)
-            >= collision_terms_batch(MODEL, frames, truth) - 1e-9).all()
-
-
-def human_forecast(kind, humans, radii):
-    """A point forecast of poses (H, 7, 3), or a safety volume of spheres with
-    radii (H, 6) on their arm joints."""
-    if kind == "point":
-        return Trajectory(humans)
-    return SafetyVolume(centers=humans[:, ARM_JOINTS], radii=radii)
-
-
-def place_at_clearance(kind, pose, radii, centers, axis, side, clearance, near=ARM_JOINTS):
-    """A still human, pose (7, 3) with volume radii (6,), shifted so that the
-    extreme one of its ``near`` arm joints (or volume spheres) on one side of
-    the arm along ``axis`` lies exactly beyond the arm's extreme sphere center
-    there.  That sphere's clearance is then ``clearance``, and the exact boxes
-    of that row and that joint's bones (or sphere) are D_SAFE + sphere radius
-    + (clearance - D_SAFE) apart.  Returns (H, 7, 3)."""
-    cols = [ARM_JOINTS.index(j) for j in near]
+def place_at_clearance(pose, centers, axis, side, clearance, near=ARM_JOINTS):
+    """A still human, pose (7, 3), shifted so that the extreme one of its
+    ``near`` arm joints on one side of the arm along ``axis`` lies exactly
+    beyond the arm's extreme sphere center there.  That sphere's clearance is
+    then ``clearance``, and the exact boxes of that row and that joint's bones
+    are D_SAFE + sphere radius + (clearance - D_SAFE) apart.  Returns
+    (H, 7, 3)."""
     joints = pose[near]
-    pad = np.full(len(near), HUMAN_CAPSULE_RADIUS) if kind == "point" else radii[cols]
     coord = centers[:, axis]
     row, n, t = np.unravel_index(coord.argmax() if side > 0 else coord.argmin(), coord.shape)
-    edge = joints[:, axis] - side * pad
+    edge = joints[:, axis] - side * HUMAN_CAPSULE_RADIUS
     joint = edge.argmin() if side > 0 else edge.argmax()
     target = centers[row, :, n, t].copy()
-    target[axis] += side * (clearance + MODEL.sphere_radius + pad[joint])
+    target[axis] += side * (clearance + MODEL.sphere_radius + HUMAN_CAPSULE_RADIUS)
     return np.repeat((pose + (target - joints[joint]))[None], H, axis=0)
 
 
@@ -192,7 +162,7 @@ def full_row_collision(frames, fc):
     """The collision sum over all 16 sphere rows, with no reach test,
     accumulated over steps in float64."""
     sep = separation_batch(MODEL, collision_sphere_centers(MODEL, frames),
-                           *human_capsules(fc, frames[1].shape[-1]))
+                           *arm_capsules(fc.frames[:frames[1].shape[-1]]))
     return np.sum(hinge(D_SAFE - sep) ** 2, axis=1, dtype=float)
 
 
@@ -209,49 +179,43 @@ BOUNDARY_OFFSETS = (-1e-3, -2e-6, -1e-6, -5e-7, -1e-15, -1e-16, 0.0, 1e-16, 1e-1
 @settings(max_examples=40, deadline=None)
 # at these draws rounding puts a clearance a few ulps under D_SAFE while its
 # boxes are D_SAFE + sphere radius apart: the cases the reach slack is for
-@example(kind="point", place="boundary", poison=False, n=1, h=1, seed=23, dtype="float64")
-@example(kind="volume", place="boundary", poison=False, n=1, h=1, seed=14, dtype="float64")
-@given(kind=st.sampled_from(["point", "volume"]),
-       place=st.sampled_from(["far", "overlap", "boundary", "one far"]), poison=st.booleans(),
+@example(place="boundary", poison=False, n=1, h=1, seed=23, dtype="float64")
+@given(place=st.sampled_from(["far", "overlap", "boundary", "one far"]), poison=st.booleans(),
        n=st.integers(1, 6), h=st.integers(1, H), seed=st.integers(0, 2**32 - 1),
        dtype=st.sampled_from(["float64", "float32"]))
-def test_reach_test_keeps_the_collision_sum_bit_identical(kind, place, poison, n, h, seed, dtype):
+def test_reach_test_keeps_the_collision_sum_bit_identical(place, poison, n, h, seed, dtype):
     # dropping the sphere rows and human parts out of reach leaves every sum
     # bit for bit the full sum: with the human far away, overlapping the arm,
     # or with one sphere at clearance D_SAFE + offset on either side of the
     # arm along each axis, where the reach test decides.  "one far" moves one
-    # arm (or one volume sphere) away first, so the test on the parts decides
-    # which bones (or spheres) the kernel sees.  A NaN gives the same NaN sums.
+    # arm away first, so the test on the parts decides which bones the kernel
+    # sees.  A NaN gives the same NaN sums.
     # Float32 plans, whose clearances round at about 1e-7 m, keep this too.
     rng = np.random.default_rng(seed)
     Q = rng.uniform(MODEL.lo, MODEL.hi, size=(n, h, N_DOF)).astype(dtype)
     frames = fk_batch(MODEL, Q)
     humans = BASE_POSE[None] + rng.normal(0, 0.03, size=(H, 7, 3))
-    radii = rng.uniform(0.02, 0.2, size=(H, len(ARM_JOINTS)))
     if place == "far":
         placed = [humans + np.array([0.0, -6.0, 0.0])]
     elif place == "overlap":
         placed = [humans + np.array([0.70, 0.05, 0.35]) + rng.normal(0, 0.2, size=3)]
     else:
-        radii = np.repeat(radii[:1], H, axis=0)
         centers = collision_sphere_centers(MODEL, frames)
         pose, near = humans[0], ARM_JOINTS
         if place == "one far":
             k = 2 * rng.integers(2)
-            arm = sorted({j for bone in ARM_BONES[k:k + 2] for j in bone})   # one whole arm
-            away = arm if kind == "point" else [ARM_JOINTS[rng.integers(len(ARM_JOINTS))]]
+            away = sorted({j for bone in ARM_BONES[k:k + 2] for j in bone})   # one whole arm
             pose = pose.copy()
             pose[away] += np.array([0.0, -6.0, 0.0])
             near = [j for j in ARM_JOINTS if j not in away]
-        placed = [place_at_clearance(kind, pose, radii[0], centers, axis, side,
-                                     D_SAFE + offset, near)
+        placed = [place_at_clearance(pose, centers, axis, side, D_SAFE + offset, near)
                   for offset in BOUNDARY_OFFSETS for axis in range(3) for side in (-1, 1)]
     for humans in placed:
         if poison:
             humans = humans.copy()
             humans[rng.integers(h), ARM_JOINTS[rng.integers(len(ARM_JOINTS))],
                    rng.integers(3)] = np.nan
-        fc = human_forecast(kind, humans, radii)
+        fc = Trajectory(humans)
         want = full_row_collision(frames, fc)
         assert_same_bits(collision_terms_batch(MODEL, frames, fc), want)
         if poison:
@@ -263,8 +227,6 @@ def test_collision_runs_no_kernel_on_rows_out_of_reach(monkeypatch, rng):
     # nor clearances are computed
     Q = np.clip(MODEL.mid() + rng.normal(0, 0.2, size=(4, H, N_DOF)), MODEL.lo, MODEL.hi)
     frames = fk_batch(MODEL, Q)
-    far = far_forecast().frames
-    radii = np.full((H, len(ARM_JOINTS)), 0.3)
     built, seen = [], []
 
     def centers_of(model, frames, rows):
@@ -277,22 +239,26 @@ def test_collision_runs_no_kernel_on_rows_out_of_reach(monkeypatch, rng):
 
     monkeypatch.setattr(cost, "collision_sphere_centers", centers_of)
     monkeypatch.setattr(cost, "separation_batch", kernel)
-    for kind in ("point", "volume"):
-        got = collision_terms_batch(MODEL, frames, human_forecast(kind, far, radii))
-        assert got.tobytes() == np.zeros(4).tobytes()
+    got = collision_terms_batch(MODEL, frames, far_forecast())
+    assert got.tobytes() == np.zeros(4).tobytes()
     assert built == [] and seen == []
     # a human with one arm at the arm column sends some rows, but not all 16,
-    # and only that arm's bones to the kernel; a volume around the whole arm
-    # sends all 16 rows
+    # and only that arm's bones to the kernel.  A human whose four bones lie
+    # along the first plan's chain at its first step (base and frame origins
+    # 0-3 at even steps, origins 3-7 at odd steps) holds a center of every
+    # sphere row, so it sends all 16 rows and all four bones
     near = BASE_POSE[None].repeat(H, axis=0) + np.array([0.70, 0.05, 0.35])
-    huge = SafetyVolume(centers=np.full((H, 1, 3), [1.0, 0.0, 1.0]), radii=np.full((H, 1), 2.0))
-    for fc in (Trajectory(near), huge):
+    chain = np.concatenate([[MODEL.base_position], frames[1][:, :, 0, 0]])   # (9, 3)
+    # joint order: wrists, elbows, shoulders, back; the left wrist meets the
+    # right shoulder, so the two arms are four consecutive segments
+    along = np.stack([chain[4 * (t % 2) + np.array([2, 4, 1, 3, 0, 2, 0])] for t in range(H)])
+    for fc in (Trajectory(near), Trajectory(along)):
         with pytest.raises(AssertionError, match="kernel called"):
             collision_terms_batch(MODEL, frames, fc)
     assert built == [rows for rows, _ in seen]
-    (rows, bones), (all_rows, spheres) = seen
+    (rows, bones), (all_rows, all_bones) = seen
     assert 0 < rows < 16 and bones == 2
-    assert all_rows == 16 and spheres == 1
+    assert all_rows == 16 and all_bones == 4
 
 
 # --- stirring -------------------------------------------------------------
@@ -445,9 +411,6 @@ def test_handover_cost_gated_by_object_in_hand(rng):
     assert task_term(handover_terms_batch, plan, fc, idle, CostWeights()) == 0.0
     active = TaskSpec(task="handover", rest_config=MODEL.mid(), object_in_hand=True)
     assert task_term(handover_terms_batch, plan, fc, active, CostWeights()) > 0.0
-    ctx = near_context()
-    with pytest.raises(MotionError):
-        task_term(handover_terms_batch, plan, forecast_worst(ctx), active, CostWeights())
 
 
 def test_handover_grasp_target_at_start_pose_rejected():
@@ -551,13 +514,12 @@ PROPERTY_SPECS = {
 }
 
 
-@pytest.mark.parametrize("volume", [False, True])
-def test_plan_longer_than_the_forecast_horizon_is_rejected(volume):
+def test_plan_longer_than_the_forecast_horizon_is_rejected():
     # a plan of HORIZON_LEN + 1 steps has no forecast for its last step
-    fc = forecast_worst(near_context()) if volume else far_forecast()
     plan = const_plan(MODEL.mid(), n=H + 1)
     with pytest.raises(MotionError, match="forecast horizon shorter than plan horizon"):
-        total_cost_batch(MODEL, *plan, fc, PROPERTY_SPECS["tableset"], CostWeights())
+        total_cost_batch(MODEL, *plan, far_forecast(), PROPERTY_SPECS["tableset"],
+                         CostWeights())
 
 
 @settings(max_examples=30, deadline=None)
@@ -622,29 +584,19 @@ def sampled_plans(rng, n=64):
     return rollout_arrays(MODEL, MODEL.mid(), controls, 0.04)
 
 
-def near_forecast(kind, rng):
-    """A human whose right wrist reaches into the arm, as a point forecast or
-    as the conservative safety volume of the same context."""
+def near_forecast(rng):
+    """A point forecast of a human whose right wrist reaches into the arm."""
     offset = np.array([0.70, 0.05, 0.35]) + rng.normal(0.0, 0.05, size=3)
-    if kind == "volume":
-        return forecast_worst(near_context(offset))
     return Trajectory(BASE_POSE[None] + offset + rng.normal(0, 0.02, size=(H, 7, 3)))
 
 
-@pytest.mark.parametrize("kind", ["point", "volume"])
 @pytest.mark.parametrize("task", sorted(PROPERTY_SPECS))
-def test_float32_plans_cost_within_1e_4_relative_of_float64(task, kind, rng):
+def test_float32_plans_cost_within_1e_4_relative_of_float64(task, rng):
     # scoring float32 copies of sampled plans returns float64 costs within
-    # 1e-4 relative of the float64 call, with the collision term in play; a
-    # handover has no wrist in a safety volume at either dtype
+    # 1e-4 relative of the float64 call, with the collision term in play
     Q, Qd = sampled_plans(rng)
-    fc, spec, w = near_forecast(kind, rng), PROPERTY_SPECS[task], CostWeights()
+    fc, spec, w = near_forecast(rng), PROPERTY_SPECS[task], CostWeights()
     plans = {dtype: (Q.astype(dtype), Qd.astype(dtype)) for dtype in (np.float32, np.float64)}
-    if task == "handover" and kind == "volume":
-        for plan in plans.values():
-            with pytest.raises(MotionError, match="point forecast"):
-                total_cost_batch(MODEL, *plan, fc, spec, w)
-        return
     assert (collision_terms_batch(MODEL, fk_batch(MODEL, Q), fc) > 0).any()
     got = total_cost_batch(MODEL, *plans[np.float32], fc, spec, w)
     want = total_cost_batch(MODEL, *plans[np.float64], fc, spec, w)
@@ -653,20 +605,15 @@ def test_float32_plans_cost_within_1e_4_relative_of_float64(task, kind, rng):
 
 
 @settings(max_examples=30, deadline=None)
-@given(task=st.sampled_from(sorted(PROPERTY_SPECS)), kind=st.sampled_from(["point", "volume"]),
+@given(task=st.sampled_from(sorted(PROPERTY_SPECS)),
        dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
-def test_sample_innermost_plans_cost_what_contiguous_copies_cost(task, kind, dtype, seed):
+def test_sample_innermost_plans_cost_what_contiguous_copies_cost(task, dtype, seed):
     # the rollout's sample-innermost views and C-ordered copies of the same
     # plans differ only in how the sums over steps and joints round
     rng = np.random.default_rng(seed)
     views = [a.astype(dtype) for a in sampled_plans(rng)]
     copies = [np.ascontiguousarray(a) for a in views]
-    fc, spec, w = near_forecast(kind, rng), PROPERTY_SPECS[task], CostWeights()
-    if task == "handover" and kind == "volume":
-        for plan in (views, copies):
-            with pytest.raises(MotionError, match="point forecast"):
-                total_cost_batch(MODEL, *plan, fc, spec, w)
-        return
+    fc, spec, w = near_forecast(rng), PROPERTY_SPECS[task], CostWeights()
     np.testing.assert_allclose(total_cost_batch(MODEL, *views, fc, spec, w),
                                total_cost_batch(MODEL, *copies, fc, spec, w), rtol=1e-14, atol=0)
 
@@ -678,7 +625,7 @@ def test_weights_at_1e300_give_finite_costs_on_float32_plans(field, rng):
     Q, Qd = (a.astype(np.float32) for a in sampled_plans(rng))
     w = CostWeights(**{field: 1e300})
     for task, spec in PROPERTY_SPECS.items():
-        costs = total_cost_batch(MODEL, Q, Qd, near_forecast("point", rng), spec, w)
+        costs = total_cost_batch(MODEL, Q, Qd, near_forecast(rng), spec, w)
         assert np.isfinite(costs).all(), task
 
 

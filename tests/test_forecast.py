@@ -12,13 +12,10 @@ from conftest import (BASE_POSE, linear_episode, random_context, random_trajecto
 from costcast.datagen import GenConfig, gen_stirring
 from costcast import forecast
 from costcast.forecast import (
-    ANNOTATED,
     BLOCK_WINDOWS,
-    COST_PERCENTILE,
     ForecastModel,
     MAX_BATCH_SIZE,
     PRESETS,
-    SafetyVolume,
     TrainConfig,
     WindowSet,
     _batch_loss_and_grad,
@@ -28,7 +25,6 @@ from costcast.forecast import (
     forecast_cur,
     forecast_cvm,
     forecast_oracle,
-    forecast_worst,
     load_checkpoint,
     make_forecaster,
     model_forward,
@@ -45,7 +41,6 @@ from costcast.motion import (
     MotionError,
     N_JOINTS,
     Trajectory,
-    WRIST_INDICES,
 )
 
 
@@ -73,17 +68,6 @@ def test_cvm_is_exact_on_linear_motion():
     np.testing.assert_allclose(fc.frames, fut.frames, atol=1e-10)
 
 
-def test_worst_volume_contains_true_wrists():
-    ep = gen_stirring(GenConfig(seed=0, episode_len_s=16.0, n_interactions=2))
-    for start in range(0, len(ep) - HISTORY_LEN - HORIZON_LEN, 37):
-        ctx, fut = window_from_episode(ep, start)
-        fc = forecast_worst(ctx)
-        for t in range(HORIZON_LEN):
-            for j in WRIST_INDICES:
-                d = np.linalg.norm(fc.centers[t] - fut.frames[t, j], axis=-1)
-                assert (d <= fc.radii[t]).any()
-
-
 def test_oracle_returns_truth_and_requires_it(rng):
     fut = random_trajectory(rng)
     assert forecast_oracle(fut) is fut
@@ -94,8 +78,6 @@ def test_oracle_returns_truth_and_requires_it(rng):
 def test_forecast_container_validation(rng):
     with pytest.raises(MotionError):
         Trajectory(np.zeros((HORIZON_LEN - 1, N_JOINTS, 3)))
-    with pytest.raises(MotionError):
-        SafetyVolume(centers=np.zeros((5, 2, 3)), radii=np.ones((5, 2)))
 
 
 # --- linear model ---------------------------------------------------------
@@ -346,54 +328,15 @@ def test_batched_forecasters_equal_per_context_calls(n, seed):
 
 def test_annotated_transition_set_matches_flags():
     ws = WindowSet(episodes_small(2))
-    idx = build_transition_set(ws, mode=ANNOTATED)
+    idx = build_transition_set(ws)
     np.testing.assert_array_equal(idx, np.nonzero(ws.flags)[0])
     assert 0 < len(idx) < len(ws)
-
-
-def test_cost_percentile_keeps_top_decile():
-    # 100 windows of a linear episode whose scripted cost grows with the
-    # window index: exactly the top 10 survive
-    ws = WindowSet([linear_episode(134, (0.1, 0.0, 0.0))])
-    assert len(ws) == 100
-    idx = build_transition_set(ws, mode=COST_PERCENTILE, delta_percentile=0.10,
-                               cost_fn=lambda c, f: float(f.frames[0, 0, 0]))
-    np.testing.assert_array_equal(idx, np.arange(90, 100))
-    with pytest.raises(MotionError):
-        build_transition_set(ws, mode=COST_PERCENTILE)  # needs a cost_fn
-
-
-def test_cost_percentile_overlaps_annotations_on_stirring():
-    # selecting windows by max inducible task cost should largely agree with
-    # the annotated transition windows (Jaccard overlap >= 0.5)
-    from costcast.cost import CostWeights, collision_terms_batch, stir_terms_batch
-    from costcast.planner import build_task_spec
-    from costcast.robot import ArmModel, fk_batch
-
-    m = ArmModel()
-    ep = gen_stirring(GenConfig(seed=11, episode_len_s=25.0, n_interactions=1))
-    ws = WindowSet([ep])
-    spec = build_task_spec(ep, m)
-    weights = CostWeights(eps_pot=0.30)
-    ref = spec.stir_reference
-    probe = ref[np.arange(HORIZON_LEN) % len(ref)][None]  # a batch of one plan
-    frames = fk_batch(m, probe)
-
-    def cmax(ctx, fut):
-        fc = fut
-        coll = collision_terms_batch(m, frames, fc)
-        return stir_terms_batch(probe, frames, coll, fc, spec, weights)[0]
-
-    ann = set(build_transition_set(ws, mode=ANNOTATED).tolist())
-    cp = set(build_transition_set(ws, mode=COST_PERCENTILE, delta_percentile=0.10,
-                                  cost_fn=cmax).tolist())
-    assert len(ann & cp) / len(ann | cp) >= 0.5
 
 
 def test_empty_transition_set_rejected():
     ep = linear_episode(60, (0.0, 0.0, 0.0))  # no annotated transitions
     with pytest.raises(MotionError):
-        build_transition_set(WindowSet([ep]), mode=ANNOTATED)
+        build_transition_set(WindowSet([ep]))
 
 
 def test_sample_batch_mix_composition(rng):
@@ -596,13 +539,18 @@ def test_checkpoint_file_keeps_the_stdlib_json_layout(tmp_path, rng):
 
 
 def test_make_forecaster_interface(rng):
+    # every forecaster, each baseline and a learned model, gives a point
+    # forecast over the horizon
     ctx = random_context(rng)
     fut = random_trajectory(rng)
-    assert isinstance(make_forecaster("cur")(ctx), Trajectory)
-    assert isinstance(make_forecaster("worst")(ctx), SafetyVolume)
+    model = ForecastModel.init()
+    for forecaster in [make_forecaster(name) for name in forecast.BASELINES] + [
+            make_forecaster(model)]:
+        fc = forecaster(ctx, fut)
+        assert isinstance(fc, Trajectory)
+        assert fc.frames.shape == (HORIZON_LEN, N_JOINTS, 3)
     np.testing.assert_array_equal(make_forecaster("fut")(ctx, fut).frames,
                                   fut.frames)
-    model = ForecastModel.init()
     np.testing.assert_array_equal(make_forecaster(model)(ctx).frames,
                                   forecast_cur(ctx).frames)
     for name in ("nope", "CUR"):   # names are exact, as the CLI checks them

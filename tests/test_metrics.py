@@ -14,7 +14,6 @@ from costcast.forecast import (
     ForecastModel,
     WindowSet,
     forecast_cur,
-    forecast_worst,
     make_forecaster,
 )
 from costcast.metrics import (
@@ -93,13 +92,6 @@ def test_evaluate_forecaster_closed_form_for_constant_pose_baseline():
     assert m["fde_se"] == pytest.approx(0.0, abs=1e-9)
     assert m["n_windows"] == len(ws)
     assert 0 < m["n_transition_windows"] < len(ws)
-
-
-def test_evaluate_forecaster_rejects_volume_forecasts():
-    ep = linear_episode(60, (0.1, 0.0, 0.0), transitions=((20, 30),))
-    ws = WindowSet([ep])
-    with pytest.raises(MotionError):
-        evaluate_forecaster(ws, lambda ctx, fut=None: forecast_worst(ctx))
 
 
 def test_evaluate_forecaster_without_transition_windows_fails_before_scoring(rng):
