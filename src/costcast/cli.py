@@ -239,13 +239,13 @@ def cmd_eval_forecast(cfg: RunConfig) -> int:
     test = _split_episodes(cfg, ("test",))["test"]
     run_dir = cfg.run_dir()
     windows = {task: WindowSet(eps) for task, eps in sorted(test.items())}
+    # every model but the oracle, which would score itself
+    forecasters = {name: _forecaster_for(name, run_dir) for name in cfg.models if name != "fut"}
     report = metrics.MetricReport()
-    for name in cfg.models:
-        if name == "fut":
-            continue  # the oracle would score itself
-        fc = _forecaster_for(name, run_dir)
+    if forecasters:  # a config may list no model but the oracle
         for task, ws in windows.items():
-            report.forecasting[f"{name}/{task}"] = metrics.evaluate_forecaster(ws, fc)
+            for name, scores in metrics.evaluate_forecaster(ws, forecasters).items():
+                report.forecasting[f"{name}/{task}"] = scores
     out = run_dir / "forecast_report.json"
     report.to_json(out)
     print(f"wrote {out}")

@@ -8,7 +8,7 @@ Gaussian jitter smoothed by a 3-frame moving average adds sensor-like noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

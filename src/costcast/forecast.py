@@ -1,7 +1,9 @@
 """Human-motion forecasters and the cost-aware training loop.
 
 Every forecaster, baseline or learned, returns a point forecast: the
-predicted ``Trajectory`` over the horizon.
+predicted ``Trajectory`` over the horizon.  The baselines and the learned
+model build their forecast in a fresh array and mark it read-only, so the
+``Trajectory`` keeps that array and makes no second copy.
 
 The trainable model is a separable linear map: a joint-mixing matrix S and a
 temporal matrix M act on history displacements, so the forward pass and its
@@ -19,7 +21,8 @@ the middle and back.
 A pass over a whole window set, the validation loss here and the forecasting
 metrics in ``metrics.evaluate_forecaster``, loops over ``WindowSet.chunks``:
 blocks of ``BLOCK_WINDOWS`` windows, each one gather small enough that it and
-its temporaries stay in cache.
+its temporaries stay in cache.  The metrics pass scores every model it is
+given on the one gather of each block.
 """
 
 from __future__ import annotations
@@ -51,10 +54,17 @@ PRESETS = {
 }
 
 
+def _fresh_trajectory(frames: np.ndarray) -> Trajectory:
+    """A Trajectory of a freshly computed frames array, or a view of one,
+    that nothing else holds: the array is marked read-only, so the
+    Trajectory keeps it instead of copying it."""
+    frames.flags.writeable = False
+    return Trajectory(frames)
+
+
 def forecast_cur(ctx: Context) -> Trajectory:
     """Constant-pose baseline: the last observed pose held over the horizon."""
-    frames = np.repeat(ctx.frames[..., -1:, :, :], HORIZON_LEN, axis=-3)
-    return Trajectory(frames)
+    return _fresh_trajectory(np.repeat(ctx.frames[..., -1:, :, :], HORIZON_LEN, axis=-3))
 
 
 def forecast_cvm(ctx: Context) -> Trajectory:
@@ -63,7 +73,7 @@ def forecast_cvm(ctx: Context) -> Trajectory:
     last = ctx.frames[..., -1:, :, :]
     v = (last - ctx.frames[..., :1, :, :]) / (HISTORY_LEN - 1)
     i = np.arange(1, HORIZON_LEN + 1)[:, None, None]
-    return Trajectory(last + i * v)
+    return _fresh_trajectory(last + i * v)
 
 
 def forecast_oracle(window_future: Trajectory | None) -> Trajectory:
@@ -144,9 +154,8 @@ def model_forward(model: ForecastModel, ctx: Context) -> Trajectory:
     batch = ctx.frames.shape[:-3]
     rows = np.moveaxis(ctx.frames, -3, 0).reshape((HISTORY_LEN,) + batch + (_ROW,))
     pred = _forward_rows(model.S, model.M, rows)[0]
-    pred.flags.writeable = False  # a fresh array: the Trajectory keeps its view
     frames = np.moveaxis(pred.reshape((HORIZON_LEN,) + batch + (N_JOINTS, 3)), 0, -3)
-    return Trajectory(frames)
+    return _fresh_trajectory(frames)
 
 
 def default_weights(wrist_weight: float = 1.0) -> np.ndarray:

@@ -53,41 +53,52 @@ def _mean_se(values: np.ndarray):
     return float(values.mean()), se
 
 
-def evaluate_forecaster(windows: WindowSet, forecaster) -> dict:
-    """All eight forecasting metrics (in mm) for one forecaster over a window set.
+def evaluate_forecaster(windows: WindowSet, forecasters) -> dict:
+    """All eight forecasting metrics (in mm) of each forecaster over a window
+    set: ``forecasters`` maps a name to a forecaster, and the result maps the
+    same names to their metrics.
 
     The windows are scored in blocks of ``BLOCK_WINDOWS``
-    (``WindowSet.chunks``); the forecaster is called once per block, on the
-    stacked contexts and true futures.
+    (``WindowSet.chunks``).  Each block is gathered once, and every
+    forecaster is called on it once, with the stacked contexts and true
+    futures.
     """
     n = len(windows)
     if n == 0:
         raise MotionError("no windows to evaluate")
+    if not forecasters:
+        raise MotionError("no forecasters to evaluate")
     flags = windows.flags
     if not flags.any():
         raise MotionError("no transition windows in the evaluation set")
-    ade_w = np.empty(n)
-    fde_w = np.empty(n)
-    wade_w = np.empty(n)
-    wfde_w = np.empty(n)
+    # per forecaster, the per-window ade, fde, wrist ade and wrist fde
+    scores = {name: np.empty((4, n)) for name in forecasters}
     wr = list(WRIST_INDICES)
     for first, block in windows.chunks(BLOCK_WINDOWS):
         # batch-first views (B, k + T, J, 3) of the window-last block
         frames = np.moveaxis(block.reshape(block.shape[0], -1, N_JOINTS, 3), 1, 0)
         at = slice(first, first + frames.shape[0])
         fut_b = frames[:, HISTORY_LEN:]
-        fc = forecaster(Context(frames[:, :HISTORY_LEN]), Trajectory(fut_b))
-        d = _displacements(fc.frames, fut_b)  # (B, T, J)
-        ade_w[at] = d.mean(axis=(1, 2)) * MM
-        fde_w[at] = d[:, -1].mean(axis=1) * MM
-        wade_w[at] = d[:, :, wr].mean(axis=(1, 2)) * MM
-        wfde_w[at] = d[:, -1][:, wr].mean(axis=1) * MM
+        ctx, fut = Context(frames[:, :HISTORY_LEN]), Trajectory(fut_b)
+        for name, forecaster in forecasters.items():
+            d = _displacements(forecaster(ctx, fut).frames, fut_b)  # (B, T, J)
+            ade_w, fde_w, wade_w, wfde_w = scores[name]
+            ade_w[at] = d.mean(axis=(1, 2)) * MM
+            fde_w[at] = d[:, -1].mean(axis=1) * MM
+            wade_w[at] = d[:, :, wr].mean(axis=(1, 2)) * MM
+            wfde_w[at] = d[:, -1][:, wr].mean(axis=1) * MM
+    return {name: _summary(per_window, flags) for name, per_window in scores.items()}
+
+
+def _summary(per_window: np.ndarray, flags: np.ndarray) -> dict:
+    """The metrics dict of one forecaster from its (4, n) per-window scores:
+    the mean and standard error of each score over every window and over the
+    transition windows."""
     out = {}
-    for key, values in (("ade", ade_w), ("fde", fde_w),
-                        ("wrist_ade", wade_w), ("wrist_fde", wfde_w)):
+    for key, values in zip(("ade", "fde", "wrist_ade", "wrist_fde"), per_window):
         out[key], out[key + "_se"] = _mean_se(values)
         out["t_" + key], out["t_" + key + "_se"] = _mean_se(values[flags])
-    out["n_windows"] = int(n)
+    out["n_windows"] = len(flags)
     out["n_transition_windows"] = int(flags.sum())
     return out
 

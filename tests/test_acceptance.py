@@ -162,16 +162,19 @@ def preset_sweep():
     stir_test = WindowSet(splits["stir"][2])
     all_test = WindowSet([e for task in sorted(counts) for e in splits[task][2]])
 
-    results = {}
+    forecasters = {}
     for seed in range(5):
         for preset in ("scratch", "manicast", "manicast-w"):
             cfg = preset_config(preset, TrainConfig(seed=seed, epochs=15))
             model, _ = train(tw, vw, cfg)
-            fc = make_forecaster(model)
-            m_stir = metrics.evaluate_forecaster(stir_test, fc)
-            m_all = metrics.evaluate_forecaster(all_test, fc)
-            results.setdefault(preset, []).append(
-                (m_stir["t_wrist_fde"], m_all["fde"], m_all["wrist_fde"]))
+            forecasters[preset, seed] = make_forecaster(model)
+    m_stir = metrics.evaluate_forecaster(stir_test, forecasters)
+    m_all = metrics.evaluate_forecaster(all_test, forecasters)
+    results = {}
+    for preset, seed in forecasters:
+        stir, all_tasks = m_stir[preset, seed], m_all[preset, seed]
+        results.setdefault(preset, []).append(
+            (stir["t_wrist_fde"], all_tasks["fde"], all_tasks["wrist_fde"]))
     results["elapsed_s"] = time.time() - t0
     return results
 

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from costcast import cli
+from costcast import cli, metrics
 from costcast.cli import ConfigError, DEFAULT_COUNTS, RunConfig, main
 from costcast.cost import CostWeights
 from costcast.datagen import MAX_JITTER_SIGMA, GenConfig, split_dataset
@@ -752,6 +752,27 @@ def test_eval_forecast_skips_the_oracle(pipeline, tmp_path):
     report = MetricReport.from_json(cfg.run_dir() / "forecast_report.json")
     assert set(report.forecasting) == {"cur/stir", "cur/handover",
                                        "manicast/stir", "manicast/handover"}
+
+
+@pytest.mark.parametrize("models", [["cur", "fut", "manicast"], ["fut"]])
+def test_eval_forecast_scores_every_model_in_one_pass_per_task(pipeline, tmp_path, monkeypatch,
+                                                               models):
+    # one metrics pass per task, over every model but the oracle; a config
+    # with no other model writes an empty report
+    _, run_dir, _ = pipeline
+    config = write_config(tmp_path, dict(MINI, models=models))
+    cfg = RunConfig.load(config, overrides={"out": str(tmp_path / "runs")})
+    shutil.copytree(run_dir, cfg.run_dir(), dirs_exist_ok=True)  # same seed, same data
+    passes = []
+    evaluate = metrics.evaluate_forecaster
+    monkeypatch.setattr(metrics, "evaluate_forecaster",
+                        lambda ws, fcs: passes.append(list(fcs)) or evaluate(ws, fcs))
+    assert main(["eval-forecast", "--config", config, "--out", str(tmp_path / "runs")]) == 0
+    scored = [name for name in models if name != "fut"]
+    assert passes == [scored] * (2 if scored else 0)   # stir and handover
+    report = MetricReport.from_json(cfg.run_dir() / "forecast_report.json")
+    want = MetricReport.from_json(run_dir / "forecast_report.json").forecasting if scored else {}
+    assert report.forecasting == want
 
 
 def test_simulate_and_report_csv(pipeline, tmp_path):

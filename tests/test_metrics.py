@@ -2,6 +2,7 @@
 finite-problem loss-bound verifier."""
 
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import BASE_POSE, linear_episode, task_episode
 from costcast import metrics
 from costcast.forecast import (
+    BLOCK_WINDOWS,
     ForecastModel,
     WindowSet,
     forecast_cur,
@@ -54,7 +56,7 @@ def random_episode(rng, n=60):
 def test_ade_fde_hand_oracle(rng):
     ws = WindowSet([random_episode(rng)])
     offset = np.array([0.003, 0.004, 0.0])
-    m = evaluate_forecaster(ws, lambda ctx, fut: Trajectory(fut.frames + offset))
+    m = evaluate_forecaster(ws, {"f": lambda ctx, fut: Trajectory(fut.frames + offset)})["f"]
     for key in METRIC_KEYS:
         assert m[key] == pytest.approx(5.0, abs=1e-9)   # 5 mm uniform offset
 
@@ -64,7 +66,7 @@ def test_ade_fde_matches_hand_sum(rng, monkeypatch):
     ep = random_episode(rng)
     ws = WindowSet([ep])
     monkeypatch.setattr(metrics, "BLOCK_WINDOWS", 7)
-    m = evaluate_forecaster(ws, lambda ctx, fut: Trajectory(1.01 * fut.frames))
+    m = evaluate_forecaster(ws, {"f": lambda ctx, fut: Trajectory(1.01 * fut.frames)})["f"]
     fut = np.stack([ep.frames[s + HISTORY_LEN:s + HISTORY_LEN + HORIZON_LEN]
                     for s in range(len(ws))])
     d = np.linalg.norm(1.01 * fut - fut, axis=-1)   # (windows, T, J)
@@ -82,7 +84,7 @@ def test_evaluate_forecaster_closed_form_for_constant_pose_baseline():
     speed = 0.25
     ep = linear_episode(60, (speed, 0.0, 0.0), transitions=((20, 30),))
     ws = WindowSet([ep])
-    m = evaluate_forecaster(ws, lambda ctx, fut=None: forecast_cur(ctx))
+    m = evaluate_forecaster(ws, {"cur": make_forecaster("cur")})["cur"]
     fde_expected = 25 * DT * speed * 1000.0
     ade_expected = np.mean(np.arange(1, 26)) * DT * speed * 1000.0
     assert m["fde"] == pytest.approx(fde_expected, rel=1e-9)
@@ -99,15 +101,18 @@ def test_evaluate_forecaster_without_transition_windows_fails_before_scoring(rng
     ws = WindowSet([task_episode(frames)])
     calls = []
     with pytest.raises(MotionError, match="no transition windows"):
-        evaluate_forecaster(ws, lambda ctx, fut: calls.append(1) or forecast_cur(ctx))
+        evaluate_forecaster(ws, {"f": lambda ctx, fut: calls.append(1) or forecast_cur(ctx)})
     assert calls == []
+    with pytest.raises(MotionError, match="no forecasters"):
+        evaluate_forecaster(WindowSet([random_episode(rng)]), {})
 
 
 @st.composite
 def scored_windows(draw):
     """1-3 random episodes from exactly one window long, the first with a
     transition in its first window's future, a block size of 1, 7, every
-    window or more, and a forecaster: cur, cvm or a random linear model."""
+    window or more, the forecasters cur, cvm and a random linear model by
+    name, and the name of one of them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     eps = []
     for i in range(draw(st.integers(1, 3))):
@@ -119,16 +124,18 @@ def scored_windows(draw):
     size = draw(st.sampled_from([1, 7, len(ws)]) | st.integers(len(ws) + 1, 2 * len(ws) + 1))
     model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.3, (N_JOINTS, N_JOINTS)),
                           M=rng.normal(0, 0.1, (HISTORY_LEN, HORIZON_LEN)))
-    name = draw(st.sampled_from(["cur", "cvm", "model"]))
-    return eps, ws, size, make_forecaster(model if name == "model" else name)
+    forecasters = {"cur": make_forecaster("cur"), "cvm": make_forecaster("cvm"),
+                   "model": make_forecaster(model)}
+    return eps, ws, size, forecasters, draw(st.sampled_from(sorted(forecasters)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=scored_windows())
 def test_evaluate_forecaster_in_blocks_matches_a_per_window_reference(case):
-    eps, ws, size, fc = case
+    eps, ws, size, forecasters, name = case
+    fc = forecasters[name]
     with mock.patch.object(metrics, "BLOCK_WINDOWS", size):   # metrics' own binding
-        got = evaluate_forecaster(ws, fc)
+        got = evaluate_forecaster(ws, {name: fc})[name]
     per_window = []
     for ep in eps:
         for s in range(len(ep) - HISTORY_LEN - HORIZON_LEN + 1):
@@ -160,6 +167,39 @@ def test_displacements_are_bit_identical_to_linalg_norm(seed, shape, scale, wind
     want = np.linalg.norm(a - b, axis=-1)
     got = _displacements(a, b)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def float_bits(metrics_by_name: dict) -> dict:
+    return {name: {key: float(v).hex() for key, v in m.items()}
+            for name, m in metrics_by_name.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=scored_windows())
+def test_scoring_several_forecasters_together_equals_scoring_each_alone(case):
+    # one pass over cur, cvm and a linear model gives each the bits of a
+    # pass over it alone, at every block size
+    _, ws, size, forecasters, _ = case
+    with mock.patch.object(metrics, "BLOCK_WINDOWS", size):
+        together = evaluate_forecaster(ws, forecasters)
+        alone = {name: evaluate_forecaster(ws, {name: fc})[name]
+                 for name, fc in forecasters.items()}
+    assert list(together) == list(forecasters)
+    assert float_bits(together) == float_bits(alone)
+
+
+def test_several_forecasters_share_one_gather_per_block(rng):
+    # 3 models over 3 x 100 windows: one gather per block, not one per model
+    ws = WindowSet([random_episode(rng, n=134)] * 3)
+    forecasters = {"cur": make_forecaster("cur"), "cvm": make_forecaster("cvm"),
+                   "model": make_forecaster(ForecastModel.init())}
+    calls = []
+    gather = WindowSet.gather
+    with mock.patch.object(WindowSet, "gather",
+                           lambda self, idx: calls.append(len(idx)) or gather(self, idx)):
+        evaluate_forecaster(ws, forecasters)
+    assert len(calls) == math.ceil(len(ws) / BLOCK_WINDOWS) == 3
+    assert sum(calls) == len(ws)
 
 
 # --- stop/restart metrics from hand-built logs ----------------------------

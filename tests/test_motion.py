@@ -75,6 +75,16 @@ def test_context_and_trajectory_length_enforced():
         Trajectory(np.zeros((N_JOINTS, 3)))
 
 
+def test_an_episode_needs_a_frame(tmp_path):
+    with pytest.raises(MotionError, match="at least one frame"):
+        task_episode(np.zeros((0, N_JOINTS, 3)))
+    path = tmp_path / "ep.json"
+    path.write_text(json.dumps(dict(episode_to_dict(linear_episode(40, (0.1, 0.0, 0.0))),
+                                    frames=[])))
+    with pytest.raises(MotionError, match="ep.json.*at least one frame"):
+        load_episode(path)
+
+
 @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -25.0, 0.0, 0.99, 1000.5,
                                  True, "25"])
 def test_episode_requires_a_finite_positive_fps(fps, tmp_path):
@@ -290,6 +300,89 @@ def test_episode_reader_rejects_malformed_documents():
         episode_from_dict(bad)
     with pytest.raises(MotionError):
         episode_from_dict(dict(doc, joint_names=["a"] * 7))
+
+
+def reference_load(path) -> Episode:
+    """The episode reader before the flat decode: ``np.array`` discovers the
+    shape of the nested frame lists."""
+    doc = orjson.loads(path.read_bytes())
+    return Episode(fps=doc["fps"], frames=np.array(doc["frames"], dtype=float),
+                   transitions=doc.get("transitions", []), task=doc.get("task", "stir"),
+                   extras=doc.get("extras", {}))
+
+
+TEXT = st.text(st.characters(codec="utf-8"), max_size=8)  # no lone surrogates
+NUMBER_TEXT = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.integers(-10**6, 10**6)).map(str)
+COORDINATES = st.one_of(
+    TEXT,
+    NUMBER_TEXT,
+    st.tuples(st.sampled_from(["", " ", "\t"]), NUMBER_TEXT, st.sampled_from(["", " ", "\n"]))
+    .map("".join),
+    st.sampled_from(["nan", "inf", "-Infinity", "1_000", "0x10", "1e400"]),
+    st.none(),
+    st.booleans(),
+    st.lists(st.floats(-1.0, 1.0), max_size=4),
+    st.integers(-2**63, 2**63 - 1),
+    st.integers(-1000, 1000),
+)
+
+
+@st.composite
+def mutated_frames(draw, frames: list):
+    """The frame lists of an episode document, changed in one of the ways a
+    malformed file can differ from a well-formed one, or left as they are."""
+    n = len(frames)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, N_JOINTS - 1))
+    frames = [[list(joint) for joint in frame] for frame in frames]
+    which = draw(st.sampled_from(["none", "empty", "dict", "joints", "all joints",
+                                  "coordinates", "all coordinates", "frame", "joint",
+                                  "coordinate"]))
+    if which == "empty":
+        return []
+    if which == "dict":
+        return {str(k): frame for k, frame in enumerate(frames)}
+    if which in ("joints", "all joints"):
+        extra = draw(st.sampled_from([-1, 1]))
+        for frame in frames if which == "all joints" else [frames[i]]:
+            frame[:] = frame[:-1] if extra < 0 else frame + [frame[0]]
+    elif which in ("coordinates", "all coordinates"):
+        extra = draw(st.sampled_from([-1, 1]))
+        for frame in frames if which == "all coordinates" else [frames[i]]:
+            frame[j][:] = frame[j][:-1] if extra < 0 else frame[j] + [0.0]
+    elif which == "frame":
+        frames[i] = draw(st.none() | st.booleans() | st.floats(-1, 1) | TEXT
+                         | st.just("a" * N_JOINTS)
+                         | st.dictionaries(TEXT, st.floats(-1, 1), max_size=N_JOINTS))
+    elif which == "joint":  # "123" and 3 numeric keys flatten to 3 numbers
+        frames[i][j] = draw(st.none() | st.floats(-1, 1) | TEXT | st.just("123")
+                            | st.dictionaries(NUMBER_TEXT, st.floats(-1, 1), min_size=3,
+                                              max_size=3))
+    elif which == "coordinate":
+        frames[i][j][draw(st.integers(0, 2))] = draw(COORDINATES)
+    return frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), stdlib=st.booleans())
+def test_the_flat_decoder_accepts_and_rejects_what_np_array_did(tmp_path_factory, data, seed,
+                                                               stdlib):
+    # a file whose frames are malformed in one way: load_episode raises a
+    # MotionError exactly where the np.array reader failed, and otherwise
+    # returns frames with the same bits
+    rng = np.random.default_rng(seed)
+    frames = BASE_POSE + rng.normal(0, 0.05, size=(data.draw(st.integers(1, 6)), N_JOINTS, 3))
+    doc = episode_to_dict(task_episode(frames))
+    doc["frames"] = data.draw(mutated_frames(doc["frames"]))
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_bytes(json.dumps(doc).encode() if stdlib else orjson.dumps(doc))
+    try:
+        want = reference_load(path).frames
+    except (TypeError, ValueError):
+        with pytest.raises(MotionError, match="mutated.json"):
+            load_episode(path)
+    else:
+        assert same_bits(load_episode(path).frames, want)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

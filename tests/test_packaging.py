@@ -1,4 +1,5 @@
-"""The package declares every third-party module its source imports."""
+"""The package declares every third-party module its source imports, and
+its modules use every name they import."""
 
 import ast
 import re
@@ -6,8 +7,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib", reason="tomllib is in the stdlib from Python 3.11")
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,6 +23,7 @@ def imported_modules(path: Path) -> set:
 
 
 def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the stdlib from Python 3.11")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
                 for req in project["dependencies"]}
@@ -35,3 +35,24 @@ def test_every_third_party_import_is_a_declared_dependency():
     undeclared = {name: where for name, where in third_party.items()
                   if name.lower() not in declared}
     assert not undeclared, f"imported but not in [project].dependencies: {undeclared}"
+
+
+def unused_imports(path: Path) -> list:
+    """The names a source file binds by an import and never refers to."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports its names only to re-export them
+    unused = {path.name: names
+              for path in sorted((ROOT / "src" / "costcast").glob("*.py"))
+              if path.name != "__init__.py" and (names := unused_imports(path))}
+    assert not unused, f"imported but never used: {unused}"
