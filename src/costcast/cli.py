@@ -92,18 +92,21 @@ class RunConfig:
                               f"preset; choose one of {sorted(forecast.PRESETS)}")
         train_kwargs.setdefault("seed", seed)
         mppi_kwargs = _sub(doc, "mppi")
+        if "dt" in mppi_kwargs:
+            raise ConfigError("mppi.dt is the episode frame period 1/gen.fps; set gen.fps")
         mppi_kwargs.setdefault("seed", seed)
         models = doc.get("models", ["cur", "cvm"])
         if not isinstance(models, list) or not all(isinstance(m, str) for m in models):
             raise ConfigError(f"models must be a list of model names, got {models!r}")
         try:
+            gen = datagen.GenConfig(**gen_kwargs)
             cfg = cls(
                 seed=seed,
                 out_root=str(overrides.get("out", doc.get("out_root", "runs"))),
                 counts={**DEFAULT_COUNTS, **_sub(doc, "counts")},
-                gen=datagen.GenConfig(**gen_kwargs),
+                gen=gen,
                 train=TrainConfig(**train_kwargs),
-                mppi=MppiConfig(**mppi_kwargs),
+                mppi=MppiConfig(**mppi_kwargs, dt=1.0 / gen.fps),
                 weights=CostWeights(**_sub(doc, "weights")),
                 preset=str(overrides.get("preset", doc.get("preset", "manicast"))),
                 models=tuple(models),
@@ -122,9 +125,6 @@ class RunConfig:
                 raise ConfigError(f"gen: {exc}") from exc
         for section in ("gen", "train", "mppi"):
             _seed(getattr(cfg, section).seed, f"{section}.seed")
-        if abs(cfg.mppi.dt - 1.0 / cfg.gen.fps) > 1e-9:
-            raise ConfigError(f"mppi.dt {cfg.mppi.dt} must equal 1/gen.fps "
-                              f"({1.0 / cfg.gen.fps}), the episode frame period")
         for name in cfg.models:
             _check_model_name(name)
         if cfg.preset not in forecast.PRESETS:
@@ -132,16 +132,8 @@ class RunConfig:
         return cfg
 
     def canonical(self) -> str:
-        doc = {
-            "seed": self.seed,
-            "counts": self.counts,
-            "gen": dataclasses.asdict(self.gen),
-            "train": dataclasses.asdict(self.train),
-            "mppi": dataclasses.asdict(self.mppi),
-            "weights": dataclasses.asdict(self.weights),
-            "preset": self.preset,
-            "models": list(self.models),
-        }
+        doc = dataclasses.asdict(self)
+        del doc["out_root"]   # where the runs go, not what they hold
         return json.dumps(doc, sort_keys=True)
 
     def run_dir(self) -> Path:
@@ -261,7 +253,7 @@ def cmd_simulate(cfg: RunConfig, episode_path: str, model_name: str, out_path: s
         raise MotionError(f"no directory for the sim log {out_path}")
     episode = load_episode(episode_path)
     arm = ArmModel()
-    spec = build_task_spec(episode, arm, dt=cfg.mppi.dt)
+    spec = build_task_spec(episode, arm)
     fc = _forecaster_for(model_name, cfg.run_dir())
     log = run_episode(episode, fc, spec, cfg.weights, cfg.mppi, model=arm,
                       model_name=model_name)
@@ -281,7 +273,7 @@ def cmd_eval_plan(cfg: RunConfig) -> int:
         eps = test.get(task, [])
         if not eps:
             continue
-        spec_cache = [build_task_spec(ep, arm, dt=cfg.mppi.dt) for ep in eps]
+        spec_cache = [build_task_spec(ep, arm) for ep in eps]
         logs = {}
         names = list(dict.fromkeys(["cur", *cfg.models]))
         for name in names:

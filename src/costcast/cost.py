@@ -37,6 +37,7 @@ import numpy as np
 
 from .motion import TASKS, MotionError, WRIST_INDICES, Trajectory, check_field_types
 from .robot import (
+    HUMAN_CAPSULE_RADIUS,
     ArmModel,
     arm_capsules,
     collision_sphere_centers,
@@ -152,8 +153,8 @@ def _pairs_in_reach(model: ArmModel, frames, capsules):
     from the capsule's box over the horizon.  The largest gap over the axes
     is taken with NaN propagating, so a NaN in either box keeps the pair.
     """
-    starts, ends, radii = capsules
-    r = radii[..., None]
+    starts, ends = capsules
+    r = np.float64(HUMAN_CAPSULE_RADIUS)
     part_lo = (np.minimum(starts, ends) - r).min(axis=0)   # (parts, 3)
     part_hi = (np.maximum(starts, ends) + r).max(axis=0)
     row_lo, row_hi = sphere_row_boxes(model, frames)

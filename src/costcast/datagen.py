@@ -21,6 +21,7 @@ from .motion import (
     N_JOINTS,
     check_field_types,
     finite_point,
+    vector_lengths,
 )
 
 # Static skeleton layout (world frame, meters).  The right arm is the moving
@@ -42,6 +43,7 @@ N_TABLE_WAYPOINTS = 6
 MAX_EPISODE_LEN_S = 3600.0
 MAX_JITTER_SIGMA = 0.05   # metres; an order above motion-capture noise
 MIN_SPLIT_EPISODES = 10   # the fewest episodes an 8:1:1 split gives a val and a test episode
+SCHEDULE_MARGIN_S = 1.0   # no interaction starts or ends this close to an episode end
 
 
 class ScheduleError(MotionError):
@@ -80,18 +82,19 @@ class GenConfig:
             if getattr(self, name) * self.fps <= 0.5:
                 raise MotionError(f"{name} must last at least one frame at {self.fps:g} fps, "
                                   f"got {getattr(self, name)!r} s")
-        if self.n_interactions * self.interaction_len_s >= self.episode_len_s:
-            raise ScheduleError("interactions do not fit in the episode")
+        if self.slot_s < self.interaction_len_s:
+            raise ScheduleError(f"a slot of {self.slot_s:.2f} s inside the "
+                                f"{SCHEDULE_MARGIN_S:g} s margins cannot hold a "
+                                f"{self.interaction_len_s:.2f} s interaction")
 
     @property
     def interaction_len_s(self) -> float:
         return 2 * self.reach_duration_s + self.hold_duration_s
 
-
-def _lengths(v: np.ndarray) -> np.ndarray:
-    """Euclidean lengths over the last axis: one row-by-column product per
-    vector, the BLAS dot product that ``np.linalg.norm`` takes of one vector."""
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+    @property
+    def slot_s(self) -> float:
+        """Each interaction's equal share of the episode inside its margins."""
+        return (self.episode_len_s - 2 * SCHEDULE_MARGIN_S) / self.n_interactions
 
 
 def _check_reach(wrist: np.ndarray, name: str) -> tuple:
@@ -99,7 +102,7 @@ def _check_reach(wrist: np.ndarray, name: str) -> tuple:
     right-wrist points (..., 3) the arm can reach; the error names the first
     distance out of reach."""
     d = wrist - RIGHT_SHOULDER
-    r = _lengths(d)
+    r = vector_lengths(d)
     far = r >= ARM_REACH - 1e-6
     if far.any():
         raise MotionError(f"{name} at {r[far][0]:.3f} m from the right shoulder exceeds "
@@ -133,10 +136,10 @@ def _frames_from_wrist_path(wrist_path: np.ndarray) -> np.ndarray:
     # down - (down . u) u, and the -x fallback alike; each dot is minus one coordinate
     perp = np.array([0.0, 0.0, -1.0]) + u[:, 2:] * u
     side = np.array([-1.0, 0.0, 0.0]) + u[:, :1] * u
-    norm = _lengths(perp)
+    norm = vector_lengths(perp)
     vertical = norm < 1e-6
     perp[vertical] = side[vertical]
-    norm[vertical] = _lengths(side[vertical])
+    norm[vertical] = vector_lengths(side[vertical])
     # float_power takes pow() of each element, as the scalar ``** 2`` did
     bulge = np.sqrt(np.maximum(ARM_BONE_LEN**2 - np.float_power(r / 2, 2), 0.0))
     frames = np.empty((len(wrist_path), N_JOINTS, 3))
@@ -160,27 +163,16 @@ def _apply_jitter(frames: np.ndarray, sigma: float, rng: np.random.Generator) ->
     return frames + smooth
 
 
-def _schedule(config: GenConfig, rng: np.random.Generator) -> list:
-    """Seeded interaction start times: one per equal slot, margins at both ends."""
-    margin = 1.0
-    usable = config.episode_len_s - 2 * margin
-    slot = usable / config.n_interactions
-    dur = config.interaction_len_s
-    if slot < dur:
-        raise ScheduleError(f"slot of {slot:.2f} s cannot hold a {dur:.2f} s interaction")
-    starts = []
-    for i in range(config.n_interactions):
-        starts.append(margin + i * slot + rng.uniform(0.0, slot - dur))
-    return starts
-
-
 def _reach_hold_return(config: GenConfig, targets, rng: np.random.Generator):
     """Wrist path for rest->target->rest interactions plus transition intervals."""
     fps = config.fps
     n_frames = int(round(config.episode_len_s * fps))
     rest = np.asarray(config.rest_wrist, dtype=float)
     wrist = np.tile(rest, (n_frames, 1))
-    starts = _schedule(config, rng)
+    # seeded start times, one per equal slot inside the margins
+    slot, dur = config.slot_s, config.interaction_len_s
+    starts = [SCHEDULE_MARGIN_S + i * slot + rng.uniform(0.0, slot - dur)
+              for i in range(config.n_interactions)]
     reach_n = int(round(config.reach_duration_s * fps))
     hold_n = int(round(config.hold_duration_s * fps))
     transitions = []

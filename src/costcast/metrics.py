@@ -20,6 +20,7 @@ from .motion import (
     MotionError,
     Trajectory,
     read_json,
+    vector_lengths,
     write_json,
 )
 
@@ -151,11 +152,9 @@ def stop_restart_times(logs_model: list, logs_cur: list) -> dict:
             if d_c is not None and d_m is not None:
                 restart_deltas.append((d_c - d_m) * dt * 1000.0)
         # false detections: activations with no true incursion soon after
-        rising = np.nonzero(act_m & ~np.concatenate([[False], act_m[:-1]]))[0]
-        for t in rising:
-            n_act += 1
-            if not gt[t:t + HORIZON_LEN + 1].any():
-                n_false += 1
+        rising = [t for t, _ in _incursions(act_m)]
+        n_act += len(rising)
+        n_false += sum(not gt[t:t + HORIZON_LEN + 1].any() for t in rising)
     if total_incursions == 0:
         raise MotionError("no ground-truth incursions in the provided logs")
     stop, stop_se = _mean_se(stop_deltas) if stop_deltas else (float("nan"), 0.0)
@@ -166,18 +165,15 @@ def stop_restart_times(logs_model: list, logs_cur: list) -> dict:
             "fdr": fdr, "n_incursions": total_incursions, "n_activations": n_act}
 
 
-def _detection_step(records, goal: np.ndarray, lo: int, hi: int):
-    """First record index in [lo, hi] whose forecast final wrist stays within
-    the detection radius for ``GOAL_DETECT_PERSIST`` consecutive records."""
-    lo = max(lo, 0)
-    hi = min(hi, len(records) - 1)
-    run = 0
-    for i in range(lo, hi + 1):
-        w = np.asarray(records[i]["forecast_final_wrist"])
-        run = run + 1 if np.linalg.norm(w - goal) <= GOAL_DETECT_RADIUS else 0
-        if run >= GOAL_DETECT_PERSIST:
-            return i - GOAL_DETECT_PERSIST + 1
-    return None
+def _detection_step(wrists: np.ndarray, goal: np.ndarray, lo: int, hi: int):
+    """First record index in [lo, hi] from which the forecast final wrists
+    (n, 3) stay within the detection radius of the goal for
+    ``GOAL_DETECT_PERSIST`` consecutive records, all of them in [lo, hi]."""
+    near = vector_lengths(wrists - goal) <= GOAL_DETECT_RADIUS
+    if len(near) < GOAL_DETECT_PERSIST:
+        return None
+    held = np.convolve(near, np.ones(GOAL_DETECT_PERSIST, int), "valid") == GOAL_DETECT_PERSIST
+    return _first_true(held, lo, hi - GOAL_DETECT_PERSIST + 1)
 
 
 def handover_metrics(logs_model: list, logs_cur: list, episodes: list) -> dict:
@@ -190,13 +186,15 @@ def handover_metrics(logs_model: list, logs_cur: list, episodes: list) -> dict:
         dt = lm.dt
         step0 = lm.records[0]["step"]
         ee = np.array([r["ee_pos"] for r in lm.records])
+        wrists_m, wrists_c = (np.array([r["forecast_final_wrist"] for r in log.records],
+                                       dtype=float).reshape(-1, 3) for log in (lm, lc))
         for (hs, he), goal in zip(holds, goals):
             goal = np.asarray(goal, dtype=float)
             n_handover += 1
             lo = hs - step0 - 2 * HORIZON_LEN
             hi = he - step0
-            t_m = _detection_step(lm.records, goal, lo, hi)
-            t_c = _detection_step(lc.records, goal, lo, hi)
+            t_m = _detection_step(wrists_m, goal, lo, hi)
+            t_c = _detection_step(wrists_c, goal, lo, hi)
             if t_m is not None:
                 n_correct += 1
             if t_m is not None and t_c is not None:

@@ -77,6 +77,12 @@ def finite_point(value, name: str) -> tuple:
     return tuple(float(v) for v in value)
 
 
+def vector_lengths(v: np.ndarray) -> np.ndarray:
+    """Euclidean lengths over the last axis: one row-by-column product per
+    vector, the BLAS dot product that ``np.linalg.norm`` takes of one vector."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def check_field_types(config) -> None:
     """Reject a config dataclass field whose value does not fit its default.
 

@@ -7,11 +7,11 @@ live planner and produces per-timestep simulation logs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .cost import CostWeights, TaskSpec, stir_retract_mask, total_cost_batch
 from .motion import (
@@ -267,19 +267,17 @@ class SimLog:
     records: list = field(default_factory=list)
 
     def to_jsonl(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(json.dumps({"meta": {"task": self.task, "model": self.model_name,
-                                         "dt": self.dt}}) + "\n")
-            for rec in self.records:
-                f.write(json.dumps(rec) + "\n")
+        meta = {"meta": {"task": self.task, "model": self.model_name, "dt": self.dt}}
+        Path(path).write_bytes(b"".join(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY)
+                                        + b"\n" for doc in [meta, *self.records]))
 
     @classmethod
     def from_jsonl(cls, path) -> "SimLog":
         try:
-            lines = Path(path).read_text().splitlines()
-            meta = json.loads(lines[0])["meta"]
+            lines = Path(path).read_bytes().splitlines()
+            meta = orjson.loads(lines[0])["meta"]
             log = cls(task=meta["task"], model_name=meta["model"], dt=meta["dt"],
-                      records=[json.loads(line) for line in lines[1:]])
+                      records=[orjson.loads(line) for line in lines[1:]])
         except (IndexError, KeyError, OSError, TypeError, ValueError) as exc:
             raise MotionError(f"sim log {path}: {exc!r}") from exc
         for line, rec in enumerate(log.records, start=2):

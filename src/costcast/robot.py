@@ -271,28 +271,27 @@ def sphere_row_boxes(model: ArmModel, frames):
 
 
 def arm_capsules(frames: np.ndarray):
-    """The ``ARM_BONES`` capsules of human poses (H, J, 3): starts and ends
-    (H, 4, 3) and radii (H, 4), every radius ``HUMAN_CAPSULE_RADIUS``."""
-    return (frames[:, _BONE_STARTS], frames[:, _BONE_ENDS],
-            np.full((len(frames), len(ARM_BONES)), HUMAN_CAPSULE_RADIUS))
+    """The ``ARM_BONES`` capsule axes of human poses (H, J, 3): starts and
+    ends (H, 4, 3).  Every human capsule has ``HUMAN_CAPSULE_RADIUS``."""
+    return frames[:, _BONE_STARTS], frames[:, _BONE_ENDS]
 
 
 def separation_batch(model: ArmModel, centers: np.ndarray, starts: np.ndarray,
-                     ends: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Minimum clearance per (plan, step) against per-step capsules.
+                     ends: np.ndarray) -> np.ndarray:
+    """Minimum clearance per (plan, step) against per-step human capsules.
 
     centers: (rows, 3, N, H) robot sphere centers from ``collision_sphere_centers``.
-    starts, ends: (H, P, 3) the two ends of each of P capsule axes per step;
-    radii: (H, P).  A sphere is a capsule whose two ends coincide.  Returns
-    (N, H) in the dtype of the centers.
+    starts, ends: (H, P, 3) the two ends of each of P capsule axes per step,
+    every capsule of radius ``HUMAN_CAPSULE_RADIUS``.  Returns (N, H) in the
+    dtype of the centers.
 
     Each coordinate of the centers is a (rows, N, H) plane, so each capsule is
     elementwise work against its per-step scalars, spread once into (N, H)
     planes, with every temporary in a scratch buffer allocated once per call.
     Each capsule's squared distances are reduced over the sphere rows into
     its own (N, H) plane; then one square root is taken of every plane, and
-    the robot sphere radius and then each capsule's radius are subtracted
-    before the minimum over capsules.
+    the robot sphere radius and then the capsule radius, a float64 operand,
+    are subtracted before the minimum over capsules.
     """
     cx, cy, cz = centers.swapaxes(0, 1)   # (rows, N, H) each
     rx, ry, rz, t, tmp = (np.empty(cx.shape, cx.dtype) for _ in range(5))
@@ -324,7 +323,7 @@ def separation_batch(model: ArmModel, centers: np.ndarray, starts: np.ndarray,
         t.min(axis=0, out=d.T)
     np.sqrt(dist, out=dist)
     dist -= model.sphere_radius
-    dist -= radii.T[..., None]
+    dist -= np.float64(HUMAN_CAPSULE_RADIUS)
     return dist.min(axis=0, initial=np.inf).T
 
 

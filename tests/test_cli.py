@@ -20,7 +20,7 @@ from costcast.cost import CostWeights
 from costcast.datagen import MAX_JITTER_SIGMA, GenConfig, split_dataset
 from costcast.forecast import ForecastModel, TrainConfig, load_checkpoint, save_checkpoint
 from costcast.metrics import MetricReport
-from costcast.motion import MotionError, is_finite_number, load_episode
+from costcast.motion import MotionError, load_episode
 from costcast.planner import MppiConfig, SimLog
 
 MINI = {
@@ -80,8 +80,7 @@ def test_config_rejects_bad_values(tmp_path, capsys):
                          ("counts", {"stir": "x"}), ("counts", {"stir": 1.5}),
                          ("counts", {"stir": -1}), ("counts", {"stir": True}),
                          ("train", {"seed": -1}), ("mppi", {"dt": 0.05}),
-                         ("gen", {"fps": 30.0}),
-                         ("gen", {"episode_len_s": float("nan")}),
+                         ("mppi", {"dt": 0.04}), ("gen", {"episode_len_s": float("nan")}),
                          ("gen", {"n_interactions": 1.5}), ("gen", {"jitter_sigma": True}),
                          ("train", {"epochs": 1.5}), ("train", {"batch_size": 2.5}),
                          ("mppi", {"temperature": "hot"}), ("mppi", {"noise_sigma": 1e308}),
@@ -91,14 +90,18 @@ def test_config_rejects_bad_values(tmp_path, capsys):
                          ("train", {"transition_mix": 0.9}), ("train", {"wrist_weight": 3.0})):
         with pytest.raises(ConfigError):
             RunConfig.load(write_config(tmp_path, dict(MINI, **{section: bad})))
-    assert RunConfig.load(write_config(tmp_path, dict(MINI, gen={"fps": 20.0},
-                                                      mppi={"dt": 0.05}))).mppi.dt == 0.05
+    # the planner steps at the frame period, which gen.fps sets
+    for fps in (20.0, 30.0):
+        cfg = RunConfig.load(write_config(tmp_path, dict(MINI, gen={"fps": fps})))
+        assert cfg.mppi.dt == 1.0 / fps
     # an int is a valid value for a float field
     assert RunConfig.load(write_config(tmp_path, dict(MINI, weights={"alpha_c": 100}))
                           ).weights.alpha_c == 100
     for bad in ({"gen": {"n_interactions": 0}}, {"seed": -1}, {"counts": {"stir": "x"}},
-                {"mppi": {"dt": 0.05}}, {"train": {"momentum": 2.0}},
-                {"gen": {"fps": 1e300}, "mppi": {"dt": 1e-300}},
+                {"mppi": {"dt": 0.05}}, {"train": {"momentum": 2.0}}, {"gen": {"fps": 1e300}},
+                # fits the episode, but not the 1 s margins that the schedule keeps
+                {"counts": {"stir": 10, "handover": 0, "tableset": 0},
+                 "gen": {"episode_len_s": 4.0, "n_interactions": 1}},
                 {"mppi": {"n_samples": 10**12}}, {"train": {"batch_size": 10**9}}):
         path = write_config(tmp_path, dict(MINI, **bad))
         assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
@@ -123,7 +126,10 @@ def test_config_rejects_bad_values(tmp_path, capsys):
                           "alpha_c must be a finite number"),
                          (dict(MINI, weights={"eps_pot": -1}), "eps_pot must be positive"),
                          (dict(MINI, train={"transition_mix": 0.9, "wrist_weight": 3.0}),
-                          "set by the preset")):
+                          "set by the preset"),
+                         (dict(MINI, mppi={"dt": 0.04}), "mppi.dt is the episode frame period"),
+                         (dict(MINI, gen={"episode_len_s": 4.0}),
+                          "inside the 1 s margins cannot hold")):
         path = write_config(tmp_path, doc)
         assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
@@ -290,11 +296,6 @@ def run_documents(draw):
                                                            near_default(fields[k]), ODD_VALUES)
                                               for k in ks})))
         doc[name] = draw(st.sampled_from([section, section, section, {"bogus": 1}, [section]]))
-    gen, mppi = doc["gen"], doc["mppi"]
-    if isinstance(mppi, dict) and draw(st.booleans()):
-        fps = gen.get("fps", 25.0) if isinstance(gen, dict) else 25.0
-        if is_finite_number(fps) and fps:
-            mppi["dt"] = 1.0 / fps   # the frame period the dt check asks for
     doc.update(draw(st.dictionaries(st.sampled_from(["seed", "preset", "models", "out_root"]),
                                     ODD_VALUES, max_size=2)))
     return doc

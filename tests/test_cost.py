@@ -233,7 +233,7 @@ def test_collision_runs_no_kernel_on_rows_out_of_reach(monkeypatch, rng):
         built.append(len(rows))
         return collision_sphere_centers(model, frames, rows)
 
-    def kernel(model, centers, starts, ends, radii):
+    def kernel(model, centers, starts, ends):
         seen.append((centers.shape[0], starts.shape[1]))
         raise AssertionError("clearance kernel called")
 
@@ -550,20 +550,16 @@ def test_batch_last_kinematics_match_single_configurations(task, n, h, seed):
     Qd = rng.uniform(-MODEL.vel, MODEL.vel, size=(n, h, N_DOF))
     humans = BASE_POSE[None] + rng.normal(0, 0.03, size=(H, 7, 3))
     humans = humans + np.array([rng.uniform(0.0, 0.6), 0.0, 0.2])
-    vol_centers = np.array([0.6, 0.0, 1.0]) + rng.normal(0.0, 0.3, size=(H, 3, 3))
-    vol_radii = rng.uniform(0.05, 0.3, size=(H, 3))
 
     def kinematics(Q, steps):
         frames = fk_batch(MODEL, Q)
         centers = collision_sphere_centers(MODEL, frames)
         return (*frames, manipulability_batch(frames), centers,
-                separation_batch(MODEL, centers, *arm_capsules(humans[steps])),
-                separation_batch(MODEL, centers, vol_centers[steps], vol_centers[steps],
-                                 vol_radii[steps]))
+                separation_batch(MODEL, centers, *arm_capsules(humans[steps])))
 
     batch = kinematics(Q, slice(0, h))
     assert [a.shape for a in batch] == [(8, 3, 3, n, h), (8, 3, n, h), (n, h),
-                                        (16, 3, n, h), (n, h), (n, h)]
+                                        (16, 3, n, h), (n, h)]
     for i in range(n):
         for t in range(h):
             single = kinematics(Q[i:i + 1, t:t + 1], slice(t, t + 1))

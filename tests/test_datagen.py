@@ -177,9 +177,9 @@ def test_generation_is_bitwise_deterministic():
 def test_infeasible_schedule_rejected():
     with pytest.raises(ScheduleError):
         GenConfig(seed=0, episode_len_s=5.0, n_interactions=4)
-    with pytest.raises(ScheduleError):
-        # fits the total-duration check but not the per-slot margins
-        gen_stirring(GenConfig(seed=0, episode_len_s=13.0, n_interactions=4))
+    with pytest.raises(ScheduleError, match="margins"):
+        # 4 x 3.2 s fit in 13 s, but not inside its 1 s margins
+        GenConfig(seed=0, episode_len_s=13.0, n_interactions=4)
 
 
 @pytest.mark.parametrize("field", ["reach_duration_s", "hold_duration_s"])

@@ -290,6 +290,43 @@ def test_handover_metrics_hand_built_logs():
     assert out["n_handovers"] == 1
 
 
+def scanned_detection_step(records, goal, lo, hi):
+    """The per-record scan that ``_detection_step`` replaced, kept as its
+    reference: the first index in [lo, hi] that starts a run of
+    ``GOAL_DETECT_PERSIST`` records within the detection radius."""
+    lo = max(lo, 0)
+    hi = min(hi, len(records) - 1)
+    run = 0
+    for i in range(lo, hi + 1):
+        w = np.asarray(records[i]["forecast_final_wrist"])
+        run = run + 1 if np.linalg.norm(w - goal) <= metrics.GOAL_DETECT_RADIUS else 0
+        if run >= metrics.GOAL_DETECT_PERSIST:
+            return i - metrics.GOAL_DETECT_PERSIST + 1
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(st.sampled_from(["near", "far", "edge"]), st.integers(1, 8)),
+                     max_size=8),
+       lo=st.integers(-12, 40), span=st.integers(-6, 40), seed=st.integers(0, 2**32 - 1))
+def test_detection_step_equals_the_per_record_scan(runs, lo, span, seed):
+    # runs of records near the goal, far from it, or at the detection radius
+    # along a random direction, where rounding decides; records shorter than
+    # GOAL_DETECT_PERSIST included
+    rng = np.random.default_rng(seed)
+    goal = np.array([0.5, 0.0, 1.0])
+    kinds = [kind for kind, length in runs for _ in range(length)]
+    directions = rng.normal(size=(len(kinds), 3))
+    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    distance = {"near": 0.5, "far": 2.0, "edge": 1.0}
+    wrists = goal + np.array([distance[k] for k in kinds]).reshape(-1, 1) * (
+        metrics.GOAL_DETECT_RADIUS * directions)
+    records = [{"forecast_final_wrist": w.tolist()} for w in wrists]
+    wrists = np.array([r["forecast_final_wrist"] for r in records]).reshape(-1, 3)
+    assert (metrics._detection_step(wrists, goal, lo, lo + span)
+            == scanned_detection_step(records, goal, lo, lo + span))
+
+
 def test_handover_metrics_requires_goal_metadata():
     # the metrics read goals and holds unchecked: a handover episode without
     # them cannot be built

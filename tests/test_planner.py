@@ -1,6 +1,7 @@
 """Tests for the sampling-based planner: weight update, IK helpers, task
 specs, and the receding-horizon loop."""
 
+import json
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from costcast.planner import (
     MppiConfig,
     PlannerState,
     SCORE_DTYPE,
+    SimLog,
     STIR_HEIGHT,
     STIR_PERIOD_S,
     STIR_RADIUS,
@@ -367,3 +369,22 @@ def test_task_points_at_the_coordinate_bound_plan_without_overflow(task):
         log = run_episode(ep, make_forecaster("cvm"), spec, CostWeights(), MppiConfig(seed=0),
                           model=model)
     assert log.records and all(np.isfinite(r["cost"]) for r in log.records)
+
+
+@pytest.mark.parametrize("task", ["stir", "handover"])
+def test_sim_logs_round_trip_and_stdlib_json_logs_still_load(tmp_path, task, rng):
+    # a playback log read back holds equal records, and the same log in the
+    # stdlib json layout, the one earlier versions wrote, loads to them too
+    frames = BASE_POSE + rng.normal(0.0, 0.02, size=(HISTORY_LEN + HORIZON_LEN + 3, 7, 3))
+    episode = task_episode(frames, task)
+    log = run_episode(episode, make_forecaster("cvm"), build_task_spec(episode, MODEL),
+                      CostWeights(), MppiConfig(n_samples=8), model=MODEL, model_name="cvm")
+    path = tmp_path / "sim.jsonl"
+    log.to_jsonl(path)
+    stdlib = tmp_path / "stdlib.jsonl"
+    stdlib.write_text("".join(json.dumps(doc) + "\n" for doc in [
+        {"meta": {"task": log.task, "model": log.model_name, "dt": log.dt}}, *log.records]))
+    for written in (path, stdlib):
+        back = SimLog.from_jsonl(written)
+        assert (back.task, back.model_name, back.dt) == (task, "cvm", 0.04)
+        assert back.records == log.records

@@ -196,54 +196,32 @@ def test_wrist_on_robot_sphere_center_penetrates_fully(rng):
     assert base > sep
 
 
-def test_margin_spheres_replace_human_capsules(rng):
-    # safety-volume spheres, capsules whose two ends coincide, in place of
-    # the human capsules: several spheres per step against several plans,
-    # checked by a scan of every pair
-    N, H, S = 3, 4, 5
-    centers = collision_sphere_centers(MODEL, fk_batch(MODEL, rng.uniform(
-        MODEL.lo, MODEL.hi, size=(N, H, N_DOF))))
-    vol_centers = np.array([0.5, 0.0, 1.0]) + rng.normal(0.0, 0.3, size=(H, S, 3))
-    vol_radii = rng.uniform(0.05, 0.3, size=(H, S))
-    got = separation_batch(MODEL, centers, vol_centers, vol_centers, vol_radii)
-    assert got.shape == (N, H)
-    for n in range(N):
-        for h in range(H):
-            expected = min(np.linalg.norm(c - v) - MODEL.sphere_radius - r
-                           for c in centers[..., n, h]
-                           for v, r in zip(vol_centers[h], vol_radii[h]))
-            assert got[n, h] == pytest.approx(expected, abs=1e-12)
-    # one sphere on a robot sphere center: penetration is both radii
-    vol_centers[1, 2] = centers[9, :, 0, 1]
-    got = separation_batch(MODEL, centers, vol_centers, vol_centers, vol_radii)
-    assert got[0, 1] == pytest.approx(-(MODEL.sphere_radius + vol_radii[1, 2]), abs=1e-12)
-
-
-def brute_force_capsule_clearance(model, centers, starts, ends, radii):
-    """Scalar scan of every (robot sphere, capsule) pair per plan and step:
-    centers (rows, 3, N, H), capsules (H, P, 3) and radii (H, P); (N, H)."""
+def brute_force_capsule_clearance(model, centers, starts, ends):
+    """Scalar scan of every (robot sphere, human capsule) pair per plan and
+    step: centers (rows, 3, N, H) and capsule axes (H, P, 3); (N, H)."""
     _, _, N, H = centers.shape
     out = np.empty((N, H))
     for n, h in np.ndindex(N, H):
         best = np.inf
         for c in centers[:, :, n, h]:
-            for a, b, r in zip(starts[h], ends[h], radii[h]):
+            for a, b in zip(starts[h], ends[h]):
                 ab = b - a
                 denom = float(ab @ ab)
                 t = 0.0 if denom < 1e-18 else float(np.clip((c - a) @ ab / denom, 0.0, 1.0))
-                best = min(best, float(np.linalg.norm(c - (a + t * ab))) - model.sphere_radius - r)
+                best = min(best, float(np.linalg.norm(c - (a + t * ab)))
+                           - model.sphere_radius - HUMAN_CAPSULE_RADIUS)
         out[n, h] = best
     return out
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 4), h=st.integers(1, 5), bones=st.integers(0, 3),
-       spheres=st.integers(0, 3), poison=st.sampled_from([None, "start", "end", "radius"]),
+       spheres=st.integers(0, 3), poison=st.sampled_from([None, "start", "end"]),
        seed=st.integers(0, 2**32 - 1))
 def test_one_kernel_scores_bones_and_spheres_in_one_call(n, h, bones, spheres, poison, seed):
-    # bone capsules and zero-length capsules (spheres) of different radii,
-    # interleaved in one call, against a scan of every pair; a NaN in one
-    # capsule at one step makes every clearance at that step NaN
+    # bone capsules and zero-length capsules (spheres), interleaved in one
+    # call, against a scan of every pair; a NaN in one capsule at one step
+    # makes every clearance at that step NaN
     rng = np.random.default_rng(seed)
     P = max(bones + spheres, 1)
     centers = collision_sphere_centers(MODEL, fk_batch(MODEL, rng.uniform(
@@ -252,14 +230,13 @@ def test_one_kernel_scores_bones_and_spheres_in_one_call(n, h, bones, spheres, p
     ends = starts + rng.normal(0.0, 0.2, size=(h, P, 3))
     sphere = rng.permutation(P) < spheres
     ends[:, sphere] = starts[:, sphere]
-    radii = rng.uniform(0.01, 0.3, size=(h, P))
     if poison is not None:
         step_, part = rng.integers(h), rng.integers(P)
-        target = {"start": starts, "end": ends, "radius": radii}[poison]
+        target = {"start": starts, "end": ends}[poison]
         target[step_, part] = np.nan
-    got = separation_batch(MODEL, centers, starts, ends, radii)
+    got = separation_batch(MODEL, centers, starts, ends)
     assert got.shape == (n, h)
-    want = brute_force_capsule_clearance(MODEL, centers, starts, ends, radii)
+    want = brute_force_capsule_clearance(MODEL, centers, starts, ends)
     if poison is not None:
         assert np.isnan(got[:, step_]).all()
         clean = np.arange(h) != step_
