@@ -111,9 +111,7 @@ class ForecastModel:
 _ROW = 3 * N_JOINTS
 # Windows per block when a whole window set is scored (the validation loss,
 # the forecasting metrics).  A block of 128 is a 0.75 MB gather, so the gather
-# and the temporaries made from it fit a 2 MiB L2 cache.  Blocks of 64 scored
-# as fast, but left the heap so that 3% of later training steps took page
-# faults, against 0.1% with blocks of 128.
+# and the temporaries made from it fit a 2 MiB L2 cache.
 BLOCK_WINDOWS = 128
 # Largest training batch, far above the batches of SGD: one gather of this
 # many windows is 10,000 x 35 frames x 21 coordinates x 8 bytes = 59 MB.

@@ -1,6 +1,7 @@
 """Tests for the sampling-based planner: weight update, IK helpers, task
 specs, and the receding-horizon loop."""
 
+import ctypes
 import json
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BASE_POSE, fk_oracle, task_episode
-from costcast import planner
+from costcast import _keep_freed_heap, planner
 from costcast.cost import CostWeights, TaskSpec
 from costcast.datagen import GenConfig, gen_stirring
 from costcast.forecast import make_forecaster
@@ -388,3 +389,39 @@ def test_sim_logs_round_trip_and_stdlib_json_logs_still_load(tmp_path, task, rng
         back = SimLog.from_jsonl(written)
         assert (back.task, back.model_name, back.dt) == (task, "cvm", 0.04)
         assert back.records == log.records
+
+
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                    reason="the C library has no mallopt")
+def test_warmed_up_playback_takes_no_page_faults():
+    # the freed scoring temporaries of each MPPI iteration stay mapped, so a
+    # second playback reuses the first one's pages; under glibc's dynamic
+    # trim rule the heap top is faulted in again some 350 times per tick
+    import resource
+
+    ep = gen_stirring(GenConfig(seed=0, episode_len_s=6.0, n_interactions=1))
+    spec = build_task_spec(ep, MODEL)
+
+    def play():
+        return run_episode(ep, make_forecaster("cur"), spec, CostWeights(), MppiConfig(seed=0),
+                           model=MODEL, model_name="cur")
+
+    play()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ticks = len(play().records)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < ticks, f"{faults} minor page faults in {ticks} ticks"
+
+
+def test_keep_freed_heap_sets_both_thresholds_and_skips_a_libc_without_mallopt():
+    calls = []
+
+    class Libc:
+        @staticmethod
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+    _keep_freed_heap(Libc())
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    _keep_freed_heap(object())  # no mallopt: import leaves the allocator alone
