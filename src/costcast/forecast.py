@@ -10,13 +10,13 @@ temporal matrix M act on history displacements, so the forward pass and its
 gradient are closed form.  Training can upsample rare transition windows and
 upweight wrist joints in the loss.
 
-The model's arrays are window-last: time first, the windows in the middle and
-each frame's (joint, xyz) coordinates flattened to one row of width 3J, so a
-batch of windows is (frames, B, 3J).  ``WindowSet.gather`` returns that
-layout, and every product of the forward pass and of a training step is then
-one 2-D matrix product over the whole batch.  ``model_forward`` takes a
-``Context`` in the package's batch-first layout and moves its batch axes to
-the middle and back.
+Windows are time-first: the frame is axis 0 and the windows sit in the
+middle, so a batch of contexts is (k, B, J, 3), as ``Context`` holds it.  The
+model's arrays flatten each frame's (joint, xyz) coordinates to one row of
+width 3J, so a batch of windows is (frames, B, 3J).  ``WindowSet.gather``
+returns that layout, ``model_forward`` reshapes a ``Context`` to it and its
+forecast back, and every product of the forward pass and of a training step
+is one 2-D matrix product over the whole batch.
 
 A pass over a whole window set, the validation loss here and the forecasting
 metrics in ``metrics.evaluate_forecaster``, loops over ``WindowSet.chunks``:
@@ -64,15 +64,15 @@ def _fresh_trajectory(frames: np.ndarray) -> Trajectory:
 
 def forecast_cur(ctx: Context) -> Trajectory:
     """Constant-pose baseline: the last observed pose held over the horizon."""
-    return _fresh_trajectory(np.repeat(ctx.frames[..., -1:, :, :], HORIZON_LEN, axis=-3))
+    return _fresh_trajectory(np.repeat(ctx.frames[-1:], HORIZON_LEN, axis=0))
 
 
 def forecast_cvm(ctx: Context) -> Trajectory:
     """Constant-velocity baseline fit over the whole history window, per frame:
     future frame i = 1..HORIZON_LEN is last + i * (last - first) / (HISTORY_LEN - 1)."""
-    last = ctx.frames[..., -1:, :, :]
-    v = (last - ctx.frames[..., :1, :, :]) / (HISTORY_LEN - 1)
-    i = np.arange(1, HORIZON_LEN + 1)[:, None, None]
+    last = ctx.frames[-1:]
+    v = (last - ctx.frames[:1]) / (HISTORY_LEN - 1)
+    i = np.arange(1, HORIZON_LEN + 1).reshape((-1,) + (1,) * (last.ndim - 1))
     return _fresh_trajectory(last + i * v)
 
 
@@ -89,7 +89,6 @@ class ForecastModel:
 
     S: np.ndarray
     M: np.ndarray
-    trained: bool = False
     w: np.ndarray | None = None
 
     def __post_init__(self):
@@ -125,7 +124,7 @@ def _joint_mixer(S: np.ndarray) -> np.ndarray:
 
 
 def _forward_rows(S: np.ndarray, M: np.ndarray, ctx: np.ndarray):
-    """The forward pass on window-last rows.
+    """The forward pass on time-first rows.
 
     ctx (k, *batch, 3J) -> forecast rows (T, *batch, 3J), plus the history
     displacements dX and their joint-mixed form SX, both (k, *batch, 3J),
@@ -144,16 +143,11 @@ def _forward_rows(S: np.ndarray, M: np.ndarray, ctx: np.ndarray):
 
 
 def model_forward(model: ForecastModel, ctx: Context) -> Trajectory:
-    """Forecast = last pose + S-mixed, M-mapped history displacements.
-
-    The context's batch axes, if any, move to the middle of the rows and back;
-    a single context has none.
-    """
-    batch = ctx.frames.shape[:-3]
-    rows = np.moveaxis(ctx.frames, -3, 0).reshape((HISTORY_LEN,) + batch + (_ROW,))
-    pred = _forward_rows(model.S, model.M, rows)[0]
-    frames = np.moveaxis(pred.reshape((HORIZON_LEN,) + batch + (N_JOINTS, 3)), 0, -3)
-    return _fresh_trajectory(frames)
+    """Forecast = last pose + S-mixed, M-mapped history displacements, on
+    the context's (joint, xyz) axes flattened to rows and back."""
+    batch = ctx.frames.shape[1:-2]
+    pred = _forward_rows(model.S, model.M, ctx.frames.reshape((HISTORY_LEN,) + batch + (_ROW,)))[0]
+    return _fresh_trajectory(pred.reshape((HORIZON_LEN,) + batch + (N_JOINTS, 3)))
 
 
 def default_weights(wrist_weight: float = 1.0) -> np.ndarray:
@@ -173,7 +167,8 @@ def _weighted_sse(resid: np.ndarray, w: np.ndarray):
 
 def weighted_loss(model: ForecastModel, ctx: Context, truth: Trajectory,
                   w: np.ndarray) -> float:
-    """Joint-weighted squared error of the forecast against the true future."""
+    """Joint-weighted squared error of the forecast against the true future,
+    summed over every window of a batch."""
     w = np.asarray(w, dtype=float)
     if (w <= 0).any():
         raise MotionError("loss weights must be positive")
@@ -184,7 +179,7 @@ def _batch_loss_and_grad(S: np.ndarray, M: np.ndarray, ctx: np.ndarray, fut: np.
                          w: np.ndarray):
     """Mean loss over a batch and its exact gradients w.r.t. S and M.
 
-    ctx (k, B, 3J) and fut (T, B, 3J) are window-last rows, as
+    ctx (k, B, 3J) and fut (T, B, 3J) are time-first rows, as
     ``WindowSet.gather`` returns them.  Per window pred = last + M^T SX with
     SX = dX kron(S.T, I3), so with G = dL/dpred laid out (T, B*3J), each
     product is one GEMM over the batch: M G, dM = SX G^T with SX as
@@ -238,7 +233,7 @@ class WindowSet:
         return len(self.start)
 
     def gather(self, idx):
-        """The given windows as one read-only window-last array
+        """The given windows as one read-only time-first array
         (HISTORY_LEN + HORIZON_LEN, B, 3J): frame f of window b is row
         ``[f, b]``.  ``[:HISTORY_LEN]`` is the context and ``[HISTORY_LEN:]``
         the future."""
@@ -321,10 +316,10 @@ def preset_config(name: str, base: TrainConfig | None = None) -> TrainConfig:
 def _val_loss(model: ForecastModel, ws: WindowSet, w: np.ndarray) -> float:
     """Mean weighted loss over every window, scored in ``BLOCK_WINDOWS`` blocks."""
     total = 0.0
-    for _first, windows in ws.chunks(BLOCK_WINDOWS):
-        resid = _forward_rows(model.S, model.M, windows[:HISTORY_LEN])[0]
-        resid -= windows[HISTORY_LEN:]
-        total += _weighted_sse(resid, w)[0]
+    for _first, block in ws.chunks(BLOCK_WINDOWS):
+        frames = block.reshape(block.shape[:2] + (N_JOINTS, 3))
+        total += weighted_loss(model, Context(frames[:HISTORY_LEN]),
+                               Trajectory(frames[HISTORY_LEN:]), w)
     return total / len(ws)
 
 
@@ -349,7 +344,7 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: TrainConfig)
     vS, vM = np.zeros_like(S), np.zeros_like(M)
     n_batches = max(1, len(train_windows) // config.batch_size)
 
-    best = ForecastModel(S=S, M=M, trained=True, w=w)
+    best = ForecastModel(S=S, M=M, w=w)
     best_val = _val_loss(best, val_windows, w)
     history = [{"epoch": 0, "train_loss": None, "val_loss": best_val}]
 
@@ -368,7 +363,7 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: TrainConfig)
             S = S + vS
             M = M + vM
             epoch_loss += loss
-        cur = ForecastModel(S=S, M=M, trained=True, w=w)
+        cur = ForecastModel(S=S, M=M, w=w)
         val = _val_loss(cur, val_windows, w)
         history.append({"epoch": epoch, "train_loss": epoch_loss / n_batches, "val_loss": val})
         if val < best_val:
@@ -383,7 +378,6 @@ def save_checkpoint(model: ForecastModel, path, preset: str = "", seed: int = 0)
         "J": N_JOINTS,
         "preset": preset,
         "seed": seed,
-        "trained": model.trained,
         # flattened copies: orjson writes them as the same bytes as their lists
         "S": {"shape": list(model.S.shape), "data": model.S.flatten()},
         "M": {"shape": list(model.M.shape), "data": model.M.flatten()},
@@ -400,7 +394,7 @@ def load_checkpoint(path) -> ForecastModel:
         S = np.array(doc["S"]["data"]).reshape(doc["S"]["shape"])
         M = np.array(doc["M"]["data"]).reshape(doc["M"]["shape"])
         w = None if doc.get("w") is None else np.asarray(doc["w"], dtype=float)
-        return ForecastModel(S=S, M=M, trained=bool(doc.get("trained", True)), w=w)
+        return ForecastModel(S=S, M=M, w=w)
     except KeyError as exc:
         raise MotionError(f"checkpoint file {path} has no {exc} field") from exc
     except (TypeError, ValueError) as exc:

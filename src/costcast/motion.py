@@ -1,8 +1,9 @@
 """Core skeletal-motion types: contexts, trajectories and episodes, and the
 episode file format.
 
-All containers are immutable after construction (arrays are marked
-read-only) so they can be shared freely across workers.
+All containers are immutable after construction: their arrays are marked
+read-only, so windows, forecasts and playback share arrays without copying
+them.  The package runs in one process, with no workers.
 """
 
 from __future__ import annotations
@@ -147,34 +148,37 @@ def _readonly(a) -> np.ndarray:
     return arr
 
 
+def _time_first(a, n: int, name: str) -> np.ndarray:
+    """``a`` read-only, checked to be n frames on axis 0 of (joint, xyz) poses."""
+    frames = _readonly(a)
+    if frames.ndim < 3 or frames.shape[0] != n or frames.shape[-2:] != (N_JOINTS, 3):
+        raise MotionError(f"{name} must have shape ({n}, ..., {N_JOINTS}, 3), got {frames.shape}")
+    return frames
+
+
 @dataclass(frozen=True)
 class Context:
     """The forecaster input: the last `HISTORY_LEN` poses, oldest first.
 
     Context and Trajectory hold frames only; the rate is ``Episode.fps``.
-    Leading batch dimensions stack several contexts; the planner passes one.
+    Axis 0 is the frame; batch axes, which stack contexts as ``WindowSet``
+    gathers them, sit before the (joint, xyz) axes.  The planner passes one.
     """
 
-    frames: np.ndarray  # (..., k, J, 3)
+    frames: np.ndarray  # (k, *batch, J, 3)
 
     def __post_init__(self):
-        frames = _readonly(self.frames)
-        if frames.shape[-3:] != (HISTORY_LEN, N_JOINTS, 3):
-            raise MotionError(f"context must have shape (..., {HISTORY_LEN}, {N_JOINTS}, 3), got {frames.shape}")
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "frames", _time_first(self.frames, HISTORY_LEN, "context"))
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A `HORIZON_LEN`-frame future of poses."""
+    """A `HORIZON_LEN`-frame future of poses, frame first like ``Context``."""
 
-    frames: np.ndarray  # (..., T, J, 3)
+    frames: np.ndarray  # (T, *batch, J, 3)
 
     def __post_init__(self):
-        frames = _readonly(self.frames)
-        if frames.shape[-3:] != (HORIZON_LEN, N_JOINTS, 3):
-            raise MotionError(f"trajectory must have shape (..., {HORIZON_LEN}, {N_JOINTS}, 3), got {frames.shape}")
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "frames", _time_first(self.frames, HORIZON_LEN, "trajectory"))
 
 
 @dataclass(frozen=True)

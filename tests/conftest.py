@@ -42,10 +42,9 @@ def random_trajectory(rng):
     return Trajectory(frames)
 
 
-def window_last(frames):
-    """Batch-first frames (B, n, J, 3) as the forecaster's window-last rows
-    (n, B, 3J)."""
-    return np.swapaxes(frames, 0, 1).reshape(frames.shape[1], frames.shape[0], -1)
+def as_rows(frames):
+    """Time-first frames (n, B, J, 3) as the forecaster's rows (n, B, 3J)."""
+    return frames.reshape(frames.shape[:2] + (-1,))
 
 
 POT = [0.55, 0.0, 0.95]

@@ -15,13 +15,13 @@ import pytest
 
 from conftest import (
     BASE_POSE,
+    as_rows,
     brute_force_separation,
     fk_oracle,
     oracle_manipulability,
     random_context,
     random_pose_array,
     random_trajectory,
-    window_last,
 )
 from costcast import datagen, metrics
 from costcast.cli import main as cli_main
@@ -214,8 +214,8 @@ def test_loss_gradient_matches_finite_differences_100_pairs():
             S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
             M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
         _, dS, dM = _batch_loss_and_grad(model.S, model.M,
-                                         window_last(np.stack([c.frames for c, _ in batch])),
-                                         window_last(np.stack([t.frames for _, t in batch])), w)
+                                         as_rows(np.stack([c.frames for c, _ in batch], 1)),
+                                         as_rows(np.stack([t.frames for _, t in batch], 1)), w)
 
         def mean_loss(m):
             return np.mean([weighted_loss(m, c, t, w) for c, t in batch])

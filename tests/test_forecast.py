@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (BASE_POSE, linear_episode, random_context, random_trajectory,
-                      task_episode, window_last)
+from conftest import (BASE_POSE, as_rows, linear_episode, random_context, random_trajectory,
+                      task_episode)
 from costcast.datagen import GenConfig, gen_stirring
 from costcast import forecast
 from costcast.forecast import (
@@ -121,8 +121,8 @@ def test_loss_gradient_matches_finite_differences(rng):
     model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
                           M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
     _, dS, dM = _batch_loss_and_grad(model.S, model.M,
-                                     window_last(np.stack([c.frames for c, _ in batch])),
-                                     window_last(np.stack([t.frames for _, t in batch])), w)
+                                     as_rows(np.stack([c.frames for c, _ in batch], 1)),
+                                     as_rows(np.stack([t.frames for _, t in batch], 1)), w)
 
     def mean_loss(m):
         return np.mean([weighted_loss(m, c, t, w) for c, t in batch])
@@ -150,34 +150,37 @@ def test_batch_gradient_is_the_mean_of_single_window_gradients(B, seed, wrist):
     # training batch sizes: the loss and gradient of a batch are the means of
     # the per-window losses and gradients
     rng = np.random.default_rng(seed)
-    ctx = BASE_POSE + rng.normal(0, 0.05, (B, HISTORY_LEN, N_JOINTS, 3))
-    fut = BASE_POSE + rng.normal(0, 0.05, (B, HORIZON_LEN, N_JOINTS, 3))
+    ctx = BASE_POSE + rng.normal(0, 0.05, (HISTORY_LEN, B, N_JOINTS, 3))
+    fut = BASE_POSE + rng.normal(0, 0.05, (HORIZON_LEN, B, N_JOINTS, 3))
     w = default_weights(wrist)
     model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
                           M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
-    loss, dS, dM = _batch_loss_and_grad(model.S, model.M, window_last(ctx), window_last(fut), w)
-    losses = [weighted_loss(model, Context(ctx[i]), Trajectory(fut[i]), w) for i in range(B)]
+    loss, dS, dM = _batch_loss_and_grad(model.S, model.M, as_rows(ctx), as_rows(fut), w)
+    losses = [weighted_loss(model, Context(ctx[:, i]), Trajectory(fut[:, i]), w)
+              for i in range(B)]
     assert loss == pytest.approx(np.mean(losses), rel=1e-12)
-    singles = [_batch_loss_and_grad(model.S, model.M, window_last(ctx[i:i + 1]),
-                                    window_last(fut[i:i + 1]), w) for i in range(B)]
+    assert weighted_loss(model, Context(ctx), Trajectory(fut), w) == pytest.approx(
+        np.sum(losses), rel=1e-12)
+    singles = [_batch_loss_and_grad(model.S, model.M, as_rows(ctx[:, i:i + 1]),
+                                    as_rows(fut[:, i:i + 1]), w) for i in range(B)]
     for got, want in ((dS, np.mean([g[1] for g in singles], axis=0)),
                       (dM, np.mean([g[2] for g in singles], axis=0))):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def einsum_reference(S, M, ctx, fut, w):
-    """pred, mean loss, dS and dM of the separable model from batch-first
-    (B, k, J, 3) contexts and (B, T, J, 3) futures, each written as one einsum."""
-    B = len(ctx)
-    last = ctx[:, -1:]
+    """pred, mean loss, dS and dM of the separable model from time-first
+    (k, B, J, 3) contexts and (T, B, J, 3) futures, each written as one einsum."""
+    B = ctx.shape[1]
+    last = ctx[-1:]
     dX = ctx - last
-    SX = np.einsum("ij,bkjc->bkic", S, dX)            # joints mixed by S
-    pred = last + np.einsum("kt,bkic->btic", M, SX)   # history mapped by M
+    SX = np.einsum("ij,kbjc->kbic", S, dX)            # joints mixed by S
+    pred = last + np.einsum("kt,kbic->tbic", M, SX)   # history mapped by M
     resid = pred - fut
-    loss = np.einsum("j,btjc,btjc->", w, resid, resid) / B
+    loss = np.einsum("j,tbjc,tbjc->", w, resid, resid) / B
     G = 2.0 / B * w[:, None] * resid                  # dloss/dpred
-    dM = np.einsum("bkic,btic->kt", SX, G)
-    dS = np.einsum("kt,btic,bkjc->ij", M, G, dX)
+    dM = np.einsum("kbic,tbic->kt", SX, G)
+    dS = np.einsum("kt,tbic,kbjc->ij", M, G, dX)
     return pred, loss, dS, dM
 
 
@@ -185,17 +188,17 @@ def einsum_reference(S, M, ctx, fut, w):
 @given(B=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), wrist=st.floats(1.0, 5.0))
 def test_window_last_loss_gradient_and_forward_equal_the_einsum_reference(B, seed, wrist):
     rng = np.random.default_rng(seed)
-    ctx = BASE_POSE + rng.normal(0, 0.05, (B, HISTORY_LEN, N_JOINTS, 3))
-    fut = BASE_POSE + rng.normal(0, 0.05, (B, HORIZON_LEN, N_JOINTS, 3))
+    ctx = BASE_POSE + rng.normal(0, 0.05, (HISTORY_LEN, B, N_JOINTS, 3))
+    fut = BASE_POSE + rng.normal(0, 0.05, (HORIZON_LEN, B, N_JOINTS, 3))
     S = np.eye(N_JOINTS) + rng.normal(0, 0.5, (N_JOINTS, N_JOINTS))
     M = rng.normal(0, 0.1, (HISTORY_LEN, HORIZON_LEN))
     w = default_weights(wrist)
     pred, loss, dS, dM = einsum_reference(S, M, ctx, fut, w)
-    got_loss, got_dS, got_dM = _batch_loss_and_grad(S, M, window_last(ctx), window_last(fut), w)
+    got_loss, got_dS, got_dM = _batch_loss_and_grad(S, M, as_rows(ctx), as_rows(fut), w)
     assert got_loss == pytest.approx(loss, rel=1e-12)
     model = ForecastModel(S=S, M=M)
     batch = model_forward(model, Context(ctx)).frames
-    singles = np.stack([model_forward(model, Context(c)).frames for c in ctx])
+    singles = np.stack([model_forward(model, Context(ctx[:, b])).frames for b in range(B)], 1)
     for got, want in ((got_dS, dS), (got_dM, dM), (batch, pred), (singles, pred)):
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -315,15 +318,17 @@ def test_windowset_agrees_with_slide_windows():
 @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_batched_forecasters_equal_per_context_calls(n, seed):
     rng = np.random.default_rng(seed)
-    frames = BASE_POSE + rng.normal(0, 0.05, size=(n, HISTORY_LEN, N_JOINTS, 3))
+    # the batch axis follows the frame axis: batch[:, i] is the forecast of
+    # context frames[:, i]
+    frames = BASE_POSE + rng.normal(0, 0.05, size=(HISTORY_LEN, n, N_JOINTS, 3))
     model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.05, (N_JOINTS, N_JOINTS)),
                           M=rng.normal(0, 0.05, (HISTORY_LEN, HORIZON_LEN)))
     for forecaster in (forecast_cur, forecast_cvm, lambda c: model_forward(model, c)):
         batch = forecaster(Context(frames)).frames
-        assert batch.shape == (n, HORIZON_LEN, N_JOINTS, 3)
+        assert batch.shape == (HORIZON_LEN, n, N_JOINTS, 3)
         for i in range(n):
             np.testing.assert_array_equal(
-                batch[i], forecaster(Context(frames[i])).frames)
+                batch[:, i], forecaster(Context(frames[:, i])).frames)
 
 
 def test_annotated_transition_set_matches_flags():
@@ -454,7 +459,6 @@ def test_training_reduces_validation_loss():
     ws_train, ws_val = WindowSet(eps[:2]), WindowSet(eps[2:])
     cfg = TrainConfig(epochs=3, seed=0, transition_mix=0.0)
     model, history = train(ws_train, ws_val, cfg)
-    assert model.trained
     assert history[-1]["val_loss"] < history[0]["val_loss"]
     # the returned model achieves the best validation loss seen
     best = min(h["val_loss"] for h in history)
@@ -511,14 +515,13 @@ def test_preset_table_and_config():
 def test_checkpoint_round_trip(tmp_path, rng):
     model = ForecastModel(S=rng.normal(size=(N_JOINTS, N_JOINTS)),
                           M=rng.normal(size=(HISTORY_LEN, HORIZON_LEN)),
-                          trained=True, w=default_weights(5.0))
+                          w=default_weights(5.0))
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path, preset="manicast-w", seed=3)
     back = load_checkpoint(path)
     np.testing.assert_array_equal(back.S, model.S)
     np.testing.assert_array_equal(back.M, model.M)
     np.testing.assert_array_equal(back.w, model.w)
-    assert back.trained
 
 
 def test_checkpoint_file_keeps_the_stdlib_json_layout(tmp_path, rng):
@@ -526,13 +529,12 @@ def test_checkpoint_file_keeps_the_stdlib_json_layout(tmp_path, rng):
     # the document the stdlib json writer produced
     model = ForecastModel(S=rng.normal(size=(N_JOINTS, N_JOINTS)),
                           M=rng.normal(size=(HISTORY_LEN, HORIZON_LEN)),
-                          trained=True, w=default_weights(5.0))
+                          w=default_weights(5.0))
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path, preset="manicast-w", seed=3)
     assert isinstance(model.w[0], np.float64)
     assert json.loads(path.read_text()) == {
         "k": HISTORY_LEN, "T": HORIZON_LEN, "J": N_JOINTS, "preset": "manicast-w", "seed": 3,
-        "trained": True,
         "S": {"shape": [N_JOINTS, N_JOINTS], "data": model.S.flatten().tolist()},
         "M": {"shape": [HISTORY_LEN, HORIZON_LEN], "data": model.M.flatten().tolist()},
         "w": [float(x) for x in model.w]}

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import BASE_POSE, linear_episode, task_episode
 from costcast import metrics
@@ -156,13 +156,13 @@ def test_evaluate_forecaster_in_blocks_matches_a_per_window_reference(case):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-       scale=st.sampled_from([1e-300, 1e-5, 1.0, 1e5, 1e150]), window_last=st.booleans())
-def test_displacements_are_bit_identical_to_linalg_norm(seed, shape, scale, window_last):
-    # contiguous operands and the strided batch-first views that evaluation
-    # passes, at scales from subnormal squares to 1e300
+       scale=st.sampled_from([1e-300, 1e-5, 1.0, 1e5, 1e150]), strided=st.booleans())
+def test_displacements_are_bit_identical_to_linalg_norm(seed, shape, scale, strided):
+    # contiguous operands and strided views, at scales from subnormal
+    # squares to 1e300
     rng = np.random.default_rng(seed)
     a, b = (scale * rng.normal(size=(*shape, 3)) for _ in range(2))
-    if window_last and len(shape) > 1:
+    if strided and len(shape) > 1:
         a, b = (np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -2)), -2, 0) for x in (a, b))
     want = np.linalg.norm(a - b, axis=-1)
     got = _displacements(a, b)
@@ -200,6 +200,30 @@ def test_several_forecasters_share_one_gather_per_block(rng):
         evaluate_forecaster(ws, forecasters)
     assert len(calls) == math.ceil(len(ws) / BLOCK_WINDOWS) == 3
     assert sum(calls) == len(ws)
+
+
+def fortran_ordered(forecaster):
+    """The forecaster with each forecast copied to Fortran order: the same
+    values in another memory layout, read-only so the Trajectory keeps it."""
+    def fc(ctx, fut):
+        frames = np.asfortranarray(forecaster(ctx, fut).frames)
+        frames.flags.writeable = False
+        return Trajectory(frames)
+    return fc
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(HISTORY_LEN + HORIZON_LEN, 300),
+       name=st.sampled_from(["cur", "cvm", "model"]))
+@example(seed=0, n=300, name="cvm")
+def test_metrics_do_not_depend_on_the_memory_layout_of_a_forecast(seed, n, name):
+    rng = np.random.default_rng(seed)
+    ws = WindowSet([random_episode(rng, n=n)])
+    model = ForecastModel(S=np.eye(N_JOINTS) + rng.normal(0, 0.3, (N_JOINTS, N_JOINTS)),
+                          M=rng.normal(0, 0.1, (HISTORY_LEN, HORIZON_LEN)))
+    fc = make_forecaster(model if name == "model" else name)
+    bits = float_bits(evaluate_forecaster(ws, {"c": fc, "fortran": fortran_ordered(fc)}))
+    assert bits["c"] == bits["fortran"]
 
 
 # --- stop/restart metrics from hand-built logs ----------------------------

@@ -66,13 +66,18 @@ def test_context_and_trajectory_length_enforced():
         Context(np.repeat(BASE_POSE[None], HISTORY_LEN - 1, axis=0))
     with pytest.raises(MotionError):
         Trajectory(np.repeat(BASE_POSE[None], HORIZON_LEN + 1, axis=0))
-    # leading batch dimensions stack contexts; the trailing three are checked
-    assert Context(np.zeros((4, HISTORY_LEN, N_JOINTS, 3))).frames.shape[0] == 4
-    assert Trajectory(np.zeros((2, 3, HORIZON_LEN, N_JOINTS, 3))).frames.ndim == 5
-    with pytest.raises(MotionError):
-        Context(np.zeros((4, HISTORY_LEN - 1, N_JOINTS, 3)))
+    # batch axes after the frame axis stack contexts; axis 0 and the last two
+    # are checked
+    assert Context(np.zeros((HISTORY_LEN, 4, N_JOINTS, 3))).frames.shape[1] == 4
+    assert Trajectory(np.zeros((HORIZON_LEN, 2, 3, N_JOINTS, 3))).frames.ndim == 5
+    for bad in ((4, HISTORY_LEN, N_JOINTS, 3), (HISTORY_LEN - 1, 4, N_JOINTS, 3),
+                (HISTORY_LEN, 4, 3, N_JOINTS), (HISTORY_LEN, 3)):
+        with pytest.raises(MotionError, match="context must have shape"):
+            Context(np.zeros(bad))
     with pytest.raises(MotionError):
         Trajectory(np.zeros((N_JOINTS, 3)))
+    with pytest.raises(MotionError):
+        Trajectory(np.zeros((2, HORIZON_LEN, N_JOINTS, 3)))
 
 
 def test_an_episode_needs_a_frame(tmp_path):

@@ -1,6 +1,6 @@
 """The package declares every third-party module its source imports, its
 modules use every name they import, and its source calls or names every
-function and class it defines."""
+function, class and module-level constant it defines."""
 
 import ast
 import re
@@ -63,26 +63,47 @@ def test_every_imported_name_is_used():
 # outside it.
 UNREFERENCED = {
     "planner.rollout": "bench/spans.py traces it by name",
-    "forecast.weighted_loss": "the tests' reference loss",
     "motion.episode_to_dict": "the tests' reference episode document",
+    "metrics.METRIC_KEYS": "the tests' list of the forecasting metric keys",
 }
 
 
-def test_every_function_and_class_has_a_caller():
-    # a top-level function or class counts as referenced when its name
-    # appears as a name or an attribute anywhere in the package's source
-    defined, referenced = {}, set()
+def definitions_and_references():
+    """The package's top-level functions and classes, and its constants
+    (names bound by a top-level assignment, dunders aside), each as
+    "module.name" -> name, and every name its source reads as a name or an
+    attribute."""
+    functions, constants, referenced = {}, {}, set()
     for path in sorted((ROOT / "src" / "costcast").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[f"{path.stem}.{node.name}"] = node.name
+                functions[f"{path.stem}.{node.name}"] = node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                constants.update((f"{path.stem}.{n.id}", n.id)
+                                 for target in targets for n in ast.walk(target)
+                                 if isinstance(n, ast.Name) and not n.id.startswith("__"))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+    return functions, constants, referenced
+
+
+def assert_referenced(defined: dict, referenced: set, exempt: set) -> None:
     unreferenced = {key for key, name in defined.items() if name not in referenced}
-    assert unreferenced == UNREFERENCED.keys(), (
-        f"defined but never referenced: {sorted(unreferenced - UNREFERENCED.keys())}; "
-        f"referenced now, drop from UNREFERENCED: {sorted(UNREFERENCED.keys() - unreferenced)}")
+    assert unreferenced == exempt, (
+        f"defined but never referenced: {sorted(unreferenced - exempt)}; "
+        f"referenced now, drop from UNREFERENCED: {sorted(exempt - unreferenced)}")
+
+
+def test_every_function_and_class_has_a_caller():
+    functions, constants, referenced = definitions_and_references()
+    assert_referenced(functions, referenced, UNREFERENCED.keys() - constants.keys())
+
+
+def test_every_module_constant_is_named():
+    functions, constants, referenced = definitions_and_references()
+    assert_referenced(constants, referenced, UNREFERENCED.keys() - functions.keys())
