@@ -83,7 +83,10 @@ class RunConfig:
         if not isinstance(doc, dict):
             raise ConfigError("the run config must be a JSON object")
         overrides = overrides or {}
-        seed = _seed(overrides.get("seed", doc.get("seed", 0)), "seed")
+        seed = _seed(overrides.get("seed", doc.get("seed", cls.seed)), "seed")
+        out_root = doc.get("out_root", cls.out_root)
+        if not isinstance(out_root, str):
+            raise ConfigError(f"out_root must be a string, got {out_root!r}")
         gen_kwargs = _sub(doc, "gen")
         gen_kwargs.setdefault("seed", seed)
         train_kwargs = _sub(doc, "train")
@@ -95,20 +98,20 @@ class RunConfig:
         if "dt" in mppi_kwargs:
             raise ConfigError("mppi.dt is the episode frame period 1/gen.fps; set gen.fps")
         mppi_kwargs.setdefault("seed", seed)
-        models = doc.get("models", ["cur", "cvm"])
+        models = doc.get("models", list(cls.models))
         if not isinstance(models, list) or not all(isinstance(m, str) for m in models):
             raise ConfigError(f"models must be a list of model names, got {models!r}")
         try:
             gen = datagen.GenConfig(**gen_kwargs)
             cfg = cls(
                 seed=seed,
-                out_root=str(overrides.get("out", doc.get("out_root", "runs"))),
+                out_root=overrides.get("out", out_root),
                 counts={**DEFAULT_COUNTS, **_sub(doc, "counts")},
                 gen=gen,
                 train=TrainConfig(**train_kwargs),
                 mppi=MppiConfig(**mppi_kwargs, dt=1.0 / gen.fps),
                 weights=CostWeights(**_sub(doc, "weights")),
-                preset=str(overrides.get("preset", doc.get("preset", "manicast"))),
+                preset=str(overrides.get("preset", doc.get("preset", cls.preset))),
                 models=tuple(models),
             )
         except (TypeError, MotionError) as exc:

@@ -179,17 +179,17 @@ def collision_terms_batch(model: ArmModel, frames, forecast: Trajectory) -> np.n
     return np.sum(hinge(D_SAFE - sep) ** 2, axis=1, dtype=float)
 
 
-def _wrist_pot_distance(forecast: Trajectory, pot: np.ndarray, H: int) -> np.ndarray:
-    """Per-step distance of the nearest forecast wrist to the pot, shape (H,)."""
-    wrists = _first_steps(forecast.frames, H)[:, list(WRIST_INDICES)]
-    return np.linalg.norm(wrists - pot, axis=-1).min(axis=-1)
+def wrist_pot_distance(frames: np.ndarray, pot: np.ndarray) -> np.ndarray:
+    """Per-frame distance of the nearer wrist to the pot, (n,) for frames (n, J, 3)."""
+    return np.linalg.norm(frames[:, list(WRIST_INDICES)] - pot, axis=-1).min(axis=-1)
 
 
 def stir_retract_mask(forecast: Trajectory, spec: TaskSpec, weights: CostWeights,
                       H: int) -> np.ndarray:
     """Steps (H,) at which the stir term retracts: a forecast wrist lies within
     ``eps_pot`` of the pot."""
-    return _wrist_pot_distance(forecast, spec.pot_position, H) <= weights.eps_pot
+    dist = wrist_pot_distance(_first_steps(forecast.frames, H), spec.pot_position)
+    return dist <= weights.eps_pot
 
 
 # Every task term takes (Q, frames, coll, forecast, spec, weights), where

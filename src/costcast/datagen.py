@@ -1,9 +1,15 @@
 """Procedural generation of collaborative-manipulation episodes.
 
 Each episode records a single human partner whose right arm performs
-minimum-jerk reaches between a rest point and task targets (pot, handover
-goals, table stops), with the torso and left arm held fixed.  Seeded
-Gaussian jitter smoothed by a 3-frame moving average adds sensor-like noise.
+minimum-jerk reaches between the rest point ``REST_WRIST`` and task targets
+(the pot at ``POT_POSITION``, handover goals in ``HANDOVER_BOX``, table stops
+in ``TABLE_BOX`` at ``TABLE_Z``), with the torso and left arm held fixed.
+Each interaction is a ``REACH_DURATION_S`` reach, a ``HOLD_DURATION_S`` hold
+and a ``REACH_DURATION_S`` return, ``INTERACTION_LEN_S`` in all.  Seeded
+Gaussian jitter of ``JITTER_SIGMA`` smoothed by a 3-frame moving average adds
+sensor-like noise.  These stand in for recorded motion and are the same in
+every run; a ``GenConfig`` sets only the seed, the episode length, the
+number of interactions and the frame rate.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .motion import (
     MotionError,
     N_JOINTS,
     check_field_types,
-    finite_point,
     vector_lengths,
 )
 
@@ -38,10 +43,15 @@ ARM_REACH = 2 * ARM_BONE_LEN
 HANDOVER_BOX = np.array([[0.4, 0.7], [-0.2, 0.2], [0.8, 1.2]])
 TABLE_BOX = np.array([[0.3, 0.8], [-0.35, 0.35]])
 TABLE_Z = 0.9
+POT_POSITION = np.array([0.55, 0.0, 0.95])
+REST_WRIST = np.array([0.0, -0.6, 1.0])
+JITTER_SIGMA = 0.002      # metres, about motion-capture noise
+REACH_DURATION_S = 1.2
+HOLD_DURATION_S = 0.8
+INTERACTION_LEN_S = 2 * REACH_DURATION_S + HOLD_DURATION_S
 TABLE_DWELL_S = 0.5
 N_TABLE_WAYPOINTS = 6
 MAX_EPISODE_LEN_S = 3600.0
-MAX_JITTER_SIGMA = 0.05   # metres; an order above motion-capture noise
 MIN_SPLIT_EPISODES = 10   # the fewest episodes an 8:1:1 split gives a val and a test episode
 SCHEDULE_MARGIN_S = 1.0   # no interaction starts or ends this close to an episode end
 
@@ -55,41 +65,20 @@ class GenConfig:
     seed: int = 0
     episode_len_s: float = 40.0
     n_interactions: int = 4
-    jitter_sigma: float = 0.002
-    pot_position: tuple = (0.55, 0.0, 0.95)
-    rest_wrist: tuple = (0.0, -0.6, 1.0)
-    reach_duration_s: float = 1.2
-    hold_duration_s: float = 0.8
     fps: float = DEFAULT_FPS
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("pot_position", "rest_wrist"):
-            point = finite_point(getattr(self, name), name)
-            _check_reach(np.asarray(point), name)
-            object.__setattr__(self, name, point)
-        if not 0.0 <= self.jitter_sigma <= MAX_JITTER_SIGMA:
-            raise MotionError(f"jitter_sigma must be in [0, {MAX_JITTER_SIGMA:g}] m, "
-                              f"got {self.jitter_sigma!r}")
         if self.episode_len_s > MAX_EPISODE_LEN_S:
             raise MotionError(f"episode_len_s must be at most {MAX_EPISODE_LEN_S:g} s")
         if self.n_interactions < 1:
             raise MotionError("n_interactions must be >= 1")
         if not MIN_FPS <= self.fps <= MAX_FPS:
             raise MotionError(f"fps must be in [{MIN_FPS:g}, {MAX_FPS:g}], got {self.fps!r}")
-        for name in ("reach_duration_s", "hold_duration_s"):
-            # int(round(d * fps)) < 1, the frame count that _reach_hold_return takes
-            if getattr(self, name) * self.fps <= 0.5:
-                raise MotionError(f"{name} must last at least one frame at {self.fps:g} fps, "
-                                  f"got {getattr(self, name)!r} s")
-        if self.slot_s < self.interaction_len_s:
+        if self.slot_s < INTERACTION_LEN_S:
             raise ScheduleError(f"a slot of {self.slot_s:.2f} s inside the "
                                 f"{SCHEDULE_MARGIN_S:g} s margins cannot hold a "
-                                f"{self.interaction_len_s:.2f} s interaction")
-
-    @property
-    def interaction_len_s(self) -> float:
-        return 2 * self.reach_duration_s + self.hold_duration_s
+                                f"{INTERACTION_LEN_S:.2f} s interaction")
 
     @property
     def slot_s(self) -> float:
@@ -153,10 +142,8 @@ def _frames_from_wrist_path(wrist_path: np.ndarray) -> np.ndarray:
     return frames
 
 
-def _apply_jitter(frames: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    if sigma <= 0:
-        return frames
-    noise = rng.normal(0.0, sigma, size=frames.shape)
+def _apply_jitter(frames: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    noise = rng.normal(0.0, JITTER_SIGMA, size=frames.shape)
     # 3-frame moving average along time, edges clamped.
     padded = np.concatenate([noise[:1], noise, noise[-1:]], axis=0)
     smooth = (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
@@ -167,20 +154,19 @@ def _reach_hold_return(config: GenConfig, targets, rng: np.random.Generator):
     """Wrist path for rest->target->rest interactions plus transition intervals."""
     fps = config.fps
     n_frames = int(round(config.episode_len_s * fps))
-    rest = np.asarray(config.rest_wrist, dtype=float)
-    wrist = np.tile(rest, (n_frames, 1))
+    wrist = np.tile(REST_WRIST, (n_frames, 1))
     # seeded start times, one per equal slot inside the margins
-    slot, dur = config.slot_s, config.interaction_len_s
-    starts = [SCHEDULE_MARGIN_S + i * slot + rng.uniform(0.0, slot - dur)
+    slot = config.slot_s
+    starts = [SCHEDULE_MARGIN_S + i * slot + rng.uniform(0.0, slot - INTERACTION_LEN_S)
               for i in range(config.n_interactions)]
-    reach_n = int(round(config.reach_duration_s * fps))
-    hold_n = int(round(config.hold_duration_s * fps))
+    reach_n = int(round(REACH_DURATION_S * fps))
+    hold_n = int(round(HOLD_DURATION_S * fps))
     transitions = []
     spans = []
     for start_s, target in zip(starts, targets):
         s = int(round(start_s * fps))
-        reach = min_jerk(rest, target, reach_n + 1)
-        ret = min_jerk(target, rest, reach_n + 1)
+        reach = min_jerk(REST_WRIST, target, reach_n + 1)
+        ret = min_jerk(target, REST_WRIST, reach_n + 1)
         e = s + 2 * reach_n + hold_n
         if e >= n_frames:
             raise ScheduleError("interaction runs past episode end")
@@ -195,12 +181,11 @@ def _reach_hold_return(config: GenConfig, targets, rng: np.random.Generator):
 def gen_stirring(config: GenConfig) -> Episode:
     """Reactive-stirring episode: repeated reaches from rest into the pot."""
     rng = np.random.default_rng(config.seed)
-    pot = np.asarray(config.pot_position, dtype=float)
-    targets = [pot] * config.n_interactions
+    targets = [POT_POSITION] * config.n_interactions
     wrist, transitions, _ = _reach_hold_return(config, targets, rng)
-    frames = _apply_jitter(_frames_from_wrist_path(wrist), config.jitter_sigma, rng)
+    frames = _apply_jitter(_frames_from_wrist_path(wrist), rng)
     return Episode(fps=config.fps, frames=frames, transitions=tuple(transitions),
-                   task="stir", extras={"pot_position": [float(x) for x in pot]})
+                   task="stir", extras={"pot_position": [float(x) for x in POT_POSITION]})
 
 
 def gen_handover(config: GenConfig) -> Episode:
@@ -213,7 +198,7 @@ def gen_handover(config: GenConfig) -> Episode:
     object_in_hand = np.zeros(n_frames, dtype=bool)
     for (reach_start, _hold_start, hold_end, _end) in spans:
         object_in_hand[reach_start:hold_end] = True
-    frames = _apply_jitter(_frames_from_wrist_path(wrist), config.jitter_sigma, rng)
+    frames = _apply_jitter(_frames_from_wrist_path(wrist), rng)
     extras = {
         "goals": [[float(x) for x in g] for g in goals],
         "object_in_hand": [bool(b) for b in object_in_hand],
@@ -230,7 +215,7 @@ def tableset_tour(config: GenConfig) -> tuple:
     """
     fps = config.fps
     n_frames = int(round(config.episode_len_s * fps))
-    reach_n = int(round(config.reach_duration_s * fps))
+    reach_n = int(round(REACH_DURATION_S * fps))
     dwell_n = int(round(TABLE_DWELL_S * fps))
     need = N_TABLE_WAYPOINTS * (reach_n + dwell_n) + 1
     if need > n_frames:
@@ -248,7 +233,7 @@ def gen_tableset(config: GenConfig) -> Episode:
     n_frames, reach_n, dwell_n = tableset_tour(config)
 
     wrist = np.empty((n_frames, 3))
-    pos = np.asarray(config.rest_wrist, dtype=float)
+    pos = REST_WRIST
     i = 0
     for _ in range(N_TABLE_WAYPOINTS):
         wp = np.array([rng.uniform(*TABLE_BOX[0]), rng.uniform(*TABLE_BOX[1]), TABLE_Z])
@@ -258,7 +243,7 @@ def gen_tableset(config: GenConfig) -> Episode:
         i += dwell_n
         pos = wp
     wrist[i:] = pos
-    frames = _apply_jitter(_frames_from_wrist_path(wrist), config.jitter_sigma, rng)
+    frames = _apply_jitter(_frames_from_wrist_path(wrist), rng)
     return Episode(fps=config.fps, frames=frames, transitions=((0, n_frames - 1),),
                    task="tableset")
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .cost import CostWeights, TaskSpec, stir_retract_mask, total_cost_batch
+from .cost import CostWeights, TaskSpec, stir_retract_mask, total_cost_batch, wrist_pot_distance
 from .motion import (
     Context,
     Episode,
@@ -58,7 +58,6 @@ SCORE_DTYPE = np.float32
 @dataclass(frozen=True)
 class MppiConfig:
     n_samples: int = 64
-    horizon: int = HORIZON_LEN
     dt: float = 0.04
     temperature: float = 0.2
     noise_sigma: float = 0.3
@@ -73,8 +72,6 @@ class MppiConfig:
             raise MotionError(f"n_samples must be at most {MAX_SAMPLES}")
         if self.n_iterations < 1:
             raise MotionError("need at least 1 MPPI iteration")
-        if not 1 <= self.horizon <= HORIZON_LEN:
-            raise MotionError(f"horizon must be between 1 and {HORIZON_LEN} steps")
         if self.dt <= 0:
             raise MotionError("dt must be positive")
         if self.temperature <= 0 or self.noise_sigma <= 0:
@@ -92,7 +89,7 @@ class PlannerState:
 
     @classmethod
     def init(cls, cfg: MppiConfig) -> "PlannerState":
-        return cls(mean_controls=np.zeros((cfg.horizon, N_DOF)),
+        return cls(mean_controls=np.zeros((HORIZON_LEN, N_DOF)),
                    rng=np.random.default_rng(cfg.seed))
 
 
@@ -229,10 +226,11 @@ def plan_step(planner_state: PlannerState, arm_state: ArmState, cost_fn, cfg: Mp
               model: ArmModel):
     """One replanning cycle; returns (qd_cmd, best_cost).
 
-    Samples ``n_samples`` control sequences around the warm-started mean for
-    ``n_iterations`` rounds, scores their rollouts with ``cost_fn(Q, Qd)``,
-    and keeps the best sample seen across rounds: the one of least finite
-    cost, as ``mppi_weights`` ranks them.  The stored mean is softmax-updated
+    Samples ``n_samples`` control sequences of ``HORIZON_LEN`` steps, the
+    forecast's length, around the warm-started mean for ``n_iterations``
+    rounds, scores their rollouts with ``cost_fn(Q, Qd)``, and keeps the
+    best sample seen across rounds: the one of least finite cost, as
+    ``mppi_weights`` ranks them.  The stored mean is softmax-updated
     each round then time-shifted for the next replan.  ``qd_cmd`` is the
     first control of the best sample and ``best_cost`` that sample's cost.
     ``cost_fn`` gets the float64 rollouts as the (N, H, 7) views that
@@ -244,7 +242,7 @@ def plan_step(planner_state: PlannerState, arm_state: ArmState, cost_fn, cfg: Mp
     best_controls = None
     for _ in range(cfg.n_iterations):
         noise = planner_state.rng.normal(0.0, cfg.noise_sigma,
-                                         size=(cfg.n_samples, cfg.horizon, N_DOF))
+                                         size=(cfg.n_samples, HORIZON_LEN, N_DOF))
         samples = mean[None] + noise
         Q, Qd = rollout_arrays(model, arm_state.q, samples, cfg.dt)
         costs = np.asarray(cost_fn(Q, Qd), dtype=float)
@@ -305,7 +303,8 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
     arm = ArmState(q=spec.rest_config, qd=np.zeros(N_DOF))
     pstate = PlannerState.init(cfg)
     log = SimLog(task=episode.task, model_name=model_name, dt=cfg.dt)
-    pot = spec.pot_position
+    if episode.task == "stir":
+        gt_near_pot = wrist_pot_distance(episode.frames, spec.pot_position) <= weights.eps_pot
     wrist = WRIST_INDICES[1]   # the right wrist, the one that moves
 
     for t in range(HISTORY_LEN - 1, len(episode) - HORIZON_LEN):
@@ -340,10 +339,8 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
         }
         if episode.task == "stir":
             rec["branch_active"] = bool(
-                stir_retract_mask(fc, step_spec, weights, cfg.horizon).any())
-            rec["gt_near_pot"] = bool(
-                np.linalg.norm(episode.frames[t, list(WRIST_INDICES)] - pot, axis=-1).min()
-                <= weights.eps_pot)
+                stir_retract_mask(fc, step_spec, weights, HORIZON_LEN).any())
+            rec["gt_near_pot"] = bool(gt_near_pot[t])
         if episode.task == "handover":
             rec["forecast_final_wrist"] = fc.frames[-1, wrist].tolist()
             rec["gt_final_wrist"] = episode.frames[t + HORIZON_LEN, wrist].tolist()

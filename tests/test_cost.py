@@ -23,7 +23,7 @@ from costcast.cost import (
     stir_terms_batch,
     tableset_terms_batch,
     total_cost_batch,
-    _wrist_pot_distance,
+    wrist_pot_distance,
 )
 from costcast.motion import ARM_BONES, HORIZON_LEN, MotionError, Trajectory
 from costcast.robot import (
@@ -295,7 +295,7 @@ def test_stir_cost_matches_per_step_oracle(rng):
     Q = np.clip(MODEL.mid()[None] + rng.normal(0, 0.2, size=(H, N_DOF)),
                 MODEL.lo, MODEL.hi)
     w = CostWeights()
-    D = _wrist_pot_distance(fc, spec.pot_position, H)
+    D = wrist_pot_distance(fc.frames, spec.pot_position)
     oracle = 0.0
     for t in range(H):
         target = spec.rest_config if D[t] <= w.eps_pot else spec.stir_reference[t % 40]
@@ -628,7 +628,7 @@ def test_weights_at_1e300_give_finite_costs_on_float32_plans(field, rng):
 def test_wrist_pot_distance_picks_nearest_wrist():
     pot = np.array([0.55, 0.0, 0.95])
     frames = np.repeat(BASE_POSE[None], H, axis=0)
-    D = _wrist_pot_distance(Trajectory(frames), pot, H)
+    D = wrist_pot_distance(frames, pot)
     expected = min(np.linalg.norm(BASE_POSE[0] - pot), np.linalg.norm(BASE_POSE[1] - pot))
     np.testing.assert_allclose(D, expected, atol=1e-12)
 

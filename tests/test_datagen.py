@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
+from costcast import datagen
 from costcast.datagen import (
     ARM_BONE_LEN,
     ARM_REACH,
     GENERATORS,
     GenConfig,
     HANDOVER_BOX,
+    HOLD_DURATION_S,
+    JITTER_SIGMA,
     N_TABLE_WAYPOINTS,
+    POT_POSITION,
+    REACH_DURATION_S,
+    REST_WRIST,
     RIGHT_SHOULDER,
     ScheduleError,
     TABLE_BOX,
     TABLE_Z,
+    _check_reach,
     _frames_from_wrist_path,
     gen_handover,
     gen_stirring,
@@ -22,7 +29,7 @@ from costcast.datagen import (
     split_dataset,
     tableset_tour,
 )
-from costcast.motion import ARM_BONES, MotionError, episode_to_dict
+from costcast.motion import ARM_BONES, MIN_FPS, MotionError, episode_to_dict
 
 SMALL = dict(episode_len_s=16.0, n_interactions=2)
 
@@ -44,24 +51,26 @@ def test_stirring_has_one_transition_per_interaction():
     assert ep.extras["pot_position"] == [0.55, 0.0, 0.95]
 
 
-def test_stirring_wrist_rests_outside_transitions_without_jitter():
-    cfg = GenConfig(seed=1, jitter_sigma=0.0, **SMALL)
-    ep = gen_stirring(cfg)
-    rest = np.asarray(cfg.rest_wrist)
+@pytest.fixture
+def no_jitter(monkeypatch):
+    monkeypatch.setattr(datagen, "JITTER_SIGMA", 0.0)
+
+
+def test_stirring_wrist_rests_outside_transitions_without_jitter(no_jitter):
+    ep = gen_stirring(GenConfig(seed=1, **SMALL))
     mask = np.ones(len(ep), dtype=bool)
     for s, e in ep.transitions:
         mask[s:e + 1] = False
     np.testing.assert_allclose(ep.frames[mask, 1],
-                               np.broadcast_to(rest, (mask.sum(), 3)), atol=1e-12)
+                               np.broadcast_to(REST_WRIST, (mask.sum(), 3)), atol=1e-12)
 
 
-def test_stirring_reach_ends_exactly_at_pot():
-    cfg = GenConfig(seed=2, jitter_sigma=0.0, **SMALL)
+def test_stirring_reach_ends_exactly_at_pot(no_jitter):
+    cfg = GenConfig(seed=2, **SMALL)
     ep = gen_stirring(cfg)
-    reach_n = int(round(cfg.reach_duration_s * cfg.fps))
-    pot = np.asarray(cfg.pot_position)
+    reach_n = int(round(REACH_DURATION_S * cfg.fps))
     for s, _e in ep.transitions:
-        np.testing.assert_allclose(ep.frames[s + reach_n, 1], pot, atol=1e-9)
+        np.testing.assert_allclose(ep.frames[s + reach_n, 1], POT_POSITION, atol=1e-9)
 
 
 def test_handover_object_in_hand_and_goal_metadata():
@@ -80,7 +89,7 @@ def test_handover_held_wrist_matches_stored_goal():
     ep = gen_handover(cfg)
     for (hs, he), goal in zip(ep.extras["hold_intervals"], ep.extras["goals"]):
         d = np.linalg.norm(ep.frames[hs:he + 1, 1] - np.asarray(goal), axis=-1)
-        assert d.max() <= 3 * cfg.jitter_sigma
+        assert d.max() <= 3 * JITTER_SIGMA
 
 
 def test_handover_seeded_reproducibility():
@@ -90,8 +99,8 @@ def test_handover_seeded_reproducibility():
     assert a.extras == b.extras
 
 
-def test_tableset_single_full_length_transition_and_waypoint_bounds():
-    cfg = GenConfig(seed=6, jitter_sigma=0.0, **SMALL)
+def test_tableset_single_full_length_transition_and_waypoint_bounds(no_jitter):
+    cfg = GenConfig(seed=6, **SMALL)
     ep = gen_tableset(cfg)
     assert ep.transitions == ((0, len(ep) - 1),)
     assert ep.extras == {}
@@ -106,11 +115,11 @@ def test_tableset_single_full_length_transition_and_waypoint_bounds():
         assert dwell[0, 2] == TABLE_Z
 
 
-def test_tableset_dwell_frames_are_static_without_jitter():
-    cfg = GenConfig(seed=7, jitter_sigma=0.0, **SMALL)
+def test_tableset_dwell_frames_are_static_without_jitter(no_jitter):
+    cfg = GenConfig(seed=7, **SMALL)
     ep = gen_tableset(cfg)
     speed = np.linalg.norm(np.diff(ep.frames[:, 1], axis=0), axis=-1)
-    reach_n = int(round(cfg.reach_duration_s * cfg.fps))
+    reach_n = int(round(REACH_DURATION_S * cfg.fps))
     dwell_n = int(round(0.5 * cfg.fps))
     i = reach_n  # first dwell starts after the first reach
     assert (speed[i:i + dwell_n - 1] < 1e-6).all()
@@ -159,12 +168,11 @@ def test_wrist_stays_near_rest_outside_transitions():
     for gen in (gen_stirring, gen_handover):
         cfg = GenConfig(seed=9, **SMALL)
         ep = gen(cfg)
-        rest = np.asarray(cfg.rest_wrist)
         mask = np.ones(len(ep), dtype=bool)
         for s, e in ep.transitions:
             mask[s:e + 1] = False
-        d = np.linalg.norm(ep.frames[mask, 1] - rest, axis=-1)
-        assert d.max() <= 3 * cfg.jitter_sigma + 0.01
+        d = np.linalg.norm(ep.frames[mask, 1] - REST_WRIST, axis=-1)
+        assert d.max() <= 3 * JITTER_SIGMA + 0.01
 
 
 def test_generation_is_bitwise_deterministic():
@@ -182,14 +190,15 @@ def test_infeasible_schedule_rejected():
         GenConfig(seed=0, episode_len_s=13.0, n_interactions=4)
 
 
-@pytest.mark.parametrize("field", ["reach_duration_s", "hold_duration_s"])
-def test_durations_under_one_frame_rejected(field):
-    # at 25 fps, 0.02 s rounds to 0 frames and 0.021 s to 1
-    for seconds in (0.01, 0.02, 0.0, -1.0):
-        with pytest.raises(MotionError, match=field):
-            GenConfig(**{field: seconds})
-    ep = gen_handover(GenConfig(seed=0, **SMALL, **{field: 0.021}))
-    assert all(start <= end for start, end in ep.extras["hold_intervals"])
+def test_fixed_geometry_and_timings_fit_every_config():
+    # the rest point and the pot lie in the arm's reach, each duration lasts
+    # a frame at the lowest frame rate, and the default episode holds the
+    # tableset tour
+    for point in (POT_POSITION, REST_WRIST):
+        _check_reach(point, "point")
+    for seconds in (REACH_DURATION_S, HOLD_DURATION_S):
+        assert int(round(seconds * MIN_FPS)) >= 1
+    tableset_tour(GenConfig())   # raises ScheduleError when the tour does not fit
 
 
 def test_split_sizes_8_1_1():
