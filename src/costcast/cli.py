@@ -1,8 +1,8 @@
 """Command-line entry point wiring generation, training, simulation,
 evaluation and the loss-bound verifier into reproducible runs.
 
-Every command is driven by a single JSON run config (plus a few flag
-overrides); outputs land in a run directory named by the config hash.
+Every command is driven by a single JSON run config; outputs land in a run
+directory named by the config hash.
 Exit codes: 0 success, 2 usage/config error, 3 runtime error.
 """
 
@@ -27,9 +27,19 @@ from .planner import MppiConfig, SimLog, build_task_spec, run_episode
 from .robot import ArmModel
 
 DEFAULT_COUNTS = {"stir": 19, "handover": 27, "tableset": 15}
+# What a run config sets: a value, or a section and the names it sets in it.
+# Every other field of RunConfig's dataclasses keeps its default, so the
+# planner's and the cost's sections set nothing, and the gen, train and mppi
+# seeds are the run seed.
+CONFIG_KEYS = {"seed": None, "out_root": None, "counts": tuple(DEFAULT_COUNTS),
+               "gen": ("episode_len_s", "n_interactions", "fps"), "train": ("epochs",),
+               "mppi": (), "weights": (), "preset": None, "models": None}
 SPLIT_PARTS = ("train", "val", "test")
+# Each task's episode seeds take offsets [k * MAX_COUNT, (k + 1) * MAX_COUNT),
+# so no two tasks share a seed and every offset is below 10**6.
+MAX_COUNT = 100000
 # Run files hold integers of at most 64 bits, and the manifest stores each
-# episode's seed, gen.seed * 10**6 plus an offset below 10**6.
+# episode's seed, the run seed * 10**6 plus an offset below 10**6.
 MAX_SEED = 2**64 // 10**6 - 1
 
 
@@ -37,16 +47,28 @@ class ConfigError(ValueError):
     pass
 
 
-def _sub(doc: dict, key: str) -> dict:
-    val = doc.get(key, {})
-    if not isinstance(val, dict):
-        raise ConfigError(f"config section {key!r} must be an object")
-    return val
+def _check_keys(doc: dict) -> None:
+    """Refuse, naming it, any key of a run config outside CONFIG_KEYS."""
+    for key, value in doc.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}; a run config sets "
+                              f"{', '.join(CONFIG_KEYS)}")
+        names = CONFIG_KEYS[key]
+        if names is None:
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be an object")
+        for name in value:
+            if name not in names:
+                raise ConfigError(f"unknown config key '{key}.{name}'; section {key!r} "
+                                  f"sets {', '.join(names) or 'nothing'}")
 
 
-def _non_negative_int(value, name: str) -> int:
+def _non_negative_int(value, name: str, at_most: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    if at_most is not None and value > at_most:
+        raise ConfigError(f"{name} must be at most {at_most}, got {value}")
     return value
 
 
@@ -54,12 +76,6 @@ def _check_model_name(name: str) -> None:
     """A model name is a baseline's or a training preset's, letter for letter."""
     if name not in forecast.BASELINES and name not in forecast.PRESETS:
         raise ConfigError(f"unknown model {name!r}")
-
-
-def _seed(value, name: str) -> int:
-    if _non_negative_int(value, name) > MAX_SEED:
-        raise ConfigError(f"{name} must be at most {MAX_SEED}, got {value}")
-    return value
 
 
 @dataclasses.dataclass
@@ -75,64 +91,42 @@ class RunConfig:
     models: tuple = ("cur", "cvm")
 
     @classmethod
-    def load(cls, path=None, overrides=None) -> "RunConfig":
+    def load(cls, path=None, out_root=None) -> "RunConfig":
+        """The run config of a JSON file, or the default one; ``out_root``,
+        the CLI's ``--out``, takes the place of the file's."""
         try:
             doc = json.loads(Path(path).read_text()) if path else {}
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config file {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("the run config must be a JSON object")
-        overrides = overrides or {}
-        seed = _seed(overrides.get("seed", doc.get("seed", cls.seed)), "seed")
-        out_root = doc.get("out_root", cls.out_root)
-        if not isinstance(out_root, str):
-            raise ConfigError(f"out_root must be a string, got {out_root!r}")
-        gen_kwargs = _sub(doc, "gen")
-        gen_kwargs.setdefault("seed", seed)
-        train_kwargs = _sub(doc, "train")
-        if {"transition_mix", "wrist_weight"} & train_kwargs.keys():
-            raise ConfigError("train.transition_mix and train.wrist_weight are set by the "
-                              f"preset; choose one of {sorted(forecast.PRESETS)}")
-        train_kwargs.setdefault("seed", seed)
-        mppi_kwargs = _sub(doc, "mppi")
-        if "dt" in mppi_kwargs:
-            raise ConfigError("mppi.dt is the episode frame period 1/gen.fps; set gen.fps")
-        mppi_kwargs.setdefault("seed", seed)
+        _check_keys(doc)
+        seed = _non_negative_int(doc.get("seed", cls.seed), "seed", MAX_SEED)
+        doc_root = doc.get("out_root", cls.out_root)
+        if not isinstance(doc_root, str):
+            raise ConfigError(f"out_root must be a string, got {doc_root!r}")
+        counts = {**DEFAULT_COUNTS, **doc.get("counts", {})}
+        for task, count in counts.items():
+            _non_negative_int(count, f"counts.{task}", MAX_COUNT)
+        preset = doc.get("preset", cls.preset)
+        if not isinstance(preset, str) or preset not in forecast.PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}")
         models = doc.get("models", list(cls.models))
         if not isinstance(models, list) or not all(isinstance(m, str) for m in models):
             raise ConfigError(f"models must be a list of model names, got {models!r}")
-        try:
-            gen = datagen.GenConfig(**gen_kwargs)
-            cfg = cls(
-                seed=seed,
-                out_root=overrides.get("out", out_root),
-                counts={**DEFAULT_COUNTS, **_sub(doc, "counts")},
-                gen=gen,
-                train=TrainConfig(**train_kwargs),
-                mppi=MppiConfig(**mppi_kwargs, dt=1.0 / gen.fps),
-                weights=CostWeights(**_sub(doc, "weights")),
-                preset=str(overrides.get("preset", doc.get("preset", cls.preset))),
-                models=tuple(models),
-            )
-        except (TypeError, MotionError) as exc:
-            raise ConfigError(str(exc)) from exc
-        bad = set(cfg.counts) - set(datagen.GENERATORS)
-        if bad:
-            raise ConfigError(f"unknown task name(s) in counts: {sorted(bad)}")
-        for task, count in cfg.counts.items():
-            _non_negative_int(count, f"counts.{task}")
-        if cfg.counts.get("tableset", 0) > 0:
-            try:
-                datagen.tableset_tour(cfg.gen)
-            except MotionError as exc:
-                raise ConfigError(f"gen: {exc}") from exc
-        for section in ("gen", "train", "mppi"):
-            _seed(getattr(cfg, section).seed, f"{section}.seed")
-        for name in cfg.models:
+        for name in models:
             _check_model_name(name)
-        if cfg.preset not in forecast.PRESETS:
-            raise ConfigError(f"unknown preset {cfg.preset!r}")
-        return cfg
+        try:
+            gen = datagen.GenConfig(seed=seed, **doc.get("gen", {}))
+            if counts["tableset"] > 0:
+                datagen.tableset_tour(gen)
+            return cls(seed=seed, out_root=doc_root if out_root is None else out_root,
+                       counts=counts, gen=gen,
+                       train=TrainConfig(seed=seed, **doc.get("train", {})),
+                       mppi=MppiConfig(seed=seed, dt=1.0 / gen.fps),
+                       preset=preset, models=tuple(models))
+        except MotionError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def canonical(self) -> str:
         doc = dataclasses.asdict(self)
@@ -150,7 +144,7 @@ class RunConfig:
 
 
 def _episode_seed(gen_seed: int, task: str, index: int) -> int:
-    offsets = {"stir": 0, "handover": 100000, "tableset": 200000}
+    offsets = {"stir": 0, "handover": MAX_COUNT, "tableset": 2 * MAX_COUNT}
     return gen_seed * 1000000 + offsets[task] + index
 
 
@@ -354,9 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", default=None, help="run-config JSON file")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--preset", default=None)
-        sp.add_argument("--out", default=None, help="output root directory")
+        sp.add_argument("--out", default=None, help="output root directory, in place of "
+                                                   "the config's out_root")
 
     common(sub.add_parser("gen", help="generate the episode dataset"))
     common(sub.add_parser("train", help="train a forecaster preset"))
@@ -382,9 +375,7 @@ def main(argv=None) -> int:
         if args.command == "lemma-check":
             return cmd_lemma(_non_negative_int(args.n_instances, "--n-instances"),
                              _non_negative_int(args.seed, "--seed"))
-        overrides = {k: v for k, v in (("seed", args.seed), ("preset", args.preset),
-                                       ("out", args.out)) if v is not None}
-        cfg = RunConfig.load(args.config, overrides)
+        cfg = RunConfig.load(args.config, args.out)
         if args.command == "gen":
             return cmd_gen(cfg)
         if args.command == "train":

@@ -53,7 +53,7 @@ TABLE_DWELL_S = 0.5
 N_TABLE_WAYPOINTS = 6
 MAX_EPISODE_LEN_S = 3600.0
 MIN_SPLIT_EPISODES = 10   # the fewest episodes an 8:1:1 split gives a val and a test episode
-SCHEDULE_MARGIN_S = 1.0   # no interaction starts or ends this close to an episode end
+SCHEDULE_MARGIN_S = 1.0   # interactions are drawn this far inside either episode end
 
 
 class ScheduleError(MotionError):
@@ -71,14 +71,26 @@ class GenConfig:
         check_field_types(self)
         if self.episode_len_s > MAX_EPISODE_LEN_S:
             raise MotionError(f"episode_len_s must be at most {MAX_EPISODE_LEN_S:g} s")
-        if self.n_interactions < 1:
-            raise MotionError("n_interactions must be >= 1")
+        # the longest episode holds at most this many interactions
+        most = int(MAX_EPISODE_LEN_S / INTERACTION_LEN_S)
+        if not 1 <= self.n_interactions <= most:
+            raise MotionError(f"n_interactions must be from 1 to {most}, "
+                              f"got {self.n_interactions}")
         if not MIN_FPS <= self.fps <= MAX_FPS:
             raise MotionError(f"fps must be in [{MIN_FPS:g}, {MAX_FPS:g}], got {self.fps!r}")
         if self.slot_s < INTERACTION_LEN_S:
             raise ScheduleError(f"a slot of {self.slot_s:.2f} s inside the "
                                 f"{SCHEDULE_MARGIN_S:g} s margins cannot hold a "
                                 f"{INTERACTION_LEN_S:.2f} s interaction")
+        # rounded to frames, interactions may outgrow their slots; _schedule
+        # fits them wherever they fit side by side, sharing no frame
+        span = 2 * self.frames_of(REACH_DURATION_S) + self.frames_of(HOLD_DURATION_S) + 1
+        if self.n_interactions * span > self.frames_of(self.episode_len_s):
+            raise ScheduleError(f"{self.n_interactions} interactions of {span} frames do not "
+                                f"fit in {self.frames_of(self.episode_len_s)} frames")
+
+    def frames_of(self, seconds: float) -> int:
+        return int(round(seconds * self.fps))
 
     @property
     def slot_s(self) -> float:
@@ -150,30 +162,37 @@ def _apply_jitter(frames: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return frames + smooth
 
 
+def _schedule(config: GenConfig, offsets_s) -> list:
+    """The (first, last) frames of each interaction, started ``offsets_s``
+    into its slot.  Where rounding to frames would start an interaction on
+    or before the last frame of the one before, it starts on the next frame;
+    where it would end the last one past the episode, the interactions at
+    the end start earlier.  Elsewhere no start moves."""
+    n = 2 * config.frames_of(REACH_DURATION_S) + config.frames_of(HOLD_DURATION_S)
+    starts = [config.frames_of(SCHEDULE_MARGIN_S + i * config.slot_s + offset)
+              for i, offset in enumerate(offsets_s)]
+    for i in range(1, len(starts)):
+        starts[i] = max(starts[i], starts[i - 1] + n + 1)
+    latest = config.frames_of(config.episode_len_s) - 1 - n
+    for i in reversed(range(len(starts))):
+        starts[i] = min(starts[i], latest)
+        latest = starts[i] - n - 1
+    return [(s, s + n) for s in starts]
+
+
 def _reach_hold_return(config: GenConfig, targets, rng: np.random.Generator):
     """Wrist path for rest->target->rest interactions plus transition intervals."""
-    fps = config.fps
-    n_frames = int(round(config.episode_len_s * fps))
-    wrist = np.tile(REST_WRIST, (n_frames, 1))
+    wrist = np.tile(REST_WRIST, (config.frames_of(config.episode_len_s), 1))
     # seeded start times, one per equal slot inside the margins
-    slot = config.slot_s
-    starts = [SCHEDULE_MARGIN_S + i * slot + rng.uniform(0.0, slot - INTERACTION_LEN_S)
-              for i in range(config.n_interactions)]
-    reach_n = int(round(REACH_DURATION_S * fps))
-    hold_n = int(round(HOLD_DURATION_S * fps))
-    transitions = []
+    transitions = _schedule(config, [rng.uniform(0.0, config.slot_s - INTERACTION_LEN_S)
+                                     for _ in range(config.n_interactions)])
+    reach_n = config.frames_of(REACH_DURATION_S)
+    hold_n = config.frames_of(HOLD_DURATION_S)
     spans = []
-    for start_s, target in zip(starts, targets):
-        s = int(round(start_s * fps))
-        reach = min_jerk(REST_WRIST, target, reach_n + 1)
-        ret = min_jerk(target, REST_WRIST, reach_n + 1)
-        e = s + 2 * reach_n + hold_n
-        if e >= n_frames:
-            raise ScheduleError("interaction runs past episode end")
-        wrist[s:s + reach_n + 1] = reach
+    for (s, e), target in zip(transitions, targets):
+        wrist[s:s + reach_n + 1] = min_jerk(REST_WRIST, target, reach_n + 1)
         wrist[s + reach_n:s + reach_n + hold_n] = target
-        wrist[s + reach_n + hold_n:e + 1] = ret
-        transitions.append((s, e))
+        wrist[s + reach_n + hold_n:e + 1] = min_jerk(target, REST_WRIST, reach_n + 1)
         spans.append((s, s + reach_n, s + reach_n + hold_n, e))
     return wrist, transitions, spans
 
@@ -213,10 +232,9 @@ def tableset_tour(config: GenConfig) -> tuple:
 
     Raises ScheduleError when the episode is too short for the waypoint tour.
     """
-    fps = config.fps
-    n_frames = int(round(config.episode_len_s * fps))
-    reach_n = int(round(REACH_DURATION_S * fps))
-    dwell_n = int(round(TABLE_DWELL_S * fps))
+    n_frames = config.frames_of(config.episode_len_s)
+    reach_n = config.frames_of(REACH_DURATION_S)
+    dwell_n = config.frames_of(TABLE_DWELL_S)
     need = N_TABLE_WAYPOINTS * (reach_n + dwell_n) + 1
     if need > n_frames:
         raise ScheduleError(f"episode of {n_frames} frames too short for waypoint tour ({need})")

@@ -17,10 +17,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from costcast import cli, metrics
 from costcast.cli import ConfigError, DEFAULT_COUNTS, RunConfig, main
 from costcast.cost import CostWeights
-from costcast.datagen import GenConfig, split_dataset
+from costcast.datagen import GenConfig, gen_stirring, split_dataset
 from costcast.forecast import ForecastModel, TrainConfig, load_checkpoint, save_checkpoint
 from costcast.metrics import MetricReport
-from costcast.motion import MotionError, load_episode
+from costcast.motion import MotionError, load_episode, save_episode
 from costcast.planner import MppiConfig, SimLog
 
 MINI = {
@@ -49,18 +49,69 @@ def test_default_config():
     assert cfg.models == ("cur", "cvm")
 
 
-def test_config_overrides_and_seed_propagation(tmp_path):
-    path = write_config(tmp_path)
-    cfg = RunConfig.load(path, overrides={"seed": 9, "preset": "manicast-w"})
-    assert cfg.seed == 9
-    assert cfg.gen.seed == 9 and cfg.train.seed == 9 and cfg.mppi.seed == 9
-    assert cfg.preset == "manicast-w"
-    assert cfg.counts["tableset"] == 0
+# the keys a run config sets, and no more: everything a run varies
+KEPT_KEYS = ["seed", "out_root", "counts.stir", "counts.handover", "counts.tableset",
+             "gen.episode_len_s", "gen.n_interactions", "gen.fps", "train.epochs", "preset",
+             "models"]
+SECTIONS = {"gen": GenConfig, "train": TrainConfig, "mppi": MppiConfig, "weights": CostWeights}
+
+
+def test_config_refuses_every_key_but_the_eleven_a_run_varies(tmp_path, capsys):
+    assert sorted(name for key, names in cli.CONFIG_KEYS.items()
+                  for name in ([key] if names is None else [f"{key}.{n}" for n in names])
+                  ) == sorted(KEPT_KEYS)
+    removed = [(section, f.name, getattr(config(), f.name))
+               for section, config in SECTIONS.items() for f in dataclasses.fields(config)
+               if f"{section}.{f.name}" not in KEPT_KEYS]
+    assert len(removed) == 21
+    # each removed key exits 2 naming it, though it holds its default value
+    for doc, key in ([({section: {name: value}}, f"{section}.{name}")
+                      for section, name, value in removed]
+                     + [({"wieghts": {"alpha_c": 100.0}, "train": {"epochs": 3}}, "wieghts"),
+                        ({"counts": {"mop": 3}}, "counts.mop"),
+                        ({"gen.fps": 30.0}, "gen.fps")]):
+        path = write_config(tmp_path, dict(MINI, **doc))
+        assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2, key
+        err = capsys.readouterr().err
+        assert f"config error: unknown config key {key!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+    # every kept key loads, and the section seeds follow the run seed
+    doc = {"seed": 8, "out_root": str(tmp_path / "out"),
+           "counts": {"stir": 10, "handover": 11, "tableset": 12},
+           "gen": {"episode_len_s": 30.0, "n_interactions": 2, "fps": 30.0},
+           "train": {"epochs": 4}, "preset": "scratch", "models": ["cvm", "scratch"]}
+    cfg = RunConfig.load(write_config(tmp_path, doc))
+    assert (cfg.seed, cfg.out_root, cfg.counts, cfg.preset, cfg.models) == (
+        8, doc["out_root"], doc["counts"], "scratch", ("cvm", "scratch"))
+    assert cfg.gen == GenConfig(seed=8, episode_len_s=30.0, n_interactions=2, fps=30.0)
+    assert cfg.train == TrainConfig(epochs=4, seed=8)
+    assert cfg.mppi == MppiConfig(dt=1.0 / 30.0, seed=8)
+    assert cfg.weights == CostWeights()
+    # the run commands take the seed and the preset from the config alone
+    for flag in ("--seed", "--preset"):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", write_config(tmp_path), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_counts_are_bounded_so_episode_seeds_stay_distinct(tmp_path, capsys):
+    # the tasks' episode seed offsets lie in disjoint ranges below 10**6
+    ranges = sorted((cli._episode_seed(0, task, 0), cli._episode_seed(0, task, cli.MAX_COUNT - 1))
+                    for task in DEFAULT_COUNTS)
+    assert all(last < first for (_, last), (first, _) in zip(ranges, ranges[1:]))
+    assert ranges[-1][1] < 10**6
+    assert RunConfig.load(write_config(tmp_path, dict(
+        MINI, counts={"stir": cli.MAX_COUNT}))).counts["stir"] == cli.MAX_COUNT
+    for task, count in (("stir", cli.MAX_COUNT + 1), ("tableset", 800000)):
+        path = write_config(tmp_path, dict(MINI, counts={task: count}))
+        assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert f"counts.{task} must be at most {cli.MAX_COUNT}, got {count}" in err
+        assert not (tmp_path / "runs").exists()
 
 
 def test_config_rejects_bad_values(tmp_path, capsys):
-    with pytest.raises(ConfigError):
-        RunConfig.load(write_config(tmp_path, dict(MINI, counts={"mop": 3})))
     with pytest.raises(ConfigError):
         RunConfig.load(write_config(tmp_path, dict(MINI, models=["cur", "alien"])))
     with pytest.raises(ConfigError):
@@ -70,24 +121,14 @@ def test_config_rejects_bad_values(tmp_path, capsys):
     with pytest.raises(ConfigError):
         RunConfig.load(write_config(tmp_path, dict(MINI, train={"epochs": 2,
                                                                 "bogus_field": 1})))
-    for section, bad in (("train", {"batch_size": 0}), ("train", {"batch_size": -3}),
-                         ("train", {"epochs": -1}), ("gen", {"n_interactions": 0}),
-                         ("gen", {"fps": -1}), ("train", {"momentum": 2.0}),
-                         ("train", {"momentum": -1}), ("train", {"momentum": 1.0}),
-                         ("train", {"learning_rate": float("nan")}),
-                         ("train", {"learning_rate": float("inf")}),
+    for section, bad in (("train", {"epochs": -1}), ("gen", {"n_interactions": 0}),
+                         ("gen", {"n_interactions": 10**400}), ("gen", {"fps": -1}),
                          ("seed", -1), ("seed", 1.5), ("seed", "x"),
                          ("counts", {"stir": "x"}), ("counts", {"stir": 1.5}),
                          ("counts", {"stir": -1}), ("counts", {"stir": True}),
-                         ("train", {"seed": -1}), ("mppi", {"dt": 0.05}),
-                         ("mppi", {"dt": 0.04}), ("gen", {"episode_len_s": float("nan")}),
+                         ("gen", {"episode_len_s": float("nan")}),
                          ("gen", {"n_interactions": 1.5}), ("gen", {"fps": True}),
-                         ("train", {"epochs": 1.5}), ("train", {"batch_size": 2.5}),
-                         ("mppi", {"temperature": "hot"}), ("mppi", {"noise_sigma": 1e308}),
-                         ("weights", {"alpha_c": float("nan")}),
-                         ("weights", {"beta": float("inf")}), ("weights", {"beta": 10**400}),
-                         ("weights", {"eps_pot": 0.0}), ("weights", {"eps_pot": -1}),
-                         ("train", {"transition_mix": 0.9}), ("train", {"wrist_weight": 3.0})):
+                         ("train", {"epochs": 1.5}), ("preset", None), ("preset", ["scratch"])):
         with pytest.raises(ConfigError):
             RunConfig.load(write_config(tmp_path, dict(MINI, **{section: bad})))
     # the planner steps at the frame period, which gen.fps sets
@@ -95,14 +136,12 @@ def test_config_rejects_bad_values(tmp_path, capsys):
         cfg = RunConfig.load(write_config(tmp_path, dict(MINI, gen={"fps": fps})))
         assert cfg.mppi.dt == 1.0 / fps
     # an int is a valid value for a float field
-    assert RunConfig.load(write_config(tmp_path, dict(MINI, weights={"alpha_c": 100}))
-                          ).weights.alpha_c == 100
+    assert RunConfig.load(write_config(tmp_path, dict(MINI, gen={"fps": 30}))).gen.fps == 30
     for bad in ({"gen": {"n_interactions": 0}}, {"seed": -1}, {"counts": {"stir": "x"}},
-                {"mppi": {"dt": 0.05}}, {"train": {"momentum": 2.0}}, {"gen": {"fps": 1e300}},
+                {"gen": {"fps": 1e300}},
                 # fits the episode, but not the 1 s margins that the schedule keeps
                 {"counts": {"stir": 10, "handover": 0, "tableset": 0},
-                 "gen": {"episode_len_s": 4.0, "n_interactions": 1}},
-                {"mppi": {"n_samples": 10**12}}, {"train": {"batch_size": 10**9}}):
+                 "gen": {"episode_len_s": 4.0, "n_interactions": 1}}):
         path = write_config(tmp_path, dict(MINI, **bad))
         assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
@@ -112,23 +151,19 @@ def test_config_rejects_bad_values(tmp_path, capsys):
     for doc, message in (([MINI], "JSON object"),
                          (dict(MINI, models="cur"), "models must be a list"),
                          (dict(MINI, models=["cur", 3]), "models must be a list"),
-                         (dict(MINI, mppi={"n_samples": 2.5}), "n_samples must be an integer"),
-                         (dict(MINI, mppi={"n_iterations": 2.0}),
-                          "n_iterations must be an integer"),
-                         (dict(MINI, mppi={"n_iterations": True}),
-                          "n_iterations must be an integer"),
-                         (dict(MINI, mppi={"seed": 1.5}), "seed must be an integer"),
+                         (dict(MINI, gen={"n_interactions": True}),
+                          "n_interactions must be an integer"),
+                         (dict(MINI, seed=1.5), "seed must be a non-negative integer"),
                          (dict(MINI, gen={"episode_len_s": float("nan")}),
                           "episode_len_s must be a finite number"),
                          (dict(MINI, gen={"n_interactions": 1.5}),
                           "n_interactions must be an integer"),
                          (dict(MINI, train={"epochs": 1.5}), "epochs must be an integer"),
-                         (dict(MINI, weights={"alpha_c": float("nan")}),
-                          "alpha_c must be a finite number"),
-                         (dict(MINI, weights={"eps_pot": -1}), "eps_pot must be positive"),
-                         (dict(MINI, train={"transition_mix": 0.9, "wrist_weight": 3.0}),
-                          "set by the preset"),
-                         (dict(MINI, mppi={"dt": 0.04}), "mppi.dt is the episode frame period"),
+                         (dict(MINI, gen={"n_interactions": 10**400}),
+                          "n_interactions must be from 1 to 1125"),
+                         (dict(MINI, counts={"stir": 2.0}), "counts.stir must be a non-negative"),
+                         (dict(MINI, preset=["scratch"]), "unknown preset ['scratch']"),
+                         (dict(MINI, wieghts={"alpha_c": 100.0}), "unknown config key 'wieghts'"),
                          (dict(MINI, gen={"episode_len_s": 4.0}),
                           "inside the 1 s margins cannot hold"),
                          (dict(MINI, out_root=5), "out_root must be a string, got 5"),
@@ -138,9 +173,6 @@ def test_config_rejects_bad_values(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
-    path = write_config(tmp_path)
-    assert main(["gen", "--config", path, "--seed", "-1", "--out", str(tmp_path / "runs")]) == 2
-    assert "seed" in capsys.readouterr().err
 
 
 def test_seeds_fit_the_integers_of_the_run_files(tmp_path, capsys):
@@ -149,12 +181,11 @@ def test_seeds_fit_the_integers_of_the_run_files(tmp_path, capsys):
     counts = {"stir": 0, "handover": 1, "tableset": 0}
     path = write_config(tmp_path, dict(MINI, seed=cli.MAX_SEED, counts=counts))
     assert main(["gen", "--config", path, "--out", str(tmp_path / "runs")]) == 0
-    run_dir = RunConfig.load(path, {"out": str(tmp_path / "runs")}).run_dir()
+    run_dir = RunConfig.load(path, str(tmp_path / "runs")).run_dir()
     [entry] = json.loads((run_dir / "manifest.json").read_text())
     assert entry["seed"] == cli.MAX_SEED * 10**6 + 100000 < 2**64
     capsys.readouterr()
-    for bad in ({"seed": cli.MAX_SEED + 1}, {"gen": {"seed": cli.MAX_SEED + 1}},
-                {"train": {"seed": 2**64}}, {"mppi": {"seed": 10**400}}):
+    for bad in ({"seed": cli.MAX_SEED + 1}, {"seed": 2**64}, {"seed": 10**400}):
         path = write_config(tmp_path, dict(MINI, **bad))
         assert main(["gen", "--config", path, "--out", str(tmp_path / "other")]) == 2
         err = capsys.readouterr().err
@@ -165,15 +196,11 @@ def test_gen_points_length_and_tableset_tour_exit_2(tmp_path, capsys):
     # the episode length bound and the tableset waypoint tour are checked
     # when the config loads, before any data is written; the generator's
     # geometry, jitter and timings are fixed, so a config that sets one of
-    # them names an unknown field
+    # them names an unknown key
     one_tableset = {"stir": 0, "handover": 0, "tableset": 1}
     for doc, message in (
-            (dict(MINI, gen={"pot_position": [0.55, 0.0, 0.95]}), "'pot_position'"),
-            (dict(MINI, gen={"rest_wrist": [0.0, -0.6, 1.0]}), "'rest_wrist'"),
-            (dict(MINI, gen={"jitter_sigma": 0.002}), "'jitter_sigma'"),
-            (dict(MINI, gen={"reach_duration_s": 1.2}), "'reach_duration_s'"),
-            (dict(MINI, gen={"hold_duration_s": 0.8}), "'hold_duration_s'"),
-            (dict(MINI, mppi={"horizon": 25}), "'horizon'"),
+            (dict(MINI, gen={"pot_position": [0.55, 0.0, 0.95]}), "'gen.pot_position'"),
+            (dict(MINI, gen={"jitter_sigma": 0.002}), "'gen.jitter_sigma'"),
             (dict(MINI, gen={"episode_len_s": 1e308}), "episode_len_s must be at most"),
             (dict(MINI, counts=one_tableset, gen={"episode_len_s": 9.0, "n_interactions": 1}),
              "too short for waypoint tour")):
@@ -188,11 +215,11 @@ def test_gen_points_length_and_tableset_tour_exit_2(tmp_path, capsys):
 
 
 def test_run_dir_does_not_depend_on_number_spelling(tmp_path):
-    as_int = RunConfig.load(write_config(tmp_path, dict(MINI, weights={"alpha_c": 100}), "a.json"),
-                            {"out": str(tmp_path / "runs")})
-    as_float = RunConfig.load(write_config(tmp_path, dict(MINI, weights={"alpha_c": 100.0}),
-                                           "b.json"), {"out": str(tmp_path / "runs")})
-    assert type(as_int.weights.alpha_c) is float
+    out = str(tmp_path / "runs")
+    as_int = RunConfig.load(write_config(tmp_path, dict(MINI, gen={"fps": 30}), "a.json"), out)
+    as_float = RunConfig.load(write_config(tmp_path, dict(MINI, gen={"fps": 30.0}), "b.json"),
+                              out)
+    assert type(as_int.gen.fps) is float
     assert as_int.canonical() == as_float.canonical()
     assert as_int.run_dir() == as_float.run_dir()
 
@@ -209,7 +236,7 @@ README_EXAMPLE = {
 
 def test_default_and_readme_configs_keep_their_run_dirs(tmp_path):
     # a change to these digests moves every existing run directory
-    out = {"out": str(tmp_path / "runs")}
+    out = str(tmp_path / "runs")
     assert RunConfig.load(None, out).run_dir().name == "b66684d11315"
     assert RunConfig.load(write_config(tmp_path, README_EXAMPLE), out).run_dir().name \
         == "7767adca4515"
@@ -221,24 +248,27 @@ def test_run_dir_is_a_stable_config_hash(tmp_path, monkeypatch):
     a = RunConfig.load(path).run_dir()
     b = RunConfig.load(path).run_dir()
     assert a == b
-    c = RunConfig.load(path, overrides={"seed": 99}).run_dir()
+    c = RunConfig.load(write_config(tmp_path, dict(MINI, seed=99), "other.json")).run_dir()
     assert c != a
 
 
 def test_gen_seed_sets_the_episode_data(tmp_path, capsys):
+    # gen.seed is the run seed, and each episode's seed derives from it
     one_stir = dict(MINI, counts={"stir": 1, "handover": 0, "tableset": 0})
 
-    def stir_bytes(name, gen):
-        path = write_config(tmp_path, dict(one_stir, gen={**MINI["gen"], **gen}), name)
-        out = tmp_path / name.replace(".json", "")
-        assert main(["gen", "--config", path, "--out", str(out)]) == 0
-        cfg = RunConfig.load(path, overrides={"out": str(out)})
-        return (cfg.run_dir() / "data" / "stir_000.json").read_bytes()
+    def stir_bytes(seed):
+        path = write_config(tmp_path, dict(one_stir, seed=seed), f"{seed}.json")
+        out = str(tmp_path / str(seed))
+        assert main(["gen", "--config", path, "--out", out]) == 0
+        cfg = RunConfig.load(path, out)
+        episode = gen_stirring(dataclasses.replace(
+            cfg.gen, seed=cli._episode_seed(seed, "stir", 0)))
+        save_episode(episode, tmp_path / "want.json")
+        data = (cfg.run_dir() / "data" / "stir_000.json").read_bytes()
+        assert data == (tmp_path / "want.json").read_bytes()
+        return data
 
-    default = stir_bytes("default.json", {})
-    assert stir_bytes("seven.json", {"seed": 7}) != default
-    # gen.seed defaults to the run seed, so spelling that out changes nothing
-    assert stir_bytes("same.json", {"seed": MINI["seed"]}) == default
+    assert stir_bytes(MINI["seed"]) != stir_bytes(7)
 
 
 # values of every JSON kind, the awkward ones included; numbers stay small
@@ -249,7 +279,9 @@ ODD_VALUES = st.one_of(
                      10**400, -10**400]),
     st.text(max_size=3), st.lists(st.integers(-1, 2), max_size=4), st.just({}))
 TINY_COUNTS = st.sampled_from([0, 1, 0, 1, 0, 1, -1, 1.5, "1", True, None, 1e300])
-SECTIONS = {"gen": GenConfig, "train": TrainConfig, "mppi": MppiConfig, "weights": CostWeights}
+# a few keys a run config may not set: removed fields and a misspelling
+REMOVED_KEYS = [("gen", "seed"), ("train", "batch_size"), ("mppi", "n_samples"),
+                ("weights", "beta"), ("wieghts", "alpha_c")]
 
 
 def near_default(default):
@@ -262,35 +294,40 @@ def near_default(default):
 
 @st.composite
 def run_documents(draw):
-    """A run config of random fields, mostly of the right type, asking for at
-    most one episode per task."""
+    """A run config of random values for its keys, mostly of the right type,
+    asking for at most one episode per task; now and then it also sets a key
+    that a run config may not set."""
     doc = {"counts": draw(st.fixed_dictionaries(
         {task: TINY_COUNTS for task in DEFAULT_COUNTS}))}
-    for name, config in SECTIONS.items():
-        fields = {f.name: f.default for f in dataclasses.fields(config)}
-        keys = st.sampled_from(sorted(fields))
+    for name in ("gen", "train"):
+        defaults = {key: getattr(SECTIONS[name](), key) for key in cli.CONFIG_KEYS[name]}
+        keys = st.sampled_from(sorted(defaults))
         section = draw(st.lists(keys, unique=True, max_size=3).flatmap(
-            lambda ks: st.fixed_dictionaries({k: st.one_of(near_default(fields[k]),
-                                                           near_default(fields[k]), ODD_VALUES)
+            lambda ks: st.fixed_dictionaries({k: st.one_of(near_default(defaults[k]),
+                                                           near_default(defaults[k]), ODD_VALUES)
                                               for k in ks})))
         doc[name] = draw(st.sampled_from([section, section, section, {"bogus": 1}, [section]]))
     doc.update(draw(st.dictionaries(st.sampled_from(["seed", "preset", "models", "out_root"]),
                                     ODD_VALUES, max_size=2)))
+    removed = draw(st.sampled_from([None] * 15 + REMOVED_KEYS))
+    if removed is not None and isinstance(doc.get(removed[0], {}), dict):
+        section, key = removed
+        doc[section] = {**doc.get(section, {}), key: 1}
     return doc
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=run_documents())
 def test_gen_on_random_configs_exits_cleanly(doc):
-    # any config the CLI is given either runs, or exits 2 (config) or 3
-    # (runtime) with a message, never with a traceback
+    # any config the CLI is given either runs or exits 2 with a message,
+    # never with a traceback; gen in a fresh directory meets no runtime error
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(doc))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["gen", "--config", str(path), "--out", str(Path(tmp) / "runs")])
-    assert code in (0, 2, 3)
+    assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
 
@@ -306,8 +343,9 @@ def test_exit_2_on_malformed_json(tmp_path, capsys):
 
 
 def test_exit_2_on_unknown_preset(tmp_path, capsys):
-    path = write_config(tmp_path)
-    assert main(["train", "--config", path, "--preset", "alien"]) == 2
+    path = write_config(tmp_path, dict(MINI, preset="alien"))
+    assert main(["train", "--config", path, "--out", str(tmp_path / "runs")]) == 2
+    assert "config error: unknown preset 'alien'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("under", [(), ("sub",)])
@@ -368,7 +406,7 @@ def copy_run(split_run, tmp_path):
     """A private copy of the split run: its config path, CLI args and run dir."""
     shutil.copytree(split_run / "runs", tmp_path / "runs")
     config = write_config(tmp_path, SPLIT_RUN)
-    cfg = RunConfig.load(config, {"out": str(tmp_path / "runs")})
+    cfg = RunConfig.load(config, str(tmp_path / "runs"))
     return ["--config", config, "--out", str(tmp_path / "runs")], cfg.run_dir()
 
 
@@ -573,7 +611,7 @@ def test_bad_run_file_exits_3_naming_it(split_run, tmp_path, capsys, name, comma
 def empty_run(tmp_path):
     """CLI args and an empty run directory of the split-run config."""
     config = write_config(tmp_path, SPLIT_RUN)
-    run_dir = RunConfig.load(config, {"out": str(tmp_path / "runs")}).run_dir()
+    run_dir = RunConfig.load(config, str(tmp_path / "runs")).run_dir()
     return ["--config", config, "--out", str(tmp_path / "runs")], run_dir
 
 
@@ -680,7 +718,7 @@ def pipeline(tmp_path_factory):
     assert main(["gen", *args]) == 0
     assert main(["train", *args]) == 0
     assert main(["eval-forecast", *args]) == 0
-    cfg = RunConfig.load(str(config), overrides={"out": str(root / "runs")})
+    cfg = RunConfig.load(str(config), str(root / "runs"))
     return cfg, cfg.run_dir(), args
 
 
@@ -724,7 +762,7 @@ def test_eval_forecast_skips_the_oracle(pipeline, tmp_path):
     doc = dict(MINI, models=["cur", "fut", "manicast"])
     config = write_config(tmp_path, doc)
     args = ["--config", config, "--out", str(tmp_path / "runs")]
-    cfg = RunConfig.load(config, overrides={"out": str(tmp_path / "runs")})
+    cfg = RunConfig.load(config, str(tmp_path / "runs"))
     shutil.copytree(run_dir, cfg.run_dir(), dirs_exist_ok=True)  # same seed, same data
     assert main(["eval-forecast", *args]) == 0
     report = MetricReport.from_json(cfg.run_dir() / "forecast_report.json")
@@ -739,7 +777,7 @@ def test_eval_forecast_scores_every_model_in_one_pass_per_task(pipeline, tmp_pat
     # with no other model writes an empty report
     _, run_dir, _ = pipeline
     config = write_config(tmp_path, dict(MINI, models=models))
-    cfg = RunConfig.load(config, overrides={"out": str(tmp_path / "runs")})
+    cfg = RunConfig.load(config, str(tmp_path / "runs"))
     shutil.copytree(run_dir, cfg.run_dir(), dirs_exist_ok=True)  # same seed, same data
     passes = []
     evaluate = metrics.evaluate_forecaster
@@ -789,6 +827,8 @@ def test_simulate_checks_the_model_name_like_the_config(pipeline, tmp_path, caps
 
 
 def test_exit_2_on_simulate_with_zero_mppi_iterations(pipeline, tmp_path, capsys):
+    # the planner's settings are not run-config keys; simulate refuses one
+    # before playback
     _, run_dir, _ = pipeline
     path = write_config(tmp_path, dict(MINI, mppi={"n_iterations": 0}))
     code = main(["simulate", "--config", path, "--out", str(tmp_path / "runs"),
@@ -796,7 +836,7 @@ def test_exit_2_on_simulate_with_zero_mppi_iterations(pipeline, tmp_path, capsys
                  "--model", "cur", "--log-out", str(tmp_path / "sim.jsonl")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "config error" in err and "Traceback" not in err
+    assert "config error: unknown config key 'mppi.n_iterations'" in err and "Traceback" not in err
     assert not (tmp_path / "sim.jsonl").exists()
 
 

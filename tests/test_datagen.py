@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from costcast import datagen
 from costcast.datagen import (
@@ -11,12 +12,14 @@ from costcast.datagen import (
     GenConfig,
     HANDOVER_BOX,
     HOLD_DURATION_S,
+    INTERACTION_LEN_S,
     JITTER_SIGMA,
     N_TABLE_WAYPOINTS,
     POT_POSITION,
     REACH_DURATION_S,
     REST_WRIST,
     RIGHT_SHOULDER,
+    SCHEDULE_MARGIN_S,
     ScheduleError,
     TABLE_BOX,
     TABLE_Z,
@@ -29,7 +32,7 @@ from costcast.datagen import (
     split_dataset,
     tableset_tour,
 )
-from costcast.motion import ARM_BONES, MIN_FPS, MotionError, episode_to_dict
+from costcast.motion import ARM_BONES, DEFAULT_FPS, MIN_FPS, MotionError, episode_to_dict
 
 SMALL = dict(episode_len_s=16.0, n_interactions=2)
 
@@ -188,6 +191,40 @@ def test_infeasible_schedule_rejected():
     with pytest.raises(ScheduleError, match="margins"):
         # 4 x 3.2 s fit in 13 s, but not inside its 1 s margins
         GenConfig(seed=0, episode_len_s=13.0, n_interactions=4)
+    with pytest.raises(ScheduleError, match="4 interactions of 6 frames do not fit in 18 frames"):
+        # 3.2 s slots, but at 1.25 fps an interaction spans 6 frames, 4.8 s
+        GenConfig(seed=0, episode_len_s=14.8, n_interactions=4, fps=1.25)
+
+
+def test_an_interaction_that_would_share_a_frame_starts_on_the_next():
+    # at the defaults, seed 141 draws starts on frames 420 and 500, and the
+    # interaction from frame 420 ends on frame 500
+    assert gen_stirring(GenConfig(seed=141)).transitions[1:3] == ((420, 500), (501, 581))
+    # slots of exactly one interaction: each draw starts the second
+    # interaction on the last frame of the first
+    for seed in range(3):
+        ep = gen_handover(GenConfig(seed=seed, episode_len_s=8.4, n_interactions=2))
+        assert ep.transitions == ((25, 105), (106, 186))
+        assert ep.extras["hold_intervals"] == [[55, 74], [136, 155]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_interactions=st.integers(1, 12),
+       fps=st.one_of(st.sampled_from([MIN_FPS, 1.25, 2.5, 7.3, DEFAULT_FPS]),
+                     st.floats(MIN_FPS, 60.0)),
+       slack_s=st.one_of(st.just(0.0), st.floats(0.0, 0.1), st.floats(0.0, 30.0)))
+def test_every_accepted_config_generates_stir_and_handover(seed, n_interactions, fps, slack_s):
+    # episodes from as short as their interactions allow; rounding to frames
+    # must never make two interactions share a frame or run past the end
+    length = 2 * SCHEDULE_MARGIN_S + n_interactions * INTERACTION_LEN_S + slack_s
+    try:
+        config = GenConfig(seed=seed, episode_len_s=length, n_interactions=n_interactions,
+                           fps=fps)
+    except ScheduleError:
+        assume(False)
+    for gen in (gen_stirring, gen_handover):
+        ep = gen(config)   # Episode refuses overlapping or out-of-range transitions
+        assert len(ep.transitions) == n_interactions
 
 
 def test_fixed_geometry_and_timings_fit_every_config():
