@@ -1,5 +1,5 @@
-"""Command-line entry point wiring generation, training, simulation,
-evaluation and the loss-bound verifier into reproducible runs.
+"""Command-line entry point wiring generation, training, evaluation,
+reporting and the loss-bound verifier into reproducible runs.
 
 Every command is driven by a single JSON run config; outputs land in a run
 directory named by the config hash.
@@ -72,12 +72,6 @@ def _non_negative_int(value, name: str, at_most: int | None = None) -> int:
     return value
 
 
-def _check_model_name(name: str) -> None:
-    """A model name is a baseline's or a training preset's, letter for letter."""
-    if name not in forecast.BASELINES and name not in forecast.PRESETS:
-        raise ConfigError(f"unknown model {name!r}")
-
-
 @dataclasses.dataclass
 class RunConfig:
     seed: int = 0
@@ -114,8 +108,9 @@ class RunConfig:
         models = doc.get("models", list(cls.models))
         if not isinstance(models, list) or not all(isinstance(m, str) for m in models):
             raise ConfigError(f"models must be a list of model names, got {models!r}")
-        for name in models:
-            _check_model_name(name)
+        for name in models:   # a baseline's or a preset's name, letter for letter
+            if name not in forecast.BASELINES and name not in forecast.PRESETS:
+                raise ConfigError(f"unknown model {name!r}")
         try:
             gen = datagen.GenConfig(seed=seed, **doc.get("gen", {}))
             if counts["tableset"] > 0:
@@ -171,7 +166,7 @@ def _split_episodes(cfg: RunConfig, parts) -> dict:
 
     ``datagen.split_dataset`` splits the manifest entries of each task, so
     only the files of the requested parts ("train", "val", "test") are read.
-    Returns ``{part: {task: [episodes]}}`` with tasks in sorted order.
+    Returns ``{part: {task: {path: episode}}}`` with tasks in sorted order.
     """
     for task, count in sorted(cfg.counts.items()):
         if 0 < count < datagen.MIN_SPLIT_EPISODES:
@@ -192,7 +187,7 @@ def _split_episodes(cfg: RunConfig, parts) -> dict:
     for task in sorted(files):
         split = dict(zip(SPLIT_PARTS, datagen.split_dataset(files[task], cfg.seed)))
         for part in parts:
-            episodes[part][task] = [load_episode(f) for f in split[part]]
+            episodes[part][task] = {f: load_episode(f) for f in split[part]}
     return episodes
 
 
@@ -200,8 +195,8 @@ def cmd_train(cfg: RunConfig) -> int:
     """Train the configured preset and write a checkpoint plus loss history."""
     split = _split_episodes(cfg, ("train", "val"))
     run_dir = cfg.run_dir()
-    train_ws = WindowSet([ep for eps in split["train"].values() for ep in eps])
-    val_ws = WindowSet([ep for eps in split["val"].values() for ep in eps])
+    train_ws = WindowSet([ep for eps in split["train"].values() for ep in eps.values()])
+    val_ws = WindowSet([ep for eps in split["val"].values() for ep in eps.values()])
     tconf = forecast.preset_config(cfg.preset, cfg.train)
     model, history = forecast.train(train_ws, val_ws, tconf)
     ckpt = run_dir / f"checkpoint_{cfg.preset}.json"
@@ -227,7 +222,7 @@ def cmd_eval_forecast(cfg: RunConfig) -> int:
     """Forecasting metrics for the configured models on the test split."""
     test = _split_episodes(cfg, ("test",))["test"]
     run_dir = cfg.run_dir()
-    windows = {task: WindowSet(eps) for task, eps in sorted(test.items())}
+    windows = {task: WindowSet(eps.values()) for task, eps in test.items()}
     # every model but the oracle, which would score itself
     forecasters = {name: _forecaster_for(name, run_dir) for name in cfg.models if name != "fut"}
     report = metrics.MetricReport()
@@ -241,50 +236,36 @@ def cmd_eval_forecast(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, episode_path: str, model_name: str, out_path: str) -> int:
-    """Play back one episode against the planner with the named forecaster."""
-    _check_model_name(model_name)
-    if Path(out_path).is_dir():
-        raise MotionError(f"the sim log {out_path} is a directory")
-    if not Path(out_path).parent.is_dir():
-        raise MotionError(f"no directory for the sim log {out_path}")
-    episode = load_episode(episode_path)
-    arm = ArmModel()
-    spec = build_task_spec(episode, arm)
-    fc = _forecaster_for(model_name, cfg.run_dir())
-    log = run_episode(episode, fc, spec, cfg.weights, cfg.mppi, model=arm,
-                      model_name=model_name)
-    log.to_jsonl(out_path)
-    print(f"wrote {out_path}")
-    return 0
-
-
 def cmd_eval_plan(cfg: RunConfig) -> int:
-    """Planning metrics via playback of the test split for each model."""
+    """Play back every test episode with each model, keep each playback's
+    log at ``logs/<model>/<episode>.jsonl`` in the run directory, and score
+    the stir and handover logs into the plan report."""
     test = _split_episodes(cfg, ("test",))["test"]
     run_dir = cfg.run_dir()
+    # every model resolves, each checkpoint loaded once, before any playback
+    forecasters = {name: _forecaster_for(name, run_dir)
+                   for name in dict.fromkeys(["cur", *cfg.models])}
+    for name in forecasters:
+        (run_dir / "logs" / name).mkdir(parents=True, exist_ok=True)
     arm = ArmModel()
-    report_path = run_dir / "plan_report.json"
+    specs = {path: build_task_spec(ep, arm) for eps in test.values() for path, ep in eps.items()}
     report = metrics.MetricReport()
-    for task in ("stir", "handover"):
-        eps = test.get(task, [])
-        if not eps:
-            continue
-        spec_cache = [build_task_spec(ep, arm) for ep in eps]
-        logs = {}
-        names = list(dict.fromkeys(["cur", *cfg.models]))
-        for name in names:
-            fc = _forecaster_for(name, run_dir)
-            logs[name] = [run_episode(ep, fc, spec, cfg.weights, cfg.mppi, model=arm,
-                                      model_name=name)
-                          for ep, spec in zip(eps, spec_cache)]
-        for name in names:
+    for task, eps in test.items():
+        logs = {name: [] for name in forecasters}
+        for path, ep in eps.items():
+            for name, fc in forecasters.items():
+                log = run_episode(ep, fc, specs[path], cfg.weights, cfg.mppi, model=arm,
+                                  model_name=name)
+                log.to_jsonl(run_dir / "logs" / name / f"{path.stem}.jsonl")
+                logs[name].append(log)
+        for name in forecasters:
             if task == "stir":
                 report.planning[f"{name}/stir"] = metrics.stop_restart_times(
                     logs[name], logs["cur"])
-            else:
+            elif task == "handover":
                 report.planning[f"{name}/handover"] = metrics.handover_metrics(
-                    logs[name], logs["cur"], eps)
+                    logs[name], logs["cur"], list(eps.values()))
+    report_path = run_dir / "plan_report.json"
     report.to_json(report_path)
     print(f"wrote {report_path}")
     return 0
@@ -312,8 +293,9 @@ def cmd_lemma(n_instances: int, seed: int) -> int:
     return 0
 
 
-def cmd_report(cfg: RunConfig, log_paths) -> int:
-    """Merge available reports and dump per-timestep CSVs from sim logs."""
+def cmd_report(cfg: RunConfig) -> int:
+    """Merge available reports, and convert each sim log under the run's
+    ``logs/`` to a per-timestep CSV beside it."""
     run_dir = cfg.run_dir()
     merged = metrics.MetricReport()
     for name, attr in (("forecast_report.json", "forecasting"),
@@ -323,9 +305,9 @@ def cmd_report(cfg: RunConfig, log_paths) -> int:
             part = metrics.MetricReport.from_json(path)
             getattr(merged, attr).update(getattr(part, attr))
     merged.to_json(run_dir / "report.json")
-    for lp in log_paths:
+    for lp in sorted((run_dir / "logs").glob("*/*.jsonl")):
         log = SimLog.from_jsonl(lp)
-        out = Path(lp).with_suffix(".csv")
+        out = lp.with_suffix(".csv")
         with open(out, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["frame", "wrist_error_mm", "branch_active", "min_sep_m"])
@@ -354,18 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("gen", help="generate the episode dataset"))
     common(sub.add_parser("train", help="train a forecaster preset"))
     common(sub.add_parser("eval-forecast", help="forecasting metrics on the test split"))
-    sp = sub.add_parser("simulate", help="play back one episode against the planner")
-    common(sp)
-    sp.add_argument("--episode", required=True)
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--log-out", required=True)
-    common(sub.add_parser("eval-plan", help="planning metrics via playback"))
+    common(sub.add_parser("eval-plan", help="planning metrics via playback, keeping the "
+                                            "sim logs"))
     sp = sub.add_parser("lemma-check", help="verify the loss bounds")
     sp.add_argument("--n-instances", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp = sub.add_parser("report", help="merge reports and dump per-timestep CSVs")
-    common(sp)
-    sp.add_argument("logs", nargs="*", help="sim-log JSONL files to convert to CSV")
+    common(sub.add_parser("report", help="merge reports and convert the sim logs to "
+                                         "per-timestep CSVs"))
     return p
 
 
@@ -382,17 +359,15 @@ def main(argv=None) -> int:
             return cmd_train(cfg)
         if args.command == "eval-forecast":
             return cmd_eval_forecast(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.episode, args.model, args.log_out)
         if args.command == "eval-plan":
             return cmd_eval_plan(cfg)
         if args.command == "report":
-            return cmd_report(cfg, args.logs)
+            return cmd_report(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except MotionError as exc:
+    except (MotionError, OSError) as exc:   # bad run files, or one that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -410,15 +410,9 @@ def run_pipeline(root):
     config = root / "config.json"
     config.write_text(json.dumps(PIPELINE_CONFIG))
     args = ["--config", str(config), "--out", str(root / "runs")]
-    for cmd in ("gen", "train", "eval-forecast"):
+    for cmd in ("gen", "train", "eval-forecast", "eval-plan", "report"):
         assert cli_main([cmd, *args]) == 0
-    run_dir = next((root / "runs").iterdir())
-    log = root / "sim.jsonl"
-    assert cli_main(["simulate", *args, "--episode",
-                     str(run_dir / "data" / "stir_000.json"),
-                     "--model", "cur", "--log-out", str(log)]) == 0
-    assert cli_main(["report", *args, str(log)]) == 0
-    return run_dir
+    return next((root / "runs").iterdir())
 
 
 def test_identical_configs_produce_byte_identical_outputs(tmp_path):
@@ -428,8 +422,10 @@ def test_identical_configs_produce_byte_identical_outputs(tmp_path):
     files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
     files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
     assert files_a == files_b and len(files_a) > 20
+    # the reports, and a log and its CSV per model and test episode
+    names = {rel.as_posix() for rel in files_a}
+    assert {"forecast_report.json", "plan_report.json", "report.json"} <= names
+    assert sorted(rel.suffix for rel in files_a if rel.parts[0] == "logs") == \
+        [".csv"] * 4 + [".jsonl"] * 4
     for rel in files_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
-    for extra in ("sim.jsonl", "sim.csv"):
-        assert (tmp_path / "a" / extra).read_bytes() == \
-            (tmp_path / "b" / extra).read_bytes()

@@ -18,10 +18,12 @@ from costcast import cli, metrics
 from costcast.cli import ConfigError, DEFAULT_COUNTS, RunConfig, main
 from costcast.cost import CostWeights
 from costcast.datagen import GenConfig, gen_stirring, split_dataset
-from costcast.forecast import ForecastModel, TrainConfig, load_checkpoint, save_checkpoint
+from costcast.forecast import (BASELINES, PRESETS, ForecastModel, TrainConfig, load_checkpoint,
+                               make_forecaster, save_checkpoint)
 from costcast.metrics import MetricReport
-from costcast.motion import MotionError, load_episode, save_episode
-from costcast.planner import MppiConfig, SimLog
+from costcast.motion import HISTORY_LEN, HORIZON_LEN, MotionError, load_episode, save_episode
+from costcast.planner import MppiConfig, SimLog, build_task_spec, run_episode
+from costcast.robot import ArmModel
 
 MINI = {
     "seed": 3,
@@ -112,8 +114,10 @@ def test_counts_are_bounded_so_episode_seeds_stay_distinct(tmp_path, capsys):
 
 
 def test_config_rejects_bad_values(tmp_path, capsys):
-    with pytest.raises(ConfigError):
-        RunConfig.load(write_config(tmp_path, dict(MINI, models=["cur", "alien"])))
+    # a model is a baseline's or a preset's name, letter for letter
+    for models in (["cur", "alien"], ["foo"], ["worst"], ["CUR"]):
+        with pytest.raises(ConfigError, match=f"unknown model {models[-1]!r}"):
+            RunConfig.load(write_config(tmp_path, dict(MINI, models=models)))
     with pytest.raises(ConfigError):
         RunConfig.load(write_config(tmp_path, dict(MINI, preset="alien")))
     with pytest.raises(ConfigError):
@@ -278,41 +282,58 @@ ODD_VALUES = st.one_of(
     st.sampled_from([1e-300, 1e300, float("nan"), float("inf"), float("-inf"), -0.0, 2**63,
                      10**400, -10**400]),
     st.text(max_size=3), st.lists(st.integers(-1, 2), max_size=4), st.just({}))
-TINY_COUNTS = st.sampled_from([0, 1, 0, 1, 0, 1, -1, 1.5, "1", True, None, 1e300])
-# a few keys a run config may not set: removed fields and a misspelling
+ODD_COUNTS = st.sampled_from([-1, 1.5, "1", True, None, 1e300])
+# the top-level values a run config may set, each of the right kind
+TOP_LEVEL = {"seed": st.integers(0, cli.MAX_SEED), "out_root": st.text(max_size=3),
+             "preset": st.sampled_from(sorted(PRESETS)),
+             "models": st.lists(st.sampled_from(sorted({*BASELINES, *PRESETS})), max_size=3)}
+# a few keys a run config may not set: removed fields and misspellings
 REMOVED_KEYS = [("gen", "seed"), ("train", "batch_size"), ("mppi", "n_samples"),
-                ("weights", "beta"), ("wieghts", "alpha_c")]
+                ("weights", "beta"), ("wieghts", "alpha_c"), ("trian", "epochs")]
 
 
-def near_default(default):
-    """Values of a config field's own type around its default, and far from it."""
+def near_default(default, inside=True):
+    """Values of a config field's own type around its default, inside its
+    range or outside it."""
     if isinstance(default, int):
-        return st.sampled_from([-1, 0, 1, 2, default, 2 * default])
-    return st.sampled_from([0.0, 1e-9, default, 0.5 * default, 2.0 * default, 10.0 * default,
-                            -default, 1e300, -0.5, 100.0 * default])
+        return st.sampled_from([1, 2, default, 2 * default] if inside else [-1, 0])
+    return st.sampled_from([default, 0.25 * default, 0.5 * default, 2.0 * default] if inside
+                           else [0.0, 1e-9, -default, -0.5, 1e300, 100.0 * default])
 
 
 @st.composite
 def run_documents(draw):
-    """A run config of random values for its keys, mostly of the right type,
-    asking for at most one episode per task; now and then it also sets a key
-    that a run config may not set."""
-    doc = {"counts": draw(st.fixed_dictionaries(
-        {task: TINY_COUNTS for task in DEFAULT_COUNTS}))}
-    for name in ("gen", "train"):
-        defaults = {key: getattr(SECTIONS[name](), key) for key in cli.CONFIG_KEYS[name]}
-        keys = st.sampled_from(sorted(defaults))
-        section = draw(st.lists(keys, unique=True, max_size=3).flatmap(
-            lambda ks: st.fixed_dictionaries({k: st.one_of(near_default(defaults[k]),
-                                                           near_default(defaults[k]), ODD_VALUES)
-                                              for k in ks})))
-        doc[name] = draw(st.sampled_from([section, section, section, {"bogus": 1}, [section]]))
-    doc.update(draw(st.dictionaries(st.sampled_from(["seed", "preset", "models", "out_root"]),
-                                    ODD_VALUES, max_size=2)))
-    removed = draw(st.sampled_from([None] * 15 + REMOVED_KEYS))
-    if removed is not None and isinstance(doc.get(removed[0], {}), dict):
-        section, key = removed
+    """A run config of random values for its keys, asking for at most one
+    episode per task. Its values are of the right kind, and the gen and train
+    values lie around their defaults, where their combination may still not
+    fit; about one document in two also breaks one thing: a count, a
+    section, one key's value, or a key that a run config may not set."""
+    doc = {"counts": {task: draw(st.sampled_from([0, 1])) for task in DEFAULT_COUNTS}}
+    defaults = {f"{name}.{key}": getattr(SECTIONS[name](), key)
+                for name in ("gen", "train") for key in cli.CONFIG_KEYS[name]}
+
+    def put(key, value):
+        name, _, field = key.rpartition(".")
+        (doc.setdefault(name, {}) if name else doc)[field] = value
+
+    for key in draw(st.lists(st.sampled_from(sorted(defaults)), unique=True, max_size=3)):
+        put(key, draw(near_default(defaults[key])))
+    for key in draw(st.lists(st.sampled_from(sorted(TOP_LEVEL)), unique=True, max_size=2)):
+        put(key, draw(TOP_LEVEL[key]))
+    fault = draw(st.sampled_from([None] * 3 + ["count", "section", "key", *sorted(TOP_LEVEL),
+                                               *sorted(defaults)]))
+    if fault == "count":
+        put(f"counts.{draw(st.sampled_from(sorted(DEFAULT_COUNTS)))}", draw(ODD_COUNTS))
+    elif fault == "section":   # not an object, or an object of an unknown key
+        put(draw(st.sampled_from(["counts", "gen", "train"])),
+            draw(st.sampled_from([[], "gen", {"bogus": 1}])))
+    elif fault == "key":
+        section, key = draw(st.sampled_from(REMOVED_KEYS))
         doc[section] = {**doc.get(section, {}), key: 1}
+    elif fault in defaults:   # a value outside the key's range, or of an odd kind
+        put(fault, draw(st.one_of(near_default(defaults[fault], inside=False), ODD_VALUES)))
+    elif fault is not None:
+        put(fault, draw(ODD_VALUES))
     return doc
 
 
@@ -402,12 +423,14 @@ def split_run(tmp_path_factory):
     return root
 
 
-def copy_run(split_run, tmp_path):
-    """A private copy of the split run: its config path, CLI args and run dir."""
-    shutil.copytree(split_run / "runs", tmp_path / "runs")
-    config = write_config(tmp_path, SPLIT_RUN)
-    cfg = RunConfig.load(config, str(tmp_path / "runs"))
-    return ["--config", config, "--out", str(tmp_path / "runs")], cfg.run_dir()
+def copy_run(split_run, tmp_path, **changes):
+    """A private copy of the split run, under its config with ``changes`` to
+    keys that leave the data as it is: the CLI args and the run dir."""
+    config = write_config(tmp_path, dict(SPLIT_RUN, **changes))
+    run_dir = RunConfig.load(config, str(tmp_path / "runs")).run_dir()
+    [source] = (split_run / "runs").iterdir()
+    shutil.copytree(source, run_dir, dirs_exist_ok=True)
+    return ["--config", config, "--out", str(tmp_path / "runs")], run_dir
 
 
 def split_files(run_dir, seed):
@@ -481,20 +504,20 @@ def test_bad_episode_file_exits_3_naming_it(split_run, tmp_path, capsys, damage,
     ("stir", lambda extras: extras.update(pot_position="abc")),
     ("handover", lambda extras: extras.update(object_in_hand=extras["object_in_hand"][:-1])),
 ], ids=["no-pot", "short-pot", "string-pot", "short-flags"])
-def test_simulate_on_bad_task_metadata_exits_3_naming_the_field(split_run, tmp_path, capsys,
-                                                                 task, damage):
+def test_eval_plan_on_bad_task_metadata_exits_3_naming_the_field(split_run, tmp_path, capsys,
+                                                                  task, damage):
+    # every test episode is checked where it loads, before the first playback
     args, run_dir = copy_run(split_run, tmp_path)
-    path = run_dir / "data" / f"{task}_000.json"
+    [name] = [f for f in split_files(run_dir, SPLIT_RUN["seed"])["test"] if task in f]
+    path = run_dir / name
     doc = json.loads(path.read_text())
     damage(doc["extras"])
     path.write_text(json.dumps(doc))
-    log_path = tmp_path / "sim.jsonl"
-    assert main(["simulate", *args, "--episode", str(path), "--model", "cur",
-                 "--log-out", str(log_path)]) == 3
+    assert main(["eval-plan", *args]) == 3
     err = capsys.readouterr().err
     field = "pot_position" if task == "stir" else "object_in_hand"
-    assert f"episode extras {field}" in err and "Traceback" not in err
-    assert not log_path.exists()
+    assert str(path) in err and f"episode extras {field}" in err and "Traceback" not in err
+    assert not (run_dir / "logs").exists()
 
 
 def _hold_past_the_end(doc):
@@ -526,6 +549,7 @@ def test_eval_plan_on_bad_handover_metadata_exits_3_naming_the_field(
     assert str(path) in err and "episode extras" in err and field in err
     assert "Traceback" not in err
     assert not (run_dir / "plan_report.json").exists()
+    assert not (run_dir / "logs").exists()
 
 
 def _flags(cast):
@@ -585,27 +609,42 @@ def test_bad_task_data_exits_3_naming_the_file_and_field(split_run, tmp_path, ca
 
 @pytest.mark.parametrize("name, command, drop, message", [
     ("manifest.json", "eval-forecast", None, "manifest file"),
-    ("checkpoint_manicast.json", "simulate", None, "checkpoint file"),
-    ("checkpoint_manicast.json", "simulate", "S", "has no 'S' field"),
-    ("checkpoint_manicast.json", "simulate", "M", "has no 'M' field"),
+    ("checkpoint_manicast.json", "eval-plan", None, "checkpoint file"),
+    ("checkpoint_manicast.json", "eval-plan", "S", "has no 'S' field"),
+    ("checkpoint_manicast.json", "eval-plan", "M", "has no 'M' field"),
 ])
 def test_bad_run_file_exits_3_naming_it(split_run, tmp_path, capsys, name, command, drop,
                                         message):
     # a truncated file of the run directory, or a checkpoint without a
-    # matrix, is a runtime error, not a config error
-    args, run_dir = copy_run(split_run, tmp_path)
+    # matrix, is a runtime error, not a config error; it stops eval-plan
+    # before the first playback
+    args, run_dir = copy_run(split_run, tmp_path, models=["cur", "manicast"])
     save_checkpoint(ForecastModel.init(), run_dir / "checkpoint_manicast.json")
     bad = run_dir / name
     if drop is None:
         _truncate(bad)
     else:
         _drop_field(bad, drop)
-    if command == "simulate":
-        args += ["--episode", str(run_dir / "data/handover_000.json"), "--model", "manicast",
-                 "--log-out", str(tmp_path / "sim.jsonl")]
     assert main([command, *args]) == 3
     err = capsys.readouterr().err
     assert str(bad) in err and message in err and "Traceback" not in err
+    assert not (run_dir / "logs").exists()
+
+
+@pytest.mark.parametrize("where", ["logs", "logs/cur/{stem}.jsonl"])
+def test_eval_plan_exits_3_naming_a_log_it_cannot_write(split_run, tmp_path, capsys, where):
+    # a regular file where the logs go, or a directory where a log goes
+    args, run_dir = copy_run(split_run, tmp_path)
+    [name] = [f for f in split_files(run_dir, SPLIT_RUN["seed"])["test"] if "stir" in f]
+    taken = run_dir / where.format(stem=Path(name).stem)
+    if taken.suffix:
+        taken.mkdir(parents=True)
+    else:
+        taken.write_text("")
+    assert main(["eval-plan", *args]) == 3
+    err = capsys.readouterr().err
+    assert f"error: [Errno" in err and str(taken) in err and "Traceback" not in err
+    assert not (run_dir / "plan_report.json").exists()
 
 
 def empty_run(tmp_path):
@@ -667,15 +706,16 @@ def test_report_on_a_report_holding_nan_exits_3_naming_it(tmp_path, capsys):
     {"step": 1, "min_sep": 0.1, "forecast_final_wrist": None, "gt_final_wrist": [1, 2, 3]},
 ])
 def test_report_on_a_malformed_sim_log_record_exits_3_naming_it(tmp_path, capsys, record):
-    args, _ = empty_run(tmp_path)
-    log = tmp_path / "sim.jsonl"
+    args, run_dir = empty_run(tmp_path)
+    log = run_dir / "logs" / "cur" / "stir_000.jsonl"
+    log.parent.mkdir(parents=True)
     log.write_text("".join(json.dumps(line) + "\n" for line in (
         {"meta": {"task": "stir", "model": "cur", "dt": 0.04}},
         {"step": 0, "min_sep": 0.1}, record)))
-    assert main(["report", *args, str(log)]) == 3
+    assert main(["report", *args]) == 3
     err = capsys.readouterr().err
     assert f"sim log {log}: line 3" in err and "Traceback" not in err
-    assert not (tmp_path / "sim.csv").exists()
+    assert not log.with_suffix(".csv").exists()
 
 
 @settings(max_examples=40, deadline=None)
@@ -702,7 +742,8 @@ def test_splitting_the_manifest_selects_the_episodes_of_splitting_the_dataset(
         by_task.setdefault(entry["task"], []).append(fake_load(entry["file"]))
     for task in sorted(by_task):
         want = split_dataset(by_task[task], seed)
-        assert [got[part][task] for part in ("train", "val", "test")] == list(want)
+        assert [list(got[part][task].values()) for part in ("train", "val", "test")] \
+            == list(want)
     assert list(got["train"]) == sorted(by_task)
 
 
@@ -791,80 +832,113 @@ def test_eval_forecast_scores_every_model_in_one_pass_per_task(pipeline, tmp_pat
     assert report.forecasting == want
 
 
-def test_simulate_and_report_csv(pipeline, tmp_path):
-    _, run_dir, args = pipeline
-    log_path = tmp_path / "sim.jsonl"
-    assert main(["simulate", *args, "--episode", str(run_dir / "data" / "stir_000.json"),
-                 "--model", "cur", "--log-out", str(log_path)]) == 0
-    log = SimLog.from_jsonl(log_path)
-    assert log.task == "stir" and log.model_name == "cur"
-    assert {"step", "q", "ee_pos", "cost", "min_sep", "branch_active",
-            "gt_near_pot"} <= set(log.records[0])
-    assert main(["report", *args, str(log_path)]) == 0
-    csv_lines = (tmp_path / "sim.csv").read_text().splitlines()
-    assert csv_lines[0] == "frame,wrist_error_mm,branch_active,min_sep_m"
-    assert len(csv_lines) == 1 + len(log.records)
+# every task, and the oracle among the models: its handover forecasts are
+# the true future
+PLAYED = dict(MINI, counts={"stir": 10, "handover": 10, "tableset": 10},
+              models=["cur", "fut", "manicast"])
+
+
+@pytest.fixture(scope="module")
+def played(tmp_path_factory):
+    """The whole pipeline on a run of every task; returns the config, the
+    run dir and the checkpoint files eval-plan loaded."""
+    root = tmp_path_factory.mktemp("played")
+    config = write_config(root, PLAYED)
+    args = ["--config", config, "--out", str(root / "runs")]
+    loaded = []
+    load = cli.forecast.load_checkpoint
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in ("gen", "train", "eval-forecast"):
+            assert main([command, *args]) == 0
+        with mock.patch.object(cli.forecast, "load_checkpoint",
+                               lambda path: loaded.append(path.name) or load(path)):
+            assert main(["eval-plan", *args]) == 0
+        assert main(["report", *args]) == 0
+    cfg = RunConfig.load(config, str(root / "runs"))
+    return cfg, cfg.run_dir(), loaded
+
+
+def test_eval_plan_keeps_each_playback_log_and_report_converts_it(played, tmp_path):
+    cfg, run_dir, loaded = played
+    assert loaded == ["checkpoint_manicast.json"]   # once, for every task
+    # one log per model and test episode of every task
+    test = split_files(run_dir, PLAYED["seed"])["test"]
+    assert sorted(Path(name).stem.split("_")[0] for name in test) == [
+        "handover", "stir", "tableset"]
+    logs = sorted((run_dir / "logs").rglob("*.jsonl"))
+    assert [p.relative_to(run_dir / "logs").as_posix() for p in logs] == sorted(
+        f"{model}/{Path(name).stem}.jsonl" for model in cfg.models for name in test)
+    for path in logs:
+        log = SimLog.from_jsonl(path)
+        assert (log.task, log.model_name) == (path.stem.split("_")[0], path.parent.name)
+        # a record per playback tick
+        n_frames = len(load_episode(run_dir / "data" / f"{path.stem}.json"))
+        assert [r["step"] for r in log.records] == list(range(HISTORY_LEN - 1,
+                                                              n_frames - HORIZON_LEN))
+        if log.task == "stir":
+            assert {"step", "q", "ee_pos", "cost", "min_sep", "branch_active",
+                    "gt_near_pot"} <= set(log.records[0])
+        csv_lines = path.with_suffix(".csv").read_text().splitlines()
+        assert csv_lines[0] == "frame,wrist_error_mm,branch_active,min_sep_m"
+        assert len(csv_lines) == 1 + len(log.records)
+    # a log is the library playback of its episode, byte for byte
+    [path] = (run_dir / "logs" / "cur").glob("tableset_*.jsonl")
+    episode, arm = load_episode(run_dir / "data" / f"{path.stem}.json"), ArmModel()
+    run_episode(episode, make_forecaster("cur"), build_task_spec(episode, arm), cfg.weights,
+                cfg.mppi, model=arm, model_name="cur").to_jsonl(tmp_path / "cur.jsonl")
+    assert (tmp_path / "cur.jsonl").read_bytes() == path.read_bytes()
+    # the plan report scores stir and handover; tableset is played, not scored
     merged = MetricReport.from_json(run_dir / "report.json")
-    assert "cur/stir" in merged.forecasting
+    assert "cur/tableset" in merged.forecasting
+    assert set(merged.planning) == {f"{model}/{task}" for model in cfg.models
+                                    for task in ("stir", "handover")}
 
 
-@pytest.mark.parametrize("model, code, message", [
-    ("foo", 2, "config error: unknown model 'foo'"),
-    ("worst", 2, "config error: unknown model 'worst'"),
-    ("manicast-w", 3, "error: no checkpoint for model 'manicast-w'"),
-])
-def test_simulate_checks_the_model_name_like_the_config(pipeline, tmp_path, capsys,
-                                                        model, code, message):
-    # an unknown name is a config error, as in the config's models; a known
-    # preset that was never trained is a runtime error
-    _, run_dir, _ = pipeline
-    assert main(["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "runs"),
-                 "--episode", str(run_dir / "data" / "stir_000.json"),
-                 "--model", model, "--log-out", str(tmp_path / "sim.jsonl")]) == code
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
-    assert not (tmp_path / "sim.jsonl").exists()
+def test_plan_report_is_recomputed_from_the_logs_in_the_run_dir(played, tmp_path):
+    # every number of plan_report.json traces back to the logged ticks: the
+    # logs and the run's episode files alone give the same bytes
+    cfg, run_dir, _ = played
+    test = split_files(run_dir, PLAYED["seed"])["test"]
+    files = {task: [name for name in test if Path(name).stem.startswith(f"{task}_")]
+             for task in ("stir", "handover")}
+
+    def logs(model, task):
+        return [SimLog.from_jsonl(run_dir / "logs" / model / f"{Path(name).stem}.jsonl")
+                for name in files[task]]
+
+    handovers = [load_episode(run_dir / name) for name in files["handover"]]
+    report = MetricReport()
+    for model in cfg.models:
+        report.planning[f"{model}/stir"] = metrics.stop_restart_times(
+            logs(model, "stir"), logs("cur", "stir"))
+        report.planning[f"{model}/handover"] = metrics.handover_metrics(
+            logs(model, "handover"), logs("cur", "handover"), handovers)
+    report.to_json(tmp_path / "plan_report.json")
+    assert (tmp_path / "plan_report.json").read_bytes() == \
+        (run_dir / "plan_report.json").read_bytes()
 
 
-def test_exit_2_on_simulate_with_zero_mppi_iterations(pipeline, tmp_path, capsys):
-    # the planner's settings are not run-config keys; simulate refuses one
-    # before playback
-    _, run_dir, _ = pipeline
-    path = write_config(tmp_path, dict(MINI, mppi={"n_iterations": 0}))
-    code = main(["simulate", "--config", path, "--out", str(tmp_path / "runs"),
-                 "--episode", str(run_dir / "data" / "stir_000.json"),
-                 "--model", "cur", "--log-out", str(tmp_path / "sim.jsonl")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "config error: unknown config key 'mppi.n_iterations'" in err and "Traceback" not in err
-    assert not (tmp_path / "sim.jsonl").exists()
-
-
-@pytest.mark.parametrize("where", [("missing", "sim.jsonl"), ()])
-def test_simulate_to_a_log_path_it_cannot_write_exits_3_before_playback(pipeline, tmp_path,
-                                                                        capsys, where):
-    # a log in a directory that does not exist, or a log path that is a directory
-    _, run_dir, args = pipeline
-    log_path = tmp_path.joinpath(*where)
+def test_eval_plan_resolves_every_model_before_playback(pipeline, tmp_path, capsys):
+    # a preset that was never trained exits 3 before the first playback,
+    # though cur, which comes first, needs no checkpoint
+    _, source, _ = pipeline
+    config = write_config(tmp_path, dict(MINI, models=["cur", "manicast-w"]))
+    run_dir = RunConfig.load(config, str(tmp_path / "runs")).run_dir()
+    shutil.copytree(source, run_dir, dirs_exist_ok=True)   # same seed, same data
     with mock.patch.object(cli, "run_episode", side_effect=AssertionError("played")):
-        code = main(["simulate", *args, "--episode", str(run_dir / "data" / "stir_000.json"),
-                     "--model", "cur", "--log-out", str(log_path)])
+        code = main(["eval-plan", "--config", config, "--out", str(tmp_path / "runs")])
     err = capsys.readouterr().err
     assert code == 3
-    assert str(log_path) in err and "Traceback" not in err
-    assert log_path.is_dir() or not log_path.parent.exists()
+    assert "error: no checkpoint for model 'manicast-w'" in err and "Traceback" not in err
+    assert not (run_dir / "logs").exists()
 
 
-def test_wrist_error_of_the_oracle_forecast_is_zero(pipeline, tmp_path):
+def test_wrist_error_of_the_oracle_forecast_is_zero(played):
     # wrist_error_mm compares the forecast final wrist with the true wrist
     # at the same frame, so the true-future forecaster scores zero
-    _, run_dir, args = pipeline
-    log_path = tmp_path / "handover.jsonl"
-    assert main(["simulate", *args, "--episode",
-                 str(run_dir / "data" / "handover_000.json"),
-                 "--model", "fut", "--log-out", str(log_path)]) == 0
-    assert main(["report", *args, str(log_path)]) == 0
-    with open(tmp_path / "handover.csv", newline="") as f:
+    _, run_dir, _ = played
+    [path] = (run_dir / "logs" / "fut").glob("handover_*.csv")
+    with open(path, newline="") as f:
         errors = [row["wrist_error_mm"] for row in csv.DictReader(f)]
     assert errors and all(e != "" for e in errors)
     assert max(float(e) for e in errors) <= 1e-6

@@ -41,7 +41,7 @@ def test_readme_cli_commands_parse():
     lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
              if line.startswith("costcast ")]
     assert {shlex.split(line)[1] for line in lines} == {
-        "gen", "train", "eval-forecast", "simulate", "eval-plan", "lemma-check", "report"}
+        "gen", "train", "eval-forecast", "eval-plan", "lemma-check", "report"}
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])   # exits 2 on a flag the CLI does not take
 
