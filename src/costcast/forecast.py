@@ -373,9 +373,6 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: TrainConfig)
 
 def save_checkpoint(model: ForecastModel, path, preset: str = "", seed: int = 0) -> None:
     doc = {
-        "k": HISTORY_LEN,
-        "T": HORIZON_LEN,
-        "J": N_JOINTS,
         "preset": preset,
         "seed": seed,
         # flattened copies: orjson writes them as the same bytes as their lists

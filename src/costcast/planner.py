@@ -33,7 +33,6 @@ from .robot import (
     collision_sphere_centers,
     fk_batch,
     linear_jacobian,
-    quat_from_matrix,
     rollout_arrays,
     separation_batch,
     step,
@@ -327,15 +326,12 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
 
         rec = {
             "step": t,
-            "time_s": t * cfg.dt,
             "q": arm.q.tolist(),
             "qd": arm.qd.tolist(),
             "cmd": np.asarray(cmd, dtype=float).tolist(),
             "ee_pos": p[7].tolist(),
-            "ee_quat": quat_from_matrix(R[7]).tolist(),
             "cost": best_cost,
             "min_sep": float(sep),
-            "gt_wrist": episode.frames[t, wrist].tolist(),
         }
         if episode.task == "stir":
             rec["branch_active"] = bool(

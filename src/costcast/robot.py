@@ -165,27 +165,6 @@ def fk_batch(model: ArmModel, Q: np.ndarray):
     return R, p
 
 
-def quat_from_matrix(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (x, y, z, w) of a 3x3 rotation matrix (Shepperd's method).
-
-    The component of largest magnitude is computed from the diagonal and
-    kept positive; the other three follow from off-diagonal sums and
-    differences.
-    """
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    i = int(np.argmax([R[0, 0], R[1, 1], R[2, 2], tr]))
-    if i == 3:
-        q = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1], 1.0 + tr])
-    else:
-        j, k = (i + 1) % 3, (i + 2) % 3
-        q = np.empty(4)
-        q[i] = 1.0 - tr + 2.0 * R[i, i]
-        q[j] = R[j, i] + R[i, j]
-        q[k] = R[k, i] + R[i, k]
-        q[3] = R[k, j] - R[j, k]
-    return q / np.linalg.norm(q)
-
-
 def linear_jacobian(frames) -> np.ndarray:
     """Linear Jacobian columns cross(z_i, p_ee - p_i) from ``fk_batch`` frames.
 

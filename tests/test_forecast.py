@@ -518,10 +518,15 @@ def test_checkpoint_round_trip(tmp_path, rng):
                           w=default_weights(5.0))
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path, preset="manicast-w", seed=3)
-    back = load_checkpoint(path)
-    np.testing.assert_array_equal(back.S, model.S)
-    np.testing.assert_array_equal(back.M, model.M)
-    np.testing.assert_array_equal(back.w, model.w)
+    # earlier versions also wrote k, T and J, which repeat the shapes
+    earlier = tmp_path / "earlier.json"
+    earlier.write_text(json.dumps({
+        "k": HISTORY_LEN, "T": HORIZON_LEN, "J": N_JOINTS, **json.loads(path.read_text())}))
+    for written in (path, earlier):
+        back = load_checkpoint(written)
+        np.testing.assert_array_equal(back.S, model.S)
+        np.testing.assert_array_equal(back.M, model.M)
+        np.testing.assert_array_equal(back.w, model.w)
 
 
 def test_checkpoint_file_keeps_the_stdlib_json_layout(tmp_path, rng):
@@ -534,7 +539,7 @@ def test_checkpoint_file_keeps_the_stdlib_json_layout(tmp_path, rng):
     save_checkpoint(model, path, preset="manicast-w", seed=3)
     assert isinstance(model.w[0], np.float64)
     assert json.loads(path.read_text()) == {
-        "k": HISTORY_LEN, "T": HORIZON_LEN, "J": N_JOINTS, "preset": "manicast-w", "seed": 3,
+        "preset": "manicast-w", "seed": 3,
         "S": {"shape": [N_JOINTS, N_JOINTS], "data": model.S.flatten().tolist()},
         "M": {"shape": [HISTORY_LEN, HORIZON_LEN], "data": model.M.flatten().tolist()},
         "w": [float(x) for x in model.w]}

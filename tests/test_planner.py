@@ -4,17 +4,20 @@ specs, and the receding-horizon loop."""
 import ctypes
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BASE_POSE, fk_oracle, task_episode
-from costcast import _keep_freed_heap, planner
+from costcast import _keep_freed_heap, cli, planner
+from costcast.cli import RunConfig
 from costcast.cost import CostWeights
 from costcast.datagen import GenConfig, gen_stirring
 from costcast.forecast import make_forecaster
-from costcast.motion import Episode, HISTORY_LEN, HORIZON_LEN, MAX_COORDINATE, MotionError
+from costcast.motion import (Episode, HISTORY_LEN, HORIZON_LEN, MAX_COORDINATE, MotionError,
+                             WRIST_INDICES)
 from costcast.planner import (
     DEFAULT_RETRACT_POINT,
     IK_TOLERANCE,
@@ -374,7 +377,9 @@ def test_sim_logs_round_trip_and_stdlib_json_logs_still_load(tmp_path, task, rng
     episode = task_episode(frames, task)
     log = run_episode(episode, make_forecaster("cvm"), build_task_spec(episode, MODEL),
                       CostWeights(), MppiConfig(n_samples=8), model=MODEL, model_name="cvm")
-    path = tmp_path / "sim.jsonl"
+    run_dir = RunConfig.load(None, str(tmp_path / "runs")).run_dir()
+    path = run_dir / "logs" / "cvm" / "now.jsonl"
+    path.parent.mkdir(parents=True)
     log.to_jsonl(path)
     stdlib = tmp_path / "stdlib.jsonl"
     stdlib.write_text("".join(json.dumps(doc) + "\n" for doc in [
@@ -383,6 +388,29 @@ def test_sim_logs_round_trip_and_stdlib_json_logs_still_load(tmp_path, task, rng
         back = SimLog.from_jsonl(written)
         assert (back.task, back.model_name, back.dt) == (task, "cvm", 0.04)
         assert back.records == log.records
+
+    # records of earlier versions also carry time_s, ee_quat and gt_wrist,
+    # which repeat the step, the FK of q and the episode; they load, and
+    # report turns them into the same CSV
+    def earlier(rec):
+        out = {}
+        for key, value in rec.items():
+            out[key] = value
+            if key == "step":
+                out["time_s"] = value * log.dt
+            elif key == "ee_pos":
+                out["ee_quat"] = [0.0, 0.0, 0.0, 1.0]
+            elif key == "min_sep":
+                out["gt_wrist"] = episode.frames[rec["step"], WRIST_INDICES[1]].tolist()
+        return out
+
+    old_path = path.with_name("earlier.jsonl")
+    replace(log, records=[earlier(rec) for rec in log.records]).to_jsonl(old_path)
+    back = SimLog.from_jsonl(old_path)
+    assert [{k: v for k, v in rec.items() if k not in ("time_s", "ee_quat", "gt_wrist")}
+            for rec in back.records] == log.records
+    assert cli.main(["report", "--out", str(tmp_path / "runs")]) == 0
+    assert old_path.with_suffix(".csv").read_bytes() == path.with_suffix(".csv").read_bytes()
 
 
 @pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,

@@ -1,17 +1,19 @@
 """README's library quick start runs as documented, its CLI commands parse,
-and the config fields and run-config keys it names exist."""
+the config fields and run-config keys it names exist, and its sim-log record
+keys are the ones playback writes."""
 
 import dataclasses
 import re
 import shlex
 from pathlib import Path
 
-from costcast import cli
+from costcast import cli, datagen
 from costcast.cost import CostWeights
 from costcast.datagen import GenConfig
-from costcast.forecast import TrainConfig
+from costcast.forecast import TrainConfig, make_forecaster
 from costcast.motion import HISTORY_LEN, HORIZON_LEN
-from costcast.planner import MppiConfig
+from costcast.planner import MppiConfig, build_task_spec, run_episode
+from costcast.robot import ArmModel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -54,3 +56,18 @@ def test_readme_lists_the_run_config_keys_the_loader_accepts():
     accepted = [name for key, names in cli.CONFIG_KEYS.items()
                 for name in ([key] if names is None else [f"{key}.{n}" for n in names])]
     assert sorted(listed) == sorted(accepted)
+
+
+def test_readme_lists_the_sim_log_record_keys():
+    [rows] = re.findall(
+        r"^\| Record key \| Task \| Holds \| Read by \|\n\|[-| ]+\|\n((?:\|.*\n)+)",
+        README.read_text(), re.M)
+    cells = [row.split("|")[1:3] for row in rows.splitlines()]
+    model = ArmModel()
+    for task, gen in datagen.GENERATORS.items():
+        listed = {key.strip(" `") for key, tasks in cells if tasks.strip() in ("every task", task)}
+        # 11 s holds tableset's waypoint tour
+        episode = gen(GenConfig(seed=0, episode_len_s=11.0, n_interactions=1))
+        log = run_episode(episode, make_forecaster("cvm"), build_task_spec(episode, model),
+                          CostWeights(), MppiConfig(n_samples=8), model=model)
+        assert {frozenset(rec) for rec in log.records} == {frozenset(listed)}, task

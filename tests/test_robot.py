@@ -1,5 +1,5 @@
 """Tests for arm kinematics, Jacobian, manipulability, collision geometry and
-the end-effector quaternion."""
+clamped integration."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from costcast.robot import (
     fk_batch,
     linear_jacobian,
     manipulability_batch,
-    quat_from_matrix,
     rollout_arrays,
     separation_batch,
     sphere_row_boxes,
@@ -401,46 +400,3 @@ def test_arm_model_validation():
         ArmModel(joint_limits=((1.0, -1.0),) * N_DOF)
     with pytest.raises(MotionError):
         ArmModel(sphere_radius=0.0)
-
-
-# --- end-effector quaternion ----------------------------------------------
-
-def quat_to_matrix(q):
-    """Rotation matrix of a unit quaternion (x, y, z, w)."""
-    x, y, z, w = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-S = np.sqrt(0.5)
-
-
-@pytest.mark.parametrize("R, quat", [
-    (np.eye(3), [0.0, 0.0, 0.0, 1.0]),                                       # w branch
-    (np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]]), [S, 0.0, 0.0, S]),        # 90 about x
-    (np.array([[0, 0, 1], [0, 1, 0], [-1, 0, 0]]), [0.0, S, 0.0, S]),        # 90 about y
-    (np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), [0.0, 0.0, S, S]),        # 90 about z
-    (np.diag([1.0, -1.0, -1.0]), [1.0, 0.0, 0.0, 0.0]),                      # x branch
-    (np.diag([-1.0, 1.0, -1.0]), [0.0, 1.0, 0.0, 0.0]),                      # y branch
-    (np.diag([-1.0, -1.0, 1.0]), [0.0, 0.0, 1.0, 0.0]),                      # z branch
-], ids=["identity", "x90", "y90", "z90", "x180", "y180", "z180"])
-def test_quat_from_matrix_hand_rotations(R, quat):
-    got = quat_from_matrix(np.asarray(R, dtype=float))
-    np.testing.assert_allclose(got, quat, rtol=0, atol=1e-15)
-
-
-@settings(max_examples=100, deadline=None)
-@given(quat=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
-    lambda v: np.linalg.norm(v) > 0.1))
-def test_quat_from_matrix_round_trips(quat):
-    q = np.asarray(quat) / np.linalg.norm(quat)
-    got = quat_from_matrix(quat_to_matrix(q))
-    assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
-    # q and -q are the same rotation; a component of largest magnitude comes
-    # back positive (either one of a tie)
-    assert min(np.abs(got - q).max(), np.abs(got + q).max()) <= 1e-12
-    assert got.max() >= np.abs(got).max() - 1e-12
-    np.testing.assert_allclose(quat_to_matrix(got), quat_to_matrix(q), rtol=0, atol=1e-12)
