@@ -295,6 +295,13 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
     ``make_forecaster``).  The oracle forecaster receives the true future.
     Each tick's plans are scored by ``total_cost_batch`` on the rollouts cast
     to ``SCORE_DTYPE``, against that tick's forecast and task spec.
+
+    No control decision reads a record's ``ee_pos`` and ``min_sep``, so they
+    are computed for the whole playback in one pass after the last tick: one
+    float64 ``fk_batch`` of every tick's executed ``q`` and one
+    ``separation_batch`` of their spheres, each row bit for bit its
+    one-configuration call.  ``min_sep`` pairs the arm at q(t+1), reached by
+    tick t's step, with the person at ``frames[t]``, one frame earlier.
     """
     if len(episode) < HISTORY_LEN + HORIZON_LEN:
         raise MotionError("episode too short for playback")
@@ -305,8 +312,10 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
     if episode.task == "stir":
         gt_near_pot = wrist_pot_distance(episode.frames, spec.pot_position) <= weights.eps_pot
     wrist = WRIST_INDICES[1]   # the right wrist, the one that moves
+    ticks = range(HISTORY_LEN - 1, len(episode) - HORIZON_LEN)
+    qs = []                    # each tick's executed configuration
 
-    for t in range(HISTORY_LEN - 1, len(episode) - HORIZON_LEN):
+    for t in ticks:
         ctx = Context(episode.frames[t - HISTORY_LEN + 1:t + 1])
         truth = Trajectory(episode.frames[t + 1:t + 1 + HORIZON_LEN])
         fc = forecaster(ctx, truth)
@@ -320,18 +329,16 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
 
         cmd, best_cost = plan_step(pstate, arm, cost_fn, cfg, model)
         arm = step(model, arm, cmd, cfg.dt)
-        R, p = fk_batch(model, arm.q)
-        sep = separation_batch(model, collision_sphere_centers(model, (R, p))[..., None, None],
-                               *arm_capsules(episode.frames[t][None]))[0, 0]
+        qs.append(arm.q)
 
         rec = {
             "step": t,
             "q": arm.q.tolist(),
             "qd": arm.qd.tolist(),
             "cmd": np.asarray(cmd, dtype=float).tolist(),
-            "ee_pos": p[7].tolist(),
+            "ee_pos": None,    # filled after the last tick
             "cost": best_cost,
-            "min_sep": float(sep),
+            "min_sep": None,   # filled after the last tick
         }
         if episode.task == "stir":
             rec["branch_active"] = bool(
@@ -342,4 +349,10 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
             rec["gt_final_wrist"] = episode.frames[t + HORIZON_LEN, wrist].tolist()
             rec["object_in_hand"] = episode.extras["object_in_hand"][t]
         log.records.append(rec)
+
+    frames = fk_batch(model, np.array(qs))
+    sep = separation_batch(model, collision_sphere_centers(model, frames)[:, :, None],
+                           *arm_capsules(episode.frames[ticks]))[0]
+    for rec, ee_pos, min_sep in zip(log.records, frames[1][7].T.tolist(), sep.tolist()):
+        rec["ee_pos"], rec["min_sep"] = ee_pos, min_sep
     return log

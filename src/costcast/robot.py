@@ -18,6 +18,12 @@ clearance kernel against them: ``arm_capsules`` turns poses into the
 ``ARM_BONES`` capsules.  ``rollout_arrays`` is the one clamped integrator;
 ``step`` is its single-step call.
 
+Every element takes the same operations whatever the batch, so a subset of
+sphere rows is bit for bit those rows, and a batched row is bit for bit its
+one-row call: column i of ``fk_batch`` over (T, 7) configurations is
+``fk_batch`` of row i, and a (16, 3, 1, T) ``separation_batch`` is its T
+per-step (16, 3, 1, 1) calls.
+
 Sampled plans live in step-major, joint-planar (H, 7, N) memory:
 ``rollout_arrays`` integrates there and returns (N, H, 7) views of it, with
 the sample axis innermost.  NumPy keeps an input's memory order (K-order) in

@@ -14,7 +14,7 @@ from conftest import BASE_POSE, fk_oracle, task_episode
 from costcast import _keep_freed_heap, cli, planner
 from costcast.cli import RunConfig
 from costcast.cost import CostWeights
-from costcast.datagen import GenConfig, gen_stirring
+from costcast.datagen import GENERATORS, GenConfig, gen_stirring
 from costcast.forecast import make_forecaster
 from costcast.motion import (Episode, HISTORY_LEN, HORIZON_LEN, MAX_COORDINATE, MotionError,
                              WRIST_INDICES)
@@ -38,7 +38,8 @@ from costcast.planner import (
     run_episode,
     stir_reference,
 )
-from costcast.robot import ArmModel, ArmState, N_DOF, fk_batch, step
+from costcast.robot import (ArmModel, ArmState, N_DOF, arm_capsules, collision_sphere_centers,
+                           fk_batch, separation_batch, step)
 
 MODEL = ArmModel()
 
@@ -349,6 +350,25 @@ def test_playback_scores_plans_in_score_dtype_and_logs_the_least_cost(monkeypatc
         ticks = calls[i * cfg.n_iterations:(i + 1) * cfg.n_iterations]
         costs = np.concatenate([c for _, _, c in ticks]).astype(float)
         assert rec["cost"] == costs[np.isfinite(costs)].min()
+
+
+def test_logged_kinematics_equal_the_one_configuration_calls():
+    # run_episode computes every record's ee_pos and min_sep in one pass
+    # after the last tick; each equals the FK of the record's q, and the
+    # clearance of that q against the person at frame step, one call each
+    cfg = MppiConfig(n_samples=8)
+    for task in ("stir", "handover", "tableset"):
+        ep = GENERATORS[task](GenConfig(seed=0, episode_len_s=11.0, n_interactions=2))
+        log = run_episode(ep, make_forecaster("cur"), build_task_spec(ep, MODEL), CostWeights(),
+                          cfg, model=MODEL)
+        assert [rec["step"] for rec in log.records] == list(
+            range(HISTORY_LEN - 1, len(ep) - HORIZON_LEN))
+        for rec in log.records:
+            frames = fk_batch(MODEL, np.array(rec["q"]))
+            assert rec["ee_pos"] == frames[1][7].tolist()
+            sep = separation_batch(MODEL, collision_sphere_centers(MODEL, frames)[..., None, None],
+                                   *arm_capsules(ep.frames[rec["step"]][None]))
+            assert rec["min_sep"] == float(sep[0, 0])
 
 
 @pytest.mark.parametrize("task", ["stir", "handover"])

@@ -263,6 +263,30 @@ def test_collision_sphere_centers_builds_any_rows_bit_for_bit(rows, shape, seed)
 
 
 @settings(max_examples=40, deadline=None)
+@given(T=st.integers(1, 64), at_limit=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_batched_rows_equal_their_one_row_calls_bit_for_bit(T, at_limit, seed):
+    # a playback log takes the FK and clearance of every tick in one call
+    # each; every row of those calls must be its one-configuration call,
+    # joints pinned exactly at a limit included
+    rng = np.random.default_rng(seed)
+    Q = rng.uniform(MODEL.lo, MODEL.hi, size=(T, N_DOF))
+    pinned = rng.random((T, N_DOF)) < at_limit
+    Q[pinned] = np.where(rng.random((T, N_DOF)) < 0.5, MODEL.lo, MODEL.hi)[pinned]
+    humans = np.stack([random_pose_array(rng, 0.05) for _ in range(T)])
+    humans += np.array([0.7, 0.05, 0.35]) + rng.normal(0.0, 0.15, size=(T, 1, 3))
+    R, p = fk_batch(MODEL, Q)
+    sep = separation_batch(MODEL, collision_sphere_centers(MODEL, (R, p))[:, :, None],
+                           *arm_capsules(humans))
+    assert sep.shape == (1, T)
+    for i in range(T):
+        R_i, p_i = fk_batch(MODEL, Q[i])
+        assert R[..., i].tobytes() == R_i.tobytes() and p[..., i].tobytes() == p_i.tobytes()
+        one = separation_batch(MODEL, collision_sphere_centers(MODEL, (R_i, p_i))[..., None, None],
+                               *arm_capsules(humans[i][None]))
+        assert sep[:, i:i + 1].tobytes() == one.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 6), h=st.integers(1, 5), arm=st.sampled_from(["default", "skewed", "coaxial"]),
        seed=st.integers(0, 2**32 - 1))
 def test_kernels_follow_a_float32_input(n, h, arm, seed):
