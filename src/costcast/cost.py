@@ -184,12 +184,10 @@ def wrist_pot_distance(frames: np.ndarray, pot: np.ndarray) -> np.ndarray:
     return np.linalg.norm(frames[:, list(WRIST_INDICES)] - pot, axis=-1).min(axis=-1)
 
 
-def stir_retract_mask(forecast: Trajectory, spec: TaskSpec, weights: CostWeights,
-                      H: int) -> np.ndarray:
-    """Steps (H,) at which the stir term retracts: a forecast wrist lies within
-    ``eps_pot`` of the pot."""
-    dist = wrist_pot_distance(_first_steps(forecast.frames, H), spec.pot_position)
-    return dist <= weights.eps_pot
+def stir_retract_mask(frames: np.ndarray, spec: TaskSpec, weights: CostWeights) -> np.ndarray:
+    """Whether the stir term retracts at each of frames (n, J, 3), shape (n,):
+    a wrist lies within ``eps_pot`` of the pot."""
+    return wrist_pot_distance(frames, spec.pot_position) <= weights.eps_pot
 
 
 # Every task term takes (Q, frames, coll, forecast, spec, weights), where
@@ -199,7 +197,7 @@ def stir_terms_batch(Q: np.ndarray, frames, coll: np.ndarray, forecast: Trajecto
                      spec: TaskSpec, weights: CostWeights) -> np.ndarray:
     """Retract to rest while the forecast wrist is near the pot, else track the stir cycle."""
     N, H, _ = Q.shape
-    near = stir_retract_mask(forecast, spec, weights, H)
+    near = stir_retract_mask(_first_steps(forecast.frames, H), spec, weights)
     ref = spec.stir_reference
     ref_h = ref[np.arange(H) % ref.shape[0]].astype(Q.dtype)                 # (H, 7)
     d_rest = np.linalg.norm(Q - spec.rest_config.astype(Q.dtype), axis=-1)   # (N, H)

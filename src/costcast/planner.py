@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .cost import CostWeights, TaskSpec, stir_retract_mask, total_cost_batch, wrist_pot_distance
+from .cost import CostWeights, TaskSpec, stir_retract_mask, total_cost_batch
 from .motion import (
     Context,
     Episode,
@@ -230,15 +230,16 @@ def plan_step(planner_state: PlannerState, arm_state: ArmState, cost_fn, cfg: Mp
     rounds, scores their rollouts with ``cost_fn(Q, Qd)``, and keeps the
     best sample seen across rounds: the one of least finite cost, as
     ``mppi_weights`` ranks them.  The stored mean is softmax-updated
-    each round then time-shifted for the next replan.  ``qd_cmd`` is the
-    first control of the best sample and ``best_cost`` that sample's cost.
+    each round then time-shifted for the next replan.  ``qd_cmd`` is a copy
+    of the first control of the best sample, so it keeps no round's samples
+    alive, and ``best_cost`` that sample's cost.
     ``cost_fn`` gets the float64 rollouts as the (N, H, 7) views that
     ``rollout_arrays`` returns, of step-major (H, 7, N) memory with the
     sample axis innermost, not C-ordered arrays.
     """
     mean = planner_state.mean_controls
     best_cost = np.inf
-    best_controls = None
+    best_cmd = None
     for _ in range(cfg.n_iterations):
         noise = planner_state.rng.normal(0.0, cfg.noise_sigma,
                                          size=(cfg.n_samples, HORIZON_LEN, N_DOF))
@@ -249,9 +250,9 @@ def plan_step(planner_state: PlannerState, arm_state: ArmState, cost_fn, cfg: Mp
         i = int(np.argmin(np.where(np.isfinite(costs), costs, np.inf)))
         if costs[i] < best_cost:
             best_cost = float(costs[i])
-            best_controls = samples[i]
+            best_cmd = samples[i, 0].copy()
     planner_state.mean_controls = np.vstack([mean[1:], mean[-1:]])
-    return best_controls[0], best_cost
+    return best_cmd, best_cost
 
 
 @dataclass
@@ -296,26 +297,30 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
     Each tick's plans are scored by ``total_cost_batch`` on the rollouts cast
     to ``SCORE_DTYPE``, against that tick's forecast and task spec.
 
-    No control decision reads a record's ``ee_pos`` and ``min_sep``, so they
-    are computed for the whole playback in one pass after the last tick: one
-    float64 ``fk_batch`` of every tick's executed ``q`` and one
-    ``separation_batch`` of their spheres, each row bit for bit its
-    one-configuration call.  ``min_sep`` pairs the arm at q(t+1), reached by
-    tick t's step, with the person at ``frames[t]``, one frame earlier.
+    A tick forecasts, plans and steps, and keeps only what it decided: the
+    executed ``q`` and ``qd``, the command, the best cost and the one
+    forecast value its task's record needs (stir's retract flag, handover's
+    final wrist).  Every record is assembled after the last tick from
+    per-tick columns.  The columns no control decision reads are computed
+    there for the whole playback at once: ``ee_pos`` and ``min_sep`` in one
+    float64 ``fk_batch`` of every tick's ``q`` and one ``separation_batch``
+    of their spheres, each row bit for bit its one-configuration call, and
+    the task's columns from the episode.  ``min_sep`` pairs the arm at
+    q(t+1), reached by tick t's step, with the person at ``frames[t]``, one
+    frame earlier.
     """
     if len(episode) < HISTORY_LEN + HORIZON_LEN:
         raise MotionError("episode too short for playback")
     _check_rate(episode, cfg.dt)
     arm = ArmState(q=spec.rest_config, qd=np.zeros(N_DOF))
     pstate = PlannerState.init(cfg)
-    log = SimLog(task=episode.task, model_name=model_name, dt=cfg.dt)
-    if episode.task == "stir":
-        gt_near_pot = wrist_pot_distance(episode.frames, spec.pot_position) <= weights.eps_pot
     wrist = WRIST_INDICES[1]   # the right wrist, the one that moves
-    ticks = range(HISTORY_LEN - 1, len(episode) - HORIZON_LEN)
-    qs = []                    # each tick's executed configuration
+    ticks = np.arange(HISTORY_LEN - 1, len(episode) - HORIZON_LEN)
+    q, qd, cmd = (np.empty((len(ticks), N_DOF)) for _ in range(3))
+    cost = np.empty(len(ticks))
+    from_fc = []               # the forecast value each tick's record needs
 
-    for t in ticks:
+    for i, t in enumerate(ticks):
         ctx = Context(episode.frames[t - HISTORY_LEN + 1:t + 1])
         truth = Trajectory(episode.frames[t + 1:t + 1 + HORIZON_LEN])
         fc = forecaster(ctx, truth)
@@ -327,32 +332,25 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
             return total_cost_batch(model, Q.astype(SCORE_DTYPE), Qd.astype(SCORE_DTYPE),
                                     fc, step_spec, weights)
 
-        cmd, best_cost = plan_step(pstate, arm, cost_fn, cfg, model)
-        arm = step(model, arm, cmd, cfg.dt)
-        qs.append(arm.q)
-
-        rec = {
-            "step": t,
-            "q": arm.q.tolist(),
-            "qd": arm.qd.tolist(),
-            "cmd": np.asarray(cmd, dtype=float).tolist(),
-            "ee_pos": None,    # filled after the last tick
-            "cost": best_cost,
-            "min_sep": None,   # filled after the last tick
-        }
+        cmd[i], cost[i] = plan_step(pstate, arm, cost_fn, cfg, model)
+        arm = step(model, arm, cmd[i], cfg.dt)
+        q[i], qd[i] = arm.q, arm.qd
         if episode.task == "stir":
-            rec["branch_active"] = bool(
-                stir_retract_mask(fc, step_spec, weights, HORIZON_LEN).any())
-            rec["gt_near_pot"] = bool(gt_near_pot[t])
-        if episode.task == "handover":
-            rec["forecast_final_wrist"] = fc.frames[-1, wrist].tolist()
-            rec["gt_final_wrist"] = episode.frames[t + HORIZON_LEN, wrist].tolist()
-            rec["object_in_hand"] = episode.extras["object_in_hand"][t]
-        log.records.append(rec)
+            from_fc.append(bool(stir_retract_mask(fc.frames, spec, weights).any()))
+        elif episode.task == "handover":
+            from_fc.append(fc.frames[-1, wrist].tolist())
 
-    frames = fk_batch(model, np.array(qs))
+    frames = fk_batch(model, q)
     sep = separation_batch(model, collision_sphere_centers(model, frames)[:, :, None],
                            *arm_capsules(episode.frames[ticks]))[0]
-    for rec, ee_pos, min_sep in zip(log.records, frames[1][7].T.tolist(), sep.tolist()):
-        rec["ee_pos"], rec["min_sep"] = ee_pos, min_sep
-    return log
+    columns = {"step": ticks.tolist(), "q": q.tolist(), "qd": qd.tolist(), "cmd": cmd.tolist(),
+               "ee_pos": frames[1][7].T.tolist(), "cost": cost.tolist(), "min_sep": sep.tolist()}
+    if episode.task == "stir":
+        columns["branch_active"] = from_fc
+        columns["gt_near_pot"] = stir_retract_mask(episode.frames[ticks], spec, weights).tolist()
+    elif episode.task == "handover":
+        columns["forecast_final_wrist"] = from_fc
+        columns["gt_final_wrist"] = episode.frames[ticks + HORIZON_LEN, wrist].tolist()
+        columns["object_in_hand"] = np.array(episode.extras["object_in_hand"])[ticks].tolist()
+    return SimLog(task=episode.task, model_name=model_name, dt=cfg.dt,
+                  records=[dict(zip(columns, row)) for row in zip(*columns.values())])

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import BASE_POSE, fk_oracle, task_episode
 from costcast import _keep_freed_heap, cli, planner
 from costcast.cli import RunConfig
-from costcast.cost import CostWeights
+from costcast.cost import CostWeights, stir_retract_mask, wrist_pot_distance
 from costcast.datagen import GENERATORS, GenConfig, gen_stirring
-from costcast.forecast import make_forecaster
-from costcast.motion import (Episode, HISTORY_LEN, HORIZON_LEN, MAX_COORDINATE, MotionError,
-                             WRIST_INDICES)
+from costcast.forecast import forecast_cvm, make_forecaster
+from costcast.motion import (Context, Episode, HISTORY_LEN, HORIZON_LEN, MAX_COORDINATE,
+                             MotionError, WRIST_INDICES)
 from costcast.planner import (
     DEFAULT_RETRACT_POINT,
     IK_TOLERANCE,
@@ -295,6 +295,8 @@ def test_plan_step_keeps_the_least_finite_cost(non_finite):
     best = np.flatnonzero(np.isfinite(costs))[np.argmin(costs[np.isfinite(costs)])]
     assert best_cost == costs[best]
     np.testing.assert_array_equal(cmd, first_controls[best])
+    # the command owns its memory: a view would keep the round's samples alive
+    assert cmd.base is None
 
 
 def test_forecasters_share_the_noise_of_one_seed():
@@ -353,22 +355,36 @@ def test_playback_scores_plans_in_score_dtype_and_logs_the_least_cost(monkeypatc
 
 
 def test_logged_kinematics_equal_the_one_configuration_calls():
-    # run_episode computes every record's ee_pos and min_sep in one pass
-    # after the last tick; each equals the FK of the record's q, and the
-    # clearance of that q against the person at frame step, one call each
-    cfg = MppiConfig(n_samples=8)
+    # run_episode builds every record after the last tick from per-tick
+    # columns; each derived key equals its definition at the record's step t,
+    # computed for that one tick: ee_pos is the FK of q, min_sep the clearance
+    # of q against the person at frame t, and the task keys come from tick
+    # t's forecast and from the episode.  cvm's forecast is neither the truth
+    # nor the current pose, so a key taken from either would differ.
+    cfg, weights = MppiConfig(n_samples=8), CostWeights()
+    wrist = WRIST_INDICES[1]
     for task in ("stir", "handover", "tableset"):
         ep = GENERATORS[task](GenConfig(seed=0, episode_len_s=11.0, n_interactions=2))
-        log = run_episode(ep, make_forecaster("cur"), build_task_spec(ep, MODEL), CostWeights(),
-                          cfg, model=MODEL)
+        spec = build_task_spec(ep, MODEL)
+        log = run_episode(ep, make_forecaster("cvm"), spec, weights, cfg, model=MODEL)
         assert [rec["step"] for rec in log.records] == list(
             range(HISTORY_LEN - 1, len(ep) - HORIZON_LEN))
         for rec in log.records:
+            t = rec["step"]
             frames = fk_batch(MODEL, np.array(rec["q"]))
             assert rec["ee_pos"] == frames[1][7].tolist()
             sep = separation_batch(MODEL, collision_sphere_centers(MODEL, frames)[..., None, None],
-                                   *arm_capsules(ep.frames[rec["step"]][None]))
+                                   *arm_capsules(ep.frames[t][None]))
             assert rec["min_sep"] == float(sep[0, 0])
+            fc = forecast_cvm(Context(ep.frames[t - HISTORY_LEN + 1:t + 1])).frames
+            if task == "stir":
+                near = wrist_pot_distance(ep.frames[t:t + 1], spec.pot_position)[0]
+                assert rec["gt_near_pot"] == (near <= weights.eps_pot)
+                assert rec["branch_active"] == stir_retract_mask(fc, spec, weights).any()
+            if task == "handover":
+                assert rec["forecast_final_wrist"] == fc[-1, wrist].tolist()
+                assert rec["gt_final_wrist"] == ep.frames[t + HORIZON_LEN, wrist].tolist()
+                assert rec["object_in_hand"] == ep.extras["object_in_hand"][t]
 
 
 @pytest.mark.parametrize("task", ["stir", "handover"])
