@@ -16,11 +16,10 @@ variable.
 import ctypes
 
 from .motion import Context, Episode, Trajectory
-from .robot import ArmModel, ArmState
+from .robot import ArmModel
 
 __all__ = [
     "ArmModel",
-    "ArmState",
     "Context",
     "Episode",
     "Trajectory",

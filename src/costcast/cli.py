@@ -166,7 +166,9 @@ def _split_episodes(cfg: RunConfig, parts) -> dict:
 
     ``datagen.split_dataset`` splits the manifest entries of each task, so
     only the files of the requested parts ("train", "val", "test") are read.
-    Returns ``{part: {task: {path: episode}}}`` with tasks in sorted order.
+    An entry whose episode holds another task than its manifest label is
+    refused where it loads.  Returns ``{part: {task: {path: episode}}}`` with
+    tasks in sorted order.
     """
     for task, count in sorted(cfg.counts.items()):
         if 0 < count < datagen.MIN_SPLIT_EPISODES:
@@ -188,6 +190,10 @@ def _split_episodes(cfg: RunConfig, parts) -> dict:
         split = dict(zip(SPLIT_PARTS, datagen.split_dataset(files[task], cfg.seed)))
         for part in parts:
             episodes[part][task] = {f: load_episode(f) for f in split[part]}
+            for f, ep in episodes[part][task].items():
+                if ep.task != task:
+                    raise MotionError(f"episode file {f} holds a {ep.task!r} episode, but "
+                                      f"manifest file {path} lists it as {task!r}")
     return episodes
 
 

@@ -38,6 +38,7 @@ import numpy as np
 from .motion import TASKS, MotionError, WRIST_INDICES, Trajectory, check_field_types
 from .robot import (
     HUMAN_CAPSULE_RADIUS,
+    N_DOF,
     ArmModel,
     arm_capsules,
     collision_sphere_centers,
@@ -85,7 +86,8 @@ TASK_FIELDS = {
 @dataclass(frozen=True)
 class TaskSpec:
     """What one task's cost and playback read, checked here once: the task's
-    ``TASK_FIELDS`` are required, and ``table_goal`` is a 4x4 rigid transform."""
+    ``TASK_FIELDS`` are required, ``rest_config``, where playback starts the
+    arm, is 7 finite joint angles, and ``table_goal`` is a 4x4 rigid transform."""
 
     task: str
     pot_position: np.ndarray | None = None
@@ -103,6 +105,8 @@ class TaskSpec:
         for name in ("pot_position", "rest_config", "stir_reference"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.rest_config.shape != (N_DOF,) or not np.isfinite(self.rest_config).all():
+            raise MotionError("rest_config must be 7 finite joint angles")
         if self.table_goal is not None:
             T = np.asarray(self.table_goal, dtype=float)
             if (T.shape != (4, 4) or not np.array_equal(T[3], [0.0, 0.0, 0.0, 1.0])

@@ -27,7 +27,6 @@ from .motion import (
 )
 from .robot import (
     ArmModel,
-    ArmState,
     N_DOF,
     arm_capsules,
     collision_sphere_centers,
@@ -92,13 +91,13 @@ class PlannerState:
                    rng=np.random.default_rng(cfg.seed))
 
 
-def rollout(model: ArmModel, state: ArmState, controls: np.ndarray, dt: float):
-    """(q, qd) arrays, each (H, 7), of one control sequence.
+def rollout(model: ArmModel, q: np.ndarray, controls: np.ndarray, dt: float):
+    """(q, qd) arrays, each (H, 7), of one control sequence from configuration q.
 
     Nothing in the package calls this; the name stays bound for the
     benchmark tracer (bench/spans.py).
     """
-    Q, Qd = rollout_arrays(model, state.q, np.asarray(controls)[None], dt)
+    Q, Qd = rollout_arrays(model, q, np.asarray(controls)[None], dt)
     return Q[0], Qd[0]
 
 
@@ -221,9 +220,9 @@ def build_task_spec(episode: Episode, model: ArmModel, dt: float | None = None) 
     return TaskSpec(task="tableset", rest_config=rest, table_goal=default_table_goal(model))
 
 
-def plan_step(planner_state: PlannerState, arm_state: ArmState, cost_fn, cfg: MppiConfig,
+def plan_step(planner_state: PlannerState, q: np.ndarray, cost_fn, cfg: MppiConfig,
               model: ArmModel):
-    """One replanning cycle; returns (qd_cmd, best_cost).
+    """One replanning cycle from configuration q (7,); returns (qd_cmd, best_cost).
 
     Samples ``n_samples`` control sequences of ``HORIZON_LEN`` steps, the
     forecast's length, around the warm-started mean for ``n_iterations``
@@ -244,7 +243,7 @@ def plan_step(planner_state: PlannerState, arm_state: ArmState, cost_fn, cfg: Mp
         noise = planner_state.rng.normal(0.0, cfg.noise_sigma,
                                          size=(cfg.n_samples, HORIZON_LEN, N_DOF))
         samples = mean[None] + noise
-        Q, Qd = rollout_arrays(model, arm_state.q, samples, cfg.dt)
+        Q, Qd = rollout_arrays(model, q, samples, cfg.dt)
         costs = np.asarray(cost_fn(Q, Qd), dtype=float)
         mean = mppi_update(costs, samples, cfg.temperature)
         i = int(np.argmin(np.where(np.isfinite(costs), costs, np.inf)))
@@ -312,7 +311,7 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
     if len(episode) < HISTORY_LEN + HORIZON_LEN:
         raise MotionError("episode too short for playback")
     _check_rate(episode, cfg.dt)
-    arm = ArmState(q=spec.rest_config, qd=np.zeros(N_DOF))
+    q_now = spec.rest_config
     pstate = PlannerState.init(cfg)
     wrist = WRIST_INDICES[1]   # the right wrist, the one that moves
     ticks = np.arange(HISTORY_LEN - 1, len(episode) - HORIZON_LEN)
@@ -332,9 +331,9 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
             return total_cost_batch(model, Q.astype(SCORE_DTYPE), Qd.astype(SCORE_DTYPE),
                                     fc, step_spec, weights)
 
-        cmd[i], cost[i] = plan_step(pstate, arm, cost_fn, cfg, model)
-        arm = step(model, arm, cmd[i], cfg.dt)
-        q[i], qd[i] = arm.q, arm.qd
+        cmd[i], cost[i] = plan_step(pstate, q_now, cost_fn, cfg, model)
+        q_now, qd[i] = step(model, q_now, cmd[i], cfg.dt)
+        q[i] = q_now
         if episode.task == "stir":
             from_fc.append(bool(stir_retract_mask(fc.frames, spec, weights).any()))
         elif episode.task == "handover":

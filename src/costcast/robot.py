@@ -103,22 +103,6 @@ class ArmModel:
         return 0.5 * (self.lo + self.hi)
 
 
-@dataclass(frozen=True)
-class ArmState:
-    q: np.ndarray
-    qd: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        qd = np.asarray(self.qd, dtype=float)
-        if q.shape != (N_DOF,) or qd.shape != (N_DOF,):
-            raise MotionError("arm state needs 7 joint angles and velocities")
-        if not (np.isfinite(q).all() and np.isfinite(qd).all()):
-            raise MotionError("arm state must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "qd", qd)
-
-
 def fk_batch(model: ArmModel, Q: np.ndarray):
     """Forward kinematics for a batch of configurations.
 
@@ -346,7 +330,9 @@ def rollout_arrays(model: ArmModel, q0: np.ndarray, controls: np.ndarray, dt: fl
     return Q.transpose(2, 0, 1), Qd.transpose(2, 0, 1)
 
 
-def step(model: ArmModel, state: ArmState, qd_cmd: np.ndarray, dt: float) -> ArmState:
-    """One clamped integration step: ``rollout_arrays`` at N = H = 1."""
-    Q, Qd = rollout_arrays(model, state.q, np.asarray(qd_cmd, dtype=float)[None, None], dt)
-    return ArmState(q=Q[0, 0], qd=Qd[0, 0])
+def step(model: ArmModel, q: np.ndarray, qd_cmd: np.ndarray, dt: float):
+    """One clamped integration step, ``rollout_arrays`` at N = H = 1, from
+    configuration q: the next configuration and the applied velocity, (q, qd),
+    each (7,)."""
+    Q, Qd = rollout_arrays(model, q, np.asarray(qd_cmd, dtype=float)[None, None], dt)
+    return Q[0, 0], Qd[0, 0]

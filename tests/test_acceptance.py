@@ -62,7 +62,6 @@ from costcast.planner import (
 )
 from costcast.robot import (
     ArmModel,
-    ArmState,
     N_DOF,
     arm_capsules,
     collision_sphere_centers,
@@ -274,11 +273,11 @@ def test_planner_reaches_goal_within_100_replans():
 
     cfg = MppiConfig(seed=3)
     ps = PlannerState.init(cfg)
-    arm = ArmState(q=rest_configuration(MODEL), qd=np.zeros(N_DOF))
+    arm = rest_configuration(MODEL)
     for i in range(100):
         cmd, _ = plan_step(ps, arm, cost_fn, cfg, MODEL)
-        arm = step(MODEL, arm, cmd, cfg.dt)
-        if np.linalg.norm(fk_batch(MODEL, arm.q)[1][7] - goal) < 0.05:
+        arm, _ = step(MODEL, arm, cmd, cfg.dt)
+        if np.linalg.norm(fk_batch(MODEL, arm)[1][7] - goal) < 0.05:
             return
     pytest.fail("planner did not reach the goal within 100 replans")
 

@@ -9,6 +9,7 @@ import json
 import shutil
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -498,6 +499,24 @@ def test_bad_episode_file_exits_3_naming_it(split_run, tmp_path, capsys, damage,
         load_episode(bad)
 
 
+def test_manifest_task_that_disagrees_with_its_episode_exits_3_naming_the_file(
+        split_run, tmp_path, capsys):
+    # every command that reads the split refuses a mislabelled entry where it loads
+    args, run_dir = copy_run(split_run, tmp_path)
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    swap = {"stir": "handover", "handover": "stir"}
+    path.write_text(json.dumps([dict(entry, task=swap[entry["task"]]) for entry in manifest]))
+    files = [str(run_dir / entry["file"]) for entry in manifest]
+    for command in ("train", "eval-forecast", "eval-plan"):
+        assert main([command, *args]) == 3, command
+        err = capsys.readouterr().err
+        assert any(f in err for f in files), command
+        assert "'stir'" in err and "'handover'" in err and "Traceback" not in err, command
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+        p.name for p in next((split_run / "runs").iterdir()).iterdir())
+
+
 @pytest.mark.parametrize("task, damage", [
     ("stir", lambda extras: extras.pop("pot_position")),
     ("stir", lambda extras: extras.update(pot_position=[0.5, 0.0])),
@@ -726,10 +745,11 @@ def test_splitting_the_manifest_selects_the_episodes_of_splitting_the_dataset(
     manifest = data.draw(st.permutations(
         [{"file": f"data/{task}_{i:03d}.json", "task": task}
          for task, n in counts.items() for i in range(n)]))
-    episodes = {}   # a distinct stand-in object per file
+    episodes = {}   # a distinct stand-in object per file, holding its file's task
 
     def fake_load(path):
-        return episodes.setdefault(Path(path).name, object())
+        name = Path(path).name
+        return episodes.setdefault(name, SimpleNamespace(task=name.split("_")[0]))
 
     with tempfile.TemporaryDirectory() as tmp:
         cfg = RunConfig(seed=seed, out_root=tmp, counts=counts)

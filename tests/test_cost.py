@@ -317,6 +317,10 @@ def test_stir_spec_requirements_enforced():
         TaskSpec(task="handover")
     with pytest.raises(MotionError, match="table_goal"):
         TaskSpec(task="tableset", rest_config=MODEL.mid())
+    for rest in (MODEL.mid()[:6], np.where(np.arange(7) == 3, np.nan, MODEL.mid()),
+                 MODEL.mid()[None]):
+        with pytest.raises(MotionError, match="rest_config must be 7 finite joint angles"):
+            TaskSpec(task="handover", rest_config=rest)
 
 
 # --- grasp pose and handover ----------------------------------------------

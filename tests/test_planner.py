@@ -38,8 +38,8 @@ from costcast.planner import (
     run_episode,
     stir_reference,
 )
-from costcast.robot import (ArmModel, ArmState, N_DOF, arm_capsules, collision_sphere_centers,
-                           fk_batch, separation_batch, step)
+from costcast.robot import (ArmModel, N_DOF, arm_capsules, collision_sphere_centers, fk_batch,
+                           separation_batch, step)
 
 MODEL = ArmModel()
 
@@ -103,8 +103,7 @@ def test_plan_step_at_a_vanishing_temperature_keeps_the_best_sample():
     ps = PlannerState.init(cfg)
     samples = ps.mean_controls + np.random.default_rng(cfg.seed).normal(
         0.0, cfg.noise_sigma, size=(cfg.n_samples, HORIZON_LEN, N_DOF))
-    arm = ArmState(q=MODEL.mid(), qd=np.zeros(N_DOF))
-    cmd, _ = plan_step(ps, arm, cost_fn, cfg, MODEL)
+    cmd, _ = plan_step(ps, MODEL.mid(), cost_fn, cfg, MODEL)
     best = samples[int(np.argmin(seen[0]))]
     np.testing.assert_array_equal(cmd, best[0])
     # the stored mean is the best sample itself, shifted by one step
@@ -262,13 +261,13 @@ def goal_cost_fn(goal):
 def run_to_goal(seed, goal, max_replans=100):
     cfg = MppiConfig(seed=seed)
     ps = PlannerState.init(cfg)
-    arm = ArmState(q=rest_configuration(MODEL), qd=np.zeros(N_DOF))
+    q = rest_configuration(MODEL)
     cost_fn = goal_cost_fn(goal)
     trace = []
     for i in range(max_replans):
-        cmd, _ = plan_step(ps, arm, cost_fn, cfg, MODEL)
-        arm = step(MODEL, arm, cmd, cfg.dt)
-        d = float(np.linalg.norm(fk_batch(MODEL, arm.q)[1][7] - goal))
+        cmd, _ = plan_step(ps, q, cost_fn, cfg, MODEL)
+        q, _ = step(MODEL, q, cmd, cfg.dt)
+        d = float(np.linalg.norm(fk_batch(MODEL, q)[1][7] - goal))
         trace.append((np.asarray(cmd), d))
         if d < 0.05:
             return i, trace
@@ -289,8 +288,7 @@ def test_plan_step_keeps_the_least_finite_cost(non_finite):
         return costs
 
     cfg = MppiConfig(n_samples=4, n_iterations=2)
-    arm = ArmState(q=MODEL.mid(), qd=np.zeros(N_DOF))
-    cmd, best_cost = plan_step(PlannerState.init(cfg), arm, cost_fn, cfg, MODEL)
+    cmd, best_cost = plan_step(PlannerState.init(cfg), MODEL.mid(), cost_fn, cfg, MODEL)
     costs, first_controls = map(np.concatenate, zip(*seen))
     best = np.flatnonzero(np.isfinite(costs))[np.argmin(costs[np.isfinite(costs)])]
     assert best_cost == costs[best]
@@ -309,13 +307,13 @@ def test_forecasters_share_the_noise_of_one_seed():
     cfg = MppiConfig(n_samples=8)
     cost_fns = (goal_cost_fn(np.array([0.6, 0.2, 0.9])), speed_cost)
     states = [PlannerState.init(cfg) for _ in cost_fns]
-    arms = [ArmState(q=rest_configuration(MODEL), qd=np.zeros(N_DOF)) for _ in cost_fns]
+    qs = [rest_configuration(MODEL) for _ in cost_fns]
     for _ in range(4):
         for i, cost_fn in enumerate(cost_fns):
-            cmd, _ = plan_step(states[i], arms[i], cost_fn, cfg, MODEL)
-            arms[i] = step(MODEL, arms[i], cmd, cfg.dt)
+            cmd, _ = plan_step(states[i], qs[i], cost_fn, cfg, MODEL)
+            qs[i], _ = step(MODEL, qs[i], cmd, cfg.dt)
         assert states[0].rng.bit_generator.state == states[1].rng.bit_generator.state
-    assert not np.array_equal(arms[0].q, arms[1].q)
+    assert not np.array_equal(qs[0], qs[1])
 
 
 def test_planner_is_seeded_deterministic():

@@ -14,7 +14,6 @@ from conftest import (
 from costcast.motion import MotionError
 from costcast.robot import (
     ArmModel,
-    ArmState,
     HUMAN_CAPSULE_RADIUS,
     N_DOF,
     arm_capsules,
@@ -311,37 +310,36 @@ def test_kernels_follow_a_float32_input(n, h, arm, seed):
 # --- integration ----------------------------------------------------------
 
 def test_step_zero_command_is_identity():
-    s = ArmState(q=MODEL.mid(), qd=np.zeros(N_DOF))
-    out = step(MODEL, s, np.zeros(N_DOF), 0.04)
-    np.testing.assert_array_equal(out.q, s.q)
-    np.testing.assert_array_equal(out.qd, s.qd)
+    q0 = MODEL.mid()
+    q, qd = step(MODEL, q0, np.zeros(N_DOF), 0.04)
+    np.testing.assert_array_equal(q, q0)
+    np.testing.assert_array_equal(qd, np.zeros(N_DOF))
 
 
 def test_step_clamps_velocity_to_limits():
-    s = ArmState(q=MODEL.mid(), qd=np.zeros(N_DOF))
-    out = step(MODEL, s, np.full(N_DOF, 10.0), 0.04)
-    np.testing.assert_allclose(out.qd, MODEL.vel, atol=0)
-    np.testing.assert_allclose(out.q, s.q + MODEL.vel * 0.04, atol=1e-15)
+    q0 = MODEL.mid()
+    q, qd = step(MODEL, q0, np.full(N_DOF, 10.0), 0.04)
+    np.testing.assert_allclose(qd, MODEL.vel, atol=0)
+    np.testing.assert_allclose(q, q0 + MODEL.vel * 0.04, atol=1e-15)
 
 
 def test_constant_command_integrates_linearly():
     qd = np.full(N_DOF, 0.5)
-    s = ArmState(q=MODEL.mid(), qd=np.zeros(N_DOF))
+    q = MODEL.mid()
     for _ in range(25):
-        s = step(MODEL, s, qd, 0.04)
-    np.testing.assert_allclose(s.q, MODEL.mid() + 25 * 0.04 * qd, atol=1e-12)
+        q, _ = step(MODEL, q, qd, 0.04)
+    np.testing.assert_allclose(q, MODEL.mid() + 25 * 0.04 * qd, atol=1e-12)
 
 
 def test_step_never_exceeds_joint_limits(rng):
-    s = ArmState(q=MODEL.hi - 0.01, qd=np.zeros(N_DOF))
+    q = MODEL.hi - 0.01
     for _ in range(30):
-        s = step(MODEL, s, rng.uniform(-3, 3, N_DOF), 0.04)
-        assert (s.q >= MODEL.lo).all() and (s.q <= MODEL.hi).all()
+        q, _ = step(MODEL, q, rng.uniform(-3, 3, N_DOF), 0.04)
+        assert (q >= MODEL.lo).all() and (q <= MODEL.hi).all()
     # a joint held at its limit reports zero velocity
-    s = ArmState(q=MODEL.hi, qd=np.zeros(N_DOF))
-    out = step(MODEL, s, np.ones(N_DOF), 0.04)
-    np.testing.assert_array_equal(out.q, MODEL.hi)
-    np.testing.assert_array_equal(out.qd, 0.0)
+    q, qd = step(MODEL, MODEL.hi, np.ones(N_DOF), 0.04)
+    np.testing.assert_array_equal(q, MODEL.hi)
+    np.testing.assert_array_equal(qd, 0.0)
 
 
 def test_rollout_arrays_mirrors_sequential_stepping(rng):
@@ -349,11 +347,11 @@ def test_rollout_arrays_mirrors_sequential_stepping(rng):
     q0 = random_q(rng)
     Q, Qd = rollout_arrays(MODEL, q0, controls, 0.04)
     for n in range(4):
-        s = ArmState(q=q0, qd=np.zeros(N_DOF))
+        q = q0
         for t in range(12):
-            s = step(MODEL, s, controls[n, t], 0.04)
-            np.testing.assert_allclose(Q[n, t], s.q, atol=1e-15)
-            np.testing.assert_allclose(Qd[n, t], s.qd, atol=1e-15)
+            q, qd = step(MODEL, q, controls[n, t], 0.04)
+            np.testing.assert_allclose(Q[n, t], q, atol=1e-15)
+            np.testing.assert_allclose(Qd[n, t], qd, atol=1e-15)
 
 
 def test_rollout_arrays_clamps_at_both_limits():
@@ -368,11 +366,11 @@ def test_rollout_arrays_clamps_at_both_limits():
     controls[2] = 3.0 * outward
     Q, Qd = rollout_arrays(MODEL, q0, controls, 0.04)
     for n in range(3):
-        s = ArmState(q=q0, qd=np.zeros(N_DOF))
+        q = q0
         for t in range(12):
-            s = step(MODEL, s, controls[n, t], 0.04)
-            np.testing.assert_array_equal(Q[n, t], s.q)
-            np.testing.assert_array_equal(Qd[n, t], s.qd)
+            q, qd = step(MODEL, q, controls[n, t], 0.04)
+            np.testing.assert_array_equal(Q[n, t], q)
+            np.testing.assert_array_equal(Qd[n, t], qd)
     at_hi, at_lo = Q == MODEL.hi, Q == MODEL.lo
     assert at_hi.any() and at_lo.any()
     # a joint pushed past a limit this step reports zero velocity
