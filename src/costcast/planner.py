@@ -7,13 +7,20 @@ live planner and produces per-timestep simulation logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import orjson
 
-from .cost import CostWeights, TaskSpec, stir_retract_mask, total_cost_batch
+from .cost import (
+    CostWeights,
+    TaskSpec,
+    make_scene,
+    stir_retract_mask,
+    stir_targets,
+    total_cost_batch,
+)
 from .motion import (
     Context,
     Episode,
@@ -114,7 +121,7 @@ def mppi_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
     finite = np.isfinite(costs)
     if not finite.any():
         raise MotionError("all sampled plans have infinite cost")
-    cmin = costs[finite].min()
+    cmin = np.min(costs, where=finite, initial=np.inf)
     with np.errstate(over="ignore"):
         logw = np.where(finite, -(costs - cmin) / temperature, -np.inf)
     w = np.exp(logw)
@@ -240,9 +247,9 @@ def plan_step(planner_state: PlannerState, q: np.ndarray, cost_fn, cfg: MppiConf
     best_cost = np.inf
     best_cmd = None
     for _ in range(cfg.n_iterations):
-        noise = planner_state.rng.normal(0.0, cfg.noise_sigma,
-                                         size=(cfg.n_samples, HORIZON_LEN, N_DOF))
-        samples = mean[None] + noise
+        samples = planner_state.rng.normal(0.0, cfg.noise_sigma,
+                                           size=(cfg.n_samples, HORIZON_LEN, N_DOF))
+        samples += mean
         Q, Qd = rollout_arrays(model, q, samples, cfg.dt)
         costs = np.asarray(cost_fn(Q, Qd), dtype=float)
         mean = mppi_update(costs, samples, cfg.temperature)
@@ -294,19 +301,21 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
     ``forecaster`` is a callable (ctx, truth_future_or_None) -> Trajectory (see
     ``make_forecaster``).  The oracle forecaster receives the true future.
     Each tick's plans are scored by ``total_cost_batch`` on the rollouts cast
-    to ``SCORE_DTYPE``, against that tick's forecast and task spec.
+    to ``SCORE_DTYPE``, against that tick's ``Scene``: the forecast, the task
+    spec and, for handover, the episode's in-hand flag, built once per tick.
+    Stir's targets are cast to ``SCORE_DTYPE`` once per playback.
 
     A tick forecasts, plans and steps, and keeps only what it decided: the
     executed ``q`` and ``qd``, the command, the best cost and the one
-    forecast value its task's record needs (stir's retract flag, handover's
-    final wrist).  Every record is assembled after the last tick from
-    per-tick columns.  The columns no control decision reads are computed
-    there for the whole playback at once: ``ee_pos`` and ``min_sep`` in one
-    float64 ``fk_batch`` of every tick's ``q`` and one ``separation_batch``
-    of their spheres, each row bit for bit its one-configuration call, and
-    the task's columns from the episode.  ``min_sep`` pairs the arm at
-    q(t+1), reached by tick t's step, with the person at ``frames[t]``, one
-    frame earlier.
+    forecast value its task's record needs (stir's retract flag, which is the
+    scene's mask, and handover's final wrist).  Every record is assembled
+    after the last tick from per-tick columns.  The columns no control
+    decision reads are computed there for the whole playback at once:
+    ``ee_pos`` and ``min_sep`` in one float64 ``fk_batch`` of every tick's
+    ``q`` and one ``separation_batch`` of their spheres, each row bit for bit
+    its one-configuration call, and the task's columns from the episode.
+    ``min_sep`` pairs the arm at q(t+1), reached by tick t's step, with the
+    person at ``frames[t]``, one frame earlier.
     """
     if len(episode) < HISTORY_LEN + HORIZON_LEN:
         raise MotionError("episode too short for playback")
@@ -318,24 +327,24 @@ def run_episode(episode: Episode, forecaster, spec: TaskSpec, weights: CostWeigh
     q, qd, cmd = (np.empty((len(ticks), N_DOF)) for _ in range(3))
     cost = np.empty(len(ticks))
     from_fc = []               # the forecast value each tick's record needs
+    targets = stir_targets(spec, SCORE_DTYPE) if episode.task == "stir" else None
+    in_hand = episode.extras["object_in_hand"] if episode.task == "handover" else None
 
     for i, t in enumerate(ticks):
         ctx = Context(episode.frames[t - HISTORY_LEN + 1:t + 1])
         truth = Trajectory(episode.frames[t + 1:t + 1 + HORIZON_LEN])
         fc = forecaster(ctx, truth)
-        step_spec = spec
-        if episode.task == "handover":
-            step_spec = replace(spec, object_in_hand=episode.extras["object_in_hand"][t])
+        scene = make_scene(fc, spec, weights, in_hand is not None and in_hand[t], targets)
 
         def cost_fn(Q, Qd):
             return total_cost_batch(model, Q.astype(SCORE_DTYPE), Qd.astype(SCORE_DTYPE),
-                                    fc, step_spec, weights)
+                                    scene, weights)
 
         cmd[i], cost[i] = plan_step(pstate, q_now, cost_fn, cfg, model)
         q_now, qd[i] = step(model, q_now, cmd[i], cfg.dt)
         q[i] = q_now
         if episode.task == "stir":
-            from_fc.append(bool(stir_retract_mask(fc.frames, spec, weights).any()))
+            from_fc.append(bool(scene.retract.any()))
         elif episode.task == "handover":
             from_fc.append(fc.frames[-1, wrist].tolist())
 

@@ -31,11 +31,17 @@ elementwise results and casts, so every consumer of the plans, from the
 float32 casts of the planner to the cost terms, broadcasts its per-joint
 constants (limits, mid-range, rest pose, stir reference) along the N samples
 rather than along the 7 joints.
+
+An ``ArmModel`` is frozen, so its limit arrays ``lo``, ``hi``, ``vel`` and
+``mid()`` are built once per model, cached on the instance and read-only;
+``dataclasses.replace`` gives a new model with its own.  ``memo`` holds what
+callers derive from a model, such as the cost's limit hinge in a dtype.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,20 +93,35 @@ class ArmModel:
         if self.sphere_radius <= 0:
             raise MotionError("collision sphere radius must be positive")
 
-    @property
+    @cached_property
     def lo(self) -> np.ndarray:
-        return np.array([l for l, _ in self.joint_limits])
+        return _read_only(np.array([l for l, _ in self.joint_limits]))
 
-    @property
+    @cached_property
     def hi(self) -> np.ndarray:
-        return np.array([h for _, h in self.joint_limits])
+        return _read_only(np.array([h for _, h in self.joint_limits]))
 
-    @property
+    @cached_property
     def vel(self) -> np.ndarray:
-        return np.asarray(self.vel_limits, dtype=float)
+        return _read_only(np.array(self.vel_limits, dtype=float))
+
+    @cached_property
+    def _mid(self) -> np.ndarray:
+        return _read_only(0.5 * (self.lo + self.hi))
 
     def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
+        return self._mid
+
+    @cached_property
+    def memo(self) -> dict:
+        """Constants that callers derive from this model, each under its
+        caller's key; computed once per model, which is frozen."""
+        return {}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def fk_batch(model: ArmModel, Q: np.ndarray):
@@ -126,13 +147,14 @@ def fk_batch(model: ArmModel, Q: np.ndarray):
     R = np.empty((8, 3, 3) + batch, dtype)
     p = np.empty((8, 3) + batch, dtype)
     tau = np.tan(np.multiply(np.moveaxis(Q, -1, 0), 0.5, order="C"))   # (7, *batch) planes
-    scale = 1.0 / (1.0 + tau * tau)
-    cos_q = (1.0 - tau * tau) * scale
+    tau2 = tau * tau
+    scale = 1.0 / (1.0 + tau2)
+    cos_q = (1.0 - tau2) * scale
     sin_q = 2.0 * tau * scale
+    # (3, 1, ...) columns, which the joint planes broadcast to (3, *batch)
     column = (3,) + (1,) * len(batch)
-    x, y, z = (np.broadcast_to(axis.reshape(column), (3,) + batch)
-               for axis in np.eye(3, dtype=dtype))
-    pos = np.broadcast_to(np.asarray(model.base_position, dtype).reshape(column), (3,) + batch)
+    x, y, z = np.eye(3, dtype=dtype).reshape((3,) + column)
+    pos = np.asarray(model.base_position, dtype).reshape(column)
     for i, (a, d, alpha) in enumerate(model.dh):
         # T = RotX(alpha) TransX(a) RotZ(theta) TransZ(d)
         if alpha == np.pi / 2:

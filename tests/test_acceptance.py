@@ -33,6 +33,7 @@ from costcast.cost import (
     STOP_WINDOW,
     TaskSpec,
     grasp_pose,
+    make_scene,
     total_cost_batch,
 )
 from costcast.datagen import GENERATORS, GenConfig, split_dataset
@@ -320,7 +321,8 @@ def test_min_separation_matches_brute_force_1000_scenes():
 
 
 def _scripted_total_cost(Q, Qd, forecast, spec, w):
-    """Independent step-by-step recomputation of the full planner cost."""
+    """Independent step-by-step recomputation of the full planner cost, with
+    the handover object in hand."""
     H = len(Q)
     frames = forecast.frames
     mid, half = MODEL.mid(), 0.5 * (MODEL.hi - MODEL.lo)
@@ -339,18 +341,15 @@ def _scripted_total_cost(Q, Qd, forecast, spec, w):
                 t % len(spec.stir_reference)]
             task += float(np.linalg.norm(Q[t] - target))
     elif spec.task == "handover":
-        if not spec.object_in_hand:
-            task = 0.0
-        else:
-            ee0, _ = fk_oracle(MODEL, Q[0])
-            target_R = grasp_pose(ee0[None, :3, 3], ee0[None, :3, :3], frames[-1, 1])[0]
-            task = 0.0
-            for t in range(H):
-                ee, _ = fk_oracle(MODEL, Q[t])
-                rel = ee[:3, :3].T @ target_R
-                ang = np.arccos(np.clip((np.trace(rel) - 1.0) / 2.0, -1.0, 1.0))
-                task += float(np.linalg.norm(ee[:3, 3] - frames[-1, 1])
-                              + ORIENTATION_WEIGHT * ang)
+        ee0, _ = fk_oracle(MODEL, Q[0])
+        target_R = grasp_pose(ee0[None, :3, 3], ee0[None, :3, :3], frames[-1, 1])[0]
+        task = 0.0
+        for t in range(H):
+            ee, _ = fk_oracle(MODEL, Q[t])
+            rel = ee[:3, :3].T @ target_R
+            ang = np.arccos(np.clip((np.trace(rel) - 1.0) / 2.0, -1.0, 1.0))
+            task += float(np.linalg.norm(ee[:3, 3] - frames[-1, 1])
+                          + ORIENTATION_WEIGHT * ang)
     else:
         task = 0.0
         for t in range(H):
@@ -375,7 +374,7 @@ def test_total_cost_matches_scripted_recomputation_100_scenes():
     specs = {
         "stir": TaskSpec(task="stir", pot_position=(0.55, 0.0, 0.95),
                          rest_config=MODEL.mid() - 0.3, stir_reference=ref),
-        "handover": TaskSpec(task="handover", rest_config=MODEL.mid(), object_in_hand=True),
+        "handover": TaskSpec(task="handover", rest_config=MODEL.mid()),
         "tableset": TaskSpec(task="tableset", rest_config=MODEL.mid(), table_goal=goal_ee),
     }
     tasks = list(specs)
@@ -387,7 +386,8 @@ def test_total_cost_matches_scripted_recomputation_100_scenes():
         frames = BASE_POSE[None] + rng.normal(0, 0.03, size=(HORIZON_LEN, N_JOINTS, 3))
         frames += np.array([rng.uniform(0.0, 0.6), 0.0, 0.2])
         fc = Trajectory(frames)
-        got = total_cost_batch(MODEL, Q[None], Qd[None], fc, spec, w)[0]
+        scene = make_scene(fc, spec, w, object_in_hand=True)
+        got = total_cost_batch(MODEL, Q[None], Qd[None], scene, w)[0]
         want = _scripted_total_cost(Q, Qd, fc, spec, w)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 

@@ -19,6 +19,7 @@ from costcast.cost import (
     grasp_pose,
     handover_terms_batch,
     hinge,
+    make_scene,
     pose_error_batch,
     stir_terms_batch,
     tableset_terms_batch,
@@ -60,17 +61,26 @@ def base_term(plan, model, w):
     return base_terms_batch(model, Q, Qd, fk_batch(model, Q), w)[0]
 
 
+HANDOVER = TaskSpec(task="handover", rest_config=MODEL.mid())
+
+
+def scene_of(fc, spec=HANDOVER, w=CostWeights(), object_in_hand=False):
+    """The scene of forecast fc; the spec and in-hand flag matter only to
+    the task terms."""
+    return make_scene(fc, spec, w, object_in_hand)
+
+
 def collision_term(plan, fc, w):
     Q, _ = plan
-    return w.alpha_c * collision_terms_batch(MODEL, fk_batch(MODEL, Q), fc)[0]
+    return w.alpha_c * collision_terms_batch(MODEL, fk_batch(MODEL, Q), scene_of(fc))[0]
 
 
-def task_term(term, plan, fc, spec, w):
+def task_term(term, plan, scene, w):
     """One task term of a batch of one, given the kinematics and collision
     sum that ``total_cost_batch`` shares with it."""
     Q, _ = plan
     frames = fk_batch(MODEL, Q)
-    return term(Q, frames, collision_terms_batch(MODEL, frames, fc), fc, spec, w)[0]
+    return term(Q, frames, collision_terms_batch(MODEL, frames, scene), scene, w)[0]
 
 
 def far_forecast():
@@ -217,7 +227,7 @@ def test_reach_test_keeps_the_collision_sum_bit_identical(place, poison, n, h, s
                    rng.integers(3)] = np.nan
         fc = Trajectory(humans)
         want = full_row_collision(frames, fc)
-        assert_same_bits(collision_terms_batch(MODEL, frames, fc), want)
+        assert_same_bits(collision_terms_batch(MODEL, frames, scene_of(fc)), want)
         if poison:
             assert np.isnan(want).all()
 
@@ -239,7 +249,7 @@ def test_collision_runs_no_kernel_on_rows_out_of_reach(monkeypatch, rng):
 
     monkeypatch.setattr(cost, "collision_sphere_centers", centers_of)
     monkeypatch.setattr(cost, "separation_batch", kernel)
-    got = collision_terms_batch(MODEL, frames, far_forecast())
+    got = collision_terms_batch(MODEL, frames, scene_of(far_forecast()))
     assert got.tobytes() == np.zeros(4).tobytes()
     assert built == [] and seen == []
     # a human with one arm at the arm column sends some rows, but not all 16,
@@ -254,7 +264,7 @@ def test_collision_runs_no_kernel_on_rows_out_of_reach(monkeypatch, rng):
     along = np.stack([chain[4 * (t % 2) + np.array([2, 4, 1, 3, 0, 2, 0])] for t in range(H)])
     for fc in (Trajectory(near), Trajectory(along)):
         with pytest.raises(AssertionError, match="kernel called"):
-            collision_terms_batch(MODEL, frames, fc)
+            collision_terms_batch(MODEL, frames, scene_of(fc))
     assert built == [rows for rows, _ in seen]
     (rows, bones), (all_rows, all_bones) = seen
     assert 0 < rows < 16 and bones == 2
@@ -273,7 +283,7 @@ def test_stir_tracking_branch_zero_on_reference():
     spec = stir_spec()
     Q = spec.stir_reference[np.arange(H) % 40]
     # human far from the pot: the tracking branch is active everywhere
-    assert task_term(stir_terms_batch, plan_from_arrays(Q), far_forecast(), spec,
+    assert task_term(stir_terms_batch, plan_from_arrays(Q), scene_of(far_forecast(), spec),
                      CostWeights()) == 0.0
 
 
@@ -283,7 +293,8 @@ def test_stir_retract_branch_zero_at_rest():
     frames[:, 1] = spec.pot_position  # right wrist forecast on the pot, all steps
     fc = Trajectory(frames)
     Q = np.repeat(spec.rest_config[None], H, axis=0)
-    assert task_term(stir_terms_batch, plan_from_arrays(Q), fc, spec, CostWeights()) == 0.0
+    assert task_term(stir_terms_batch, plan_from_arrays(Q), scene_of(fc, spec),
+                     CostWeights()) == 0.0
 
 
 def test_stir_cost_matches_per_step_oracle(rng):
@@ -300,8 +311,8 @@ def test_stir_cost_matches_per_step_oracle(rng):
     for t in range(H):
         target = spec.rest_config if D[t] <= w.eps_pot else spec.stir_reference[t % 40]
         oracle += np.linalg.norm(Q[t] - target)
-    assert task_term(stir_terms_batch, plan_from_arrays(Q), fc, spec, w) == pytest.approx(
-        oracle, rel=1e-12)
+    assert task_term(stir_terms_batch, plan_from_arrays(Q), scene_of(fc, spec, w),
+                     w) == pytest.approx(oracle, rel=1e-12)
     assert near_steps[np.nonzero(D <= w.eps_pot)].all()
 
 
@@ -407,14 +418,78 @@ def test_grasp_pose_antiparallel_and_degenerate():
         grasp_pose(ee_pos, ee_R, ee_pos[1])
 
 
+def reference_grasp_pose(ee_pos, ee_R, wrist_final):
+    """``grasp_pose`` as ``np.cross`` products with the antiparallel fallback
+    built for every row."""
+    line = np.asarray(wrist_final, dtype=float) - ee_pos
+    norm = np.linalg.norm(line, axis=-1)
+    target_axis = line / norm[:, None]
+    approach = ee_R[:, :, 2]
+    c = np.einsum("nk,nk->n", approach, target_axis)
+    axis = np.cross(approach, target_axis)
+    s = np.linalg.norm(axis, axis=-1)
+    parallel = s < 1e-12
+    ortho = np.cross(approach, [1.0, 0.0, 0.0])
+    near_x = np.linalg.norm(ortho, axis=-1) < 1e-6
+    ortho[near_x] = np.cross(approach[near_x], [0.0, 1.0, 0.0])
+    ortho /= np.linalg.norm(ortho, axis=-1, keepdims=True)
+    k = np.where(parallel[:, None], ortho, axis / np.where(parallel, 1.0, s)[:, None])
+    sin_a = np.where(parallel, 0.0, s)
+    one_minus_cos = np.where(parallel, np.where(c > 0, 0.0, 2.0), 1.0 - c)
+    K = np.zeros(k.shape + (3,))
+    K[:, 0, 1], K[:, 0, 2] = -k[:, 2], k[:, 1]
+    K[:, 1, 0], K[:, 1, 2] = k[:, 2], -k[:, 0]
+    K[:, 2, 0], K[:, 2, 1] = -k[:, 1], k[:, 0]
+    align = np.eye(3) + sin_a[:, None, None] * K + one_minus_cos[:, None, None] * (K @ K)
+    return align @ ee_R
+
+
+# exact rotations whose approach axis (third column) is +x and -x
+APPROACH_X = {1.0: np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]),
+              -1.0: np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])}
+GRASP_ROWS = ("random", "parallel", "antiparallel", "x parallel", "x antiparallel")
+
+
+@settings(max_examples=60, deadline=None)
+@example(rows=list(GRASP_ROWS), seed=0, dtype="float64")
+@example(rows=list(GRASP_ROWS), seed=0, dtype="float32")
+@example(rows=["random"] * 5, seed=1, dtype="float32")
+@given(rows=st.lists(st.sampled_from(GRASP_ROWS), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(["float64", "float32"]))
+def test_grasp_pose_is_bit_for_bit_its_np_cross_reference(rows, seed, dtype):
+    # grasp_pose builds the parallel fallback only when some row needs it and
+    # takes its cross products as component arithmetic; both are bit for bit
+    # the reference, on random rows and on rows whose approach axis lies along
+    # the line to the wrist, either way, along +-x (the near-x fallback) too
+    rng = np.random.default_rng(seed)
+    wrist = rng.uniform(-1.0, 1.0, 3).astype(np.float32).astype(float)
+    ee_R = random_rotations(rng, len(rows))
+    ee_pos = wrist + rng.uniform(-1.0, 1.0, size=(len(rows), 3))
+    for i, row in enumerate(rows):
+        if row.startswith("x "):
+            sign = rng.choice([-1.0, 1.0])
+            ee_R[i] = APPROACH_X[sign]
+        if row != "random":
+            # a power-of-two distance keeps the line exactly along the axis
+            along = 0.5 if row.endswith("antiparallel") else -0.5
+            ee_pos[i] = wrist + along * ee_R[i, :, 2]
+    ee_pos, ee_R = ee_pos.astype(dtype), ee_R.astype(dtype)
+    got = grasp_pose(ee_pos, ee_R, wrist)
+    want = reference_grasp_pose(ee_pos, ee_R, wrist)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_handover_cost_gated_by_object_in_hand(rng):
-    fc = far_forecast()
-    idle = TaskSpec(task="handover", rest_config=MODEL.mid(), object_in_hand=False)
+    # the in-hand flag is the tick's, so the two cases are two scenes of one
+    # forecast and spec
+    fc, w = far_forecast(), CostWeights()
+    idle = make_scene(fc, HANDOVER, w, object_in_hand=False)
+    active = make_scene(fc, HANDOVER, w, object_in_hand=True)
     plan = const_plan(np.clip(MODEL.mid() + rng.normal(0, 0.3, N_DOF),
                               MODEL.lo, MODEL.hi))
-    assert task_term(handover_terms_batch, plan, fc, idle, CostWeights()) == 0.0
-    active = TaskSpec(task="handover", rest_config=MODEL.mid(), object_in_hand=True)
-    assert task_term(handover_terms_batch, plan, fc, active, CostWeights()) > 0.0
+    assert task_term(handover_terms_batch, plan, idle, w) == 0.0
+    assert task_term(handover_terms_batch, plan, active, w) > 0.0
 
 
 def test_handover_grasp_target_at_start_pose_rejected():
@@ -423,9 +498,8 @@ def test_handover_grasp_target_at_start_pose_rejected():
     frames[:, 1] = fk_batch(MODEL, q)[1][7]  # forecast final wrist exactly at the end effector
     # target would coincide with the start pose -> the grasp pose is undefined
     with pytest.raises(MotionError):
-        task_term(handover_terms_batch, const_plan(q), Trajectory(frames),
-                  TaskSpec(task="handover", rest_config=MODEL.mid(), object_in_hand=True),
-                  CostWeights())
+        task_term(handover_terms_batch, const_plan(q),
+                  scene_of(Trajectory(frames), object_in_hand=True), CostWeights())
 
 
 # --- tableset -------------------------------------------------------------
@@ -479,9 +553,8 @@ def test_tableset_cost_is_affine_in_beta(rng):
     plan = plan_from_arrays(Q)
     frames = np.repeat((BASE_POSE + np.array([0.35, 0.0, 0.0]))[None], H, axis=0)
     fc = Trajectory(frames)
-    c1 = task_term(tableset_terms_batch, plan, fc, spec_b(1.0), CostWeights(beta=1.0))
-    c5 = task_term(tableset_terms_batch, plan, fc, spec_b(5.0), CostWeights(beta=5.0))
-    c9 = task_term(tableset_terms_batch, plan, fc, spec_b(9.0), CostWeights(beta=9.0))
+    c1, c5, c9 = (task_term(tableset_terms_batch, plan, scene_of(fc, spec_b(beta)),
+                            CostWeights(beta=beta)) for beta in (1.0, 5.0, 9.0))
     # cost = goal + beta * collision: second differences in beta vanish
     assert c9 - c5 == pytest.approx(c5 - c1, rel=1e-9)
 
@@ -489,7 +562,7 @@ def test_tableset_cost_is_affine_in_beta(rng):
 def test_tableset_zero_at_goal_with_far_human():
     q = MODEL.mid()
     spec = TaskSpec(task="tableset", rest_config=MODEL.mid(), table_goal=ee_transform(q))
-    assert task_term(tableset_terms_batch, const_plan(q), far_forecast(), spec,
+    assert task_term(tableset_terms_batch, const_plan(q), scene_of(far_forecast(), spec),
                      CostWeights()) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -506,24 +579,32 @@ def test_total_cost_is_sum_of_terms(rng):
     w = CostWeights()
     expected = (base_term(plan, MODEL, w)
                 + collision_term(plan, fc, w)
-                + w.alpha_t * task_term(stir_terms_batch, plan, fc, spec, w))
-    assert total_cost_batch(MODEL, *plan, fc, spec, w)[0] == pytest.approx(expected, rel=1e-12)
+                + w.alpha_t * task_term(stir_terms_batch, plan, scene_of(fc, spec, w), w))
+    assert total_cost_batch(MODEL, *plan, scene_of(fc, spec, w), w)[0] == pytest.approx(
+        expected, rel=1e-12)
 
 
 PROPERTY_SPECS = {
     "stir": stir_spec(),
-    "handover": TaskSpec(task="handover", rest_config=MODEL.mid(), object_in_hand=True),
+    "handover": HANDOVER,
     "tableset": TaskSpec(task="tableset", rest_config=MODEL.mid(),
                          table_goal=homogeneous(rot("y", 180), [0.62, 0.25, 0.98])),
 }
 
 
+def property_scene(task, fc, w):
+    """The scene of forecast fc for a ``PROPERTY_SPECS`` task, with the
+    handover object in hand."""
+    return scene_of(fc, PROPERTY_SPECS[task], w, object_in_hand=True)
+
+
 def test_plan_longer_than_the_forecast_horizon_is_rejected():
     # a plan of HORIZON_LEN + 1 steps has no forecast for its last step
     plan = const_plan(MODEL.mid(), n=H + 1)
-    with pytest.raises(MotionError, match="forecast horizon shorter than plan horizon"):
-        total_cost_batch(MODEL, *plan, far_forecast(), PROPERTY_SPECS["tableset"],
-                         CostWeights())
+    w = CostWeights()
+    for task in sorted(PROPERTY_SPECS):
+        with pytest.raises(MotionError, match="forecast horizon shorter than plan horizon"):
+            total_cost_batch(MODEL, *plan, property_scene(task, far_forecast(), w), w)
 
 
 @settings(max_examples=30, deadline=None)
@@ -536,9 +617,10 @@ def test_total_cost_rows_match_single_plan_evaluation(task, n, seed):
     Qd = rng.uniform(-MODEL.vel, MODEL.vel, size=(n, H, N_DOF))
     frames = BASE_POSE[None] + rng.normal(0, 0.03, size=(H, 7, 3))
     fc = Trajectory(frames + np.array([rng.uniform(0.0, 0.6), 0.0, 0.2]))
-    spec, w = PROPERTY_SPECS[task], CostWeights()
-    batch = total_cost_batch(MODEL, Q, Qd, fc, spec, w)
-    single = [total_cost_batch(MODEL, Q[i:i + 1], Qd[i:i + 1], fc, spec, w)[0]
+    w = CostWeights()
+    scene = property_scene(task, fc, w)
+    batch = total_cost_batch(MODEL, Q, Qd, scene, w)
+    single = [total_cost_batch(MODEL, Q[i:i + 1], Qd[i:i + 1], scene, w)[0]
               for i in range(n)]
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
 
@@ -570,10 +652,10 @@ def test_batch_last_kinematics_match_single_configurations(task, n, h, seed):
             for got, one in zip(batch, single):
                 assert np.array_equal(got[..., i, t], one[..., 0, 0])
     # the total cost of each plan matches that plan scored alone
-    fc = Trajectory(humans)
-    spec, w = PROPERTY_SPECS[task], CostWeights()
-    costs = total_cost_batch(MODEL, Q, Qd, fc, spec, w)
-    alone = [total_cost_batch(MODEL, Q[i:i + 1], Qd[i:i + 1], fc, spec, w)[0] for i in range(n)]
+    w = CostWeights()
+    scene = property_scene(task, Trajectory(humans), w)
+    costs = total_cost_batch(MODEL, Q, Qd, scene, w)
+    alone = [total_cost_batch(MODEL, Q[i:i + 1], Qd[i:i + 1], scene, w)[0] for i in range(n)]
     np.testing.assert_allclose(costs, alone, rtol=1e-12, atol=0)
 
 
@@ -595,11 +677,12 @@ def test_float32_plans_cost_within_1e_4_relative_of_float64(task, rng):
     # scoring float32 copies of sampled plans returns float64 costs within
     # 1e-4 relative of the float64 call, with the collision term in play
     Q, Qd = sampled_plans(rng)
-    fc, spec, w = near_forecast(rng), PROPERTY_SPECS[task], CostWeights()
+    w = CostWeights()
+    scene = property_scene(task, near_forecast(rng), w)
     plans = {dtype: (Q.astype(dtype), Qd.astype(dtype)) for dtype in (np.float32, np.float64)}
-    assert (collision_terms_batch(MODEL, fk_batch(MODEL, Q), fc) > 0).any()
-    got = total_cost_batch(MODEL, *plans[np.float32], fc, spec, w)
-    want = total_cost_batch(MODEL, *plans[np.float64], fc, spec, w)
+    assert (collision_terms_batch(MODEL, fk_batch(MODEL, Q), scene) > 0).any()
+    got = total_cost_batch(MODEL, *plans[np.float32], scene, w)
+    want = total_cost_batch(MODEL, *plans[np.float64], scene, w)
     assert got.dtype == np.float64
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=0)
 
@@ -613,9 +696,10 @@ def test_sample_innermost_plans_cost_what_contiguous_copies_cost(task, dtype, se
     rng = np.random.default_rng(seed)
     views = [a.astype(dtype) for a in sampled_plans(rng)]
     copies = [np.ascontiguousarray(a) for a in views]
-    fc, spec, w = near_forecast(rng), PROPERTY_SPECS[task], CostWeights()
-    np.testing.assert_allclose(total_cost_batch(MODEL, *views, fc, spec, w),
-                               total_cost_batch(MODEL, *copies, fc, spec, w), rtol=1e-14, atol=0)
+    w = CostWeights()
+    scene = property_scene(task, near_forecast(rng), w)
+    np.testing.assert_allclose(total_cost_batch(MODEL, *views, scene, w),
+                               total_cost_batch(MODEL, *copies, scene, w), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CostWeights)])
@@ -624,8 +708,8 @@ def test_weights_at_1e300_give_finite_costs_on_float32_plans(field, rng):
     # beyond float32's range gives the finite costs it gives float64 plans
     Q, Qd = (a.astype(np.float32) for a in sampled_plans(rng))
     w = CostWeights(**{field: 1e300})
-    for task, spec in PROPERTY_SPECS.items():
-        costs = total_cost_batch(MODEL, Q, Qd, near_forecast(rng), spec, w)
+    for task in PROPERTY_SPECS:
+        costs = total_cost_batch(MODEL, Q, Qd, property_scene(task, near_forecast(rng), w), w)
         assert np.isfinite(costs).all(), task
 
 

@@ -481,3 +481,21 @@ def test_keep_freed_heap_sets_both_thresholds_and_skips_a_libc_without_mallopt()
     _keep_freed_heap(Libc())
     assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
     _keep_freed_heap(object())  # no mallopt: import leaves the allocator alone
+
+
+def test_model_with_list_limits_plays_like_the_tuple_model():
+    # a model built from lists cannot be hashed, and its limit arrays and
+    # cost constants are cached on the instance all the same: its playback
+    # gives the records of the equal tuple model
+    listed = replace(MODEL, joint_limits=[list(lim) for lim in MODEL.joint_limits],
+                     vel_limits=list(MODEL.vel_limits))
+    with pytest.raises(TypeError):
+        hash(listed)
+    ep = gen_stirring(GenConfig(seed=0, episode_len_s=8.0, n_interactions=1))
+    episode = Episode(fps=ep.fps, frames=ep.frames[:HISTORY_LEN + HORIZON_LEN + 3],
+                      task="stir", extras=ep.extras)
+    cfg = MppiConfig(n_samples=8)
+    logs = [run_episode(episode, make_forecaster("cvm"), build_task_spec(episode, model),
+                        CostWeights(), cfg, model=model) for model in (listed, MODEL)]
+    assert len(logs[0].records) == 4
+    assert logs[0].records == logs[1].records

@@ -1,6 +1,8 @@
 """Tests for arm kinematics, Jacobian, manipulability, collision geometry and
 clamped integration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -422,3 +424,28 @@ def test_arm_model_validation():
         ArmModel(joint_limits=((1.0, -1.0),) * N_DOF)
     with pytest.raises(MotionError):
         ArmModel(sphere_radius=0.0)
+
+
+# --- model constants ------------------------------------------------------
+
+def test_model_limit_arrays_are_cached_read_only_and_rebuilt_on_replace():
+    # lo, hi, vel and mid() are the tuple fields as arrays, built once per
+    # model and read-only, so no caller can change the model through them
+    model = ArmModel()
+    arrays = {"lo": model.lo, "hi": model.hi, "vel": model.vel, "mid": model.mid()}
+    assert arrays["lo"].tolist() == [lo for lo, _ in model.joint_limits]
+    assert arrays["hi"].tolist() == [hi for _, hi in model.joint_limits]
+    assert arrays["vel"].tolist() == list(model.vel_limits)
+    assert arrays["mid"].tolist() == [0.5 * (lo + hi) for lo, hi in model.joint_limits]
+    assert model.lo is arrays["lo"] and model.mid() is arrays["mid"]
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 9.0
+        assert a[0] != 9.0, name
+    # a replaced model gets arrays of its own limits
+    limits = tuple((lo - 0.1, hi + 0.2) for lo, hi in model.joint_limits)
+    wider = dataclasses.replace(model, joint_limits=limits)
+    assert wider.lo.tolist() == [lo for lo, _ in limits]
+    assert wider.hi.tolist() == [hi for _, hi in limits]
+    assert wider.mid().tolist() == [0.5 * (lo + hi) for lo, hi in limits]
+    assert model.lo.tolist() == [lo for lo, _ in model.joint_limits]
